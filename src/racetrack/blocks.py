@@ -58,15 +58,24 @@ def extract_inplace_blocks(c: Circuit, zone_count: int) -> BlockSchedule:
 
     1Q runs between two 2Q gates on a qubit attach to the earlier gate's
     block (post); leading runs attach as the first block's pre; 1Q gates
-    on qubits that never see a 2Q gate fall into the residual.
+    on qubits that never see a 2Q gate fall into the residual.  Each gate
+    records its position in every qubit's gate sequence, so a block's
+    chains are found by walking outward from its core: each walk costs
+    the length of the run it returns plus one.
     """
     if zone_count < 1:
         raise ValueError("zone_count must be >= 1")
-    # per-qubit gate sequences and 2Q-projected readiness
+    # per-qubit gate sequences, each gate's positions in them, and
+    # 2Q-projected readiness
     seq: dict[int, list[Gate]] = {}
+    at: dict[int, tuple[int, ...]] = {}
     for g in c.gates:
+        where = []
         for q in g.qubits:
-            seq.setdefault(q, []).append(g)
+            run = seq.setdefault(q, [])
+            where.append(len(run))
+            run.append(g)
+        at[g.id] = tuple(where)
 
     two_q = [g for g in c.gates if g.is_2q]
     pred_count: dict[int, int] = {g.id: 0 for g in two_q}
@@ -84,32 +93,19 @@ def extract_inplace_blocks(c: Circuit, zone_count: int) -> BlockSchedule:
     # neighbor 1Q chains around each 2Q gate, claimed earlier-block-first
     claimed: set[int] = set()
 
-    def chain_before(core: Gate, q: int) -> list[Gate]:
-        run: list[Gate] = []
-        for g in seq[q]:
-            if g.id == core.id:
-                break
-            if g.is_2q:
-                run.clear()
-            elif g.id not in claimed:
-                run.append(g)
-            else:
-                run.clear()
-        return run
+    def chain_before(gates: list[Gate], i: int) -> list[Gate]:
+        """The unclaimed 1Q gates directly before position i."""
+        j = i
+        while j > 0 and gates[j - 1].is_1q and gates[j - 1].id not in claimed:
+            j -= 1
+        return gates[j:i]
 
-    def chain_after(core: Gate, q: int) -> list[Gate]:
-        run: list[Gate] = []
-        started = False
-        for g in seq[q]:
-            if g.id == core.id:
-                started = True
-                continue
-            if not started:
-                continue
-            if g.is_2q:
-                break
-            run.append(g)
-        return run
+    def chain_after(gates: list[Gate], i: int) -> list[Gate]:
+        """The 1Q gates after position i, up to the next 2Q gate."""
+        j = i + 1
+        while j < len(gates) and gates[j].is_1q:
+            j += 1
+        return gates[i + 1 : j]
 
     ready = sorted((gid for gid, n in pred_count.items() if n == 0), key=order.get)
     schedule = BlockSchedule()
@@ -124,9 +120,9 @@ def extract_inplace_blocks(c: Circuit, zone_count: int) -> BlockSchedule:
             core = by_id[gid]
             pre: list[Gate] = []
             post: list[Gate] = []
-            for q in core.qubits:
-                pre.extend(chain_before(core, q))
-                post.extend(chain_after(core, q))
+            for q, i in zip(core.qubits, at[gid]):
+                pre.extend(chain_before(seq[q], i))
+                post.extend(chain_after(seq[q], i))
             for g in pre + post:
                 claimed.add(g.id)
             layer.append(Block(tuple(pre), core, tuple(post)))

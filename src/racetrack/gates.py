@@ -94,6 +94,9 @@ class Gate:
     qubits: tuple[int, ...]
     params: tuple[float, ...] = field(default=())
     source: int = field(default=-1, compare=False, repr=False)
+    # arity flags, derived from `kind` once: the pipeline reads them per gate
+    is_2q: bool = field(init=False, compare=False, repr=False)
+    is_1q: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         qubits = tuple(self.qubits)
@@ -110,17 +113,11 @@ class Gate:
                 f"{self.kind.value} takes {self.kind.n_params} param(s), got {self.params}"
             )
         object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "is_2q", len(qubits) == 2)
+        object.__setattr__(self, "is_1q", len(qubits) == 1)
         object.__setattr__(
             self, "params", tuple(canonical_angle(p) for p in self.params)
         )
-
-    @property
-    def is_2q(self) -> bool:
-        return self.kind.n_qubits == 2
-
-    @property
-    def is_1q(self) -> bool:
-        return self.kind.n_qubits == 1
 
     @property
     def is_rotation_1q(self) -> bool:

@@ -103,16 +103,17 @@ def _require(cond: bool, msg: str):
         raise ValueError(msg)
 
 
-def apply_reorder(s: IonState, op: ReorderOp, t: TimingParams = TimingParams()) -> tuple[IonState, float]:
-    """Apply one primitive; returns the mutated arrangement and its cost."""
-    cs = list(s.crystals)
+def reorder_in_place(cs: list[Crystal], op: ReorderOp, t: TimingParams = TimingParams()) -> float:
+    """Apply one crystal-changing primitive (split, combine, swap, exchange)
+    to the crystal list `cs` in place; returns its cost.  Every check runs
+    before `cs` is touched, so a rejected op leaves it unchanged."""
     i = op.index
     tag = op.tag
     if tag is ReorderTag.SPLIT:
         _require(0 <= i < len(cs) and cs[i].is_pair, "split needs a pair")
         a, b = cs[i].qubits
         cs[i : i + 1] = [Crystal((a,), True), Crystal((b,), False)]
-        return replace(s, crystals=tuple(cs)), t.split_or_combine
+        return t.split_or_combine
     if tag is ReorderTag.COMBINE:
         _require(i + 1 < len(cs), "combine needs two crystals")
         left, right = cs[i], cs[i + 1]
@@ -122,7 +123,7 @@ def apply_reorder(s: IonState, op: ReorderOp, t: TimingParams = TimingParams()) 
             "combine needs (->, <-) orientations for the Yb-Ba-Ba-Yb form",
         )
         cs[i : i + 2] = [Crystal((left.qubits[0], right.qubits[0]))]
-        return replace(s, crystals=tuple(cs)), t.split_or_combine
+        return t.split_or_combine
     if tag is ReorderTag.SWAP:
         _require(0 <= i < len(cs), "swap index out of range")
         c = cs[i]
@@ -130,11 +131,7 @@ def apply_reorder(s: IonState, op: ReorderOp, t: TimingParams = TimingParams()) 
             cs[i] = Crystal((c.qubits[1], c.qubits[0]))
         else:
             cs[i] = Crystal(c.qubits, not c.facing_right)
-        return replace(s, crystals=tuple(cs)), t.swap
-    if tag is ReorderTag.INTRA_SHIFT:
-        return replace(s, position=s.position + t.zone_gap / 2), t.intra_zone_shift
-    if tag is ReorderTag.INTER_SHIFT:
-        return replace(s, position=s.position + t.zone_gap), t.inter_zone_shift
+        return t.swap
     if tag is ReorderTag.PAIR_EXCHANGE:
         _require(i + 1 < len(cs), "exchange needs two adjacent crystals")
         a, b = cs[i], cs[i + 1]
@@ -151,8 +148,19 @@ def apply_reorder(s: IonState, op: ReorderOp, t: TimingParams = TimingParams()) 
             cs[i + 1] = Crystal((a.qubits[0], b.qubits[1]))
         else:
             cs[i], cs[i + 1] = b, a
-        return replace(s, crystals=tuple(cs)), t.pair_exchange
-    raise ValueError(f"unknown reorder op {tag}")  # pragma: no cover
+        return t.pair_exchange
+    raise ValueError(f"reorder op {tag} does not change crystals")
+
+
+def apply_reorder(s: IonState, op: ReorderOp, t: TimingParams = TimingParams()) -> tuple[IonState, float]:
+    """Apply one primitive; returns the mutated arrangement and its cost."""
+    if op.tag is ReorderTag.INTRA_SHIFT:
+        return replace(s, position=s.position + t.zone_gap / 2), t.intra_zone_shift
+    if op.tag is ReorderTag.INTER_SHIFT:
+        return replace(s, position=s.position + t.zone_gap), t.inter_zone_shift
+    cs = list(s.crystals)
+    dt = reorder_in_place(cs, op, t)
+    return replace(s, crystals=tuple(cs)), dt
 
 
 def apply_plan(s: IonState, plan: list[ReorderOp], t: TimingParams = TimingParams()) -> tuple[IonState, float]:

@@ -3,6 +3,7 @@ end-to-end training-time projection over a Trace."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .machine import FidelityParams
@@ -42,19 +43,35 @@ def _union_length(intervals: list[tuple[float, float]]) -> float:
     return total
 
 
-def _overlap_with(intervals: list[tuple[float, float]], a: float, b: float) -> float:
-    """Length of [a, b] covered by the union of `intervals`."""
-    covered = 0.0
-    last_end = a
-    for s, e in sorted(intervals):
-        if e <= last_end or s >= b:
-            continue
-        s = max(s, last_end)
-        e = min(e, b)
-        if e > s:
-            covered += e - s
-            last_end = e
-    return covered
+class _Coverage:
+    """The union of a set of intervals as sorted disjoint runs, with the
+    total run length before each run, for O(log n) overlap queries."""
+
+    def __init__(self, intervals: list[tuple[float, float]]):
+        self.starts: list[float] = []
+        self.ends: list[float] = []
+        for a, b in sorted(intervals):
+            if self.ends and a <= self.ends[-1]:
+                if b > self.ends[-1]:
+                    self.ends[-1] = b
+            else:
+                self.starts.append(a)
+                self.ends.append(b)
+        self.before = [0.0]
+        for a, b in zip(self.starts, self.ends):
+            self.before.append(self.before[-1] + (b - a))
+
+    def overlap(self, a: float, b: float) -> float:
+        """Length of [a, b] covered by the union."""
+        i = bisect_right(self.ends, a)      # first run ending after a
+        j = bisect_left(self.starts, b)     # first run starting at or after b
+        if i >= j:
+            return 0.0
+        first = min(self.ends[i], b) - max(self.starts[i], a)
+        if j - i == 1:
+            return first
+        inner = self.before[j - 1] - self.before[i + 1]
+        return first + inner + (min(self.ends[j - 1], b) - self.starts[j - 1])
 
 
 def runtime_breakdown(tr: Trace) -> RuntimeBreakdown:
@@ -72,16 +89,18 @@ def runtime_breakdown(tr: Trace) -> RuntimeBreakdown:
         if e.kind in (EventKind.GATE_1Q, EventKind.GATE_2Q, EventKind.COOL,
                       EventKind.REORDER, EventKind.SHUTTLE)
     ]
+    circulating = tr.of_kind(EventKind.CIRCULATE)
+    busy_cover = _Coverage(busy)
     circulation = 0.0
     hidden = 0.0
-    for e in tr.of_kind(EventKind.CIRCULATE):
-        covered = _overlap_with(busy, e.t_start, e.t_end)
+    for e in circulating:
+        covered = busy_cover.overlap(e.t_start, e.t_end)
         circulation += e.duration - covered
         hidden += covered
     # overlapped prep time (pipelined init/measure) is also hidden
-    zone_busy = busy + [(e.t_start, e.t_end) for e in tr.of_kind(EventKind.CIRCULATE)]
+    zone_cover = _Coverage(busy + [(e.t_start, e.t_end) for e in circulating])
     for e in tr.of_kind(EventKind.INIT, EventKind.MEASURE):
-        hidden += _overlap_with(zone_busy, e.t_start, e.t_end)
+        hidden += zone_cover.overlap(e.t_start, e.t_end)
     return RuntimeBreakdown(
         init=init,
         gate_cooling=gate_cooling,

@@ -8,13 +8,24 @@ pairs and bubble-sorting singles into a computed final order.  In
 circulation mode the positional moves can ride a track circulation (they
 cost a lap instead of per-exchange time), and the planner returns
 whichever candidate is cheapest.
+
+Both strategies edit one mutable working arrangement (`_Arrangement`)
+with the in-place primitives of `ions`, so a step costs O(1) except that
+a split or combine shifts the crystals to its right, in the list and
+(lazily) in the qubit index.  The final `IonState` is frozen once per
+plan, which runs its duplicate check once; the ops are not replayed.
+`apply_plan(s, plan.ops)` gives the same final state, and the tests hold
+the planner to that.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
-from .ions import Crystal, IonState, ReorderOp, ReorderTag, apply_plan, apply_reorder
+# apply_reorder stays importable from here: perfbench/spans.py counts calls
+# through planner.apply_reorder
+from .ions import Crystal, IonState, ReorderOp, ReorderTag, apply_reorder, reorder_in_place  # noqa: F401
 from .machine import TimingParams, TrackLayout, lap_time
 
 
@@ -36,20 +47,58 @@ class ReorderPlan:
         return len(self.ops)
 
 
-def _op(tag: ReorderTag, state: IonState, index: int) -> ReorderOp:
-    cs = state.crystals
-    qubits: tuple[int, ...] = cs[index].qubits if index < len(cs) else ()
-    if tag in (ReorderTag.PAIR_EXCHANGE, ReorderTag.COMBINE) and index + 1 < len(cs):
-        qubits = qubits + cs[index + 1].qubits
-    return ReorderOp(tag=tag, operands=qubits, index=index)
+class _Arrangement:
+    """Mutable working copy of an arrangement's crystals for one plan.
+
+    `_index` maps each qubit to its crystal index.  A split or combine
+    shifts every crystal to its right, so it marks the map stale from its
+    index and the next lookup reindexes only from there; swaps and
+    exchanges keep crystal positions and update the map in place.
+    """
+
+    __slots__ = ("crystals", "_index", "_stale_from")
+
+    def __init__(self, s: IonState):
+        self.crystals: list[Crystal] = list(s.crystals)
+        self._index: dict[int, int] = {}
+        self._stale_from = 0
+
+    def crystal_of(self, qubit: int) -> int:
+        cs = self.crystals
+        if self._stale_from < len(cs):
+            index = self._index
+            for i in range(self._stale_from, len(cs)):
+                for q in cs[i].qubits:
+                    index[q] = i
+            self._stale_from = len(cs)
+        return self._index[qubit]
+
+    def paired(self, a: int, b: int) -> bool:
+        c = self.crystals[self.crystal_of(a)]
+        return c.is_pair and set(c.qubits) == {a, b}
+
+    def op(self, tag: ReorderTag, index: int) -> ReorderOp:
+        """The op `tag` at `index`, naming the qubits it touches."""
+        cs = self.crystals
+        qubits: tuple[int, ...] = cs[index].qubits if index < len(cs) else ()
+        if tag in (ReorderTag.PAIR_EXCHANGE, ReorderTag.COMBINE) and index + 1 < len(cs):
+            qubits = qubits + cs[index + 1].qubits
+        return ReorderOp(tag=tag, operands=qubits, index=index)
+
+    def apply(self, op: ReorderOp) -> None:
+        reorder_in_place(self.crystals, op)
+        i = op.index
+        if op.tag is ReorderTag.SPLIT or op.tag is ReorderTag.COMBINE:
+            self._stale_from = min(self._stale_from, i)
+        elif op.tag is ReorderTag.PAIR_EXCHANGE and i < self._stale_from:
+            for j in (i, i + 1):
+                for q in self.crystals[j].qubits:
+                    self._index[q] = j
 
 
-def staged_time(
-    ops: list[ReorderOp], zones: int, t: TimingParams = TimingParams()
-) -> float:
-    """Serialize ops into stages: ops touching disjoint crystal slots run
-    in parallel, at most `zones` per stage; a stage costs its longest op."""
-    durations = {
+@lru_cache(maxsize=16)
+def _durations(t: TimingParams) -> dict[ReorderTag, float]:
+    return {
         ReorderTag.SPLIT: t.split_or_combine,
         ReorderTag.COMBINE: t.split_or_combine,
         ReorderTag.SWAP: t.swap,
@@ -57,110 +106,124 @@ def staged_time(
         ReorderTag.INTER_SHIFT: t.inter_zone_shift,
         ReorderTag.PAIR_EXCHANGE: t.pair_exchange,
     }
+
+
+def staged_time(
+    ops: list[ReorderOp], zones: int, t: TimingParams = TimingParams()
+) -> float:
+    """Serialize ops into stages: ops touching disjoint crystal slots run
+    in parallel, at most `zones` per stage; a stage costs its longest op."""
+    durations = _durations(t)
+    cap = max(1, zones)
     total = 0.0
     busy: set[int] = set()
     stage_max = 0.0
     stage_n = 0
     for op in ops:
-        slots = {op.index, op.index + 1}
-        if stage_n >= max(1, zones) or (busy & slots):
+        i = op.index
+        if stage_n >= cap or i in busy or i + 1 in busy:
             total += stage_max
-            busy, stage_max, stage_n = set(), 0.0, 0
-        busy |= slots
+            busy.clear()
+            stage_max, stage_n = 0.0, 0
+        busy.add(i)
+        busy.add(i + 1)
         stage_max = max(stage_max, durations[op.tag])
         stage_n += 1
     return total + stage_max
 
 
+def _pair_sets(crystals) -> set[frozenset[int]]:
+    return {frozenset(c.qubits) for c in crystals if c.is_pair}
+
+
 def _try_boundary_exchanges(
-    s: IonState, targets: list[tuple[int, int]]
+    work: _Arrangement, targets: list[tuple[int, int]]
 ) -> list[ReorderOp] | None:
     """Satisfy every target with at most one boundary exchange each, never
-    disturbing a pair another target needs.  Returns None if impossible."""
+    disturbing a pair another target needs.  Returns None if impossible,
+    leaving `work` part-edited."""
     ops: list[ReorderOp] = []
-    state = s
+    wanted = {frozenset(p) for p in targets}
+    cs = work.crystals
     for a, b in targets:
-        if state.paired(a, b):
+        if work.paired(a, b):
             continue
-        ia, ib = state.crystal_of(a), state.crystal_of(b)
+        ia, ib = work.crystal_of(a), work.crystal_of(b)
         if abs(ia - ib) != 1:
             return None
         left = min(ia, ib)
-        candidate = _op(ReorderTag.PAIR_EXCHANGE, state, left)
-        nxt, _ = apply_reorder(state, candidate)
-        if not nxt.paired(a, b):
+        candidate = work.op(ReorderTag.PAIR_EXCHANGE, left)
+        # an exchange only regroups the two crystals it acts on, so only
+        # their wanted pairs can break
+        before = _pair_sets(cs[left : left + 2]) & wanted
+        work.apply(candidate)
+        if not work.paired(a, b):
             return None
-        # the exchange must not break pairs that other targets rely on
-        wanted = {frozenset(p) for p in targets}
-        before = {frozenset(p) for p in state.pairs() if frozenset(p) in wanted}
-        after = {frozenset(p) for p in nxt.pairs() if frozenset(p) in wanted}
-        if not (before <= after):
+        if not before <= _pair_sets(cs[left : left + 2]):
             return None
         ops.append(candidate)
-        state = nxt
     # verify everything held up
     for a, b in targets:
-        if not state.paired(a, b):
+        if not work.paired(a, b):
             return None
     return ops
 
 
-def _fallback_plan(s: IonState, targets: list[tuple[int, int]]) -> list[ReorderOp]:
+def _fallback_plan(work: _Arrangement, targets: list[tuple[int, int]]) -> list[ReorderOp]:
     """Per-target bubble routing: free the members, bubble the cheaper one
     next to its partner (splitting any pair in the way), orient, combine."""
     wanted = {frozenset(p) for p in targets}
     ops: list[ReorderOp] = []
-    state = s
+    cs = work.crystals
 
     def do(tag: ReorderTag, index: int):
-        nonlocal state
-        op = _op(tag, state, index)
-        state, _ = apply_reorder(state, op)
+        op = work.op(tag, index)
+        work.apply(op)
         ops.append(op)
 
     def free(q: int):
         """Split q out of a crystal pair that is not a wanted target pair."""
-        i = state.crystal_of(q)
-        c = state.crystals[i]
+        i = work.crystal_of(q)
+        c = cs[i]
         if c.is_pair and frozenset(c.qubits) not in wanted:
             do(ReorderTag.SPLIT, i)
 
     for a, b in sorted(targets, key=lambda p: min(p)):
-        if state.paired(a, b):
+        if work.paired(a, b):
             continue
         free(a)
         free(b)
-        if state.crystal_of(a) > state.crystal_of(b):
+        if work.crystal_of(a) > work.crystal_of(b):
             a, b = b, a
         mover, dest = b, a  # bubble the right member leftward (deterministic)
         while True:
-            im, id_ = state.crystal_of(mover), state.crystal_of(dest)
+            im, id_ = work.crystal_of(mover), work.crystal_of(dest)
             if abs(im - id_) == 1:
                 break
             step = im - 1 if im > id_ else im + 1
-            blocker = state.crystals[step]
+            blocker = cs[step]
             if blocker.is_pair:
                 do(ReorderTag.SPLIT, step)
                 continue
             do(ReorderTag.PAIR_EXCHANGE, min(im, step))
         # orient (left ->, right <-) and combine
-        left = min(state.crystal_of(a), state.crystal_of(b))
-        if not state.crystals[left].facing_right:
+        left = min(work.crystal_of(a), work.crystal_of(b))
+        if not cs[left].facing_right:
             do(ReorderTag.SWAP, left)
-        if state.crystals[left + 1].facing_right:
+        if cs[left + 1].facing_right:
             do(ReorderTag.SWAP, left + 1)
         do(ReorderTag.COMBINE, left)
     # restore any wanted pair broken while being crossed
     for a, b in sorted(targets, key=lambda p: min(p)):
-        if state.paired(a, b):
+        if work.paired(a, b):
             continue
-        ia, ib = state.crystal_of(a), state.crystal_of(b)
+        ia, ib = work.crystal_of(a), work.crystal_of(b)
         if abs(ia - ib) != 1:  # pragma: no cover - crossings keep them adjacent
             raise AssertionError("split target pair drifted apart")
         left = min(ia, ib)
-        if not state.crystals[left].facing_right:
+        if not cs[left].facing_right:
             do(ReorderTag.SWAP, left)
-        if state.crystals[left + 1].facing_right:
+        if cs[left + 1].facing_right:
             do(ReorderTag.SWAP, left + 1)
         do(ReorderTag.COMBINE, left)
     return ops
@@ -189,9 +252,13 @@ def plan_reorder(
             raise KeyError(f"qubit {q} not present in arrangement")
 
     targets = sorted((tuple(p) for p in target_pairs), key=lambda p: min(p))
-    quick = _try_boundary_exchanges(s, targets)
-    ops = quick if quick is not None else _fallback_plan(s, targets)
-    final, _ = apply_plan(s, ops)
+    work = _Arrangement(s)
+    ops = _try_boundary_exchanges(work, targets)
+    if ops is None:
+        work = _Arrangement(s)
+        ops = _fallback_plan(work, targets)
+    # plans emit no shifts, so the position carries over
+    final = IonState(tuple(work.crystals), s.position)
 
     positional = [o for o in ops if o.tag is ReorderTag.PAIR_EXCHANGE]
     regroup = [o for o in ops if o.tag is not ReorderTag.PAIR_EXCHANGE]
@@ -201,10 +268,10 @@ def plan_reorder(
         (time_1d, len(ops), min(flat, default=0), None, 0.0)
     ]
     if mode is PlanMode.CIRCULATION_ALLOWED:
+        regroup_time = staged_time(regroup, layout.reorder_zones, t) if regroup else 0.0
+        hidden = staged_time(positional, layout.reorder_zones, t) if positional else 0.0
         for pid, _length in layout.circulation_paths:
             lap = lap_time(layout, pid, t)
-            regroup_time = staged_time(regroup, layout.reorder_zones, t) if regroup else 0.0
-            hidden = staged_time(positional, layout.reorder_zones, t) if positional else 0.0
             charged = max(lap, regroup_time)
             candidates.append((charged, len(ops), min(flat, default=0), pid, hidden))
     candidates.sort(key=lambda c: (c[0], c[1], c[2], -1 if c[3] is None else c[3]))

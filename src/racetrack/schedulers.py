@@ -17,12 +17,14 @@ differ in how ions reach the next pass:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .blocks import Block, extract_inplace_blocks
 from .circuit import Circuit
 from .gates import Gate, GateType
-from .ions import IonState, ReorderOp, ReorderTag, apply_reorder
+# apply_reorder stays importable from here: perfbench/spans.py counts calls
+# through schedulers.apply_reorder
+from .ions import IonState, ReorderOp, ReorderTag, apply_reorder, reorder_in_place  # noqa: F401
 from .machine import Machine
 from .planner import PlanMode, ReorderPlan, plan_reorder, staged_time
 from .trace import EventKind, Trace, TraceEvent
@@ -249,19 +251,21 @@ class _Engine:
         return pid
 
     def _split_all_plan(self) -> ReorderPlan:
+        """Split every pair, left to right; each SPLIT's index counts the
+        singles the earlier splits made."""
         ops = []
-        state = self.state
-        while True:
-            for i, crystal in enumerate(state.crystals):
-                if crystal.is_pair:
-                    op = ReorderOp(ReorderTag.SPLIT, operands=crystal.qubits, index=i)
-                    state, _ = apply_reorder(state, op, self.t)
-                    ops.append(op)
-                    break
+        crystals = list(self.state.crystals)
+        i = 0
+        while i < len(crystals):
+            if crystals[i].is_pair:
+                op = ReorderOp(ReorderTag.SPLIT, operands=crystals[i].qubits, index=i)
+                reorder_in_place(crystals, op, self.t)
+                ops.append(op)
+                i += 2
             else:
-                break
+                i += 1
         dur = staged_time(ops, self.k, self.t) if ops else 0.0
-        return ReorderPlan(tuple(ops), None, dur, 0.0, state)
+        return ReorderPlan(tuple(ops), None, dur, 0.0, replace(self.state, crystals=tuple(crystals)))
 
 
 def _interleave_passes(c: Circuit) -> list[tuple[str, list[Gate]]]:

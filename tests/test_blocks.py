@@ -1,0 +1,96 @@
+"""In-place block extraction: partition, layer shape and chain attachment."""
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from racetrack.blocks import extract_inplace_blocks
+from racetrack.circuit import build_dag
+from racetrack.gates import Gate, GateType
+from racetrack.translate import translate_to_native
+from test_circuit_ir import UNITARY_KINDS, circuits
+
+native_circuits = circuits(
+    max_width=6, max_gates=24, kinds=UNITARY_KINDS + (GateType.MEASURE,)
+).map(translate_to_native)
+
+
+def reference_chains(c, schedule):
+    """Pre/post chains of every block by rescanning each qubit's gates from
+    the start, claiming in the schedule's block order."""
+    seq = {}
+    for g in c.gates:
+        for q in g.qubits:
+            seq.setdefault(q, []).append(g)
+    claimed = set()
+    out = []
+    for layer in schedule.layers:
+        for block in layer:
+            core = block.core_2q
+            pre, post = [], []
+            for q in core.qubits:
+                run = []
+                for g in seq[q]:
+                    if g.id == core.id:
+                        break
+                    if g.is_2q or g.id in claimed:
+                        run = []
+                    else:
+                        run.append(g)
+                pre += run
+                after = seq[q][seq[q].index(core) + 1:]
+                for g in after:
+                    if g.is_2q:
+                        break
+                    post.append(g)
+            claimed.update(g.id for g in pre + post)
+            out.append((tuple(pre), tuple(post)))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(native_circuits, st.integers(1, 8))
+def test_block_schedule_properties(c, k):
+    schedule = extract_inplace_blocks(c, k)
+    blocks = [b for layer in schedule.layers for b in layer]
+
+    ids = [g.id for b in blocks for g in b.pre_1q + (b.core_2q,) + b.post_1q]
+    ids += [g.id for g in schedule.residual]
+    assert sorted(ids) == [g.id for g in c.gates]
+
+    for layer in schedule.layers:
+        assert 1 <= len(layer) <= k
+        assert len({b.core_2q.kind for b in layer}) == 1
+        used = [q for b in layer for q in b.qubits]
+        assert len(used) == len(set(used))
+        for b in layer:
+            assert b.core_2q.is_2q
+            assert all(g.is_1q for g in b.pre_1q + b.post_1q)
+    assert all(g.is_1q for g in schedule.residual)
+
+    assert [(b.pre_1q, b.post_1q) for b in blocks] == reference_chains(c, schedule)
+
+
+def test_chains_attach_to_neighbouring_cores():
+    c = build_dag([
+        Gate(0, GateType.RZ, (0,), (0.1,)),
+        Gate(1, GateType.ZZ, (0, 1)),
+        Gate(2, GateType.RZ, (1,), (0.2,)),
+        Gate(3, GateType.RZ, (1,), (0.3,)),
+        Gate(4, GateType.ZZ, (1, 2)),
+        Gate(5, GateType.RZ, (2,), (0.4,)),
+        Gate(6, GateType.RZ, (3,), (0.5,)),
+    ], 4)
+    schedule = extract_inplace_blocks(c, 2)
+    assert [[b.core_2q.id for b in layer] for layer in schedule.layers] == [[1], [4]]
+    first, second = schedule.layers[0][0], schedule.layers[1][0]
+    assert [g.id for g in first.pre_1q] == [0]
+    assert [g.id for g in first.post_1q] == [2, 3]
+    assert second.pre_1q == ()
+    assert [g.id for g in second.post_1q] == [5]
+    assert [g.id for g in schedule.residual] == [6]
+
+
+def test_zone_count_must_be_positive():
+    c = build_dag([Gate(0, GateType.ZZ, (0, 1))], 2)
+    with pytest.raises(ValueError):
+        extract_inplace_blocks(c, 0)

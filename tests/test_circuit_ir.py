@@ -19,6 +19,24 @@ def g(i, kind, *qubits, params=()):
     return Gate(i, kind, tuple(qubits), tuple(params))
 
 
+UNITARY_KINDS = (GateType.H, GateType.X, GateType.RX, GateType.CX, GateType.RZ,
+                 GateType.RZZ, GateType.U1Q)
+
+
+@st.composite
+def circuits(draw, max_width: int, max_gates: int, kinds=UNITARY_KINDS):
+    """Random abstract circuits of 2..max_width qubits and 1..max_gates gates."""
+    width = draw(st.integers(2, max_width))
+    n_gates = draw(st.integers(1, max_gates))
+    gates = []
+    for i in range(n_gates):
+        kind = draw(st.sampled_from(kinds))
+        qs = draw(st.permutations(range(width)))[: kind.n_qubits]
+        params = tuple(draw(st.floats(-2 * PI, 2 * PI)) for _ in range(kind.n_params))
+        gates.append(Gate(i, kind, tuple(qs), params))
+    return build_dag(gates, width)
+
+
 class TestGate:
     def test_arity_checks(self):
         with pytest.raises(ValueError):
@@ -152,21 +170,8 @@ class TestTranslate:
             assert dist < 1e-9
 
     @settings(max_examples=25, deadline=None)
-    @given(st.data())
-    def test_unitary_preserved_random(self, data):
-        width = data.draw(st.integers(2, 5))
-        n_gates = data.draw(st.integers(1, 12))
-        gates = []
-        for i in range(n_gates):
-            kind = data.draw(st.sampled_from(
-                [GateType.H, GateType.X, GateType.RX, GateType.CX, GateType.RZ,
-                 GateType.RZZ, GateType.U1Q]))
-            qs = data.draw(st.permutations(range(width)))[: kind.n_qubits]
-            params = tuple(
-                data.draw(st.floats(-2 * PI, 2 * PI)) for _ in range(kind.n_params)
-            )
-            gates.append(Gate(i, kind, tuple(qs), params))
-        c = build_dag(gates, width)
+    @given(circuits(max_width=5, max_gates=12))
+    def test_unitary_preserved_random(self, c):
         n = translate_to_native(c)
         assert phase_aligned_distance(circuit_unitary(c), circuit_unitary(n)) < 1e-9
 
@@ -280,6 +285,26 @@ class TestTextIO:
     def test_qasm_rejects_unknown(self):
         with pytest.raises(ValueError):
             circuit_from_qasm("qreg q[1];\nt q[0];\n")
+
+    @pytest.mark.parametrize("expr", ["1/0", "2*pi+", "2**3", "abs(1)", "pi.real", "1j", "True"])
+    def test_qasm_bad_parameter_names_line(self, expr):
+        with pytest.raises(ValueError, match=r"^line 3: "):
+            circuit_from_qasm(f"qreg q[1];\nh q[0];\nrz({expr}) q[0];\n")
+
+    def test_qasm_parameter_arithmetic(self):
+        c = circuit_from_qasm("qreg q[1];\nrz(-pi/4 + 2*0.5 - +1) q[0];\nrx(3/2) q[0];\n")
+        assert c.gates[0].params == (-PI / 4 + 2 * 0.5 - +1,)
+        assert c.gates[1].params == (1.5,)
+
+    def test_qasm_bad_gate_names_line(self):
+        with pytest.raises(ValueError, match=r"^line 2: "):
+            circuit_from_qasm("qreg q[2];\ncx q[0];\n")
+
+    def test_text_bad_parameter_names_line(self):
+        with pytest.raises(ValueError, match=r"^line 2: .*'abc'"):
+            circuit_from_text("H q0\nRz q0 abc\n")
+        with pytest.raises(ValueError, match=r"^line 1: "):
+            circuit_from_text("Rz q0 nan\n")
 
 
 def test_topological_layers_match_program_order():

@@ -145,6 +145,24 @@ class TestReorderPrimitives:
             assert sorted(s.qubit_order()) == list(range(n))
 
 
+    @pytest.mark.parametrize("crystals, tag, index, message", [
+        ((Crystal((0,)), Crystal((1,), False)), ReorderTag.SPLIT, 0, "split needs a pair"),
+        ((Crystal((0, 1)),), ReorderTag.SPLIT, 1, "split needs a pair"),
+        ((Crystal((0,)),), ReorderTag.COMBINE, 0, "combine needs two crystals"),
+        ((Crystal((0, 1)), Crystal((2,), False)), ReorderTag.COMBINE, 0, "combine needs singles"),
+        ((Crystal((0,), False), Crystal((1,), False)), ReorderTag.COMBINE, 0,
+         r"combine needs \(->, <-\) orientations"),
+        ((Crystal((0, 1)),), ReorderTag.SWAP, 1, "swap index out of range"),
+        ((Crystal((0, 1)),), ReorderTag.SWAP, -1, "swap index out of range"),
+        ((Crystal((0, 1)),), ReorderTag.PAIR_EXCHANGE, 0, "exchange needs two adjacent crystals"),
+    ])
+    def test_illegal_op_raises(self, crystals, tag, index, message):
+        s = IonState(crystals)
+        with pytest.raises(ValueError, match=message):
+            apply_reorder(s, ReorderOp(tag, index=index))
+        assert s.crystals == crystals
+
+
 class TestReorderTime:
     def test_spec_sum(self):
         assert reorder_time({"split": 2, "swap": 1}) == 456.0
@@ -160,6 +178,27 @@ class TestReorderTime:
             reorder_time({"teleport": 1})
         with pytest.raises(ValueError):
             reorder_time({"split": -1})
+
+
+def _draw_instance(n, data):
+    """An arbitrary arrangement of n qubits and disjoint target pairs."""
+    order = data.draw(st.permutations(range(n)))
+    crystals = []
+    i = 0
+    while i < n:
+        if i + 1 < n and data.draw(st.booleans()):
+            crystals.append(Crystal((order[i], order[i + 1])))
+            i += 2
+        else:
+            crystals.append(Crystal((order[i],), facing_right=data.draw(st.booleans())))
+            i += 1
+    pool = list(range(n))
+    targets = []
+    for _ in range(data.draw(st.integers(0, n // 2))):
+        a = pool.pop(data.draw(st.integers(0, len(pool) - 1)))
+        b = pool.pop(data.draw(st.integers(0, len(pool) - 1)))
+        targets.append((a, b))
+    return IonState(tuple(crystals)), targets
 
 
 class TestPlanner:
@@ -192,29 +231,27 @@ class TestPlanner:
     def test_random_instances_all_adjacent(self, n, data):
         # criterion-8 style property: arbitrary start, arbitrary disjoint
         # targets, every target pair ends adjacent and combined
-        order = data.draw(st.permutations(range(n)))
-        crystals = []
-        i = 0
-        while i < n:
-            if i + 1 < n and data.draw(st.booleans()):
-                crystals.append(Crystal((order[i], order[i + 1])))
-                i += 2
-            else:
-                crystals.append(Crystal((order[i],), facing_right=data.draw(st.booleans())))
-                i += 1
-        s = IonState(tuple(crystals))
-        pool = list(range(n))
-        n_pairs = data.draw(st.integers(0, n // 2))
-        targets = []
-        for _ in range(n_pairs):
-            a = pool.pop(data.draw(st.integers(0, len(pool) - 1)))
-            b = pool.pop(data.draw(st.integers(0, len(pool) - 1)))
-            targets.append((a, b))
+        s, targets = _draw_instance(n, data)
         mode = data.draw(st.sampled_from(list(PlanMode)))
         plan = plan_reorder(s, targets, build_track(4), mode)
         for a, b in targets:
             assert plan.final.paired(a, b)
         assert sorted(plan.final.qubit_order()) == list(range(n))
+
+    @given(st.integers(2, 16), st.data())
+    @settings(max_examples=250, deadline=None)
+    @pytest.mark.parametrize("mode", list(PlanMode))
+    def test_replay_reaches_final(self, mode, n, data):
+        # the planner edits a working copy and never replays its ops; the
+        # replay through the immutable primitives must land on plan.final
+        s, targets = _draw_instance(n, data)
+        s = IonState(s.crystals, position=data.draw(st.sampled_from([0.0, 375.0])))
+        plan = plan_reorder(s, targets, build_track(8, shortcuts=[0.5]), mode)
+        replayed, _ = apply_plan(s, list(plan.ops))
+        assert replayed == plan.final
+        assert sorted(plan.final.qubit_order()) == sorted(s.qubit_order())
+        if mode is PlanMode.ONE_DIMENSIONAL:
+            assert plan.path_id is None
 
     def test_one_dimensional_vs_circulation(self):
         # reversing an 8-ion order: the 1-D plan cannot beat the best
