@@ -26,6 +26,14 @@ class ReorderTag(Enum):
     PAIR_EXCHANGE = "exchange"
 
 
+# Reading a member off the Enum class is slow next to a module global, and
+# the primitives below run once per planned op.
+SPLIT = ReorderTag.SPLIT
+COMBINE = ReorderTag.COMBINE
+SWAP = ReorderTag.SWAP
+PAIR_EXCHANGE = ReorderTag.PAIR_EXCHANGE
+
+
 @dataclass(frozen=True)
 class Crystal:
     """One or two qubits; pairs read (left, right) = (Yb-Ba, Ba-Yb)."""
@@ -109,12 +117,12 @@ def reorder_in_place(cs: list[Crystal], op: ReorderOp, t: TimingParams = TimingP
     before `cs` is touched, so a rejected op leaves it unchanged."""
     i = op.index
     tag = op.tag
-    if tag is ReorderTag.SPLIT:
+    if tag is SPLIT:
         _require(0 <= i < len(cs) and cs[i].is_pair, "split needs a pair")
         a, b = cs[i].qubits
         cs[i : i + 1] = [Crystal((a,), True), Crystal((b,), False)]
         return t.split_or_combine
-    if tag is ReorderTag.COMBINE:
+    if tag is COMBINE:
         _require(i + 1 < len(cs), "combine needs two crystals")
         left, right = cs[i], cs[i + 1]
         _require(not left.is_pair and not right.is_pair, "combine needs singles")
@@ -124,7 +132,7 @@ def reorder_in_place(cs: list[Crystal], op: ReorderOp, t: TimingParams = TimingP
         )
         cs[i : i + 2] = [Crystal((left.qubits[0], right.qubits[0]))]
         return t.split_or_combine
-    if tag is ReorderTag.SWAP:
+    if tag is SWAP:
         _require(0 <= i < len(cs), "swap index out of range")
         c = cs[i]
         if c.is_pair:
@@ -132,18 +140,19 @@ def reorder_in_place(cs: list[Crystal], op: ReorderOp, t: TimingParams = TimingP
         else:
             cs[i] = Crystal(c.qubits, not c.facing_right)
         return t.swap
-    if tag is ReorderTag.PAIR_EXCHANGE:
+    if tag is PAIR_EXCHANGE:
         _require(i + 1 < len(cs), "exchange needs two adjacent crystals")
         a, b = cs[i], cs[i + 1]
-        if a.is_pair and b.is_pair:
-            # inner-ion exchange: (->a0,<-a1)(->b0,<-b1) -> (->a0,<-b0)(->a1,<-b1)
-            cs[i] = Crystal((a.qubits[0], b.qubits[0]))
-            cs[i + 1] = Crystal((a.qubits[1], b.qubits[1]))
-        elif a.is_pair and not b.is_pair:
-            # the pair's right ion trades places with the neighbor single
-            cs[i] = Crystal((a.qubits[0], b.qubits[0]))
-            cs[i + 1] = Crystal((a.qubits[1],), facing_right=b.facing_right)
-        elif not a.is_pair and b.is_pair:
+        if a.is_pair:
+            if b.is_pair:
+                # inner-ion exchange: (->a0,<-a1)(->b0,<-b1) -> (->a0,<-b0)(->a1,<-b1)
+                cs[i] = Crystal((a.qubits[0], b.qubits[0]))
+                cs[i + 1] = Crystal((a.qubits[1], b.qubits[1]))
+            else:
+                # the pair's right ion trades places with the neighbor single
+                cs[i] = Crystal((a.qubits[0], b.qubits[0]))
+                cs[i + 1] = Crystal((a.qubits[1],), facing_right=b.facing_right)
+        elif b.is_pair:
             cs[i] = Crystal((b.qubits[0],), facing_right=a.facing_right)
             cs[i + 1] = Crystal((a.qubits[0], b.qubits[1]))
         else:

@@ -10,22 +10,32 @@ cost a lap instead of per-exchange time), and the planner returns
 whichever candidate is cheapest.
 
 Both strategies edit one mutable working arrangement (`_Arrangement`)
-with the in-place primitives of `ions`, so a step costs O(1) except that
-a split or combine shifts the crystals to its right, in the list and
-(lazily) in the qubit index.  The final `IonState` is frozen once per
-plan, which runs its duplicate check once; the ops are not replayed.
-`apply_plan(s, plan.ops)` gives the same final state, and the tests hold
-the planner to that.
+with the in-place primitives of `ions`.  The fallback looks each target's
+members up once and carries their crystal indices by arithmetic from
+there, so every op costs O(1) apart from the list shift of a split or
+combine.  No qubit below the crystal where a target combines has moved, so
+the qubit index is marked stale from there and reindexed lazily at the
+next lookup.  The final `IonState` is frozen once per plan, which runs its
+duplicate check once; the ops are not replayed.  `apply_plan(s, plan.ops)`
+gives the same final state, and the tests hold the planner to that.
+
+This module is the only place a plan is costed.  Each cost is computed
+once per plan and carried on the `ReorderPlan`, and the schedulers read
+those fields instead of staging the ops again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
 # apply_reorder stays importable from here: perfbench/spans.py counts calls
 # through planner.apply_reorder
-from .ions import Crystal, IonState, ReorderOp, ReorderTag, apply_reorder, reorder_in_place  # noqa: F401
+from .ions import (  # noqa: F401
+    COMBINE, PAIR_EXCHANGE, SPLIT, SWAP, Crystal, IonState, ReorderOp, ReorderTag,
+    apply_reorder, reorder_in_place,
+)
 from .machine import TimingParams, TrackLayout, lap_time
 
 
@@ -41,19 +51,27 @@ class ReorderPlan:
     time: float                  # charged wall-clock time of the plan
     hidden_time: float           # positional-move time hidden under the lap
     final: IonState
+    time_1d: float               # staged time of all ops over the gate zones
+    regroup_time: float          # staged time of the non-exchange ops over the reorder zones
+    op_counts: tuple[tuple[str, int], ...]  # (tag value, count), in order of first appearance
 
     @property
     def n_ops(self) -> int:
         return len(self.ops)
+
+    def one_dimensional(self) -> "ReorderPlan":
+        """The same ops charged without circulation: the plan that
+        `PlanMode.ONE_DIMENSIONAL` would have returned."""
+        return replace(self, path_id=None, time=self.time_1d, hidden_time=0.0)
 
 
 class _Arrangement:
     """Mutable working copy of an arrangement's crystals for one plan.
 
     `_index` maps each qubit to its crystal index.  A split or combine
-    shifts every crystal to its right, so it marks the map stale from its
-    index and the next lookup reindexes only from there; swaps and
-    exchanges keep crystal positions and update the map in place.
+    shifts every crystal to its right, so whoever applies one marks the
+    map stale from there and the next lookup reindexes only that tail; a
+    boundary exchange keeps crystal positions and updates the map in place.
     """
 
     __slots__ = ("crystals", "_index", "_stale_from")
@@ -77,34 +95,36 @@ class _Arrangement:
         c = self.crystals[self.crystal_of(a)]
         return c.is_pair and set(c.qubits) == {a, b}
 
-    def op(self, tag: ReorderTag, index: int) -> ReorderOp:
-        """The op `tag` at `index`, naming the qubits it touches."""
+    def exchange(self, left: int) -> ReorderOp:
+        """Apply a boundary exchange at `left`; the two crystals keep their
+        positions, so the index is updated in place."""
         cs = self.crystals
-        qubits: tuple[int, ...] = cs[index].qubits if index < len(cs) else ()
-        if tag in (ReorderTag.PAIR_EXCHANGE, ReorderTag.COMBINE) and index + 1 < len(cs):
-            qubits = qubits + cs[index + 1].qubits
-        return ReorderOp(tag=tag, operands=qubits, index=index)
-
-    def apply(self, op: ReorderOp) -> None:
-        reorder_in_place(self.crystals, op)
-        i = op.index
-        if op.tag is ReorderTag.SPLIT or op.tag is ReorderTag.COMBINE:
-            self._stale_from = min(self._stale_from, i)
-        elif op.tag is ReorderTag.PAIR_EXCHANGE and i < self._stale_from:
-            for j in (i, i + 1):
-                for q in self.crystals[j].qubits:
+        op = ReorderOp(PAIR_EXCHANGE, cs[left].qubits + cs[left + 1].qubits, left)
+        reorder_in_place(cs, op)
+        if left < self._stale_from:
+            for j in (left, left + 1):
+                for q in cs[j].qubits:
                     self._index[q] = j
+        return op
+
+    def mark_stale(self, index: int) -> None:
+        """Crystals from `index` on may have moved since the last lookup."""
+        if index < self._stale_from:
+            self._stale_from = index
 
 
 @lru_cache(maxsize=16)
-def _durations(t: TimingParams) -> dict[ReorderTag, float]:
+def _durations(t: TimingParams) -> dict[str, float]:
+    # keyed by tag value: `staged_time` looks durations up by the member's
+    # plain `_value_` attribute, since hashing the member itself runs the
+    # Python-level `Enum.__hash__` once per op
     return {
-        ReorderTag.SPLIT: t.split_or_combine,
-        ReorderTag.COMBINE: t.split_or_combine,
-        ReorderTag.SWAP: t.swap,
-        ReorderTag.INTRA_SHIFT: t.intra_zone_shift,
-        ReorderTag.INTER_SHIFT: t.inter_zone_shift,
-        ReorderTag.PAIR_EXCHANGE: t.pair_exchange,
+        SPLIT.value: t.split_or_combine,
+        COMBINE.value: t.split_or_combine,
+        SWAP.value: t.swap,
+        ReorderTag.INTRA_SHIFT.value: t.intra_zone_shift,
+        ReorderTag.INTER_SHIFT.value: t.inter_zone_shift,
+        PAIR_EXCHANGE.value: t.pair_exchange,
     }
 
 
@@ -127,9 +147,26 @@ def staged_time(
             stage_max, stage_n = 0.0, 0
         busy.add(i)
         busy.add(i + 1)
-        stage_max = max(stage_max, durations[op.tag])
+        d = durations[op.tag._value_]
+        if d > stage_max:
+            stage_max = d
         stage_n += 1
     return total + stage_max
+
+
+def _costed(
+    ops: list[ReorderOp], final: IonState, layout: TrackLayout, t: TimingParams
+) -> ReorderPlan:
+    """The one-dimensional plan of `ops`, with every cost a plan carries."""
+    counts = Counter(op.tag._value_ for op in ops)
+    regroup = [op for op in ops if op.tag is not PAIR_EXCHANGE]
+    time_1d = staged_time(ops, layout.gate_zones, t)
+    return ReorderPlan(
+        ops=tuple(ops), path_id=None, time=time_1d, hidden_time=0.0, final=final,
+        time_1d=time_1d,
+        regroup_time=staged_time(regroup, layout.reorder_zones, t),
+        op_counts=tuple(counts.items()),
+    )
 
 
 def _pair_sets(crystals) -> set[frozenset[int]]:
@@ -152,16 +189,15 @@ def _try_boundary_exchanges(
         if abs(ia - ib) != 1:
             return None
         left = min(ia, ib)
-        candidate = work.op(ReorderTag.PAIR_EXCHANGE, left)
         # an exchange only regroups the two crystals it acts on, so only
         # their wanted pairs can break
         before = _pair_sets(cs[left : left + 2]) & wanted
-        work.apply(candidate)
+        op = work.exchange(left)
         if not work.paired(a, b):
             return None
         if not before <= _pair_sets(cs[left : left + 2]):
             return None
-        ops.append(candidate)
+        ops.append(op)
     # verify everything held up
     for a, b in targets:
         if not work.paired(a, b):
@@ -170,63 +206,95 @@ def _try_boundary_exchanges(
 
 
 def _fallback_plan(work: _Arrangement, targets: list[tuple[int, int]]) -> list[ReorderOp]:
-    """Per-target bubble routing: free the members, bubble the cheaper one
-    next to its partner (splitting any pair in the way), orient, combine."""
-    wanted = {frozenset(p) for p in targets}
+    """Per-target bubble routing: split the members out of their pairs,
+    bubble the right member leftward next to its partner (splitting any
+    pair in the way), orient, combine.
+
+    `targets` come sorted by their lower qubit.  Each target looks its
+    members up once and carries their indices from there: a split at `p`
+    moves every crystal above `p` up by one, and an exchange moves the
+    mover down by one.  A split member that was a pair's right qubit moves
+    up too, while the qubit it leaves behind stays put; so no qubit below
+    the combine's index has moved, and the index is marked stale from
+    there.
+    """
     ops: list[ReorderOp] = []
     cs = work.crystals
 
     def do(tag: ReorderTag, index: int):
-        op = work.op(tag, index)
-        work.apply(op)
+        operands = cs[index].qubits
+        if tag is PAIR_EXCHANGE or tag is COMBINE:
+            operands = operands + cs[index + 1].qubits
+        op = ReorderOp(tag, operands, index)
+        reorder_in_place(cs, op)
         ops.append(op)
 
-    def free(q: int):
-        """Split q out of a crystal pair that is not a wanted target pair."""
-        i = work.crystal_of(q)
-        c = cs[i]
-        if c.is_pair and frozenset(c.qubits) not in wanted:
-            do(ReorderTag.SPLIT, i)
-
-    for a, b in sorted(targets, key=lambda p: min(p)):
-        if work.paired(a, b):
-            continue
-        free(a)
-        free(b)
-        if work.crystal_of(a) > work.crystal_of(b):
-            a, b = b, a
-        mover, dest = b, a  # bubble the right member leftward (deterministic)
-        while True:
-            im, id_ = work.crystal_of(mover), work.crystal_of(dest)
-            if abs(im - id_) == 1:
-                break
-            step = im - 1 if im > id_ else im + 1
-            blocker = cs[step]
-            if blocker.is_pair:
-                do(ReorderTag.SPLIT, step)
-                continue
-            do(ReorderTag.PAIR_EXCHANGE, min(im, step))
-        # orient (left ->, right <-) and combine
-        left = min(work.crystal_of(a), work.crystal_of(b))
+    def combine(left: int):
+        """Orient the singles at left, left + 1 as (->, <-) and combine them."""
         if not cs[left].facing_right:
-            do(ReorderTag.SWAP, left)
+            do(SWAP, left)
         if cs[left + 1].facing_right:
-            do(ReorderTag.SWAP, left + 1)
-        do(ReorderTag.COMBINE, left)
-    # restore any wanted pair broken while being crossed
-    for a, b in sorted(targets, key=lambda p: min(p)):
+            do(SWAP, left + 1)
+        do(COMBINE, left)
+        work.mark_stale(left)
+
+    for a, b in targets:
+        ia, ib = work.crystal_of(a), work.crystal_of(b)
+        if ia == ib:  # the crystal holding both members is their pair
+            continue
+        # split each member out of its pair; no such pair is another
+        # target's, because targets are disjoint
+        if cs[ia].is_pair:
+            do(SPLIT, ia)
+            if ib > ia:
+                ib += 1
+            if cs[ia].qubits[0] != a:
+                ia += 1
+        if cs[ib].is_pair:
+            do(SPLIT, ib)
+            if ia > ib:
+                ia += 1
+            if cs[ib].qubits[0] != b:
+                ib += 1
+        # bubble the right member (the mover) leftward to its partner
+        left, im = min(ia, ib), max(ia, ib)
+        while im - left > 1:
+            if cs[im - 1].is_pair:
+                do(SPLIT, im - 1)
+                im += 1
+            else:
+                do(PAIR_EXCHANGE, im - 1)
+                im -= 1
+        combine(left)
+    # restore any target pair split while being crossed
+    for a, b in targets:
         if work.paired(a, b):
             continue
         ia, ib = work.crystal_of(a), work.crystal_of(b)
         if abs(ia - ib) != 1:  # pragma: no cover - crossings keep them adjacent
             raise AssertionError("split target pair drifted apart")
-        left = min(ia, ib)
-        if not cs[left].facing_right:
-            do(ReorderTag.SWAP, left)
-        if cs[left + 1].facing_right:
-            do(ReorderTag.SWAP, left + 1)
-        do(ReorderTag.COMBINE, left)
+        combine(min(ia, ib))
     return ops
+
+
+def _checked_targets(s: IonState, target_pairs) -> list[tuple[int, int]]:
+    """The targets as qubit pairs sorted by their lower qubit; ValueError
+    unless each is two distinct qubits of `s` and no qubit is in two."""
+    known = s.qubits()
+    seen: set[int] = set()
+    targets = []
+    for pair in target_pairs:
+        pair = tuple(pair)
+        if len(pair) != 2 or pair[0] == pair[1]:
+            raise ValueError(f"target {pair!r} is not two distinct qubits")
+        for q in pair:
+            if q not in known:
+                raise ValueError(f"target {pair!r} names qubit {q}, which is not in the arrangement")
+            if q in seen:
+                raise ValueError("target pairs must be disjoint")
+            seen.add(q)
+        targets.append(pair)
+    return sorted(targets, key=min)
 
 
 def plan_reorder(
@@ -238,44 +306,48 @@ def plan_reorder(
 ) -> ReorderPlan:
     """Plan primitives making every target pair adjacent and combined.
 
-    In circulation mode, candidates are evaluated per circulation path
-    (positional exchanges ride the lap; only regrouping is charged beyond
-    it) as well as purely one-dimensionally; the cheapest wins, ties going
-    to fewer ops then lower first qubit id.
+    Every candidate carries the same ops.  The one-dimensional candidate
+    pays their staged time over the gate zones; in circulation mode each
+    circulation path is a candidate too, on which the positional exchanges
+    ride the lap and only regrouping beyond it is charged.  The cheapest
+    wins, ties going to the one-dimensional plan, then to the lower path.
     """
-    flat: list[int] = [q for p in target_pairs for q in p]
-    if len(set(flat)) != len(flat):
-        raise ValueError("target pairs must be disjoint")
-    known = s.qubits()
-    for q in flat:
-        if q not in known:
-            raise KeyError(f"qubit {q} not present in arrangement")
-
-    targets = sorted((tuple(p) for p in target_pairs), key=lambda p: min(p))
+    targets = _checked_targets(s, target_pairs)
     work = _Arrangement(s)
     ops = _try_boundary_exchanges(work, targets)
     if ops is None:
         work = _Arrangement(s)
         ops = _fallback_plan(work, targets)
     # plans emit no shifts, so the position carries over
-    final = IonState(tuple(work.crystals), s.position)
-
-    positional = [o for o in ops if o.tag is ReorderTag.PAIR_EXCHANGE]
-    regroup = [o for o in ops if o.tag is not ReorderTag.PAIR_EXCHANGE]
-    time_1d = staged_time(ops, layout.gate_zones, t) if ops else 0.0
-
-    candidates: list[tuple[float, int, int, int | None, float]] = [
-        (time_1d, len(ops), min(flat, default=0), None, 0.0)
+    plan = _costed(ops, IonState(tuple(work.crystals), s.position), layout, t)
+    if mode is PlanMode.ONE_DIMENSIONAL:
+        return plan
+    candidates = [(plan.time, -1)] + [
+        (max(lap_time(layout, pid, t), plan.regroup_time), pid)
+        for pid, _length in layout.circulation_paths
     ]
-    if mode is PlanMode.CIRCULATION_ALLOWED:
-        regroup_time = staged_time(regroup, layout.reorder_zones, t) if regroup else 0.0
-        hidden = staged_time(positional, layout.reorder_zones, t) if positional else 0.0
-        for pid, _length in layout.circulation_paths:
-            lap = lap_time(layout, pid, t)
-            charged = max(lap, regroup_time)
-            candidates.append((charged, len(ops), min(flat, default=0), pid, hidden))
-    candidates.sort(key=lambda c: (c[0], c[1], c[2], -1 if c[3] is None else c[3]))
-    best = candidates[0]
-    return ReorderPlan(
-        ops=tuple(ops), path_id=best[3], time=best[0], hidden_time=best[4], final=final
+    charged, path = min(candidates)
+    if path == -1:
+        return plan
+    positional = [o for o in ops if o.tag is PAIR_EXCHANGE]
+    return replace(
+        plan, path_id=path, time=charged,
+        hidden_time=staged_time(positional, layout.reorder_zones, t),
     )
+
+
+def split_all_plan(s: IonState, layout: TrackLayout, t: TimingParams = TimingParams()) -> ReorderPlan:
+    """Split every pair, left to right; each SPLIT's index counts the
+    singles the earlier splits made."""
+    ops = []
+    crystals = list(s.crystals)
+    i = 0
+    while i < len(crystals):
+        if crystals[i].is_pair:
+            op = ReorderOp(SPLIT, operands=crystals[i].qubits, index=i)
+            reorder_in_place(crystals, op, t)
+            ops.append(op)
+            i += 2
+        else:
+            i += 1
+    return _costed(ops, IonState(tuple(crystals), s.position), layout, t)

@@ -17,16 +17,16 @@ differ in how ions reach the next pass:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .blocks import Block, extract_inplace_blocks
 from .circuit import Circuit
 from .gates import Gate, GateType
 # apply_reorder stays importable from here: perfbench/spans.py counts calls
 # through schedulers.apply_reorder
-from .ions import IonState, ReorderOp, ReorderTag, apply_reorder, reorder_in_place  # noqa: F401
+from .ions import TRANSPORTS_PER_EXCHANGE, IonState, ReorderTag, apply_reorder  # noqa: F401
 from .machine import Machine
-from .planner import PlanMode, ReorderPlan, plan_reorder, staged_time
+from .planner import PlanMode, ReorderPlan, plan_reorder, split_all_plan
 from .trace import EventKind, Trace, TraceEvent
 
 # Fraction of the zone region a gathering pass traverses under in-place
@@ -91,7 +91,8 @@ class _Engine:
     # -- initialization / measurement -------------------------------------
 
     def init_all(self, first_use: list[int]):
-        order = list(first_use) + [q for q in range(self.c.width) if q not in set(first_use)]
+        used = set(first_use)
+        order = list(first_use) + [q for q in range(self.c.width) if q not in used]
         n_batches = math.ceil(self.c.width / self.k) if self.c.width else 0
         t0 = 0.0
         for b in range(n_batches):
@@ -208,17 +209,10 @@ class _Engine:
     def _apply_plan_events(self, plan: ReorderPlan, *, hidden_under_lap: bool,
                            prev_pass_work: float = 0.0):
         """Emit reorder (and circulation) events for a transition plan."""
-        op_counts: dict[str, int] = {}
-        for op in plan.ops:
-            op_counts[op.tag.value] = op_counts.get(op.tag.value, 0) + 1
-        exchanges = op_counts.get(ReorderTag.PAIR_EXCHANGE.value, 0)
-        reorder_zones = self.m.layout.reorder_zones
         if plan.path_id is not None or hidden_under_lap:
             path = plan.path_id if plan.path_id is not None else self._rolodex_path()
             lap = self.m.lap(path)
-            regroup = [o for o in plan.ops if o.tag is not ReorderTag.PAIR_EXCHANGE]
-            regroup_time = staged_time(regroup, reorder_zones, self.t) if regroup else 0.0
-            charge = max(lap, regroup_time)
+            charge = max(lap, plan.regroup_time)
             if self.pipelining:
                 headstart = max(0.0, prev_pass_work - self.pass_first_batch_end + self.pass_start)
                 effective = max(0.0, charge - headstart)
@@ -231,16 +225,14 @@ class _Engine:
                 "pairs_aboard": pairs_aboard,
             })
             if plan.ops:
-                self._emit(EventKind.REORDER, start, max(regroup_time, plan.hidden_time),
-                           payload={"ops": op_counts, "transports": 2 * exchanges})
+                self._emit(EventKind.REORDER, start, max(plan.regroup_time, plan.hidden_time),
+                           payload=_reorder_payload(plan))
             self.cursor += effective
         else:
-            dur = staged_time(list(plan.ops), self.k, self.t) if plan.ops else 0.0
             if plan.ops:
-                self._emit(EventKind.REORDER, self.cursor, dur, payload={
-                    "ops": op_counts, "transports": 2 * exchanges,
-                })
-            self.cursor += dur
+                self._emit(EventKind.REORDER, self.cursor, plan.time_1d,
+                           payload=_reorder_payload(plan))
+            self.cursor += plan.time_1d
         self.state = plan.final
         self._refresh_slots()
 
@@ -250,22 +242,12 @@ class _Engine:
         pid, _ = self.m.layout.shortest_path(min_fraction=min(need, 1.0))
         return pid
 
-    def _split_all_plan(self) -> ReorderPlan:
-        """Split every pair, left to right; each SPLIT's index counts the
-        singles the earlier splits made."""
-        ops = []
-        crystals = list(self.state.crystals)
-        i = 0
-        while i < len(crystals):
-            if crystals[i].is_pair:
-                op = ReorderOp(ReorderTag.SPLIT, operands=crystals[i].qubits, index=i)
-                reorder_in_place(crystals, op, self.t)
-                ops.append(op)
-                i += 2
-            else:
-                i += 1
-        dur = staged_time(ops, self.k, self.t) if ops else 0.0
-        return ReorderPlan(tuple(ops), None, dur, 0.0, replace(self.state, crystals=tuple(crystals)))
+
+def _reorder_payload(plan: ReorderPlan, **extra) -> dict:
+    """The REORDER event payload of a plan: op counts and ion transports."""
+    ops = dict(plan.op_counts)
+    exchanges = ops.get(ReorderTag.PAIR_EXCHANGE.value, 0)
+    return {"ops": ops, "transports": TRANSPORTS_PER_EXCHANGE * exchanges, **extra}
 
 
 def _interleave_passes(c: Circuit) -> list[tuple[str, list[Gate]]]:
@@ -311,7 +293,7 @@ def _schedule_passes(c: Circuit, m: Machine, *, policy: str, pipelining: bool) -
             mode = PlanMode.ONE_DIMENSIONAL if policy == "tilt" else PlanMode.CIRCULATION_ALLOWED
             plan = plan_reorder(eng.state, targets, m.layout, mode, eng.t)
         else:
-            plan = eng._split_all_plan()
+            plan = split_all_plan(eng.state, m.layout, eng.t)
         if policy == "rolodex" and idx > 0:
             eng._apply_plan_events(plan, hidden_under_lap=True, prev_pass_work=prev_work)
         else:
@@ -372,7 +354,9 @@ def _schedule_blocks(c: Circuit, m: Machine, *, pipelining: bool) -> Trace:
             mode = PlanMode.CIRCULATION_ALLOWED
         plan = plan_reorder(eng.state, targets, m.layout, mode, eng.t)
         if plan.path_id == 0 and m.gate_zones >= max_parallel:
-            plan = plan_reorder(eng.state, targets, m.layout, PlanMode.ONE_DIMENSIONAL, eng.t)
+            # the full lap does not pay at full block parallelism: take the
+            # same ops one-dimensionally
+            plan = plan.one_dimensional()
 
         layer_qubits = {q for b in layer for g in (b.pre_1q + (b.core_2q,) + b.post_1q) for q in g.qubits}
         if pipelining and not (layer_qubits & prev_layer_qubits):
@@ -380,13 +364,8 @@ def _schedule_blocks(c: Circuit, m: Machine, *, pipelining: bool) -> Trace:
             charge = max(0.0, plan.time - prev_work)
             start = eng.cursor - (plan.time - charge)
             if plan.ops:
-                ops_count: dict[str, int] = {}
-                for op in plan.ops:
-                    ops_count[op.tag.value] = ops_count.get(op.tag.value, 0) + 1
-                exch = ops_count.get(ReorderTag.PAIR_EXCHANGE.value, 0)
                 eng._emit(EventKind.REORDER, start, plan.time,
-                          payload={"ops": ops_count, "transports": 2 * exch,
-                                   "hidden": plan.time - charge})
+                          payload=_reorder_payload(plan, hidden=plan.time - charge))
             if plan.path_id is not None:
                 eng._emit(EventKind.CIRCULATE, start, m.lap(plan.path_id),
                           payload={"path": plan.path_id,
@@ -417,8 +396,7 @@ def _run_block_layer(eng: _Engine, layer: list[Block], explicit_measures: set[in
     pair_left = {}
     pair_right = {}
     for b in layer:
-        i = eng.state.crystal_of(b.qubits[0])
-        crystal = eng.state.crystals[i]
+        crystal = eng.state.crystals[eng.slot_of[b.qubits[0]]]
         pair_left[b] = crystal.qubits[0]
         pair_right[b] = crystal.qubits[1] if crystal.is_pair else crystal.qubits[0]
 

@@ -69,8 +69,9 @@ class Trace:
         return max((e.t_end for e in self.events), default=0.0)
 
     def of_kind(self, *kinds: EventKind) -> list[TraceEvent]:
-        ks = set(kinds)
-        return [e for e in self.events if e.kind in ks]
+        # a tuple test matches members by identity; a set would run the
+        # Python-level Enum.__hash__ once per event
+        return [e for e in self.events if e.kind in kinds]
 
     def gate_count_1q(self) -> int:
         return sum(len(e.payload.get("gate_ids", ())) for e in self.of_kind(EventKind.GATE_1Q))

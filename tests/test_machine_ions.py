@@ -1,5 +1,6 @@
 """Machine parameters, track geometry, ion reorder primitives, planner."""
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from racetrack.machine import (
     machine_from_dict,
     make_machine,
 )
-from racetrack.planner import PlanMode, plan_reorder, staged_time
+from racetrack.planner import PlanMode, plan_reorder, split_all_plan, staged_time
 
 
 class TestTimingParams:
@@ -272,3 +273,70 @@ class TestPlanner:
         ]
         assert staged_time(ops, zones=4) == 128.0
         assert staged_time(ops, zones=1) == 3 * 128.0
+
+    @staticmethod
+    def _assert_costs_carried(plan, track):
+        # the costs the planner carries are the staged times of its own ops,
+        # bitwise, and the counts are a first-appearance count of tag values
+        ops = list(plan.ops)
+        exchanges = [o for o in ops if o.tag is ReorderTag.PAIR_EXCHANGE]
+        regroup = [o for o in ops if o.tag is not ReorderTag.PAIR_EXCHANGE]
+        assert plan.time_1d == staged_time(ops, track.gate_zones)
+        assert plan.regroup_time == staged_time(regroup, track.reorder_zones)
+        if plan.path_id is None:
+            assert plan.time == plan.time_1d and plan.hidden_time == 0.0
+        else:
+            assert plan.hidden_time == staged_time(exchanges, track.reorder_zones)
+            assert plan.time == max(lap_time(track, plan.path_id), plan.regroup_time)
+        counts = {}
+        for o in ops:
+            counts[o.tag.value] = counts.get(o.tag.value, 0) + 1
+        assert plan.op_counts == tuple(counts.items())
+
+    # build_track(k) with and without a shortcut; a reorder-zone count
+    # apart from k tells the gate-zone costs from the reorder-zone ones
+    tracks = st.builds(
+        lambda k, reorder, shortcuts: build_track(k, reorder, shortcuts=list(shortcuts)),
+        st.integers(1, 8), st.one_of(st.none(), st.integers(1, 8)), st.sampled_from([(), (0.5,)]),
+    )
+
+    @given(st.integers(2, 16), tracks, st.data())
+    @settings(max_examples=250, deadline=None)
+    @pytest.mark.parametrize("mode", list(PlanMode))
+    def test_plan_carries_its_costs(self, mode, n, track, data):
+        s, targets = _draw_instance(n, data)
+        self._assert_costs_carried(plan_reorder(s, targets, track, mode), track)
+
+    @given(st.integers(2, 16), tracks, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_split_all_plan_carries_its_costs(self, n, track, data):
+        s, _ = _draw_instance(n, data)
+        s = IonState(s.crystals, position=data.draw(st.sampled_from([0.0, 375.0])))
+        plan = split_all_plan(s, track)
+        self._assert_costs_carried(plan, track)
+        assert plan.path_id is None
+        assert not plan.final.pairs()
+        replayed, _ = apply_plan(s, list(plan.ops))
+        assert replayed == plan.final
+
+    @given(st.integers(2, 16), tracks, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_dimensional_needs_no_second_plan(self, n, track, data):
+        # block scheduling turns a full-lap plan into a 1-D one without
+        # planning again; that must equal the plan of the 1-D mode
+        s, targets = _draw_instance(n, data)
+        plan = plan_reorder(s, targets, track, PlanMode.CIRCULATION_ALLOWED)
+        direct = plan_reorder(s, targets, track, PlanMode.ONE_DIMENSIONAL)
+        assert plan.one_dimensional() == direct
+
+    @pytest.mark.parametrize(
+        "target, reason",
+        [((0, 9), "qubit 9, which is not in the arrangement"),
+         ((0, 2, 4), "not two distinct qubits"),
+         ((0,), "not two distinct qubits"),
+         ((3, 3), "not two distinct qubits")],
+    )
+    def test_bad_target_names_itself(self, target, reason):
+        s = IonState.initial_pairs(8)
+        with pytest.raises(ValueError, match=re.escape(f"target {target!r}") + ".*" + reason):
+            plan_reorder(s, [(4, 5), target], build_track(4))
