@@ -31,33 +31,13 @@ class GateType(Enum):
     MEASURE = "Measure"
     INIT = "Init"
 
-    @property
-    def n_qubits(self) -> int:
-        return 2 if self in _TWO_QUBIT else 1
-
-    @property
-    def n_params(self) -> int:
-        return _N_PARAMS.get(self, 0)
-
-    @property
-    def is_native(self) -> bool:
-        return self in _NATIVE
-
-    @property
-    def is_abstract(self) -> bool:
-        return self in _ABSTRACT
-
-
-_TWO_QUBIT = frozenset({GateType.ZZ, GateType.RZZ, GateType.RXXYYZZ, GateType.CX})
-_NATIVE = frozenset({GateType.U1Q, GateType.RZ, GateType.ZZ, GateType.RZZ, GateType.RXXYYZZ})
-_ABSTRACT = frozenset({GateType.H, GateType.X, GateType.RX, GateType.CX})
-_N_PARAMS = {
-    GateType.U1Q: 2,
-    GateType.RZ: 1,
-    GateType.RZZ: 1,
-    GateType.RXXYYZZ: 3,
-    GateType.RX: 1,
-}
+    # Plain member attributes, set once per kind: a frozenset or dict
+    # keyed by the member would run the Python-level Enum.__hash__ per read.
+    def __init__(self, value: str):
+        self.n_qubits: int = 2 if value in ("ZZ", "RZZ", "Rxxyyzz", "CX") else 1
+        self.n_params: int = {"U1q": 2, "Rz": 1, "RZZ": 1, "Rxxyyzz": 3, "RX": 1}.get(value, 0)
+        self.is_native: bool = value in ("U1q", "Rz", "ZZ", "RZZ", "Rxxyyzz")
+        self.is_abstract: bool = value in ("H", "X", "RX", "CX")
 
 
 def canonical_angle(theta: float) -> float:
@@ -99,22 +79,25 @@ class Gate:
     is_1q: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        kind = self.kind
         qubits = tuple(self.qubits)
-        if len(qubits) != self.kind.n_qubits:
+        n = len(qubits)
+        if n != kind.n_qubits:
             raise ValueError(
-                f"{self.kind.value} takes {self.kind.n_qubits} qubit(s), got {qubits}"
+                f"{kind.value} takes {kind.n_qubits} qubit(s), got {qubits}"
             )
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"duplicate qubit in {self.kind.value} gate: {qubits}")
-        if any(q < 0 for q in qubits):
+        # every kind acts on one or two qubits, and n is that count here
+        if n == 2 and qubits[0] == qubits[1]:
+            raise ValueError(f"duplicate qubit in {kind.value} gate: {qubits}")
+        if qubits[0] < 0 or qubits[-1] < 0:
             raise ValueError(f"negative qubit index: {qubits}")
-        if len(self.params) != self.kind.n_params:
+        if len(self.params) != kind.n_params:
             raise ValueError(
-                f"{self.kind.value} takes {self.kind.n_params} param(s), got {self.params}"
+                f"{kind.value} takes {kind.n_params} param(s), got {self.params}"
             )
         object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "is_2q", len(qubits) == 2)
-        object.__setattr__(self, "is_1q", len(qubits) == 1)
+        object.__setattr__(self, "is_2q", n == 2)
+        object.__setattr__(self, "is_1q", n == 1)
         object.__setattr__(
             self, "params", tuple(canonical_angle(p) for p in self.params)
         )

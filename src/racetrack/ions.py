@@ -8,13 +8,18 @@ hardware time costs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .machine import TimingParams
 
 # Fidelity accounting: ions crossing a crystal boundary during an exchange.
 TRANSPORTS_PER_EXCHANGE = 2
+# Fidelity accounting: ion transports of one pair riding a circulation.
+TRANSPORTS_PER_CIRCULATING_PAIR = 2
 
 
 class ReorderTag(Enum):
@@ -51,8 +56,9 @@ class Crystal:
         return f"{'->' if self.facing_right else '<-'}{self.qubits[0]}"
 
 
-@dataclass(frozen=True)
-class ReorderOp:
+class ReorderOp(NamedTuple):
+    # a named tuple, not a frozen dataclass: plans hold ~10^5 of them per
+    # deep circuit, and a tuple is built at about half the cost
     tag: ReorderTag
     operands: tuple[int, ...] = ()  # affected qubit ids (informational)
     index: int = 0                  # crystal index the op acts at
@@ -63,14 +69,21 @@ class ReorderOp:
 class IonState:
     crystals: tuple[Crystal, ...]
     position: float = 0.0  # arc offset of the sequence head, um
+    # qubit -> index of its crystal, built once when the state is frozen
+    crystal_index: Mapping[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for c in self.crystals:
+        index: dict[int, int] = {}
+        for i, c in enumerate(self.crystals):
             for q in c.qubits:
-                if q in seen:
+                if q in index:
                     raise ValueError(f"qubit {q} appears twice in arrangement")
-                seen.add(q)
+                index[q] = i
+        object.__setattr__(self, "crystal_index", MappingProxyType(index))
+
+    def __reduce__(self):
+        # a mapping proxy cannot be pickled or deep-copied; rebuild the index
+        return IonState, (self.crystals, self.position)
 
     @staticmethod
     def initial_pairs(n: int) -> "IonState":
@@ -89,13 +102,13 @@ class IonState:
         return [q for c in self.crystals for q in c.qubits]
 
     def qubits(self) -> set[int]:
-        return set(self.qubit_order())
+        return set(self.crystal_index)
 
     def crystal_of(self, qubit: int) -> int:
-        for i, c in enumerate(self.crystals):
-            if qubit in c.qubits:
-                return i
-        raise KeyError(f"qubit {qubit} not in arrangement")
+        try:
+            return self.crystal_index[qubit]
+        except KeyError:
+            raise KeyError(f"qubit {qubit} not in arrangement") from None
 
     def paired(self, a: int, b: int) -> bool:
         i = self.crystal_of(a)
@@ -161,6 +174,41 @@ def reorder_in_place(cs: list[Crystal], op: ReorderOp, t: TimingParams = TimingP
     raise ValueError(f"reorder op {tag} does not change crystals")
 
 
+def bubble_left_in_place(cs: list[Crystal], left: int, mover: int) -> list[ReorderOp]:
+    """Bubble the single at `mover` leftward until it sits at `left + 1`,
+    in place; returns the ops that does, one SPLIT or PAIR_EXCHANGE each.
+
+    A single in the way costs one exchange.  A pair (a, b) in the way is
+    split and its ions are crossed one at a time, so it stays behind the
+    mover as the singles ->a, <-b.  The ops are those `reorder_in_place`
+    would apply one by one, and under the bounds checked here each of its
+    checks holds; the crossed segment is rewritten with one slice instead.
+    """
+    _require(0 <= left < mover < len(cs), "bubble needs 0 <= left < mover < len(crystals)")
+    moving = cs[mover]
+    _require(not moving.is_pair, "bubble needs a single to move")
+    mq = moving.qubits
+    ops: list[ReorderOp] = []
+    crossed: list[Crystal] = []  # right to left
+    for j in range(mover - 1, left, -1):
+        c = cs[j]
+        qs = c.qubits
+        if len(qs) == 2:
+            a, b = qs
+            ops.append(ReorderOp(SPLIT, qs, j))
+            ops.append(ReorderOp(PAIR_EXCHANGE, (b,) + mq, j + 1))
+            ops.append(ReorderOp(PAIR_EXCHANGE, (a,) + mq, j))
+            crossed.append(Crystal((b,), False))
+            crossed.append(Crystal((a,), True))
+        else:
+            ops.append(ReorderOp(PAIR_EXCHANGE, qs + mq, j))
+            crossed.append(c)
+    crossed.append(moving)
+    crossed.reverse()
+    cs[left + 1 : mover + 1] = crossed
+    return ops
+
+
 def apply_reorder(s: IonState, op: ReorderOp, t: TimingParams = TimingParams()) -> tuple[IonState, float]:
     """Apply one primitive; returns the mutated arrangement and its cost."""
     if op.tag is ReorderTag.INTRA_SHIFT:
@@ -180,16 +228,24 @@ def apply_plan(s: IonState, plan: list[ReorderOp], t: TimingParams = TimingParam
     return s, total
 
 
-def reorder_time(counts: dict[str, int], t: TimingParams = TimingParams()) -> float:
-    """Total reordering time for op counts keyed by ReorderTag values."""
-    cost = {
-        ReorderTag.SPLIT.value: t.split_or_combine,
-        ReorderTag.COMBINE.value: t.split_or_combine,
-        ReorderTag.SWAP.value: t.swap,
+@lru_cache(maxsize=16)
+def reorder_durations(t: TimingParams) -> Mapping[str, float]:
+    """The duration of every reorder primitive under `t`, keyed by tag
+    value: the one duration table.  Keys are values, not members, because
+    hashing a member runs the Python-level `Enum.__hash__`."""
+    return MappingProxyType({
+        SPLIT.value: t.split_or_combine,
+        COMBINE.value: t.split_or_combine,
+        SWAP.value: t.swap,
         ReorderTag.INTRA_SHIFT.value: t.intra_zone_shift,
         ReorderTag.INTER_SHIFT.value: t.inter_zone_shift,
-        ReorderTag.PAIR_EXCHANGE.value: t.pair_exchange,
-    }
+        PAIR_EXCHANGE.value: t.pair_exchange,
+    })
+
+
+def reorder_time(counts: dict[str, int], t: TimingParams = TimingParams()) -> float:
+    """Total reordering time for op counts keyed by ReorderTag values."""
+    cost = reorder_durations(t)
     total = 0.0
     for name, n in counts.items():
         if name not in cost:

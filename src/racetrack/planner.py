@@ -12,12 +12,19 @@ whichever candidate is cheapest.
 Both strategies edit one mutable working arrangement (`_Arrangement`)
 with the in-place primitives of `ions`.  The fallback looks each target's
 members up once and carries their crystal indices by arithmetic from
-there, so every op costs O(1) apart from the list shift of a split or
-combine.  No qubit below the crystal where a target combines has moved, so
-the qubit index is marked stale from there and reindexed lazily at the
-next lookup.  The final `IonState` is frozen once per plan, which runs its
-duplicate check once; the ops are not replayed.  `apply_plan(s, plan.ops)`
-gives the same final state, and the tests hold the planner to that.
+there.  It moves a member with one primitive, `ions.bubble_left_in_place`,
+which emits every SPLIT and PAIR_EXCHANGE of the walk and rewrites the
+crossed crystals with one slice; member splits, swaps and combines go
+through `ions.reorder_in_place` one op at a time.
+
+The qubit index starts as a copy of the state's own `crystal_index`.  No
+qubit below the crystal where a target combines has moved, so the index
+is marked stale from there.  A lookup trusts a stored index whose crystal
+still holds the qubit; otherwise it reindexes the stale tail up to the
+qubit's crystal.  The final `IonState` is frozen once per plan, which
+builds its index and runs its duplicate check once; the ops are not
+replayed.  `apply_plan(s, plan.ops)` gives the same final state, and the
+tests hold the planner to that.
 
 This module is the only place a plan is costed.  Each cost is computed
 once per plan and carried on the `ReorderPlan`, and the schedulers read
@@ -28,13 +35,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 
 # apply_reorder stays importable from here: perfbench/spans.py counts calls
 # through planner.apply_reorder
 from .ions import (  # noqa: F401
     COMBINE, PAIR_EXCHANGE, SPLIT, SWAP, Crystal, IonState, ReorderOp, ReorderTag,
-    apply_reorder, reorder_in_place,
+    apply_reorder, bubble_left_in_place, reorder_durations, reorder_in_place,
 )
 from .machine import TimingParams, TrackLayout, lap_time
 
@@ -68,28 +74,38 @@ class ReorderPlan:
 class _Arrangement:
     """Mutable working copy of an arrangement's crystals for one plan.
 
-    `_index` maps each qubit to its crystal index.  A split or combine
-    shifts every crystal to its right, so whoever applies one marks the
-    map stale from there and the next lookup reindexes only that tail; a
+    `_index` maps each qubit to its crystal index; it starts as a copy of
+    the state's own index.  A split or combine shifts every crystal to its
+    right, so whoever applies one marks the map stale from there; a
     boundary exchange keeps crystal positions and updates the map in place.
+    A lookup trusts a stored index whose crystal still holds the qubit.
+    Otherwise the qubit sits at or above the stale mark, since every crystal
+    below it is indexed, and the lookup reindexes the tail up to its crystal.
     """
 
     __slots__ = ("crystals", "_index", "_stale_from")
 
     def __init__(self, s: IonState):
         self.crystals: list[Crystal] = list(s.crystals)
-        self._index: dict[int, int] = {}
-        self._stale_from = 0
+        self._index: dict[int, int] = dict(s.crystal_index)
+        self._stale_from = len(self.crystals)
 
     def crystal_of(self, qubit: int) -> int:
         cs = self.crystals
-        if self._stale_from < len(cs):
-            index = self._index
-            for i in range(self._stale_from, len(cs)):
-                for q in cs[i].qubits:
-                    index[q] = i
-            self._stale_from = len(cs)
-        return self._index[qubit]
+        index = self._index
+        i = index[qubit]
+        if i < len(cs) and qubit in cs[i].qubits:
+            return i
+        # the qubit sits in the stale tail: reindex the tail up to its crystal
+        i = self._stale_from
+        while True:
+            qubits = cs[i].qubits
+            for q in qubits:
+                index[q] = i
+            i += 1
+            if qubit in qubits:
+                self._stale_from = i
+                return i - 1
 
     def paired(self, a: int, b: int) -> bool:
         c = self.crystals[self.crystal_of(a)]
@@ -113,40 +129,25 @@ class _Arrangement:
             self._stale_from = index
 
 
-@lru_cache(maxsize=16)
-def _durations(t: TimingParams) -> dict[str, float]:
-    # keyed by tag value: `staged_time` looks durations up by the member's
-    # plain `_value_` attribute, since hashing the member itself runs the
-    # Python-level `Enum.__hash__` once per op
-    return {
-        SPLIT.value: t.split_or_combine,
-        COMBINE.value: t.split_or_combine,
-        SWAP.value: t.swap,
-        ReorderTag.INTRA_SHIFT.value: t.intra_zone_shift,
-        ReorderTag.INTER_SHIFT.value: t.inter_zone_shift,
-        PAIR_EXCHANGE.value: t.pair_exchange,
-    }
-
-
 def staged_time(
     ops: list[ReorderOp], zones: int, t: TimingParams = TimingParams()
 ) -> float:
     """Serialize ops into stages: ops touching disjoint crystal slots run
-    in parallel, at most `zones` per stage; a stage costs its longest op."""
-    durations = _durations(t)
+    in parallel, at most `zones` per stage; a stage costs its longest op.
+    An op at index i occupies slots i and i + 1 (bits of `busy`)."""
+    durations = reorder_durations(t)
     cap = max(1, zones)
     total = 0.0
-    busy: set[int] = set()
+    busy = 0
     stage_max = 0.0
     stage_n = 0
     for op in ops:
-        i = op.index
-        if stage_n >= cap or i in busy or i + 1 in busy:
+        slots = 3 << op.index
+        if stage_n >= cap or busy & slots:
             total += stage_max
-            busy.clear()
+            busy = 0
             stage_max, stage_n = 0.0, 0
-        busy.add(i)
-        busy.add(i + 1)
+        busy |= slots
         d = durations[op.tag._value_]
         if d > stage_max:
             stage_max = d
@@ -212,18 +213,18 @@ def _fallback_plan(work: _Arrangement, targets: list[tuple[int, int]]) -> list[R
 
     `targets` come sorted by their lower qubit.  Each target looks its
     members up once and carries their indices from there: a split at `p`
-    moves every crystal above `p` up by one, and an exchange moves the
-    mover down by one.  A split member that was a pair's right qubit moves
-    up too, while the qubit it leaves behind stays put; so no qubit below
-    the combine's index has moved, and the index is marked stale from
-    there.
+    moves every crystal above `p` up by one, and the bubble leaves the
+    mover beside its partner.  A split member that was a pair's right qubit
+    moves up too, while the qubit it leaves behind stays put; so no qubit
+    below the combine's index has moved, and the index is marked stale
+    from there.
     """
     ops: list[ReorderOp] = []
     cs = work.crystals
 
     def do(tag: ReorderTag, index: int):
         operands = cs[index].qubits
-        if tag is PAIR_EXCHANGE or tag is COMBINE:
+        if tag is COMBINE:
             operands = operands + cs[index + 1].qubits
         op = ReorderOp(tag, operands, index)
         reorder_in_place(cs, op)
@@ -257,14 +258,8 @@ def _fallback_plan(work: _Arrangement, targets: list[tuple[int, int]]) -> list[R
             if cs[ib].qubits[0] != b:
                 ib += 1
         # bubble the right member (the mover) leftward to its partner
-        left, im = min(ia, ib), max(ia, ib)
-        while im - left > 1:
-            if cs[im - 1].is_pair:
-                do(SPLIT, im - 1)
-                im += 1
-            else:
-                do(PAIR_EXCHANGE, im - 1)
-                im -= 1
+        left = min(ia, ib)
+        ops += bubble_left_in_place(cs, left, max(ia, ib))
         combine(left)
     # restore any target pair split while being crossed
     for a, b in targets:
@@ -280,7 +275,7 @@ def _fallback_plan(work: _Arrangement, targets: list[tuple[int, int]]) -> list[R
 def _checked_targets(s: IonState, target_pairs) -> list[tuple[int, int]]:
     """The targets as qubit pairs sorted by their lower qubit; ValueError
     unless each is two distinct qubits of `s` and no qubit is in two."""
-    known = s.qubits()
+    known = s.crystal_index
     seen: set[int] = set()
     targets = []
     for pair in target_pairs:

@@ -24,7 +24,9 @@ from .circuit import Circuit
 from .gates import Gate, GateType
 # apply_reorder stays importable from here: perfbench/spans.py counts calls
 # through schedulers.apply_reorder
-from .ions import TRANSPORTS_PER_EXCHANGE, IonState, ReorderTag, apply_reorder  # noqa: F401
+from .ions import (  # noqa: F401
+    TRANSPORTS_PER_CIRCULATING_PAIR, TRANSPORTS_PER_EXCHANGE, IonState, ReorderTag, apply_reorder,
+)
 from .machine import Machine
 from .planner import PlanMode, ReorderPlan, plan_reorder, split_all_plan
 from .trace import EventKind, Trace, TraceEvent
@@ -65,7 +67,6 @@ class _Engine:
         self.pipelining = pipelining
         self.trace = Trace(width=c.width, gate_zones=self.k)
         self.state = IonState.initial_pairs(c.width)
-        self.slot_of = {q: q // 2 for q in range(c.width)}
         self.cursor = 0.0          # serialized frontier (zone + transport)
         self.qubit_ready: dict[int, float] = {}
         self.prep_cursor = 0.0
@@ -73,12 +74,6 @@ class _Engine:
         self.pass_start = 0.0
 
     # -- bookkeeping -----------------------------------------------------
-
-    def _refresh_slots(self):
-        self.slot_of = {}
-        for i, crystal in enumerate(self.state.crystals):
-            for q in crystal.qubits:
-                self.slot_of[q] = i
 
     def _emit(self, kind: EventKind, start: float, duration: float, *,
               zones: int = 0, qubits: tuple[int, ...] = (), payload: dict | None = None) -> TraceEvent:
@@ -128,9 +123,12 @@ class _Engine:
         """
         batches: list[_Batch] = []
         groups: list[list[Gate]] = []
-        key_of: dict[tuple[int, GateType], int] = {}
+        # keyed by the kind's value: hashing the member itself runs the
+        # Python-level Enum.__hash__ once per gate
+        key_of: dict[tuple[int, str], int] = {}
+        slot_of = self.state.crystal_index
         for g in gates:
-            key = (g.source, g.kind)
+            key = (g.source, g.kind._value_)
             if key not in key_of:
                 key_of[key] = len(groups)
                 groups.append([])
@@ -144,7 +142,7 @@ class _Engine:
                 taken: list[Gate] = []
                 rest: list[Gate] = []
                 for g in remaining:
-                    slot = self.slot_of[g.qubits[0]]
+                    slot = slot_of[g.qubits[0]]
                     if (len(taken) < self.k
                             and slot not in slots_used and g.qubits[0] not in qubits_used):
                         taken.append(g)
@@ -221,7 +219,7 @@ class _Engine:
             start = self.cursor + effective - charge
             pairs_aboard = math.ceil(self.c.width / 2)
             self._emit(EventKind.CIRCULATE, start, lap, payload={
-                "path": path, "transports": 2 * pairs_aboard,
+                "path": path, "transports": TRANSPORTS_PER_CIRCULATING_PAIR * pairs_aboard,
                 "pairs_aboard": pairs_aboard,
             })
             if plan.ops:
@@ -234,7 +232,6 @@ class _Engine:
                            payload=_reorder_payload(plan))
             self.cursor += plan.time_1d
         self.state = plan.final
-        self._refresh_slots()
 
     def _rolodex_path(self) -> int:
         """Smallest circulation path whose span hosts the whole chain."""
@@ -369,11 +366,10 @@ def _schedule_blocks(c: Circuit, m: Machine, *, pipelining: bool) -> Trace:
             if plan.path_id is not None:
                 eng._emit(EventKind.CIRCULATE, start, m.lap(plan.path_id),
                           payload={"path": plan.path_id,
-                                   "transports": 2 * len(targets),
+                                   "transports": TRANSPORTS_PER_CIRCULATING_PAIR * len(targets),
                                    "pairs_aboard": len(targets)})
             eng.cursor += charge
             eng.state = plan.final
-            eng._refresh_slots()
         else:
             eng._apply_plan_events(plan, hidden_under_lap=False)
 
@@ -396,7 +392,7 @@ def _run_block_layer(eng: _Engine, layer: list[Block], explicit_measures: set[in
     pair_left = {}
     pair_right = {}
     for b in layer:
-        crystal = eng.state.crystals[eng.slot_of[b.qubits[0]]]
+        crystal = eng.state.crystals[eng.state.crystal_index[b.qubits[0]]]
         pair_left[b] = crystal.qubits[0]
         pair_right[b] = crystal.qubits[1] if crystal.is_pair else crystal.qubits[0]
 

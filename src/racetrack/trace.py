@@ -21,19 +21,15 @@ class EventKind(Enum):
     CIRCULATE = "Circulate"
     MEASURE = "Measure"
 
-
-LANES = ("zones", "prep", "transport")
-
-_LANE_OF = {
-    EventKind.INIT: "prep",
-    EventKind.MEASURE: "prep",
-    EventKind.GATE_1Q: "zones",
-    EventKind.GATE_2Q: "zones",
-    EventKind.COOL: "zones",
-    EventKind.SHUTTLE: "transport",
-    EventKind.REORDER: "transport",
-    EventKind.CIRCULATE: "transport",
-}
+    # a plain member attribute: a dict keyed by the member would run the
+    # Python-level Enum.__hash__ per read
+    def __init__(self, value: str):
+        if value in ("Init", "Measure"):
+            self.lane = "prep"
+        elif value in ("Gate1Q", "Gate2Q", "Cool"):
+            self.lane = "zones"
+        else:
+            self.lane = "transport"
 
 
 @dataclass(frozen=True)
@@ -51,7 +47,7 @@ class TraceEvent:
 
     @property
     def lane(self) -> str:
-        return _LANE_OF[self.kind]
+        return self.kind.lane
 
 
 @dataclass

@@ -53,6 +53,32 @@ class TestGate:
             g(0, GateType.U1Q, 0, params=(0.1,))
         g(0, GateType.U1Q, 0, params=(0.1, 0.2))
 
+    @pytest.mark.parametrize("kind, qubits, params, message", [
+        (GateType.CX, (1,), (), "CX takes 2 qubit(s), got (1,)"),
+        (GateType.H, (1, 2), (), "H takes 1 qubit(s), got (1, 2)"),
+        (GateType.CX, (1, 1), (), "duplicate qubit in CX gate: (1, 1)"),
+        (GateType.H, (-1,), (), "negative qubit index: (-1,)"),
+        (GateType.ZZ, (0, -2), (), "negative qubit index: (0, -2)"),
+        (GateType.ZZ, (-3, 0), (), "negative qubit index: (-3, 0)"),
+        (GateType.RZ, (0,), (), "Rz takes 1 param(s), got ()"),
+    ])
+    def test_checks_name_the_fault(self, kind, qubits, params, message):
+        with pytest.raises(ValueError) as err:
+            Gate(0, kind, qubits, params)
+        assert str(err.value) == message
+
+    def test_kind_attributes(self):
+        two_qubit = {GateType.ZZ, GateType.RZZ, GateType.RXXYYZZ, GateType.CX}
+        native = {GateType.U1Q, GateType.RZ, GateType.ZZ, GateType.RZZ, GateType.RXXYYZZ}
+        abstract = {GateType.H, GateType.X, GateType.RX, GateType.CX}
+        n_params = {GateType.U1Q: 2, GateType.RZ: 1, GateType.RZZ: 1, GateType.RXXYYZZ: 3,
+                    GateType.RX: 1}
+        for kind in GateType:
+            assert kind.n_qubits == (2 if kind in two_qubit else 1)
+            assert kind.n_params == n_params.get(kind, 0)
+            assert kind.is_native is (kind in native)
+            assert kind.is_abstract is (kind in abstract)
+
     def test_angle_canonicalization(self):
         assert canonical_angle(5 * PI) == pytest.approx(PI)
         assert canonical_angle(-2 * PI) == pytest.approx(2 * PI)

@@ -1,12 +1,18 @@
 """Machine parameters, track geometry, ion reorder primitives, planner."""
+import copy
 import math
+import pickle
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racetrack.ions import Crystal, IonState, ReorderOp, ReorderTag, apply_plan, apply_reorder, reorder_time
+from racetrack.ions import (
+    Crystal, IonState, ReorderOp, ReorderTag, apply_plan, apply_reorder, bubble_left_in_place,
+    reorder_in_place, reorder_time,
+)
 from racetrack.machine import (
     FidelityParams,
     TimingParams,
@@ -200,6 +206,172 @@ def _draw_instance(n, data):
         b = pool.pop(data.draw(st.integers(0, len(pool) - 1)))
         targets.append((a, b))
     return IonState(tuple(crystals)), targets
+
+
+def _bubble_stepwise(cs, left, mover):
+    """The bubble one SPLIT or PAIR_EXCHANGE at a time, through the checked
+    primitive: a pair in the way is split, a single is crossed."""
+    ops = []
+    while mover - left > 1:
+        j = mover - 1
+        if cs[j].is_pair:
+            op = ReorderOp(ReorderTag.SPLIT, cs[j].qubits, j)
+            mover += 1
+        else:
+            op = ReorderOp(ReorderTag.PAIR_EXCHANGE, cs[j].qubits + cs[mover].qubits, j)
+            mover -= 1
+        reorder_in_place(cs, op)
+        ops.append(op)
+    return ops
+
+
+def _staged_time_with_set(ops, zones, t=TimingParams()):
+    """The staging rule over a set of busy slots: the reference for the
+    bitmask in staged_time."""
+    durations = {
+        ReorderTag.SPLIT: t.split_or_combine,
+        ReorderTag.COMBINE: t.split_or_combine,
+        ReorderTag.SWAP: t.swap,
+        ReorderTag.INTRA_SHIFT: t.intra_zone_shift,
+        ReorderTag.INTER_SHIFT: t.inter_zone_shift,
+        ReorderTag.PAIR_EXCHANGE: t.pair_exchange,
+    }
+    cap = max(1, zones)
+    total = 0.0
+    busy = set()
+    stage_max = 0.0
+    stage_n = 0
+    for op in ops:
+        i = op.index
+        if stage_n >= cap or i in busy or i + 1 in busy:
+            total += stage_max
+            busy.clear()
+            stage_max, stage_n = 0.0, 0
+        busy.add(i)
+        busy.add(i + 1)
+        stage_max = max(stage_max, durations[op.tag])
+        stage_n += 1
+    return total + stage_max
+
+
+class TestBubble:
+    @given(st.integers(2, 16), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stepwise_primitives(self, n, data):
+        s, _ = _draw_instance(n, data)
+        singles = [i for i, c in enumerate(s.crystals) if not c.is_pair and i > 0]
+        if not singles:
+            s = IonState((Crystal((n,)),) + s.crystals + (Crystal((n + 1,)),))
+            singles = [len(s.crystals) - 1]
+        mover = data.draw(st.sampled_from(singles))
+        left = data.draw(st.integers(0, mover - 1))
+        expected = list(s.crystals)
+        expected_ops = _bubble_stepwise(expected, left, mover)
+        got = list(s.crystals)
+        ops = bubble_left_in_place(got, left, mover)
+        assert got == expected
+        assert [type(o) for o in ops] == [ReorderOp] * len(expected_ops)
+        assert [tuple(o) for o in ops] == [tuple(o) for o in expected_ops]
+
+    @pytest.mark.parametrize("left, mover", [(2, 2), (3, 2), (-1, 2), (0, 4), (0, 9)])
+    def test_bad_bounds_raise(self, left, mover):
+        # (->0,<-1) ->2 <-3 ->4 at indices 0..3
+        cs = [Crystal((0, 1)), Crystal((2,)), Crystal((3,), False), Crystal((4,))]
+        before = list(cs)
+        with pytest.raises(ValueError, match="bubble needs 0 <= left < mover"):
+            bubble_left_in_place(cs, left, mover)
+        assert cs == before
+
+    def test_pair_at_mover_raises(self):
+        cs = [Crystal((2,)), Crystal((3,), False), Crystal((0, 1))]
+        before = list(cs)
+        with pytest.raises(ValueError, match="bubble needs a single to move"):
+            bubble_left_in_place(cs, 0, 2)
+        assert cs == before
+
+
+class TestStagedTime:
+    ops = st.lists(
+        st.builds(ReorderOp, st.sampled_from(list(ReorderTag)), st.just(()), st.integers(0, 200)),
+        max_size=60,
+    )
+    timings = st.sampled_from(
+        [TimingParams(), TimingParams(split_or_combine=77.0, swap=13.5, pair_exchange=999.0)]
+    )
+
+    @given(ops, st.integers(1, 8), timings)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_set_reference(self, ops, zones, t):
+        # indices up to 200 take the busy mask far past 64 bits
+        assert staged_time(ops, zones, t) == _staged_time_with_set(ops, zones, t)
+
+
+class TestCrystalIndex:
+    @staticmethod
+    def _scan(s):
+        return {q: i for i, c in enumerate(s.crystals) for q in c.qubits}
+
+    @given(st.integers(1, 16), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_a_scan(self, n, data):
+        s, _ = _draw_instance(n, data)
+        scan = self._scan(s)
+        assert dict(s.crystal_index) == scan
+        assert s.qubits() == set(range(n))
+        assert {q: s.crystal_of(q) for q in range(n)} == scan
+        # replace() builds the state again, and with it the index
+        flipped = replace(s, crystals=s.crystals[::-1])
+        assert dict(flipped.crystal_index) == self._scan(flipped)
+
+    @given(st.integers(1, 16), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_takes_no_part_in_eq_hash_repr(self, n, data):
+        s, _ = _draw_instance(n, data)
+        s = IonState(s.crystals, position=data.draw(st.sampled_from([0.0, 375.0])))
+        twin = IonState(s.crystals, s.position)
+        assert s == twin and hash(s) == hash(twin)
+        assert hash(s) == hash((s.crystals, s.position))
+        assert repr(s) == f"IonState(crystals={s.crystals!r}, position={s.position!r})"
+
+    def test_read_only(self):
+        s = IonState.initial_pairs(4)
+        with pytest.raises(TypeError):
+            s.crystal_index[0] = 1
+        with pytest.raises(ValueError):
+            replace(s, crystal_index={})
+        assert dict(s.crystal_index) == {0: 0, 1: 0, 2: 1, 3: 1}
+
+    def test_pickle_and_deepcopy_rebuild_it(self):
+        s = IonState((Crystal((2,), False), Crystal((0, 1))), position=375.0)
+        for twin in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+            assert twin == s and twin.position == 375.0
+            assert dict(twin.crystal_index) == {2: 0, 0: 1, 1: 1}
+
+    def test_duplicate_still_rejected(self):
+        with pytest.raises(ValueError, match="qubit 1 appears twice in arrangement"):
+            IonState((Crystal((0, 1)), Crystal((1,))))
+
+    def test_unknown_qubit(self):
+        s = IonState.initial_pairs(4)
+        with pytest.raises(KeyError, match="qubit 9 not in arrangement"):
+            s.crystal_of(9)
+
+
+class TestReorderOp:
+    def test_repr_and_defaults(self):
+        op = ReorderOp(ReorderTag.SPLIT)
+        assert (op.operands, op.index, op.zone) == ((), 0, None)
+        assert repr(op) == "ReorderOp(tag=<ReorderTag.SPLIT: 'split'>, operands=(), index=0, zone=None)"
+
+    def test_hash_and_immutability(self):
+        a = ReorderOp(ReorderTag.PAIR_EXCHANGE, (1, 2), 3)
+        b = ReorderOp(ReorderTag.PAIR_EXCHANGE, (1, 2), index=3)
+        assert a == b and hash(a) == hash(b)
+        # the hash the frozen dataclass had: that of the field tuple
+        assert hash(a) == hash((a.tag, a.operands, a.index, a.zone))
+        assert a != ReorderOp(ReorderTag.PAIR_EXCHANGE, (1, 2), 4)
+        with pytest.raises(AttributeError):
+            a.index = 4
 
 
 class TestPlanner:

@@ -64,3 +64,11 @@ def test_tilt_span_literal():
 def test_unknown_policy():
     with pytest.raises(ValueError):
         schedule(one_zz(), M, "teleport")
+
+
+def test_event_lanes():
+    lanes = {"prep": {EventKind.INIT, EventKind.MEASURE},
+             "zones": {EventKind.GATE_1Q, EventKind.GATE_2Q, EventKind.COOL},
+             "transport": {EventKind.SHUTTLE, EventKind.REORDER, EventKind.CIRCULATE}}
+    for kind in EventKind:
+        assert [lane for lane, kinds in lanes.items() if kind in kinds] == [kind.lane]
