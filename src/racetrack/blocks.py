@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from .circuit import Circuit
 from .gates import Gate
+from .translate import extract_2q_layers
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,8 @@ class Block:
         return self.core_2q.qubits  # type: ignore[return-value]
 
     @property
-    def n_gates(self) -> int:
-        return 1 + len(self.pre_1q) + len(self.post_1q)
+    def gates(self) -> tuple[Gate, ...]:
+        return self.pre_1q + (self.core_2q,) + self.post_1q
 
 
 @dataclass
@@ -38,35 +39,21 @@ class BlockSchedule:
     def n_layers(self) -> int:
         return len(self.layers)
 
-    @property
-    def max_parallel(self) -> int:
-        return max((len(l) for l in self.layers), default=0)
-
-    def all_gates(self) -> list[Gate]:
-        out: list[Gate] = []
-        for layer in self.layers:
-            for b in layer:
-                out.extend(b.pre_1q)
-                out.append(b.core_2q)
-                out.extend(b.post_1q)
-        out.extend(self.residual)
-        return out
-
 
 def extract_inplace_blocks(c: Circuit, zone_count: int) -> BlockSchedule:
     """Build the block schedule in time linear in the gate count.
 
-    1Q runs between two 2Q gates on a qubit attach to the earlier gate's
-    block (post); leading runs attach as the first block's pre; 1Q gates
-    on qubits that never see a 2Q gate fall into the residual.  Each gate
-    records its position in every qubit's gate sequence, so a block's
-    chains are found by walking outward from its core: each walk costs
-    the length of the run it returns plus one.
+    The cores are the 2Q layers of `extract_2q_layers` capped at
+    `zone_count`.  1Q runs between two 2Q gates on a qubit attach to the
+    earlier gate's block (post); leading runs attach as the first block's
+    pre; 1Q gates on qubits that never see a 2Q gate fall into the
+    residual.  Each gate records its position in every qubit's gate
+    sequence, so a block's chains are found by walking outward from its
+    core: each walk costs the length of the run it returns plus one.
     """
     if zone_count < 1:
         raise ValueError("zone_count must be >= 1")
-    # per-qubit gate sequences, each gate's positions in them, and
-    # 2Q-projected readiness
+    # per-qubit gate sequences and each gate's positions in them
     seq: dict[int, list[Gate]] = {}
     at: dict[int, tuple[int, ...]] = {}
     for g in c.gates:
@@ -76,19 +63,6 @@ def extract_inplace_blocks(c: Circuit, zone_count: int) -> BlockSchedule:
             where.append(len(run))
             run.append(g)
         at[g.id] = tuple(where)
-
-    two_q = [g for g in c.gates if g.is_2q]
-    pred_count: dict[int, int] = {g.id: 0 for g in two_q}
-    succs: dict[int, list[int]] = {g.id: [] for g in two_q}
-    last_on: dict[int, int] = {}
-    for g in two_q:
-        for q in g.qubits:
-            if q in last_on:
-                succs[last_on[q]].append(g.id)
-                pred_count[g.id] += 1
-            last_on[q] = g.id
-    by_id = {g.id: g for g in two_q}
-    order = {g.id: i for i, g in enumerate(two_q)}
 
     # neighbor 1Q chains around each 2Q gate, claimed earlier-block-first
     claimed: set[int] = set()
@@ -107,30 +81,17 @@ def extract_inplace_blocks(c: Circuit, zone_count: int) -> BlockSchedule:
             j += 1
         return gates[i + 1 : j]
 
-    ready = sorted((gid for gid, n in pred_count.items() if n == 0), key=order.get)
     schedule = BlockSchedule()
-    while ready:
-        kind = by_id[ready[0]].kind
-        same = [gid for gid in ready if by_id[gid].kind is kind]
-        taken = sorted(same, key=lambda gid: min(by_id[gid].qubits))[:zone_count]
-        taken_set = set(taken)
-        ready = [gid for gid in ready if gid not in taken_set]
+    for cores in extract_2q_layers(c, zone_count):
         layer: list[Block] = []
-        for gid in sorted(taken, key=lambda gid: min(by_id[gid].qubits)):
-            core = by_id[gid]
+        for core in cores:
             pre: list[Gate] = []
             post: list[Gate] = []
-            for q, i in zip(core.qubits, at[gid]):
+            for q, i in zip(core.qubits, at[core.id]):
                 pre.extend(chain_before(seq[q], i))
                 post.extend(chain_after(seq[q], i))
-            for g in pre + post:
-                claimed.add(g.id)
+            claimed.update(g.id for g in pre + post)
             layer.append(Block(tuple(pre), core, tuple(post)))
-            for s in succs[gid]:
-                pred_count[s] -= 1
-                if pred_count[s] == 0:
-                    ready.append(s)
-        ready.sort(key=order.get)
         schedule.layers.append(layer)
     schedule.residual = [
         g for g in c.gates if g.is_1q and g.id not in claimed

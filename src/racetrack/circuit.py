@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .gates import Gate, GateType
+from .gates import Gate
 
 
 @dataclass(frozen=True)
@@ -28,25 +28,6 @@ class Circuit:
     @property
     def n_gates(self) -> int:
         return len(self.gates)
-
-    def gates_of(self, *kinds: GateType) -> list[Gate]:
-        ks = set(kinds)
-        return [g for g in self.gates if g.kind in ks]
-
-    def two_qubit_gates(self) -> list[Gate]:
-        return [g for g in self.gates if g.is_2q]
-
-    def predecessors(self, gate_id: int) -> list[int]:
-        return [a for (a, b) in self.edges if b == gate_id]
-
-    def successors(self, gate_id: int) -> list[int]:
-        return [b for (a, b) in self.edges if a == gate_id]
-
-    def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for g in self.gates:
-            out[g.kind.value] = out.get(g.kind.value, 0) + 1
-        return out
 
     def is_native(self) -> bool:
         return not any(g.kind.is_abstract for g in self.gates)
@@ -109,11 +90,6 @@ def build_dag(gates: list[Gate], width: int) -> Circuit:
                 redundant.add((early, g.id))
     edges = frozenset(chain - redundant)
     return Circuit(width=width, gates=tuple(gates), edges=edges)
-
-
-def serialize(c: Circuit) -> list[Gate]:
-    """Gate list in program order; build_dag(serialize(c)) reproduces edges."""
-    return list(c.gates)
 
 
 def topological_layers(c: Circuit) -> list[list[Gate]]:

@@ -102,15 +102,6 @@ class Gate:
             self, "params", tuple(canonical_angle(p) for p in self.params)
         )
 
-    @property
-    def is_rotation_1q(self) -> bool:
-        """True for gates the machine fires as a single-qubit laser pulse."""
-        return self.is_1q and self.kind not in (GateType.MEASURE, GateType.INIT)
-
-    def same_kind(self, other: "Gate") -> bool:
-        """Batching equivalence: same tag, parameters are per-pair settings."""
-        return self.kind is other.kind
-
     def __repr__(self):
         qs = " ".join(f"q{q}" for q in self.qubits)
         if self.params:

@@ -93,11 +93,6 @@ class IonState:
             crystals.append(Crystal((n - 1,), facing_right=False))
         return IonState(tuple(crystals))
 
-    @staticmethod
-    def initial_singles(n: int) -> "IonState":
-        """Alternating orientations so neighbors can combine without flips."""
-        return IonState(tuple(Crystal((q,), facing_right=(q % 2 == 0)) for q in range(n)))
-
     def qubit_order(self) -> list[int]:
         return [q for c in self.crystals for q in c.qubits]
 

@@ -80,7 +80,6 @@ class TrackLayout:
     reorder_zones: int
     shortcuts: tuple[float, ...]
     loop_length: float
-    zone_positions: tuple[float, ...]
 
     @property
     def circulation_paths(self) -> list[tuple[int, float]]:
@@ -129,13 +128,11 @@ def build_track(
     if len(set(fr)) != len(fr):
         raise ValueError("overlapping shortcut endpoints")
     loop_length = gate_zones * t.lap_4zone * t.straight_speed / 4.0
-    positions = tuple(i * t.zone_gap for i in range(gate_zones))
     return TrackLayout(
         gate_zones=gate_zones,
         reorder_zones=reorder_zones,
         shortcuts=tuple(fr),
         loop_length=loop_length,
-        zone_positions=positions,
     )
 
 

@@ -1,23 +1,35 @@
-"""Execution policies: Rolodex (circulate per layer), TILT (one-dimensional
-sweeps, no circulation), and Plutarch (gate pipelining + in-place blocks).
+"""Execution policies as data: one engine runs all five configs.
 
-All three share one engine.  A circuit is decomposed into passes: the 1Q
-phases between consecutive 2Q layers plus the 2Q layers themselves (or,
-for in-place block scheduling, into zone-capped block layers).  Policies
-differ in how ions reach the next pass:
+A circuit is decomposed into passes: the 1Q phases between consecutive 2Q
+layers plus the 2Q layers themselves, or, for in-place blocks, zone-capped
+block layers.  Each config is one `(transition, pipelining)` pair:
 
-* Rolodex circulates the track between passes; top-zone reordering rides
-  the circulation and is charged only beyond the lap time.
-* TILT sweeps the chain across the bottom zones each pass and pays its
-  one-dimensional reordering in full.
-* Plutarch executes blocks in place, realigns with the cheapest of 1-D
-  moves / shortcut loops / full laps, and (with pipelining) overlaps
-  initialization, measurement and transport with gating.
+    config                                          transition  pipelining
+    "rolodex"                                       LAP         False
+    "tilt"                                          SWEEP       False
+    "plutarch"                                      IN_PLACE    True
+    "plutarch", PolicyFlags(pipelining=False)       IN_PLACE    False
+    "plutarch", PolicyFlags(inplace_blocks=False)   LAP         True
+
+so `PolicyFlags(False, False)` is Rolodex.  The transition says how ions
+reach the next pass:
+
+* LAP (Rolodex) circulates the track between passes; top-zone reordering
+  rides the circulation and is charged only beyond the lap time.  A pass
+  streams k + ceil(width / 2) zone gaps.
+* SWEEP (TILT) pays its one-dimensional reordering in full and sweeps the
+  chain across the bottom zones: width - 1 zone gaps per pass.
+* IN_PLACE (Plutarch) executes blocks in place, realigns with the cheapest
+  of 1-D moves / shortcut loops / full laps, and gathers over
+  INPLACE_GATHER_FACTOR * k + (blocks in the layer) zone gaps.
+
+Pipelining overlaps initialization, measurement and transport with gating.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 from .blocks import Block, extract_inplace_blocks
 from .circuit import Circuit
@@ -43,16 +55,26 @@ class PolicyFlags:
     inplace_blocks: bool = True
 
 
-@dataclass
-class _Batch:
-    kind: GateType
-    gates: list[Gate]
-    zones_busy: int
-    duration: float
+class _Transition(Enum):
+    LAP = "lap"
+    SWEEP = "sweep"
+    IN_PLACE = "in-place"
+
+
+def _policy(policy: str, flags: PolicyFlags | None) -> tuple[_Transition, bool]:
+    """The `(transition, pipelining)` pair of a config."""
+    if policy == "plutarch":
+        flags = flags or PolicyFlags()
+        return (_Transition.IN_PLACE if flags.inplace_blocks else _Transition.LAP), flags.pipelining
+    if policy not in ("rolodex", "tilt"):
+        raise ValueError(f"unknown policy {policy!r}")
+    if flags is not None:
+        raise ValueError(f"policy {policy!r} takes no flags, got {flags}")
+    return (_Transition.LAP if policy == "rolodex" else _Transition.SWEEP), False
 
 
 class _Engine:
-    def __init__(self, c: Circuit, m: Machine, *, policy: str, pipelining: bool):
+    def __init__(self, c: Circuit, m: Machine, transition: _Transition, pipelining: bool):
         if not c.is_native():
             raise ValueError("scheduler requires a native-translated circuit")
         if c.width > m.capacity:
@@ -63,12 +85,13 @@ class _Engine:
         self.m = m
         self.t = m.timing
         self.k = m.gate_zones
-        self.policy = policy
+        self.transition = transition
         self.pipelining = pipelining
         self.trace = Trace(width=c.width, gate_zones=self.k)
         self.state = IonState.initial_pairs(c.width)
         self.cursor = 0.0          # serialized frontier (zone + transport)
         self.qubit_ready: dict[int, float] = {}
+        self.measured: set[int] = set()   # qubits of explicit MEASURE gates
         self.prep_cursor = 0.0
         self.pass_first_batch_end = 0.0
         self.pass_start = 0.0
@@ -103,8 +126,9 @@ class _Engine:
         else:
             self.cursor = t0
 
-    def measure_all(self, explicit: set[int]):
-        rest = [q for q in range(self.c.width) if q not in explicit]
+    def measure_all(self):
+        """Read out every qubit that no explicit MEASURE gate has."""
+        rest = [q for q in range(self.c.width) if q not in self.measured]
         start = self.cursor if not self.pipelining else max(self.cursor, self.prep_cursor)
         for b in range(math.ceil(len(rest) / self.k) if rest else 0):
             qs = tuple(rest[b * self.k : (b + 1) * self.k])
@@ -115,13 +139,14 @@ class _Engine:
 
     # -- batching ----------------------------------------------------------
 
-    def _phase_batches(self, gates: list[Gate]) -> list[_Batch]:
+    def _phase_batches(self, gates: list[Gate]):
         """Kind-homogeneous batches, one gate per zone slot, capacity k.
 
         Gates from different source (pre-translation) layers never share a
         batch: a zone fires one homogeneous wave per layer as ions pass.
+        A qubit sits in one slot, so a batch holds at most one gate per
+        qubit, and each gate takes a zone of its own.
         """
-        batches: list[_Batch] = []
         groups: list[list[Gate]] = []
         # keyed by the kind's value: hashing the member itself runs the
         # Python-level Enum.__hash__ once per gate
@@ -133,71 +158,62 @@ class _Engine:
                 key_of[key] = len(groups)
                 groups.append([])
             groups[key_of[key]].append(g)
-        for group in groups:
-            remaining = group
+        for remaining in groups:
             while remaining:
-                kind = remaining[0].kind
                 slots_used: set[int] = set()
-                qubits_used: set[int] = set()
                 taken: list[Gate] = []
                 rest: list[Gate] = []
                 for g in remaining:
                     slot = slot_of[g.qubits[0]]
-                    if (len(taken) < self.k
-                            and slot not in slots_used and g.qubits[0] not in qubits_used):
+                    if len(taken) < self.k and slot not in slots_used:
                         taken.append(g)
                         slots_used.add(slot)
-                        qubits_used.add(g.qubits[0])
                     else:
                         rest.append(g)
                 remaining = rest
                 taken.sort(key=lambda g: min(g.qubits))
-                batches.append(self._make_batch(kind, taken, len(slots_used)))
-        return batches
+                yield taken
 
-    def _make_batch(self, kind: GateType, gates: list[Gate], zones: int) -> _Batch:
-        if kind is GateType.INIT:
-            dur = self.t.init_batch
-        elif kind is GateType.MEASURE:
-            dur = self.t.measure_batch
-        elif kind.n_qubits == 2:
-            dur = self.t.two_q_gate
-        else:
-            per_qubit: dict[int, int] = {}
-            for g in gates:
-                per_qubit[g.qubits[0]] = per_qubit.get(g.qubits[0], 0) + 1
-            dur = max(per_qubit.values(), default=1) * self.t.one_q_gate
-        return _Batch(kind, gates, zones, dur)
+    def _run_batch(self, gates: list[Gate]):
+        """Run one kind-homogeneous batch, each gate in a zone of its own.
 
-    def _run_batch(self, batch: _Batch):
-        qs = tuple(sorted({q for g in batch.gates for q in g.qubits}))
+        A 1Q batch holds each qubit once, so it lasts one `one_q_gate`.
+        """
+        kind, t = gates[0].kind, self.t
+        qs = tuple(sorted({q for g in gates for q in g.qubits}))
         start = max(self.cursor, self._ready(qs)) if self.pipelining else self.cursor
         payload = {
-            "gate_ids": [g.id for g in batch.gates],
-            "gate_qubits": {g.id: g.qubits for g in batch.gates},
-            "kind": batch.kind.value,
+            "gate_ids": [g.id for g in gates],
+            "gate_qubits": {g.id: g.qubits for g in gates},
+            "kind": kind.value,
         }
-        if batch.kind is GateType.INIT:
-            self._emit(EventKind.INIT, start, batch.duration, qubits=qs, payload=payload)
-            self.cursor = start + batch.duration
+        if kind is GateType.INIT:
+            event, dur, cool = EventKind.INIT, t.init_batch, None
+        elif kind is GateType.MEASURE:
+            event, dur, cool = EventKind.MEASURE, t.measure_batch, None
+            self.measured.update(qs)
+        elif kind.n_qubits == 2:
+            event, dur, cool = EventKind.GATE_2Q, t.two_q_gate, t.cool_2q_batch
+        else:
+            event, dur, cool = EventKind.GATE_1Q, t.one_q_gate, t.cool_1q_batch
+        if cool is None:
+            self._emit(event, start, dur, qubits=qs, payload=payload)
+            self.cursor = start + dur
             return
-        if batch.kind is GateType.MEASURE:
-            self._emit(EventKind.MEASURE, start, batch.duration, qubits=qs, payload=payload)
-            self.cursor = start + batch.duration
-            return
-        kind = EventKind.GATE_2Q if batch.kind.n_qubits == 2 else EventKind.GATE_1Q
-        self._emit(kind, start, batch.duration, zones=batch.zones_busy, qubits=qs, payload=payload)
-        cool = self.t.cool_2q_batch if kind is EventKind.GATE_2Q else self.t.cool_1q_batch
-        self._emit(EventKind.COOL, start + batch.duration, cool, zones=batch.zones_busy)
-        self.cursor = start + batch.duration + cool
+        self._emit(event, start, dur, zones=len(gates), qubits=qs, payload=payload)
+        self._emit(EventKind.COOL, start + dur, cool, zones=len(gates))
+        self.cursor = start + dur + cool
         if self.pass_first_batch_end == 0.0:
             self.pass_first_batch_end = self.cursor
 
     # -- transport ---------------------------------------------------------
 
-    def _stream(self, active_pairs: int, gather: float = 1.0):
-        """Chain movement through the zone region for one pass."""
-        if self.policy == "tilt":
+    def _begin_pass(self, active_pairs: int, gather: float = 1.0):
+        """Open a pass: mark its start and stream the chain through the
+        zone region."""
+        self.pass_start = self.cursor
+        self.pass_first_batch_end = 0.0
+        if self.transition is _Transition.SWEEP:
             dur = (self.c.width - 1) * self.t.inter_zone_shift
         else:
             dur = (gather * self.k + active_pairs) * self.t.inter_zone_shift
@@ -263,100 +279,56 @@ def _interleave_passes(c: Circuit) -> list[tuple[str, list[Gate]]]:
     return passes
 
 
-def _first_use_order(items: list[tuple[str, list[Gate]]]) -> list[int]:
-    seen: list[int] = []
-    got: set[int] = set()
-    for _, gates in items:
-        for g in gates:
-            for q in g.qubits:
-                if q not in got:
-                    got.add(q)
-                    seen.append(q)
-    return seen
+def _first_use_order(gates) -> list[int]:
+    """The qubits of `gates` in order of first use."""
+    return list(dict.fromkeys(q for g in gates for q in g.qubits))
 
 
-def _schedule_passes(c: Circuit, m: Machine, *, policy: str, pipelining: bool) -> Trace:
-    """Shared pass-based execution (rolodex, tilt, pipelined rolodex)."""
-    eng = _Engine(c, m, policy=policy, pipelining=pipelining)
-    passes = _interleave_passes(c)
-    eng.init_all(_first_use_order(passes))
-
-    explicit_measures: set[int] = set()
+def _schedule_passes(eng: _Engine) -> None:
+    """Pass-based execution: LAP and SWEEP transitions."""
+    passes = _interleave_passes(eng.c)
+    eng.init_all(_first_use_order(g for _, gates in passes for g in gates))
+    mode = PlanMode.ONE_DIMENSIONAL if eng.transition is _Transition.SWEEP else PlanMode.CIRCULATION_ALLOWED
     prev_work = 0.0
     for idx, (kind, gates) in enumerate(passes):
         # transition: bring ions into the needed shape for this pass
         if kind == "2q":
             targets = [g.qubits for g in gates]
-            mode = PlanMode.ONE_DIMENSIONAL if policy == "tilt" else PlanMode.CIRCULATION_ALLOWED
-            plan = plan_reorder(eng.state, targets, m.layout, mode, eng.t)
+            plan = plan_reorder(eng.state, targets, eng.m.layout, mode, eng.t)
         else:
-            plan = split_all_plan(eng.state, m.layout, eng.t)
-        if policy == "rolodex" and idx > 0:
-            eng._apply_plan_events(plan, hidden_under_lap=True, prev_pass_work=prev_work)
-        else:
-            eng._apply_plan_events(plan, hidden_under_lap=False)
-
-        pass_work_start = eng.cursor
-        eng.pass_start = pass_work_start
-        eng.pass_first_batch_end = 0.0
-        eng._stream(active_pairs=math.ceil(c.width / 2))
+            plan = split_all_plan(eng.state, eng.m.layout, eng.t)
+        eng._apply_plan_events(plan, prev_pass_work=prev_work,
+                               hidden_under_lap=eng.transition is _Transition.LAP and idx > 0)
+        eng._begin_pass(active_pairs=math.ceil(eng.c.width / 2))
         for batch in eng._phase_batches(gates):
-            if batch.kind is GateType.MEASURE:
-                explicit_measures.update(q for g in batch.gates for q in g.qubits)
             eng._run_batch(batch)
-        prev_work = eng.cursor - pass_work_start
-
-    eng.measure_all(explicit_measures)
-    eng.trace.validate()
-    return eng.trace
+        prev_work = eng.cursor - eng.pass_start
 
 
-def schedule_rolodex(c: Circuit, m: Machine) -> Trace:
-    return _schedule_passes(c, m, policy="rolodex", pipelining=False)
+def _schedule_blocks(eng: _Engine) -> None:
+    """In-place block execution: the IN_PLACE transition."""
+    m = eng.m
+    schedule = extract_inplace_blocks(eng.c, m.gate_zones)
+    eng.init_all(_first_use_order(
+        [g for layer in schedule.layers for b in layer for g in b.gates] + schedule.residual))
 
-
-def schedule_tilt(c: Circuit, m: Machine) -> Trace:
-    return _schedule_passes(c, m, policy="tilt", pipelining=False)
-
-
-def _schedule_blocks(c: Circuit, m: Machine, *, pipelining: bool) -> Trace:
-    eng = _Engine(c, m, policy="plutarch", pipelining=pipelining)
-    schedule = extract_inplace_blocks(c, m.gate_zones)
-    max_parallel = schedule.max_parallel
-
-    order_items: list[tuple[str, list[Gate]]] = []
-    for layer in schedule.layers:
-        order_items.append(("layer", [g for b in layer for g in (b.pre_1q + (b.core_2q,) + b.post_1q)]))
-    if schedule.residual:
-        order_items.append(("residual", schedule.residual))
-    eng.init_all(_first_use_order(order_items))
-
-    explicit_measures: set[int] = set()
     # residual 1Q gates with no 2Q neighbors run first (dependency-legal)
-    if schedule.residual:
-        for batch in eng._phase_batches(schedule.residual):
-            if batch.kind is GateType.MEASURE:
-                explicit_measures.update(q for g in batch.gates for q in g.qubits)
-            eng._run_batch(batch)
+    for batch in eng._phase_batches(schedule.residual):
+        eng._run_batch(batch)
 
+    # every block layer fills at most all gate zones, so only shortcut
+    # sub-loops compete with 1-D moves, and a full-lap win is taken 1-D
+    mode = PlanMode.CIRCULATION_ALLOWED if m.layout.shortcuts else PlanMode.ONE_DIMENSIONAL
     prev_layer_qubits: set[int] = set()
     prev_work = 0.0
     for layer in schedule.layers:
         targets = [b.qubits for b in layer]
-        # circulation allowed only below full block parallelism; shortcut
-        # sub-loops always compete
-        if m.gate_zones >= max_parallel and not m.layout.shortcuts:
-            mode = PlanMode.ONE_DIMENSIONAL
-        else:
-            mode = PlanMode.CIRCULATION_ALLOWED
         plan = plan_reorder(eng.state, targets, m.layout, mode, eng.t)
-        if plan.path_id == 0 and m.gate_zones >= max_parallel:
-            # the full lap does not pay at full block parallelism: take the
-            # same ops one-dimensionally
+        if plan.path_id == 0:
             plan = plan.one_dimensional()
 
-        layer_qubits = {q for b in layer for g in (b.pre_1q + (b.core_2q,) + b.post_1q) for q in g.qubits}
-        if pipelining and not (layer_qubits & prev_layer_qubits):
+        layer_qubits = {q for b in layer for g in b.gates for q in g.qubits}
+        if eng.pipelining and not (layer_qubits & prev_layer_qubits):
             # realignment of a disjoint cohort hides under previous gating
             charge = max(0.0, plan.time - prev_work)
             start = eng.cursor - (plan.time - charge)
@@ -373,20 +345,13 @@ def _schedule_blocks(c: Circuit, m: Machine, *, pipelining: bool) -> Trace:
         else:
             eng._apply_plan_events(plan, hidden_under_lap=False)
 
-        layer_start = eng.cursor
-        eng.pass_start = layer_start
-        eng.pass_first_batch_end = 0.0
-        eng._stream(active_pairs=len(layer), gather=INPLACE_GATHER_FACTOR)
-        _run_block_layer(eng, layer, explicit_measures)
-        prev_work = eng.cursor - layer_start
+        eng._begin_pass(active_pairs=len(layer), gather=INPLACE_GATHER_FACTOR)
+        _run_block_layer(eng, layer)
+        prev_work = eng.cursor - eng.pass_start
         prev_layer_qubits = layer_qubits
 
-    eng.measure_all(explicit_measures)
-    eng.trace.validate()
-    return eng.trace
 
-
-def _run_block_layer(eng: _Engine, layer: list[Block], explicit_measures: set[int]):
+def _run_block_layer(eng: _Engine, layer: list[Block]):
     """Split / left 1Q / shift / right 1Q / combine / 2Q / post mirror."""
     t = eng.t
     pair_left = {}
@@ -397,8 +362,7 @@ def _run_block_layer(eng: _Engine, layer: list[Block], explicit_measures: set[in
         pair_right[b] = crystal.qubits[1] if crystal.is_pair else crystal.qubits[0]
 
     def run_1q_wave(selector) -> None:
-        has_any = any(selector(b) for b in layer)
-        if not has_any:
+        if not any(selector(b) for b in layer):
             return
         eng._emit(EventKind.REORDER, eng.cursor, t.split_or_combine,
                   payload={"ops": {"split": len(layer)}})
@@ -411,33 +375,27 @@ def _run_block_layer(eng: _Engine, layer: list[Block], explicit_measures: set[in
                           payload={"intra": True})
                 eng.cursor += t.intra_zone_shift
             for batch in eng._phase_batches(side):
-                if batch.kind is GateType.MEASURE:
-                    explicit_measures.update(q for g in batch.gates for q in g.qubits)
                 eng._run_batch(batch)
         eng._emit(EventKind.REORDER, eng.cursor, t.split_or_combine,
                   payload={"ops": {"combine": len(layer)}})
         eng.cursor += t.split_or_combine
 
     run_1q_wave(lambda b: b.pre_1q)
-    two_q = [b.core_2q for b in layer]
-    eng._run_batch(eng._make_batch(two_q[0].kind, two_q, len(two_q)))
+    eng._run_batch([b.core_2q for b in layer])
     run_1q_wave(lambda b: b.post_1q)
 
 
-def schedule_plutarch(c: Circuit, m: Machine, flags: PolicyFlags | None = None) -> Trace:
-    flags = flags or PolicyFlags()
-    if not flags.pipelining and not flags.inplace_blocks:
-        return schedule_rolodex(c, m)
-    if not flags.inplace_blocks:
-        return _schedule_passes(c, m, policy="rolodex", pipelining=True)
-    return _schedule_blocks(c, m, pipelining=flags.pipelining)
-
-
 def schedule(c: Circuit, m: Machine, policy: str, flags: PolicyFlags | None = None) -> Trace:
-    if policy == "rolodex":
-        return schedule_rolodex(c, m)
-    if policy == "tilt":
-        return schedule_tilt(c, m)
-    if policy == "plutarch":
-        return schedule_plutarch(c, m, flags)
-    raise ValueError(f"unknown policy {policy!r}")
+    """Schedule a native circuit under one config (see the module docstring).
+
+    `flags` applies to "plutarch" only; "rolodex" and "tilt" take None.
+    """
+    transition, pipelining = _policy(policy, flags)
+    eng = _Engine(c, m, transition, pipelining)
+    if transition is _Transition.IN_PLACE:
+        _schedule_blocks(eng)
+    else:
+        _schedule_passes(eng)
+    eng.measure_all()
+    eng.trace.validate()
+    return eng.trace

@@ -78,9 +78,6 @@ class Trace:
     def transport_events(self) -> int:
         return sum(int(e.payload.get("transports", 0)) for e in self.events)
 
-    def sorted_events(self) -> list[TraceEvent]:
-        return sorted(self.events, key=lambda e: (e.t_start, e.t_end))
-
     def validate(self) -> None:
         """Zone-lane events are mutually exclusive; no qubit is touched by
         two overlapping events; all times are sane."""
@@ -104,14 +101,3 @@ class Trace:
                 if set(x.qubits) & set(e.qubits):
                     raise ValueError(f"qubit overlap between {x} and {e}")
             active.append(e)
-
-    def gate_order_per_qubit(self) -> dict[int, list[int]]:
-        """Gate ids per qubit in start-time order (for dependency checks)."""
-        out: dict[int, list[int]] = {}
-        for e in self.sorted_events():
-            if e.kind in (EventKind.GATE_1Q, EventKind.GATE_2Q):
-                per_gate = e.payload.get("gate_qubits", {})
-                for gid in e.payload.get("gate_ids", ()):
-                    for q in per_gate.get(gid, e.qubits):
-                        out.setdefault(q, []).append(gid)
-        return out

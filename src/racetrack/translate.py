@@ -71,17 +71,18 @@ def translate_to_native(c: Circuit, expand_rzz: bool = False) -> Circuit:
     return build_dag(out, c.width)
 
 
-def extract_2q_layers(c: Circuit) -> list[list[Gate]]:
-    """Partition the 2Q gates into maximal same-kind qubit-disjoint layers.
+def extract_2q_layers(c: Circuit, cap: int | None = None) -> list[list[Gate]]:
+    """Partition the 2Q gates into same-kind qubit-disjoint layers.
 
     A gate enters a layer once all of its 2Q predecessors (via shared
     qubits, 1Q gates transparent) are in earlier layers.  Within the ready
     set, the layer takes the kind of the earliest ready gate in program
-    order; gates in a layer are sorted by lowest qubit index.
+    order, sorts the ready gates of that kind by lowest qubit index and
+    keeps the first `cap` of them (all without a cap); the rest stay ready.
     """
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be >= 1")
     two_q = [g for g in c.gates if g.is_2q]
-    if not two_q:
-        return []
     # Per-qubit sequences of 2Q gates give the 2Q-projected precedence.
     pred_count: dict[int, int] = {g.id: 0 for g in two_q}
     succs: dict[int, list[int]] = {g.id: [] for g in two_q}
@@ -98,15 +99,17 @@ def extract_2q_layers(c: Circuit) -> list[list[Gate]]:
     layers: list[list[Gate]] = []
     while ready:
         kind = by_id[ready[0]].kind
-        taken = [gid for gid in ready if by_id[gid].kind is kind]
-        ready = [gid for gid in ready if by_id[gid].kind is not kind]
-        for gid in taken:
-            for s in succs[gid]:
+        layer = sorted((by_id[gid] for gid in ready if by_id[gid].kind is kind),
+                       key=lambda g: min(g.qubits))[:cap]
+        taken = {g.id for g in layer}
+        ready = [gid for gid in ready if gid not in taken]
+        for g in layer:
+            for s in succs[g.id]:
                 pred_count[s] -= 1
                 if pred_count[s] == 0:
                     ready.append(s)
         ready.sort(key=order.get)
-        layers.append(sorted((by_id[g] for g in taken), key=lambda g: min(g.qubits)))
+        layers.append(layer)
     return layers
 
 

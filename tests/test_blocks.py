@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from racetrack.blocks import extract_inplace_blocks
 from racetrack.circuit import build_dag
 from racetrack.gates import Gate, GateType
-from racetrack.translate import translate_to_native
+from racetrack.translate import extract_2q_layers, translate_to_native
 from test_circuit_ir import UNITARY_KINDS, circuits
 
 native_circuits = circuits(
@@ -94,3 +94,37 @@ def test_zone_count_must_be_positive():
     c = build_dag([Gate(0, GateType.ZZ, (0, 1))], 2)
     with pytest.raises(ValueError):
         extract_inplace_blocks(c, 0)
+
+
+def reference_layers(c, cap):
+    """2Q layers by rescanning: each layer recomputes the ready set from
+    scratch (a 2Q gate is ready once no earlier unplaced 2Q gate shares a
+    qubit), takes the kind of the earliest ready gate in program order,
+    and keeps the `cap` ready gates of that kind with the lowest qubits."""
+    remaining = [g for g in c.gates if g.is_2q]
+    layers = []
+    while remaining:
+        ready = [g for i, g in enumerate(remaining)
+                 if not any(set(g.qubits) & set(h.qubits) for h in remaining[:i])]
+        same = [g for g in ready if g.kind is ready[0].kind]
+        layer = sorted(same, key=lambda g: min(g.qubits))[:cap]
+        layers.append([g.id for g in layer])
+        placed = set(layers[-1])
+        remaining = [g for g in remaining if g.id not in placed]
+    return layers
+
+
+@settings(max_examples=150, deadline=None)
+@given(native_circuits, st.sampled_from([None, 1, 2, 3, 4, 5, 6, 7, 8]))
+def test_2q_layers_match_a_rescan(c, cap):
+    layers = extract_2q_layers(c, cap)
+    assert [[g.id for g in layer] for layer in layers] == reference_layers(c, cap)
+    if cap is not None:
+        cores = [[b.core_2q for b in layer] for layer in extract_inplace_blocks(c, cap).layers]
+        assert cores == layers
+
+
+def test_cap_must_be_positive():
+    c = build_dag([Gate(0, GateType.ZZ, (0, 1))], 2)
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        extract_2q_layers(c, 0)

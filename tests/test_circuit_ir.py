@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import circuit_unitary, phase_aligned_distance
-from racetrack.circuit import build_dag, serialize, topological_layers, validate_topology
+from racetrack.circuit import build_dag, topological_layers, validate_topology
 from racetrack.gates import Gate, GateType, angles_close, canonical_angle
 from racetrack.textio import circuit_from_qasm, circuit_from_text, circuit_to_text
 from racetrack.translate import extract_2q_layers, one_qubit_phases, translate_to_native
@@ -136,7 +136,7 @@ class TestBuildDag:
             g(5, GateType.CX, 2, 3),
         ]
         c1 = build_dag(gates, 4)
-        c2 = build_dag(serialize(c1), 4)
+        c2 = build_dag(list(c1.gates), 4)
         assert c1.edges == c2.edges
         validate_topology(c1)
 

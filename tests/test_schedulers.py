@@ -1,6 +1,7 @@
-"""Closed-form spans of the five policy configs on one ZZ at one gate zone.
+"""The five policy configs: closed-form spans on one ZZ at one gate zone,
+and the batch and stream durations each config charges on random circuits.
 
-Each expected span is the sum of the TimingParams fields the scheduler
+Each expected one-ZZ span is the sum of the TimingParams fields the scheduler
 charges on its critical path, read from schedulers.py:
 
 * both qubits initialise in their own batch (k=1): 2 * init_batch;
@@ -13,13 +14,20 @@ charges on its critical path, read from schedulers.py:
 The qubits start paired, so no config reorders.  With pipelining the
 stream overlaps the second init batch and drops out of the span.
 """
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from racetrack.blocks import extract_inplace_blocks
 from racetrack.circuit import build_dag
 from racetrack.gates import Gate, GateType
 from racetrack.machine import make_machine
 from racetrack.schedulers import INPLACE_GATHER_FACTOR, PolicyFlags, schedule
 from racetrack.trace import EventKind
+from racetrack.translate import extract_2q_layers, one_qubit_phases, translate_to_native
+from test_blocks import native_circuits
 
 M = make_machine(1)
 T = M.timing
@@ -72,3 +80,70 @@ def test_event_lanes():
              "transport": {EventKind.SHUTTLE, EventKind.REORDER, EventKind.CIRCULATE}}
     for kind in EventKind:
         assert [lane for lane, kinds in lanes.items() if kind in kinds] == [kind.lane]
+
+
+@pytest.mark.parametrize("policy", ["rolodex", "tilt"])
+def test_fixed_policies_take_no_flags(policy):
+    with pytest.raises(ValueError, match=policy):
+        schedule(one_zz(), M, policy, PolicyFlags())
+
+
+def test_one_gate_per_slot():
+    """q0 and q1 start as one paired crystal.  Block mode runs their
+    residual U1q and Rz in that one slot, a gate at a time; pass mode
+    splits the pair first, so each wave takes both."""
+    c = translate_to_native(build_dag([Gate(0, GateType.H, (0,)), Gate(1, GateType.H, (1,))], 2))
+    m = make_machine(2)
+    for policy, sizes in (("plutarch", [1, 1, 1, 1]), ("rolodex", [2, 2])):
+        tr = schedule(c, m, policy)
+        assert [len(e.payload["gate_ids"]) for e in tr.of_kind(EventKind.GATE_1Q)] == sizes
+
+
+MACHINES = {
+    "k1": make_machine(1),
+    "k4": make_machine(4),
+    "k8": make_machine(8),
+    "k8sc": make_machine(8, shortcuts=(0.5,)),
+}
+
+
+def events(tr):
+    return [(e.t_start, e.duration, e.kind, e.zones_busy, e.qubits, e.payload) for e in tr.events]
+
+
+@settings(max_examples=60, deadline=None)
+@given(native_circuits, st.sampled_from(sorted(MACHINES)))
+def test_plutarch_without_pipelining_or_blocks_is_rolodex(c, machine):
+    m = MACHINES[machine]
+    assert (events(schedule(c, m, "plutarch", PolicyFlags(False, False)))
+            == events(schedule(c, m, "rolodex")))
+
+
+def stream_durations(c, m, config):
+    """What each pass stream costs under the config's transition."""
+    k, shift = m.gate_zones, m.timing.inter_zone_shift
+    if config == "plutarch" or config == "plutarch-nopipe":
+        layers = extract_inplace_blocks(c, k).layers
+        return [(INPLACE_GATHER_FACTOR * k + len(layer)) * shift for layer in layers]
+    layers = extract_2q_layers(c)
+    n_passes = len(layers) + sum(1 for phase in one_qubit_phases(c, layers) if phase)
+    per_pass = (c.width - 1 if config == "tilt" else k + math.ceil(c.width / 2)) * shift
+    return [per_pass] * n_passes
+
+
+@settings(max_examples=100, deadline=None)
+@given(native_circuits, st.sampled_from(sorted(MACHINES)), st.sampled_from(sorted(CONFIGS)))
+def test_batches_and_streams_last_what_the_config_charges(c, machine, config):
+    m = MACHINES[machine]
+    t = m.timing
+    policy, flags = CONFIGS[config]
+    tr = schedule(c, m, policy, flags)
+    for e in tr.of_kind(EventKind.GATE_1Q):
+        ids = e.payload["gate_ids"]
+        qubits = [q for gid in ids for q in e.payload["gate_qubits"][gid]]
+        assert len(ids) <= m.gate_zones
+        assert len(qubits) == len(set(qubits))
+        assert e.duration == t.one_q_gate
+    assert all(e.duration == t.two_q_gate for e in tr.of_kind(EventKind.GATE_2Q))
+    streams = [e.duration for e in tr.of_kind(EventKind.SHUTTLE) if e.payload.get("pass_stream")]
+    assert streams == stream_durations(c, m, config)
