@@ -215,14 +215,6 @@ def apply_reorder(s: IonState, op: ReorderOp, t: TimingParams = TimingParams()) 
     return replace(s, crystals=tuple(cs)), dt
 
 
-def apply_plan(s: IonState, plan: list[ReorderOp], t: TimingParams = TimingParams()) -> tuple[IonState, float]:
-    total = 0.0
-    for op in plan:
-        s, dt = apply_reorder(s, op, t)
-        total += dt
-    return s, total
-
-
 @lru_cache(maxsize=16)
 def reorder_durations(t: TimingParams) -> Mapping[str, float]:
     """The duration of every reorder primitive under `t`, keyed by tag
@@ -236,16 +228,3 @@ def reorder_durations(t: TimingParams) -> Mapping[str, float]:
         ReorderTag.INTER_SHIFT.value: t.inter_zone_shift,
         PAIR_EXCHANGE.value: t.pair_exchange,
     })
-
-
-def reorder_time(counts: dict[str, int], t: TimingParams = TimingParams()) -> float:
-    """Total reordering time for op counts keyed by ReorderTag values."""
-    cost = reorder_durations(t)
-    total = 0.0
-    for name, n in counts.items():
-        if name not in cost:
-            raise ValueError(f"unknown reorder op {name!r}")
-        if n < 0:
-            raise ValueError("op counts must be non-negative")
-        total += n * cost[name]
-    return total

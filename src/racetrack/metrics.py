@@ -1,5 +1,9 @@
 """Runtime breakdown, zone utilization, analytic fidelity accounting, and
-end-to-end training-time projection over a Trace."""
+end-to-end training-time projection over a Trace.
+
+Each of the three trace metrics reads the trace once: it tests event kinds
+by identity and computes an event's end as `t_start + duration` in place.
+"""
 from __future__ import annotations
 
 import math
@@ -8,6 +12,15 @@ from dataclasses import dataclass
 
 from .machine import FidelityParams
 from .trace import EventKind, Trace
+
+# members as module globals: reading one off the Enum class per event is slow
+INIT = EventKind.INIT
+GATE_1Q = EventKind.GATE_1Q
+GATE_2Q = EventKind.GATE_2Q
+COOL = EventKind.COOL
+SHUTTLE = EventKind.SHUTTLE
+REORDER = EventKind.REORDER
+CIRCULATE = EventKind.CIRCULATE
 
 
 @dataclass(frozen=True)
@@ -76,56 +89,84 @@ class _Coverage:
 
 def runtime_breakdown(tr: Trace) -> RuntimeBreakdown:
     """Sum event durations by category.  Circulation time concurrent with
-    zone-lane work or reordering counts as hidden, not as circulation."""
-    init = sum(e.duration for e in tr.of_kind(EventKind.INIT))
-    gate_cooling = sum(
-        e.duration for e in tr.of_kind(EventKind.GATE_1Q, EventKind.GATE_2Q, EventKind.COOL)
-    )
-    shift = sum(e.duration for e in tr.of_kind(EventKind.SHUTTLE, EventKind.REORDER))
-    measure = sum(e.duration for e in tr.of_kind(EventKind.MEASURE))
-    busy = [
-        (e.t_start, e.t_end)
-        for e in tr.events
-        if e.kind in (EventKind.GATE_1Q, EventKind.GATE_2Q, EventKind.COOL,
-                      EventKind.REORDER, EventKind.SHUTTLE)
-    ]
-    circulating = tr.of_kind(EventKind.CIRCULATE)
+    zone-lane work or reordering counts as hidden, not as circulation.
+
+    Reads the trace once.  Each category's durations are collected in
+    event order and added with `sum`: from Python 3.12 on, `sum`
+    compensates float rounding, which a running `+=` would not.
+    """
+    init: list[float] = []
+    gate_cooling: list[float] = []
+    shift: list[float] = []
+    measure: list[float] = []
+    busy: list[tuple[float, float]] = []
+    circulating: list[tuple[float, float, float]] = []
+    prep: list[tuple[float, float]] = []
+    events = tr.events
+    span = events[0].t_start + events[0].duration if events else 0.0
+    for e in events:
+        kind = e.kind
+        start = e.t_start
+        duration = e.duration
+        end = start + duration
+        if end > span:
+            span = end
+        if kind is GATE_1Q or kind is GATE_2Q or kind is COOL:
+            gate_cooling.append(duration)
+            busy.append((start, end))
+        elif kind is SHUTTLE or kind is REORDER:
+            shift.append(duration)
+            busy.append((start, end))
+        elif kind is CIRCULATE:
+            circulating.append((start, end, duration))
+        else:
+            (init if kind is INIT else measure).append(duration)
+            prep.append((start, end))
     busy_cover = _Coverage(busy)
     circulation = 0.0
     hidden = 0.0
-    for e in circulating:
-        covered = busy_cover.overlap(e.t_start, e.t_end)
-        circulation += e.duration - covered
+    for start, end, duration in circulating:
+        covered = busy_cover.overlap(start, end)
+        circulation += duration - covered
         hidden += covered
     # overlapped prep time (pipelined init/measure) is also hidden
-    zone_cover = _Coverage(busy + [(e.t_start, e.t_end) for e in circulating])
-    for e in tr.of_kind(EventKind.INIT, EventKind.MEASURE):
-        hidden += zone_cover.overlap(e.t_start, e.t_end)
+    zone_cover = _Coverage(busy + [(start, end) for start, end, _ in circulating])
+    for start, end in prep:
+        hidden += zone_cover.overlap(start, end)
     return RuntimeBreakdown(
-        init=init,
-        gate_cooling=gate_cooling,
-        shift_swap_split=shift,
+        init=sum(init),
+        gate_cooling=sum(gate_cooling),
+        shift_swap_split=sum(shift),
         circulation=circulation,
-        measure=measure,
+        measure=sum(measure),
         hidden=hidden,
-        total_span=tr.span,
+        total_span=span,
     )
 
 
 def zone_utilization(tr: Trace, k: int | None = None) -> float:
     """Time-weighted percentage of gate zones engaged in gate application
-    or cooling, averaged over the union of busy intervals."""
+    or cooling, averaged over the union of busy intervals.  Reads the trace
+    once."""
     k = k if k is not None else tr.gate_zones
     if k < 1:
         raise ValueError("need at least one gate zone")
-    events = tr.of_kind(EventKind.GATE_1Q, EventKind.GATE_2Q, EventKind.COOL)
-    if not events:
+    busy: list[tuple[float, float]] = []
+    zone_us: list[float] = []
+    for e in tr.events:
+        kind = e.kind
+        if kind is GATE_1Q or kind is GATE_2Q or kind is COOL:
+            start = e.t_start
+            duration = e.duration
+            busy.append((start, start + duration))
+            zones = e.zones_busy
+            zone_us.append((k if k < zones else zones) * duration)
+    if not busy:
         return 0.0
-    window = _union_length([(e.t_start, e.t_end) for e in events])
+    window = _union_length(busy)
     if window <= 0.0:
         return 0.0
-    weighted = sum(min(e.zones_busy, k) * e.duration for e in events)
-    return 100.0 * weighted / (k * window)
+    return 100.0 * sum(zone_us) / (k * window)
 
 
 @dataclass(frozen=True)
@@ -169,12 +210,25 @@ class FidelityLedger:
 def fidelity_report(tr: Trace, f: FidelityParams = FidelityParams()) -> FidelityLedger:
     """Multiplicative error budget: per-gate RB and leakage terms, one
     transport RB event per inter-pair exchange or curved-electrode passage,
-    one SPAM term per qubit, and exponential T1 decay over the span."""
-    n_1q = tr.gate_count_1q()
-    n_2q = tr.gate_count_2q()
-    n_transport = tr.transport_events()
+    one SPAM term per qubit, and exponential T1 decay over the span.  Reads
+    the trace once."""
+    n_1q = n_2q = n_transport = 0
+    events = tr.events
+    span = events[0].t_start + events[0].duration if events else 0.0
+    for e in events:
+        end = e.t_start + e.duration
+        if end > span:
+            span = end
+        payload = e.payload
+        if payload:
+            kind = e.kind
+            if kind is GATE_1Q:
+                n_1q += len(payload.get("gate_ids", ()))
+            elif kind is GATE_2Q:
+                n_2q += len(payload.get("gate_ids", ()))
+            n_transport += int(payload.get("transports", 0))
     n_qubits = tr.width
-    runtime_s = tr.span * 1e-6
+    runtime_s = span * 1e-6
     f_1q = ((1.0 - f.inf_1q_rb) * (1.0 - f.inf_1q_leak)) ** n_1q
     f_2q = ((1.0 - f.inf_2q_rb) * (1.0 - f.inf_2q_leak)) ** n_2q
     f_transport = (1.0 - f.inf_transport) ** n_transport

@@ -23,16 +23,16 @@ is marked stale from there.  A lookup trusts a stored index whose crystal
 still holds the qubit; otherwise it reindexes the stale tail up to the
 qubit's crystal.  The final `IonState` is frozen once per plan, which
 builds its index and runs its duplicate check once; the ops are not
-replayed.  `apply_plan(s, plan.ops)` gives the same final state, and the
-tests hold the planner to that.
+replayed.  Replaying them one at a time through `ions.apply_reorder` gives
+the same final state, and the tests hold the planner to that.
 
 This module is the only place a plan is costed.  Each cost is computed
-once per plan and carried on the `ReorderPlan`, and the schedulers read
-those fields instead of staging the ops again.
+once per plan, in one walk over its ops, and carried on the
+`ReorderPlan`; the schedulers read those fields instead of staging the
+ops again.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -134,7 +134,10 @@ def staged_time(
 ) -> float:
     """Serialize ops into stages: ops touching disjoint crystal slots run
     in parallel, at most `zones` per stage; a stage costs its longest op.
-    An op at index i occupies slots i and i + 1 (bits of `busy`)."""
+    An op at index i occupies slots i and i + 1 (bits of `busy`).
+
+    `_costed` stages every plan by this rule in one walk; this function is
+    the rule on its own, which the tests hold the planner's costs to."""
     durations = reorder_durations(t)
     cap = max(1, zones)
     total = 0.0
@@ -157,17 +160,59 @@ def staged_time(
 
 def _costed(
     ops: list[ReorderOp], final: IonState, layout: TrackLayout, t: TimingParams
-) -> ReorderPlan:
-    """The one-dimensional plan of `ops`, with every cost a plan carries."""
-    counts = Counter(op.tag._value_ for op in ops)
-    regroup = [op for op in ops if op.tag is not PAIR_EXCHANGE]
-    time_1d = staged_time(ops, layout.gate_zones, t)
-    return ReorderPlan(
+) -> tuple[ReorderPlan, float]:
+    """The one-dimensional plan of `ops`, with every cost a plan carries,
+    and the staged time of its exchanges over the reorder zones (what a
+    circulation hides).
+
+    One walk counts the ops and stages three sequences the way
+    `staged_time` stages each: all ops over the gate zones, the
+    non-exchange ops over the reorder zones, and the exchanges over the
+    reorder zones.  A stager holds its closed stages' total, the slots its
+    open stage occupies, that stage's longest op and its op count.
+    """
+    durations = reorder_durations(t)
+    gate_cap = max(1, layout.gate_zones)
+    reorder_cap = max(1, layout.reorder_zones)
+    counts: dict[str, int] = {}
+    all_total, all_busy, all_max, all_n = 0.0, 0, 0.0, 0
+    reg_total, reg_busy, reg_max, reg_n = 0.0, 0, 0.0, 0
+    ex_total, ex_busy, ex_max, ex_n = 0.0, 0, 0.0, 0
+    for op in ops:
+        tag = op.tag
+        value = tag._value_
+        counts[value] = counts.get(value, 0) + 1
+        d = durations[value]
+        slots = 3 << op.index
+        if all_n >= gate_cap or all_busy & slots:
+            all_total += all_max
+            all_busy, all_max, all_n = 0, 0.0, 0
+        all_busy |= slots
+        if d > all_max:
+            all_max = d
+        all_n += 1
+        if tag is PAIR_EXCHANGE:
+            if ex_n >= reorder_cap or ex_busy & slots:
+                ex_total += ex_max
+                ex_busy, ex_max, ex_n = 0, 0.0, 0
+            ex_busy |= slots
+            if d > ex_max:
+                ex_max = d
+            ex_n += 1
+        else:
+            if reg_n >= reorder_cap or reg_busy & slots:
+                reg_total += reg_max
+                reg_busy, reg_max, reg_n = 0, 0.0, 0
+            reg_busy |= slots
+            if d > reg_max:
+                reg_max = d
+            reg_n += 1
+    time_1d = all_total + all_max
+    plan = ReorderPlan(
         ops=tuple(ops), path_id=None, time=time_1d, hidden_time=0.0, final=final,
-        time_1d=time_1d,
-        regroup_time=staged_time(regroup, layout.reorder_zones, t),
-        op_counts=tuple(counts.items()),
+        time_1d=time_1d, regroup_time=reg_total + reg_max, op_counts=tuple(counts.items()),
     )
+    return plan, ex_total + ex_max
 
 
 def _pair_sets(crystals) -> set[frozenset[int]]:
@@ -314,7 +359,7 @@ def plan_reorder(
         work = _Arrangement(s)
         ops = _fallback_plan(work, targets)
     # plans emit no shifts, so the position carries over
-    plan = _costed(ops, IonState(tuple(work.crystals), s.position), layout, t)
+    plan, exchange_time = _costed(ops, IonState(tuple(work.crystals), s.position), layout, t)
     if mode is PlanMode.ONE_DIMENSIONAL:
         return plan
     candidates = [(plan.time, -1)] + [
@@ -324,25 +369,20 @@ def plan_reorder(
     charged, path = min(candidates)
     if path == -1:
         return plan
-    positional = [o for o in ops if o.tag is PAIR_EXCHANGE]
-    return replace(
-        plan, path_id=path, time=charged,
-        hidden_time=staged_time(positional, layout.reorder_zones, t),
-    )
+    return replace(plan, path_id=path, time=charged, hidden_time=exchange_time)
 
 
 def split_all_plan(s: IonState, layout: TrackLayout, t: TimingParams = TimingParams()) -> ReorderPlan:
-    """Split every pair, left to right; each SPLIT's index counts the
-    singles the earlier splits made."""
+    """Split every pair, left to right, in one walk; each SPLIT's index
+    counts the singles the earlier splits made."""
     ops = []
-    crystals = list(s.crystals)
-    i = 0
-    while i < len(crystals):
-        if crystals[i].is_pair:
-            op = ReorderOp(SPLIT, operands=crystals[i].qubits, index=i)
-            reorder_in_place(crystals, op, t)
-            ops.append(op)
-            i += 2
+    crystals: list[Crystal] = []
+    for c in s.crystals:
+        qs = c.qubits
+        if len(qs) == 2:
+            ops.append(ReorderOp(SPLIT, qs, len(crystals)))
+            crystals.append(Crystal((qs[0],), True))
+            crystals.append(Crystal((qs[1],), False))
         else:
-            i += 1
-    return _costed(ops, IonState(tuple(crystals), s.position), layout, t)
+            crystals.append(c)
+    return _costed(ops, IonState(tuple(crystals), s.position), layout, t)[0]

@@ -103,8 +103,15 @@ class _Engine:
         ev = TraceEvent(start, duration, kind, zones, qubits, payload or {})
         return self.trace.add(ev)
 
-    def _ready(self, qubits) -> float:
-        return max((self.qubit_ready.get(q, 0.0) for q in qubits), default=0.0)
+    def _ready(self, qubits, start: float) -> float:
+        """`start`, or the latest ready time of `qubits` if that is later
+        (times are never negative)."""
+        ready = self.qubit_ready
+        for q in qubits:
+            r = ready.get(q, 0.0)
+            if r > start:
+                start = r
+        return start
 
     # -- initialization / measurement -------------------------------------
 
@@ -132,7 +139,7 @@ class _Engine:
         start = self.cursor if not self.pipelining else max(self.cursor, self.prep_cursor)
         for b in range(math.ceil(len(rest) / self.k) if rest else 0):
             qs = tuple(rest[b * self.k : (b + 1) * self.k])
-            begin = max(start, self._ready(qs))
+            begin = self._ready(qs, start)
             self._emit(EventKind.MEASURE, begin, self.t.measure_batch, qubits=qs)
             start = begin + self.t.measure_batch
         self.cursor = max(self.cursor, start)
@@ -181,11 +188,11 @@ class _Engine:
         """
         kind, t = gates[0].kind, self.t
         qs = tuple(sorted({q for g in gates for q in g.qubits}))
-        start = max(self.cursor, self._ready(qs)) if self.pipelining else self.cursor
+        start = self._ready(qs, self.cursor) if self.pipelining else self.cursor
         payload = {
             "gate_ids": [g.id for g in gates],
             "gate_qubits": {g.id: g.qubits for g in gates},
-            "kind": kind.value,
+            "kind": kind._value_,   # `.value` is a Python-level property
         }
         if kind is GateType.INIT:
             event, dur, cool = EventKind.INIT, t.init_batch, None
@@ -354,21 +361,22 @@ def _schedule_blocks(eng: _Engine) -> None:
 def _run_block_layer(eng: _Engine, layer: list[Block]):
     """Split / left 1Q / shift / right 1Q / combine / 2Q / post mirror."""
     t = eng.t
-    pair_left = {}
-    pair_right = {}
+    # each block's left and right ion, by position: a dict keyed by the
+    # frozen Block would hash every gate of the block per lookup
+    sides = []
     for b in layer:
         crystal = eng.state.crystals[eng.state.crystal_index[b.qubits[0]]]
-        pair_left[b] = crystal.qubits[0]
-        pair_right[b] = crystal.qubits[1] if crystal.is_pair else crystal.qubits[0]
+        qs = crystal.qubits
+        sides.append((qs[0], qs[-1]))
 
-    def run_1q_wave(selector) -> None:
-        if not any(selector(b) for b in layer):
+    def run_1q_wave(chains: list[tuple[Gate, ...]]) -> None:
+        if not any(chains):
             return
         eng._emit(EventKind.REORDER, eng.cursor, t.split_or_combine,
                   payload={"ops": {"split": len(layer)}})
         eng.cursor += t.split_or_combine
-        left = [g for b in layer for g in selector(b) if g.qubits[0] == pair_left[b]]
-        right = [g for b in layer for g in selector(b) if g.qubits[0] == pair_right[b]]
+        left = [g for chain, (lq, _) in zip(chains, sides) for g in chain if g.qubits[0] == lq]
+        right = [g for chain, (_, rq) in zip(chains, sides) for g in chain if g.qubits[0] == rq]
         for i, side in enumerate((left, right)):
             if i == 1 and (left or right):
                 eng._emit(EventKind.SHUTTLE, eng.cursor, t.intra_zone_shift,
@@ -380,9 +388,9 @@ def _run_block_layer(eng: _Engine, layer: list[Block]):
                   payload={"ops": {"combine": len(layer)}})
         eng.cursor += t.split_or_combine
 
-    run_1q_wave(lambda b: b.pre_1q)
+    run_1q_wave([b.pre_1q for b in layer])
     eng._run_batch([b.core_2q for b in layer])
-    run_1q_wave(lambda b: b.post_1q)
+    run_1q_wave([b.post_1q for b in layer])
 
 
 def schedule(c: Circuit, m: Machine, policy: str, flags: PolicyFlags | None = None) -> Trace:

@@ -7,8 +7,10 @@ long as no qubit is touched by two events at once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 
 class EventKind(Enum):
@@ -50,6 +52,9 @@ class TraceEvent:
         return self.kind.lane
 
 
+_start = attrgetter("t_start")
+
+
 @dataclass
 class Trace:
     width: int
@@ -69,35 +74,43 @@ class Trace:
         # Python-level Enum.__hash__ once per event
         return [e for e in self.events if e.kind in kinds]
 
-    def gate_count_1q(self) -> int:
-        return sum(len(e.payload.get("gate_ids", ())) for e in self.of_kind(EventKind.GATE_1Q))
-
-    def gate_count_2q(self) -> int:
-        return sum(len(e.payload.get("gate_ids", ())) for e in self.of_kind(EventKind.GATE_2Q))
-
     def transport_events(self) -> int:
         return sum(int(e.payload.get("transports", 0)) for e in self.events)
 
     def validate(self) -> None:
         """Zone-lane events are mutually exclusive; no qubit is touched by
-        two overlapping events; all times are sane."""
+        two overlapping events; every start and duration is finite, no
+        duration is negative and no start is before 0 (with eps slack).
+
+        Reads the trace once, checking times and collecting the zone-lane
+        events and the events that touch qubits; then it checks each of
+        those lists in start order.
+        """
         eps = 1e-6
+        zone_events: list[TraceEvent] = []
+        touching: list[TraceEvent] = []
         for e in self.events:
-            if e.duration < 0 or e.t_start < -eps:
+            # the comparisons are false for NaN, and `< inf` rejects inf
+            if not (-eps <= e.t_start < math.inf and 0.0 <= e.duration < math.inf):
                 raise ValueError(f"bad event time: {e}")
-        zone_events = sorted(
-            (e for e in self.events if e.lane == "zones"), key=lambda e: e.t_start
-        )
-        for a, b in zip(zone_events, zone_events[1:]):
-            if b.t_start < a.t_end - eps:
-                raise ValueError(f"zone events overlap: {a} / {b}")
-        touching = sorted(
-            (e for e in self.events if e.qubits), key=lambda e: e.t_start
-        )
-        active: list[TraceEvent] = []
+            if e.kind.lane == "zones":
+                zone_events.append(e)
+            if e.qubits:
+                touching.append(e)
+        zone_events.sort(key=_start)
+        prev, prev_end = None, -math.inf
+        for e in zone_events:
+            if e.t_start < prev_end - eps:
+                raise ValueError(f"zone events overlap: {prev} / {e}")
+            prev, prev_end = e, e.t_start + e.duration
+        touching.sort(key=_start)
+        active: list[tuple[float, TraceEvent]] = []   # (end, event), in start order
         for e in touching:
-            active = [x for x in active if x.t_end > e.t_start + eps]
-            for x in active:
-                if set(x.qubits) & set(e.qubits):
-                    raise ValueError(f"qubit overlap between {x} and {e}")
-            active.append(e)
+            start = e.t_start + eps
+            active = [x for x in active if x[0] > start]
+            if active:
+                qubits = set(e.qubits)
+                for _, x in active:
+                    if not qubits.isdisjoint(x.qubits):
+                        raise ValueError(f"qubit overlap between {x} and {e}")
+            active.append((e.t_start + e.duration, e))

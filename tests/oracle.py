@@ -1,8 +1,12 @@
-"""Independent dense-matrix statevector oracle used only by the test suite.
+"""Oracles used only by the test suite.
 
-Gate matrices are written out from their defining exponentials, not taken
-from the package (which contains no unitaries at all), so equivalence
-checks are meaningful.
+An independent dense-matrix statevector oracle: gate matrices are written
+out from their defining exponentials, not taken from the package (which
+contains no unitaries at all), so equivalence checks are meaningful.
+
+A reorder replay: `apply_plan` runs a plan's ops one at a time through the
+immutable primitive `ions.apply_reorder`, and `reorder_time` totals op
+counts through the package's one duration table.
 """
 from __future__ import annotations
 
@@ -10,6 +14,8 @@ import numpy as np
 
 from racetrack.circuit import Circuit
 from racetrack.gates import Gate, GateType
+from racetrack.ions import IonState, ReorderOp, apply_reorder, reorder_durations
+from racetrack.machine import TimingParams
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -142,3 +148,25 @@ def pauli_expectation(state: np.ndarray, pauli: str) -> float:
         if p != "I":
             psi = _apply(psi, mats[p], (q,), n)
     return float(np.real(np.vdot(state, psi)))
+
+
+def apply_plan(s: IonState, plan: list[ReorderOp], t: TimingParams = TimingParams()) -> tuple[IonState, float]:
+    """Replay `plan` from `s`; returns the final arrangement and the ops' summed cost."""
+    total = 0.0
+    for op in plan:
+        s, dt = apply_reorder(s, op, t)
+        total += dt
+    return s, total
+
+
+def reorder_time(counts: dict[str, int], t: TimingParams = TimingParams()) -> float:
+    """Total reordering time for op counts keyed by ReorderTag values."""
+    cost = reorder_durations(t)
+    total = 0.0
+    for name, n in counts.items():
+        if name not in cost:
+            raise ValueError(f"unknown reorder op {name!r}")
+        if n < 0:
+            raise ValueError("op counts must be non-negative")
+        total += n * cost[name]
+    return total

@@ -1,18 +1,29 @@
-"""Runtime breakdown, zone utilization and the scalar helpers in metrics."""
+"""Runtime breakdown, zone utilization, the fidelity ledger, trace
+validation and the scalar helpers in metrics.
+
+The one-walk metrics and `Trace.validate` are held to the multi-walk
+reference bodies in `reference_metrics.py` on drawn traces and on
+scheduled ones.
+"""
 import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_metrics as ref
+from racetrack.machine import make_machine
 from racetrack.metrics import (
     _Coverage,
+    fidelity_report,
     geometric_mean,
     project_training_time,
     runtime_breakdown,
     zone_utilization,
 )
+from racetrack.schedulers import PolicyFlags, schedule
 from racetrack.trace import EventKind, Trace, TraceEvent
+from test_blocks import native_circuits
 
 interval = st.tuples(st.integers(0, 20), st.integers(0, 8)).map(lambda p: (p[0], p[0] + p[1]))
 
@@ -100,3 +111,115 @@ def test_geometric_mean():
     for bad in ([], [1.0, 0.0], [2.0, -1.0]):
         with pytest.raises(ValueError):
             geometric_mean(bad)
+
+
+# Times on a half-unit grid make events overlap, touch and have zero
+# length; the offsets straddle validate's 1e-6 slack on both sides, and a
+# few durations are negative.
+_offsets = st.sampled_from([0.0, 0.0, 0.0, 5e-7, -5e-7, 2e-6, -2e-6])
+_starts = st.builds(lambda units, offset: units / 2 + offset, st.integers(0, 24), _offsets)
+_durations = st.builds(lambda units, offset: units / 2 + offset, st.integers(-1, 16), _offsets)
+_payloads = st.fixed_dictionaries({}, optional={
+    "gate_ids": st.lists(st.integers(0, 40), max_size=4),
+    "transports": st.integers(0, 12),
+})
+
+
+@st.composite
+def traces(draw, max_events=12):
+    """A trace of up to `max_events` events of every kind, over k in 1..8
+    gate zones; a start or duration may be negative, which only
+    `validate` rejects."""
+    k = draw(st.integers(1, 8))
+    width = draw(st.integers(1, 6))
+    tr = Trace(width=width, gate_zones=k)
+    for _ in range(draw(st.integers(0, max_events))):
+        tr.add(TraceEvent(
+            draw(_starts),
+            draw(_durations),
+            draw(st.sampled_from(list(EventKind))),
+            draw(st.integers(0, k + 2)),
+            tuple(draw(st.lists(st.integers(0, width - 1), unique=True, max_size=3))),
+            draw(_payloads),
+        ))
+    return tr
+
+
+def _raised(check, tr):
+    """The message `check(tr)` raises, or None."""
+    try:
+        check(tr)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(traces(), st.one_of(st.none(), st.integers(1, 8)))
+def test_metrics_match_the_multi_walk_reference(tr, k):
+    assert runtime_breakdown(tr) == ref.runtime_breakdown(tr)
+    assert zone_utilization(tr, k) == ref.zone_utilization(tr, k)
+    assert fidelity_report(tr) == ref.fidelity_report(tr)
+
+
+@settings(max_examples=400, deadline=None)
+@given(traces())
+def test_validate_matches_the_multi_walk_reference(tr):
+    assert _raised(Trace.validate, tr) == _raised(ref.validate, tr)
+
+
+CONFIGS = [
+    ("rolodex", None), ("tilt", None), ("plutarch", None),
+    ("plutarch", PolicyFlags(pipelining=False)), ("plutarch", PolicyFlags(inplace_blocks=False)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(native_circuits, st.integers(1, 8), st.sampled_from([(), (0.5,)]),
+       st.sampled_from(CONFIGS))
+def test_scheduled_metrics_match_the_multi_walk_reference(c, k, shortcuts, config):
+    m = make_machine(k, shortcuts=shortcuts)
+    tr = schedule(c, m, *config)
+    assert runtime_breakdown(tr) == ref.runtime_breakdown(tr)
+    assert zone_utilization(tr) == ref.zone_utilization(tr)
+    assert fidelity_report(tr, m.fidelity) == ref.fidelity_report(tr, m.fidelity)
+
+
+def _one_event_trace(start, duration):
+    tr = Trace(width=1, gate_zones=1)
+    tr.add(TraceEvent(start, duration, EventKind.GATE_1Q, 1, (0,)))
+    return tr
+
+
+@pytest.mark.parametrize("start, duration", [
+    (0.0, -1.0),
+    (-1e-3, 1.0),
+    (math.nan, 1.0),
+    (0.0, math.nan),
+    (math.inf, 1.0),
+    (-math.inf, 1.0),
+    (0.0, math.inf),
+])
+def test_validate_rejects_bad_times(start, duration):
+    with pytest.raises(ValueError, match="bad event time"):
+        _one_event_trace(start, duration).validate()
+
+
+def test_validate_accepts_a_start_within_the_slack():
+    _one_event_trace(-1e-6, 0.0).validate()
+
+
+def test_validate_rejects_overlapping_zone_events():
+    tr = Trace(width=2, gate_zones=2)
+    tr.add(TraceEvent(0.0, 10.0, EventKind.GATE_1Q, 1, (0,)))
+    tr.add(TraceEvent(5.0, 10.0, EventKind.COOL, 1))
+    with pytest.raises(ValueError, match="zone events overlap"):
+        tr.validate()
+
+
+def test_validate_rejects_a_qubit_in_two_overlapping_events():
+    tr = Trace(width=2, gate_zones=2)
+    tr.add(TraceEvent(0.0, 10.0, EventKind.INIT, 0, (0, 1)))
+    tr.add(TraceEvent(5.0, 10.0, EventKind.MEASURE, 0, (1,)))
+    with pytest.raises(ValueError, match="qubit overlap"):
+        tr.validate()
