@@ -35,7 +35,56 @@ class Circuit:
 
 def build_dag(gates: list[Gate], width: int) -> Circuit:
     """Build a Circuit whose edge set is the transitive reduction of the
-    shared-qubit precedence order of `gates` (taken in program order)."""
+    shared-qubit precedence order of `gates` (taken in program order).
+
+    One walk over positions chains each gate to the last gate on each of
+    its qubits.  When those are two distinct gates, the edge from the
+    earlier is redundant iff it reaches the later; a DFS bounded to the
+    window (early, late] decides that at once, since every edge into that
+    window is already in `succs`.  Redundant edges are never recorded.
+    """
+    if width < 0:
+        raise ValueError(f"circuit width must be >= 0, got {width}")
+    ids = [g.id for g in gates]
+    if len(set(ids)) != len(ids):
+        _raise_first_fault(gates, width)
+    last_on = [-1] * width
+    succs: list[list[int]] = [[] for _ in ids]
+    try:
+        for i, g in enumerate(gates):
+            qs = g.qubits
+            a, b = qs[0], qs[-1]
+            early, late = last_on[a], last_on[b]
+            last_on[a] = last_on[b] = i
+            if early > late:
+                early, late = late, early
+            if late >= 0:
+                succs[late].append(i)
+                if 0 <= early < late and not _reaches(succs, early, late):
+                    succs[early].append(i)
+    except IndexError:  # a qubit at or past `width`
+        _raise_first_fault(gates, width)
+    edges = frozenset((ids[u], ids[v]) for u, vs in enumerate(succs) for v in vs)
+    return Circuit(width=width, gates=tuple(gates), edges=edges)
+
+
+def _reaches(succs: list[list[int]], src: int, dst: int) -> bool:
+    """True iff position `src` reaches `dst` through positions in (src, dst]."""
+    stack = [src]
+    seen = {src}
+    while stack:
+        for v in succs[stack.pop()]:
+            if v == dst:
+                return True
+            if v < dst and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return False
+
+
+def _raise_first_fault(gates: list[Gate], width: int) -> None:
+    """Raise for the first gate, in program order, with a repeated id or a
+    qubit out of range."""
     seen_ids: set[int] = set()
     for g in gates:
         if g.id in seen_ids:
@@ -46,73 +95,3 @@ def build_dag(gates: list[Gate], width: int) -> Circuit:
                 raise ValueError(
                     f"qubit index {q} out of range for width {width} (gate {g.id})"
                 )
-
-    order = {g.id: i for i, g in enumerate(gates)}
-    # Chain consecutive gates per qubit; this overcounts only when a gate
-    # pair shares two qubits with a 1Q gate in between on one of them.
-    last_on: dict[int, int] = {}
-    chain: set[tuple[int, int]] = set()
-    preds: dict[int, set[int]] = {g.id: set() for g in gates}
-    succs: dict[int, set[int]] = {g.id: set() for g in gates}
-    for g in gates:
-        for q in g.qubits:
-            if q in last_on:
-                u = last_on[q]
-                if (u, g.id) not in chain:
-                    chain.add((u, g.id))
-                    preds[g.id].add(u)
-                    succs[u].add(g.id)
-            last_on[q] = g.id
-
-    def reachable(src: int, dst: int) -> bool:
-        # DFS bounded to the program-order window (src, dst].
-        lo, hi = order[src], order[dst]
-        stack = [src]
-        seen = {src}
-        while stack:
-            u = stack.pop()
-            for v in succs[u]:
-                if v == dst:
-                    return True
-                if v not in seen and lo < order[v] < hi:
-                    seen.add(v)
-                    stack.append(v)
-        return False
-
-    # A chain edge (u, v) is redundant iff u reaches v's other predecessor.
-    # Gates have at most two qubits, hence at most two chain predecessors.
-    redundant: set[tuple[int, int]] = set()
-    for g in gates:
-        ps = sorted(preds[g.id], key=lambda x: order[x])
-        if len(ps) == 2:
-            early, late = ps
-            if reachable(early, late):
-                redundant.add((early, g.id))
-    edges = frozenset(chain - redundant)
-    return Circuit(width=width, gates=tuple(gates), edges=edges)
-
-
-def topological_layers(c: Circuit) -> list[list[Gate]]:
-    """ASAP layering over all gates (layer = 1 + max layer of predecessors)."""
-    layer: dict[int, int] = {}
-    preds: dict[int, list[int]] = {g.id: [] for g in c.gates}
-    for a, b in c.edges:
-        preds[b].append(a)
-    out: list[list[Gate]] = []
-    for g in c.gates:  # program order is a valid topological order
-        l = 0
-        for p in preds[g.id]:
-            l = max(l, layer[p] + 1)
-        layer[g.id] = l
-        while len(out) <= l:
-            out.append([])
-        out[l].append(g)
-    return out
-
-
-def validate_topology(c: Circuit) -> None:
-    """Raise if program order is not a topological order of the edge set."""
-    order = {g.id: i for i, g in enumerate(c.gates)}
-    for a, b in c.edges:
-        if order[a] >= order[b]:
-            raise ValueError(f"edge ({a}->{b}) violates program order")

@@ -44,8 +44,11 @@ def canonical_angle(theta: float) -> float:
     """Reduce an angle into (-2*pi, 2*pi], the canonical range for rotations.
 
     Rotation gates have a 4*pi period up to global phase, so reduction is
-    modulo 4*pi.  The boundary -2*pi maps to +2*pi.
+    modulo 4*pi.  The boundary -2*pi maps to +2*pi.  A float already in
+    range is returned as it is: `math.remainder` would return it exactly.
     """
+    if theta.__class__ is float and -TWO_PI < theta <= TWO_PI:
+        return theta
     if not math.isfinite(theta):
         raise ValueError(f"gate angle must be finite, got {theta!r}")
     r = math.remainder(theta, 2.0 * TWO_PI)
@@ -60,27 +63,32 @@ def angles_close(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
     return d <= tol or abs(d - 2.0 * TWO_PI) <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Gate:
     """One gate instance: unique id, kind, qubits, canonicalized params.
 
     `source` tracks the depth layer of the pre-translation gate this one
     came from; batch formation keeps ops from different source layers in
     different zone batches.  It is bookkeeping, not circuit semantics.
+
+    Every workload and translation builds gates, so `__init__` is written
+    by hand and the instance is slotted (no `__dict__`): it runs the checks
+    (arity, duplicate qubit, negative qubit, param count, in that order)
+    and sets each slot once.
     """
 
     id: int
     kind: GateType
     qubits: tuple[int, ...]
-    params: tuple[float, ...] = field(default=())
+    params: tuple[float, ...] = ()
     source: int = field(default=-1, compare=False, repr=False)
     # arity flags, derived from `kind` once: the pipeline reads them per gate
     is_2q: bool = field(init=False, compare=False, repr=False)
     is_1q: bool = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        kind = self.kind
-        qubits = tuple(self.qubits)
+    def __init__(self, id: int, kind: GateType, qubits: tuple[int, ...],
+                 params: tuple[float, ...] = (), source: int = -1):
+        qubits = tuple(qubits)
         n = len(qubits)
         if n != kind.n_qubits:
             raise ValueError(
@@ -91,16 +99,18 @@ class Gate:
             raise ValueError(f"duplicate qubit in {kind.value} gate: {qubits}")
         if qubits[0] < 0 or qubits[-1] < 0:
             raise ValueError(f"negative qubit index: {qubits}")
-        if len(self.params) != kind.n_params:
+        if len(params) != kind.n_params:
             raise ValueError(
-                f"{kind.value} takes {kind.n_params} param(s), got {self.params}"
+                f"{kind.value} takes {kind.n_params} param(s), got {params}"
             )
-        object.__setattr__(self, "qubits", qubits)
-        object.__setattr__(self, "is_2q", n == 2)
-        object.__setattr__(self, "is_1q", n == 1)
-        object.__setattr__(
-            self, "params", tuple(canonical_angle(p) for p in self.params)
-        )
+        setattr = object.__setattr__
+        setattr(self, "id", id)
+        setattr(self, "kind", kind)
+        setattr(self, "qubits", qubits)
+        setattr(self, "params", tuple(map(canonical_angle, params)))
+        setattr(self, "source", source)
+        setattr(self, "is_2q", n == 2)
+        setattr(self, "is_1q", n == 1)
 
     def __repr__(self):
         qs = " ".join(f"q{q}" for q in self.qubits)

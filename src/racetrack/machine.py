@@ -8,11 +8,21 @@ JSON machine description.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
 
 DEFAULT_CAPACITY = 56
 MACHINE_FILE_ENV = "RACETRACK_MACHINE_FILE"
+# timing fields that divide or scale lengths, so they must not be zero
+_POSITIVE_TIMING = frozenset({"zone_gap", "straight_speed", "inter_zone_shift", "lap_4zone"})
+
+
+def _check_count(name: str, value) -> None:
+    """Zone counts and capacity are integers >= 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -33,6 +43,13 @@ class TimingParams:
     lap_4zone: float = 6200.0          # one lap of the 4-zone track
 
     def validate(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            positive = f.name in _POSITIVE_TIMING
+            if not (math.isfinite(v) and (v > 0 if positive else v >= 0)):
+                raise ValueError(
+                    f"{f.name} must be finite and {'>' if positive else '>='} 0, got {v!r}"
+                )
         speed = self.zone_gap / self.inter_zone_shift
         if abs(speed - self.straight_speed) / self.straight_speed > 0.005:
             raise ValueError(
@@ -60,8 +77,8 @@ class FidelityParams:
         for f in fields(self):
             v = getattr(self, f.name)
             if f.name == "t1":
-                if v <= 0:
-                    raise ValueError("t1 must be positive")
+                if not v > 0:  # NaN fails this too
+                    raise ValueError(f"t1 must be positive, got {v!r}")
             elif not (0.0 <= v < 1.0):
                 raise ValueError(f"{f.name} must lie in [0, 1)")
 
@@ -118,10 +135,10 @@ def build_track(
     lap time is lap_4zone * k / 4; shortcut fractions in (0, 1) close
     sub-loops at the matching fraction of the loop.
     """
-    if gate_zones < 1:
-        raise ValueError("need at least one gate zone")
+    _check_count("gate_zones", gate_zones)
     if reorder_zones is None:
         reorder_zones = gate_zones
+    _check_count("reorder_zones", reorder_zones)
     fr = [float(f) for f in shortcuts]
     if any(not (0.0 < f < 1.0) for f in fr):
         raise ValueError("shortcut fractions must lie strictly in (0, 1)")
@@ -171,6 +188,7 @@ def make_machine(
     f = fidelity or FidelityParams()
     t.validate()
     f.validate()
+    _check_count("capacity", capacity)
     return Machine(
         layout=build_track(gate_zones, reorder_zones, shortcuts, t),
         timing=t,

@@ -21,8 +21,8 @@ from .gates import Gate, GateType
 PI = math.pi
 
 
-def _emit(out: list[Gate], kind: GateType, qubits: tuple[int, ...], params=(), source: int = -1):
-    out.append(Gate(id=len(out), kind=kind, qubits=qubits, params=tuple(params), source=source))
+def _emit(out: list[Gate], kind: GateType, qubits: tuple[int, ...], params: tuple[float, ...], source: int):
+    out.append(Gate(len(out), kind, qubits, params, source))
 
 
 def _emit_cx(out: list[Gate], c: int, t: int, source: int) -> None:
@@ -38,36 +38,37 @@ def translate_to_native(c: Circuit, expand_rzz: bool = False) -> Circuit:
 
     With expand_rzz=True, RZZ is additionally lowered through 2 CX + Rz,
     reproducing the gate stream a topology-oriented compiler would emit.
-    Native gates inherit the depth layer of their source gate so batching
-    never merges ops coming from different pre-translation layers.
+    Native gates inherit the ASAP depth layer of their source gate, so
+    batching never merges ops coming from different pre-translation layers.
+    The walk that emits them computes it: `depth[q]` is one past the layer
+    of the last gate on q, and a gate's layer is the max over its qubits.
+    That is the longest-path layering of `build_dag`'s edges, since the
+    edges a transitive reduction drops never lengthen a path.
     """
-    from .circuit import topological_layers
-
-    source_layer: dict[int, int] = {}
-    for j, layer in enumerate(topological_layers(c)):
-        for g in layer:
-            source_layer[g.id] = j
+    depth = [0] * c.width
     out: list[Gate] = []
     for g in c.gates:
-        src = source_layer[g.id]
-        if g.kind is GateType.H:
-            _emit(out, GateType.U1Q, g.qubits, (PI / 2, -PI / 2), src)
-            _emit(out, GateType.RZ, g.qubits, (PI,), src)
-        elif g.kind is GateType.X:
-            _emit(out, GateType.U1Q, g.qubits, (PI, 0.0), src)
-        elif g.kind is GateType.RX:
-            _emit(out, GateType.U1Q, g.qubits, (g.params[0], 0.0), src)
-        elif g.kind is GateType.CX:
-            _emit_cx(out, g.qubits[0], g.qubits[1], src)
-        elif g.kind is GateType.RZZ and expand_rzz:
-            a, b = g.qubits
+        kind, qubits = g.kind, g.qubits
+        a, b = qubits[0], qubits[-1]
+        src = depth[a] if depth[a] > depth[b] else depth[b]
+        depth[a] = depth[b] = src + 1
+        if kind is GateType.H:
+            _emit(out, GateType.U1Q, qubits, (PI / 2, -PI / 2), src)
+            _emit(out, GateType.RZ, qubits, (PI,), src)
+        elif kind is GateType.X:
+            _emit(out, GateType.U1Q, qubits, (PI, 0.0), src)
+        elif kind is GateType.RX:
+            _emit(out, GateType.U1Q, qubits, (g.params[0], 0.0), src)
+        elif kind is GateType.CX:
+            _emit_cx(out, a, b, src)
+        elif kind is GateType.RZZ and expand_rzz:
             _emit_cx(out, a, b, src)
             _emit(out, GateType.RZ, (b,), (g.params[0],), src)
             _emit_cx(out, a, b, src)
-        elif g.kind.is_native or g.kind in (GateType.MEASURE, GateType.INIT):
-            _emit(out, g.kind, g.qubits, g.params, src)
+        elif kind.is_native or kind in (GateType.MEASURE, GateType.INIT):
+            _emit(out, kind, qubits, g.params, src)
         else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown gate kind {g.kind}")
+            raise ValueError(f"unknown gate kind {kind}")
     return build_dag(out, c.width)
 
 

@@ -7,8 +7,16 @@ contains no unitaries at all), so equivalence checks are meaningful.
 A reorder replay: `apply_plan` runs a plan's ops one at a time through the
 immutable primitive `ions.apply_reorder`, and `reorder_time` totals op
 counts through the package's one duration table.
+
+Front-end references: `build_dag_reference` is the id-keyed DAG build that
+`circuit.build_dag` replaced (chain edges collected first, each redundant
+one found by a window DFS afterwards), `topological_layers` the layering
+by predecessor edges, and `translate_reference` the translation that took
+each gate's `source` from those layers.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -170,3 +178,126 @@ def reorder_time(counts: dict[str, int], t: TimingParams = TimingParams()) -> fl
             raise ValueError("op counts must be non-negative")
         total += n * cost[name]
     return total
+
+
+def build_dag_reference(gates: list[Gate], width: int) -> Circuit:
+    """The transitive reduction of the shared-qubit precedence order,
+    built with id-keyed predecessor and successor sets."""
+    seen_ids: set[int] = set()
+    for g in gates:
+        if g.id in seen_ids:
+            raise ValueError(f"duplicate gate id {g.id}")
+        seen_ids.add(g.id)
+        for q in g.qubits:
+            if q >= width:
+                raise ValueError(
+                    f"qubit index {q} out of range for width {width} (gate {g.id})"
+                )
+
+    order = {g.id: i for i, g in enumerate(gates)}
+    # Chain consecutive gates per qubit; this overcounts only when a gate
+    # pair shares two qubits with a 1Q gate in between on one of them.
+    last_on: dict[int, int] = {}
+    chain: set[tuple[int, int]] = set()
+    preds: dict[int, set[int]] = {g.id: set() for g in gates}
+    succs: dict[int, set[int]] = {g.id: set() for g in gates}
+    for g in gates:
+        for q in g.qubits:
+            if q in last_on:
+                u = last_on[q]
+                if (u, g.id) not in chain:
+                    chain.add((u, g.id))
+                    preds[g.id].add(u)
+                    succs[u].add(g.id)
+            last_on[q] = g.id
+
+    def reachable(src: int, dst: int) -> bool:
+        # DFS bounded to the program-order window (src, dst].
+        lo, hi = order[src], order[dst]
+        stack = [src]
+        seen = {src}
+        while stack:
+            u = stack.pop()
+            for v in succs[u]:
+                if v == dst:
+                    return True
+                if v not in seen and lo < order[v] < hi:
+                    seen.add(v)
+                    stack.append(v)
+        return False
+
+    # A chain edge (u, v) is redundant iff u reaches v's other predecessor.
+    # Gates have at most two qubits, hence at most two chain predecessors.
+    redundant: set[tuple[int, int]] = set()
+    for g in gates:
+        ps = sorted(preds[g.id], key=lambda x: order[x])
+        if len(ps) == 2:
+            early, late = ps
+            if reachable(early, late):
+                redundant.add((early, g.id))
+    edges = frozenset(chain - redundant)
+    return Circuit(width=width, gates=tuple(gates), edges=edges)
+
+
+def topological_layers(c: Circuit) -> list[list[Gate]]:
+    """ASAP layering over all gates (layer = 1 + max layer of predecessors)."""
+    layer: dict[int, int] = {}
+    preds: dict[int, list[int]] = {g.id: [] for g in c.gates}
+    for a, b in c.edges:
+        preds[b].append(a)
+    out: list[list[Gate]] = []
+    for g in c.gates:  # program order is a valid topological order
+        l = 0
+        for p in preds[g.id]:
+            l = max(l, layer[p] + 1)
+        layer[g.id] = l
+        while len(out) <= l:
+            out.append([])
+        out[l].append(g)
+    return out
+
+
+def validate_topology(c: Circuit) -> None:
+    """Raise if program order is not a topological order of the edge set."""
+    order = {g.id: i for i, g in enumerate(c.gates)}
+    for a, b in c.edges:
+        if order[a] >= order[b]:
+            raise ValueError(f"edge ({a}->{b}) violates program order")
+
+
+def translate_reference(c: Circuit, expand_rzz: bool = False) -> Circuit:
+    """Native translation with each gate's `source` read from
+    `topological_layers(c)` and the DAG built by `build_dag_reference`."""
+    pi = math.pi
+    out: list[Gate] = []
+
+    def emit(kind, qubits, params, source):
+        out.append(Gate(id=len(out), kind=kind, qubits=qubits, params=tuple(params), source=source))
+
+    def emit_cx(c, t, source):
+        emit(GateType.U1Q, (t,), (-pi / 2, pi / 2), source)
+        emit(GateType.ZZ, (c, t), (), source)
+        emit(GateType.RZ, (c,), (-pi / 2,), source)
+        emit(GateType.U1Q, (t,), (pi / 2, pi), source)
+        emit(GateType.RZ, (t,), (-pi / 2,), source)
+
+    source_layer = {g.id: j for j, layer in enumerate(topological_layers(c)) for g in layer}
+    for g in c.gates:
+        src = source_layer[g.id]
+        if g.kind is GateType.H:
+            emit(GateType.U1Q, g.qubits, (pi / 2, -pi / 2), src)
+            emit(GateType.RZ, g.qubits, (pi,), src)
+        elif g.kind is GateType.X:
+            emit(GateType.U1Q, g.qubits, (pi, 0.0), src)
+        elif g.kind is GateType.RX:
+            emit(GateType.U1Q, g.qubits, (g.params[0], 0.0), src)
+        elif g.kind is GateType.CX:
+            emit_cx(g.qubits[0], g.qubits[1], src)
+        elif g.kind is GateType.RZZ and expand_rzz:
+            a, b = g.qubits
+            emit_cx(a, b, src)
+            emit(GateType.RZ, (b,), (g.params[0],), src)
+            emit_cx(a, b, src)
+        else:
+            emit(g.kind, g.qubits, g.params, src)
+    return build_dag_reference(out, c.width)

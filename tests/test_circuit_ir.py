@@ -1,13 +1,23 @@
 """Gate IR, DAG construction, translation, layering, and text round-trips."""
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import circuit_unitary, phase_aligned_distance
-from racetrack.circuit import build_dag, topological_layers, validate_topology
+from oracle import (
+    build_dag_reference,
+    circuit_unitary,
+    phase_aligned_distance,
+    topological_layers,
+    translate_reference,
+    validate_topology,
+)
+from racetrack.circuit import build_dag
 from racetrack.gates import Gate, GateType, angles_close, canonical_angle
 from racetrack.textio import circuit_from_qasm, circuit_from_text, circuit_to_text
 from racetrack.translate import extract_2q_layers, one_qubit_phases, translate_to_native
@@ -129,6 +139,19 @@ class TestBuildDag:
         with pytest.raises(ValueError):
             build_dag([g(0, GateType.H, 0), g(0, GateType.H, 1)], 2)
 
+    def test_negative_width(self):
+        with pytest.raises(ValueError, match=r"^circuit width must be >= 0, got -2$"):
+            build_dag([], -2)
+        assert build_dag([], 0).edges == frozenset()
+
+    def test_first_fault_in_program_order(self):
+        # the range fault comes first in program order, the duplicate id later
+        gates = [g(0, GateType.ZZ, 0, 5), g(1, GateType.H, 0), g(1, GateType.H, 1)]
+        with pytest.raises(ValueError, match=r"^qubit index 5 out of range for width 2 \(gate 0\)$"):
+            build_dag(gates, 2)
+        with pytest.raises(ValueError, match=r"^duplicate gate id 1$"):
+            build_dag(gates[1:] + gates[:1], 2)
+
     def test_rebuild_idempotent(self):
         gates = [
             g(0, GateType.H, 0), g(1, GateType.CX, 0, 1), g(2, GateType.RZZ, 1, 2, params=(0.4,)),
@@ -200,6 +223,160 @@ class TestTranslate:
     def test_unitary_preserved_random(self, c):
         n = translate_to_native(c)
         assert phase_aligned_distance(circuit_unitary(c), circuit_unitary(n)) < 1e-9
+
+
+TWO_Q_KINDS = (GateType.CX, GateType.ZZ, GateType.RZZ)
+ONE_Q_KINDS = (GateType.H, GateType.RZ, GateType.X, GateType.MEASURE)
+
+
+def _random_gate(draw, gid: int, kind: GateType, qubits: tuple[int, ...]) -> Gate:
+    params = tuple(draw(st.floats(-3 * PI, 3 * PI)) for _ in range(kind.n_params))
+    return Gate(gid, kind, qubits, params)
+
+
+@st.composite
+def pair_heavy_gates(draw, max_width: int = 6, max_gates: int = 40):
+    """(gates, width) whose 2Q gates reuse a few qubit pairs, often with a 1Q
+    gate on one of the pair's qubits between two gates on that pair; ids
+    are distinct but not in program order."""
+    width = draw(st.integers(2, max_width))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, width - 1), st.integers(0, width - 1)).filter(lambda p: p[0] != p[1]),
+        min_size=1, max_size=3))
+    n = draw(st.integers(1, max_gates))
+    ids = draw(st.permutations(range(0, 3 * n, 3)))
+    gates: list[Gate] = []
+    while len(gates) < n:
+        step = draw(st.integers(0, 3))
+        a, b = draw(st.sampled_from(pairs))
+        if step == 0:  # pair, 1Q gate on one of its qubits, the pair again
+            for kind, qs in ((draw(st.sampled_from(TWO_Q_KINDS)), (a, b)),
+                             (draw(st.sampled_from(ONE_Q_KINDS)), (draw(st.sampled_from((a, b))),)),
+                             (draw(st.sampled_from(TWO_Q_KINDS)), draw(st.sampled_from(((a, b), (b, a)))))):
+                gates.append(_random_gate(draw, len(gates), kind, qs))
+        elif step == 3:
+            q = draw(st.integers(0, width - 1))
+            gates.append(_random_gate(draw, len(gates), draw(st.sampled_from(ONE_Q_KINDS)), (q,)))
+        else:
+            gates.append(_random_gate(draw, len(gates), draw(st.sampled_from(TWO_Q_KINDS)), (a, b)))
+    gates = gates[:n]
+    return [dataclasses.replace(x, id=ids[i]) for i, x in enumerate(gates)], width
+
+
+def _native_rows(c):
+    return [(x.id, x.kind, x.qubits, tuple(p.hex() for p in x.params), x.source) for x in c.gates]
+
+
+class TestFrontEndReferences:
+    """`build_dag`, `translate_to_native` and `canonical_angle` against the
+    id-keyed reference build, the translation that read `source` from
+    `topological_layers`, and the plain `math.remainder` reduction."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(circuits(max_width=6, max_gates=40, kinds=UNITARY_KINDS + (GateType.MEASURE, GateType.ZZ)))
+    def test_build_dag_matches_reference_on_random_circuits(self, c):
+        gates = list(c.gates)
+        assert build_dag(gates, c.width).edges == build_dag_reference(gates, c.width).edges
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair_heavy_gates())
+    def test_build_dag_matches_reference_on_repeated_pairs(self, drawn):
+        gates, width = drawn
+        assert build_dag(gates, width).edges == build_dag_reference(gates, width).edges
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair_heavy_gates(max_gates=12), st.integers(0, 6), st.booleans())
+    def test_build_dag_faults_match_reference(self, drawn, width, duplicate):
+        gates, _ = drawn
+        if duplicate:
+            gates = gates + [gates[0]]
+        try:
+            expected = build_dag_reference(gates, width).edges
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                build_dag(gates, width)
+            assert str(got.value) == str(err)
+        else:
+            assert build_dag(gates, width).edges == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(circuits(max_width=6, max_gates=30,
+                    kinds=UNITARY_KINDS + (GateType.MEASURE, GateType.INIT, GateType.ZZ)),
+           st.booleans())
+    def test_translate_matches_reference(self, c, expand_rzz):
+        got = translate_to_native(c, expand_rzz)
+        ref = translate_reference(c, expand_rzz)
+        assert _native_rows(got) == _native_rows(ref)
+        assert got.edges == ref.edges and got.width == ref.width
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair_heavy_gates(), st.booleans())
+    def test_translate_matches_reference_on_repeated_pairs(self, drawn, expand_rzz):
+        c = build_dag(*drawn)
+        got = translate_to_native(c, expand_rzz)
+        ref = translate_reference(c, expand_rzz)
+        assert _native_rows(got) == _native_rows(ref)
+        assert got.edges == ref.edges
+
+    @staticmethod
+    def _remainder_path(theta: float) -> float:
+        r = math.remainder(theta, 4 * PI)
+        if r <= -2 * PI:
+            r += 4 * PI
+        return r
+
+    @pytest.mark.parametrize("theta", [
+        2 * PI, -2 * PI, 0.0, -0.0,
+        math.nextafter(2 * PI, math.inf), math.nextafter(2 * PI, 0.0),
+        math.nextafter(-2 * PI, -math.inf), math.nextafter(-2 * PI, 0.0),
+        4 * PI, -4 * PI, 6 * PI, 1e300, -5e-324,
+    ])
+    def test_canonical_angle_is_bit_equal_at_the_seams(self, theta):
+        assert canonical_angle(theta).hex() == self._remainder_path(theta).hex()
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_canonical_angle_is_bit_equal_on_random_floats(self, theta):
+        assert canonical_angle(theta).hex() == self._remainder_path(theta).hex()
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_canonical_angle_rejects_non_finite(self, theta):
+        with pytest.raises(ValueError, match="gate angle must be finite"):
+            canonical_angle(theta)
+
+    @pytest.mark.parametrize("theta", [1, True, np.float64(0.25), np.float32(-0.5)])
+    def test_canonical_angle_returns_a_float(self, theta):
+        r = canonical_angle(theta)
+        assert type(r) is float and r == float(theta)
+
+
+class TestGateInstance:
+    def test_replace_pickle_deepcopy_round_trip(self):
+        x = Gate(7, GateType.U1Q, (3,), (0.5, 7.0), source=4)
+        for y in (dataclasses.replace(x), pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert y == x
+            assert (y.id, y.kind, y.qubits, y.params, y.source, y.is_1q, y.is_2q) == (
+                x.id, x.kind, x.qubits, x.params, x.source, x.is_1q, x.is_2q)
+        z = dataclasses.replace(x, qubits=[5], params=(9.0, 0.25), source=1)
+        assert z.qubits == (5,) and z.params == (canonical_angle(9.0), 0.25) and z.source == 1
+        pair = dataclasses.replace(Gate(0, GateType.ZZ, (0, 1)), id=2)
+        assert pair.is_2q and not pair.is_1q
+        with pytest.raises(ValueError, match="duplicate qubit"):
+            dataclasses.replace(pair, qubits=(1, 1))
+
+    def test_eq_and_hash_ignore_source(self):
+        a = Gate(1, GateType.RZ, (0,), (0.3,), source=0)
+        b = Gate(1, GateType.RZ, (0,), (0.3,), source=9)
+        assert a == b and hash(a) == hash(b)
+        assert a != Gate(2, GateType.RZ, (0,), (0.3,), source=0)
+
+    def test_slotted_and_frozen(self):
+        x = Gate(0, GateType.H, [2])
+        assert not hasattr(x, "__dict__")
+        assert x.qubits == (2,) and x.params == () and x.source == -1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            x.source = 3
+        assert [f.name for f in dataclasses.fields(Gate) if f.init] == [
+            "id", "kind", "qubits", "params", "source"]
 
 
 class TestLayers:

@@ -92,6 +92,30 @@ class TestTrack:
         with pytest.raises(ValueError):
             machine_from_dict({"timing": {"nope": 1}})
 
+    @pytest.mark.parametrize("desc, message", [
+        ({"timing": {"inter_zone_shift": 0}}, "inter_zone_shift must be finite and > 0, got 0"),
+        ({"timing": {"straight_speed": 0}}, "straight_speed must be finite and > 0, got 0"),
+        ({"timing": {"zone_gap": -750.0}}, "zone_gap must be finite and > 0, got -750.0"),
+        ({"timing": {"lap_4zone": math.inf}}, "lap_4zone must be finite and > 0, got inf"),
+        ({"timing": {"swap": math.nan}}, "swap must be finite and >= 0, got nan"),
+        ({"timing": {"swap": -200.0}}, "swap must be finite and >= 0, got -200.0"),
+        ({"fidelity": {"t1": math.nan}}, "t1 must be positive, got nan"),
+        ({"reorder_zones": 0}, "reorder_zones must be an integer >= 1, got 0"),
+        ({"reorder_zones": -2}, "reorder_zones must be an integer >= 1, got -2"),
+        ({"gate_zones": 2.5}, "gate_zones must be an integer >= 1, got 2.5"),
+        ({"capacity": 0}, "capacity must be an integer >= 1, got 0"),
+        ({"capacity": 8.0}, "capacity must be an integer >= 1, got 8.0"),
+    ])
+    def test_bad_description_names_the_field(self, desc, message):
+        with pytest.raises(ValueError) as err:
+            machine_from_dict(desc)
+        assert str(err.value) == message
+
+    def test_zero_valued_timing_is_allowed_off_the_divisors(self):
+        m = machine_from_dict({"timing": {"swap": 0.0, "intra_zone_shift": 0}})
+        assert m.timing.swap == 0.0
+        assert machine_from_dict({"fidelity": {"t1": math.inf}}).fidelity.t1 == math.inf
+
 
 class TestReorderPrimitives:
     def test_split_combine(self):
