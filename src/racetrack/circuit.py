@@ -6,7 +6,7 @@ construction and safe to share across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .gates import Gate
 
@@ -17,13 +17,12 @@ class Circuit:
     gates: tuple[Gate, ...]
     edges: frozenset[tuple[int, int]]
 
-    _by_id: dict = field(repr=False, hash=False, compare=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_by_id", {g.id: g for g in self.gates})
-
     def gate(self, gate_id: int) -> Gate:
-        return self._by_id[gate_id]
+        """The gate with id `gate_id`, found by a scan; KeyError if none."""
+        for g in self.gates:
+            if g.id == gate_id:
+                return g
+        raise KeyError(gate_id)
 
     @property
     def n_gates(self) -> int:

@@ -1,14 +1,17 @@
-"""Ion arrangement state and the reorder primitives.
+"""Ion arrangement state and the four crystal primitives.
 
 A qubit is one Yb-Ba crystal; it faces right (Yb-Ba) or left (Ba-Yb).
 Two adjacent crystals facing (right, left) can combine into the
 Yb-Ba-Ba-Yb form required by 2Q gates.  The arrangement is an ordered
-cyclic sequence of crystals; reorder primitives mutate it at fixed
-hardware time costs.
+cyclic sequence of crystals.  Four primitives change it: split, combine,
+swap and pair exchange, each at the fixed cost `reorder_durations` gives.
+Shifting and circulating the chain is transport, not a primitive: it
+leaves the arrangement as it is, and the schedulers charge it as SHUTTLE
+and CIRCULATE events.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
@@ -26,8 +29,6 @@ class ReorderTag(Enum):
     SPLIT = "split"
     COMBINE = "combine"
     SWAP = "swap"
-    INTRA_SHIFT = "intrazone"
-    INTER_SHIFT = "interzone"
     PAIR_EXCHANGE = "exchange"
 
 
@@ -62,13 +63,11 @@ class ReorderOp(NamedTuple):
     tag: ReorderTag
     operands: tuple[int, ...] = ()  # affected qubit ids (informational)
     index: int = 0                  # crystal index the op acts at
-    zone: int | None = None
 
 
 @dataclass(frozen=True)
 class IonState:
     crystals: tuple[Crystal, ...]
-    position: float = 0.0  # arc offset of the sequence head, um
     # qubit -> index of its crystal, built once when the state is frozen
     crystal_index: Mapping[int, int] = field(init=False, compare=False, repr=False)
 
@@ -83,7 +82,7 @@ class IonState:
 
     def __reduce__(self):
         # a mapping proxy cannot be pickled or deep-copied; rebuild the index
-        return IonState, (self.crystals, self.position)
+        return IonState, (self.crystals,)
 
     @staticmethod
     def initial_pairs(n: int) -> "IonState":
@@ -93,44 +92,23 @@ class IonState:
             crystals.append(Crystal((n - 1,), facing_right=False))
         return IonState(tuple(crystals))
 
-    def qubit_order(self) -> list[int]:
-        return [q for c in self.crystals for q in c.qubits]
-
-    def qubits(self) -> set[int]:
-        return set(self.crystal_index)
-
-    def crystal_of(self, qubit: int) -> int:
-        try:
-            return self.crystal_index[qubit]
-        except KeyError:
-            raise KeyError(f"qubit {qubit} not in arrangement") from None
-
-    def paired(self, a: int, b: int) -> bool:
-        i = self.crystal_of(a)
-        c = self.crystals[i]
-        return c.is_pair and set(c.qubits) == {a, b}
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [c.qubits for c in self.crystals if c.is_pair]
-
 
 def _require(cond: bool, msg: str):
     if not cond:
         raise ValueError(msg)
 
 
-def reorder_in_place(cs: list[Crystal], op: ReorderOp, t: TimingParams = TimingParams()) -> float:
-    """Apply one crystal-changing primitive (split, combine, swap, exchange)
-    to the crystal list `cs` in place; returns its cost.  Every check runs
-    before `cs` is touched, so a rejected op leaves it unchanged."""
+def reorder_in_place(cs: list[Crystal], op: ReorderOp) -> None:
+    """Apply one primitive (split, combine, swap, exchange) to the crystal
+    list `cs` in place.  Every check runs before `cs` is touched, so a
+    rejected op leaves it unchanged."""
     i = op.index
     tag = op.tag
     if tag is SPLIT:
         _require(0 <= i < len(cs) and cs[i].is_pair, "split needs a pair")
         a, b = cs[i].qubits
         cs[i : i + 1] = [Crystal((a,), True), Crystal((b,), False)]
-        return t.split_or_combine
-    if tag is COMBINE:
+    elif tag is COMBINE:
         _require(i + 1 < len(cs), "combine needs two crystals")
         left, right = cs[i], cs[i + 1]
         _require(not left.is_pair and not right.is_pair, "combine needs singles")
@@ -139,16 +117,14 @@ def reorder_in_place(cs: list[Crystal], op: ReorderOp, t: TimingParams = TimingP
             "combine needs (->, <-) orientations for the Yb-Ba-Ba-Yb form",
         )
         cs[i : i + 2] = [Crystal((left.qubits[0], right.qubits[0]))]
-        return t.split_or_combine
-    if tag is SWAP:
+    elif tag is SWAP:
         _require(0 <= i < len(cs), "swap index out of range")
         c = cs[i]
         if c.is_pair:
             cs[i] = Crystal((c.qubits[1], c.qubits[0]))
         else:
             cs[i] = Crystal(c.qubits, not c.facing_right)
-        return t.swap
-    if tag is PAIR_EXCHANGE:
+    elif tag is PAIR_EXCHANGE:
         _require(i + 1 < len(cs), "exchange needs two adjacent crystals")
         a, b = cs[i], cs[i + 1]
         if a.is_pair:
@@ -165,8 +141,8 @@ def reorder_in_place(cs: list[Crystal], op: ReorderOp, t: TimingParams = TimingP
             cs[i + 1] = Crystal((a.qubits[0], b.qubits[1]))
         else:
             cs[i], cs[i + 1] = b, a
-        return t.pair_exchange
-    raise ValueError(f"reorder op {tag} does not change crystals")
+    else:
+        raise ValueError(f"unknown reorder op {tag!r}")
 
 
 def bubble_left_in_place(cs: list[Crystal], left: int, mover: int) -> list[ReorderOp]:
@@ -205,26 +181,20 @@ def bubble_left_in_place(cs: list[Crystal], left: int, mover: int) -> list[Reord
 
 
 def apply_reorder(s: IonState, op: ReorderOp, t: TimingParams = TimingParams()) -> tuple[IonState, float]:
-    """Apply one primitive; returns the mutated arrangement and its cost."""
-    if op.tag is ReorderTag.INTRA_SHIFT:
-        return replace(s, position=s.position + t.zone_gap / 2), t.intra_zone_shift
-    if op.tag is ReorderTag.INTER_SHIFT:
-        return replace(s, position=s.position + t.zone_gap), t.inter_zone_shift
+    """Apply one primitive; returns the new arrangement and its cost."""
     cs = list(s.crystals)
-    dt = reorder_in_place(cs, op, t)
-    return replace(s, crystals=tuple(cs)), dt
+    reorder_in_place(cs, op)
+    return IonState(tuple(cs)), reorder_durations(t)[op.tag.value]
 
 
 @lru_cache(maxsize=16)
 def reorder_durations(t: TimingParams) -> Mapping[str, float]:
-    """The duration of every reorder primitive under `t`, keyed by tag
-    value: the one duration table.  Keys are values, not members, because
-    hashing a member runs the Python-level `Enum.__hash__`."""
+    """The duration of every primitive under `t`, keyed by tag value: the
+    one duration table.  Keys are values, not members, because hashing a
+    member runs the Python-level `Enum.__hash__`."""
     return MappingProxyType({
         SPLIT.value: t.split_or_combine,
         COMBINE.value: t.split_or_combine,
         SWAP.value: t.swap,
-        ReorderTag.INTRA_SHIFT.value: t.intra_zone_shift,
-        ReorderTag.INTER_SHIFT.value: t.inter_zone_shift,
         PAIR_EXCHANGE.value: t.pair_exchange,
     })

@@ -144,11 +144,11 @@ def runtime_breakdown(tr: Trace) -> RuntimeBreakdown:
     )
 
 
-def zone_utilization(tr: Trace, k: int | None = None) -> float:
-    """Time-weighted percentage of gate zones engaged in gate application
-    or cooling, averaged over the union of busy intervals.  Reads the trace
-    once."""
-    k = k if k is not None else tr.gate_zones
+def zone_utilization(tr: Trace) -> float:
+    """Time-weighted percentage of the trace's gate zones engaged in gate
+    application or cooling, averaged over the union of busy intervals.
+    Reads the trace once."""
+    k = tr.gate_zones
     if k < 1:
         raise ValueError("need at least one gate zone")
     busy: list[tuple[float, float]] = []

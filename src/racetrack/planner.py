@@ -26,10 +26,10 @@ builds its index and runs its duplicate check once; the ops are not
 replayed.  Replaying them one at a time through `ions.apply_reorder` gives
 the same final state, and the tests hold the planner to that.
 
-This module is the only place a plan is costed.  Each cost is computed
-once per plan, in one walk over its ops, and carried on the
-`ReorderPlan`; the schedulers read those fields instead of staging the
-ops again.
+This module is the only place a plan is costed, and `_costed` is the
+staging rule.  Each cost is computed once per plan, in one walk over its
+ops, and carried on the `ReorderPlan`; the schedulers read those fields
+instead of staging the ops again.
 """
 from __future__ import annotations
 
@@ -60,10 +60,6 @@ class ReorderPlan:
     time_1d: float               # staged time of all ops over the gate zones
     regroup_time: float          # staged time of the non-exchange ops over the reorder zones
     op_counts: tuple[tuple[str, int], ...]  # (tag value, count), in order of first appearance
-
-    @property
-    def n_ops(self) -> int:
-        return len(self.ops)
 
     def one_dimensional(self) -> "ReorderPlan":
         """The same ops charged without circulation: the plan that
@@ -129,35 +125,6 @@ class _Arrangement:
             self._stale_from = index
 
 
-def staged_time(
-    ops: list[ReorderOp], zones: int, t: TimingParams = TimingParams()
-) -> float:
-    """Serialize ops into stages: ops touching disjoint crystal slots run
-    in parallel, at most `zones` per stage; a stage costs its longest op.
-    An op at index i occupies slots i and i + 1 (bits of `busy`).
-
-    `_costed` stages every plan by this rule in one walk; this function is
-    the rule on its own, which the tests hold the planner's costs to."""
-    durations = reorder_durations(t)
-    cap = max(1, zones)
-    total = 0.0
-    busy = 0
-    stage_max = 0.0
-    stage_n = 0
-    for op in ops:
-        slots = 3 << op.index
-        if stage_n >= cap or busy & slots:
-            total += stage_max
-            busy = 0
-            stage_max, stage_n = 0.0, 0
-        busy |= slots
-        d = durations[op.tag._value_]
-        if d > stage_max:
-            stage_max = d
-        stage_n += 1
-    return total + stage_max
-
-
 def _costed(
     ops: list[ReorderOp], final: IonState, layout: TrackLayout, t: TimingParams
 ) -> tuple[ReorderPlan, float]:
@@ -165,11 +132,18 @@ def _costed(
     and the staged time of its exchanges over the reorder zones (what a
     circulation hides).
 
-    One walk counts the ops and stages three sequences the way
-    `staged_time` stages each: all ops over the gate zones, the
-    non-exchange ops over the reorder zones, and the exchanges over the
-    reorder zones.  A stager holds its closed stages' total, the slots its
-    open stage occupies, that stage's longest op and its op count.
+    This is the staging rule.  Ops are taken in order into stages; an op
+    at index i occupies crystal slots i and i + 1 (bits of a busy mask),
+    and it closes the open stage when it shares a slot with it or the
+    stage already holds one op per zone.  A sequence's staged time is the
+    sum over its stages of each stage's longest op.
+
+    One walk counts the ops and stages three sequences: all ops over the
+    gate zones, the non-exchange ops over the reorder zones, and the
+    exchanges over the reorder zones.  A stager holds its closed stages'
+    total, the slots its open stage occupies, that stage's longest op and
+    its op count.  The three are written out rather than shared, because
+    a call per op per stager costs about half again as much.
     """
     durations = reorder_durations(t)
     gate_cap = max(1, layout.gate_zones)
@@ -358,8 +332,7 @@ def plan_reorder(
     if ops is None:
         work = _Arrangement(s)
         ops = _fallback_plan(work, targets)
-    # plans emit no shifts, so the position carries over
-    plan, exchange_time = _costed(ops, IonState(tuple(work.crystals), s.position), layout, t)
+    plan, exchange_time = _costed(ops, IonState(tuple(work.crystals)), layout, t)
     if mode is PlanMode.ONE_DIMENSIONAL:
         return plan
     candidates = [(plan.time, -1)] + [
@@ -385,4 +358,4 @@ def split_all_plan(s: IonState, layout: TrackLayout, t: TimingParams = TimingPar
             crystals.append(Crystal((qs[1],), False))
         else:
             crystals.append(c)
-    return _costed(ops, IonState(tuple(crystals), s.position), layout, t)[0]
+    return _costed(ops, IonState(tuple(crystals)), layout, t)[0]

@@ -93,7 +93,7 @@ class _Engine:
         self.qubit_ready: dict[int, float] = {}
         self.measured: set[int] = set()   # qubits of explicit MEASURE gates
         self.prep_cursor = 0.0
-        self.pass_first_batch_end = 0.0
+        self.pass_first_batch_end: float | None = None   # None until a batch of the pass ends
         self.pass_start = 0.0
 
     # -- bookkeeping -----------------------------------------------------
@@ -206,11 +206,11 @@ class _Engine:
         if cool is None:
             self._emit(event, start, dur, qubits=qs, payload=payload)
             self.cursor = start + dur
-            return
-        self._emit(event, start, dur, zones=len(gates), qubits=qs, payload=payload)
-        self._emit(EventKind.COOL, start + dur, cool, zones=len(gates))
-        self.cursor = start + dur + cool
-        if self.pass_first_batch_end == 0.0:
+        else:
+            self._emit(event, start, dur, zones=len(gates), qubits=qs, payload=payload)
+            self._emit(EventKind.COOL, start + dur, cool, zones=len(gates))
+            self.cursor = start + dur + cool
+        if self.pass_first_batch_end is None:
             self.pass_first_batch_end = self.cursor
 
     # -- transport ---------------------------------------------------------
@@ -219,7 +219,7 @@ class _Engine:
         """Open a pass: mark its start and stream the chain through the
         zone region."""
         self.pass_start = self.cursor
-        self.pass_first_batch_end = 0.0
+        self.pass_first_batch_end = None
         if self.transition is _Transition.SWEEP:
             dur = (self.c.width - 1) * self.t.inter_zone_shift
         else:
@@ -234,7 +234,8 @@ class _Engine:
             path = plan.path_id if plan.path_id is not None else self._rolodex_path()
             lap = self.m.lap(path)
             charge = max(lap, plan.regroup_time)
-            if self.pipelining:
+            # the lap hides only under the pass's work after its first batch
+            if self.pipelining and self.pass_first_batch_end is not None:
                 headstart = max(0.0, prev_pass_work - self.pass_first_batch_end + self.pass_start)
                 effective = max(0.0, charge - headstart)
             else:

@@ -203,10 +203,6 @@ def gen_phase_gadget(n: int, alpha: float, variant: GadgetVariant) -> Circuit:
     return build_dag(gates, n)
 
 
-def parallel_gadget_final_qubit(n: int) -> int:
-    return _parallel_tree_layers(n)[1]
-
-
 # ---------------------------------------------------------------------------
 # QAOA / VQE
 

@@ -48,8 +48,8 @@ def runtime_breakdown(tr: Trace) -> RuntimeBreakdown:
     )
 
 
-def zone_utilization(tr: Trace, k: int | None = None) -> float:
-    k = k if k is not None else tr.gate_zones
+def zone_utilization(tr: Trace) -> float:
+    k = tr.gate_zones
     if k < 1:
         raise ValueError("need at least one gate zone")
     events = tr.of_kind(EventKind.GATE_1Q, EventKind.GATE_2Q, EventKind.COOL)

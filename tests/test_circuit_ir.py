@@ -152,6 +152,12 @@ class TestBuildDag:
         with pytest.raises(ValueError, match=r"^duplicate gate id 1$"):
             build_dag(gates[1:] + gates[:1], 2)
 
+    def test_gate_lookup(self):
+        c = build_dag([g(7, GateType.H, 0), g(3, GateType.CX, 0, 1)], 2)
+        assert c.gate(3) is c.gates[1] and c.gate(7) is c.gates[0]
+        with pytest.raises(KeyError):
+            c.gate(0)
+
     def test_rebuild_idempotent(self):
         gates = [
             g(0, GateType.H, 0), g(1, GateType.CX, 0, 1), g(2, GateType.RZZ, 1, 2, params=(0.4,)),

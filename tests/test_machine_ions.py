@@ -20,9 +20,18 @@ from racetrack.machine import (
     machine_from_dict,
     make_machine,
 )
-from racetrack.planner import PlanMode, plan_reorder, split_all_plan, staged_time
+from racetrack.planner import PlanMode, _costed, plan_reorder, split_all_plan
 
 from oracle import apply_plan, reorder_time
+
+
+def _ion_order(s):
+    return [q for c in s.crystals for q in c.qubits]
+
+
+def _combined(s, a, b):
+    c = s.crystals[s.crystal_index[a]]
+    return c.is_pair and set(c.qubits) == {a, b}
 
 
 class TestTimingParams:
@@ -37,10 +46,17 @@ class TestTimingParams:
         t = TimingParams()
         assert t.cool_1q_batch == 550 + 850 + 650 + t.one_q_gate == 2055
         assert t.cool_2q_batch == 550 + 850 + 650 + t.two_q_gate == 2075
+        # cooling follows the gate time
+        t = TimingParams(one_q_gate=6.0, two_q_gate=30.0)
+        assert (t.cool_1q_batch, t.cool_2q_batch) == (2056.0, 2080.0)
 
     def test_inconsistent_rejected(self):
-        with pytest.raises(ValueError):
-            TimingParams(cool_1q_batch=99.0).validate()
+        # a cooling time apart from the gate time cannot be set at all
+        with pytest.raises(TypeError):
+            TimingParams(cool_1q_batch=99.0)
+        for key in ("cool_1q_batch", "cool_2q_batch"):
+            with pytest.raises(ValueError, match=re.escape(f"unknown machine parameter(s): ['{key}']")):
+                machine_from_dict({"timing": {key: 2055.0}})
 
     def test_fidelity_ranges(self):
         FidelityParams().validate()
@@ -83,10 +99,11 @@ class TestTrack:
 
     def test_machine_from_dict(self):
         m = machine_from_dict(
-            {"gate_zones": 8, "shortcuts": [0.5], "timing": {"one_q_gate": 6.0, "cool_1q_batch": 2056.0}}
+            {"gate_zones": 8, "shortcuts": [0.5], "timing": {"one_q_gate": 6.0}}
         )
         assert m.gate_zones == 8
         assert m.timing.one_q_gate == 6.0
+        assert m.timing.cool_1q_batch == 2056.0
         with pytest.raises(ValueError):
             machine_from_dict({"bogus": 1})
         with pytest.raises(ValueError):
@@ -155,14 +172,6 @@ class TestReorderPrimitives:
         s2, _ = apply_reorder(s, ReorderOp(ReorderTag.PAIR_EXCHANGE, index=0))
         assert [c.qubits for c in s2.crystals] == [(3, 5), (4,)]
 
-    def test_shifts_keep_order(self):
-        s = IonState.initial_pairs(4)
-        s2, dt = apply_reorder(s, ReorderOp(ReorderTag.INTER_SHIFT, index=0))
-        assert dt == 283.0
-        assert s2.qubit_order() == s.qubit_order()
-        s3, dt3 = apply_reorder(s, ReorderOp(ReorderTag.INTRA_SHIFT, index=0))
-        assert dt3 == 58.0
-
     @given(st.integers(2, 12), st.data())
     @settings(max_examples=60, deadline=None)
     def test_qubit_multiset_preserved(self, n, data):
@@ -174,7 +183,7 @@ class TestReorderPrimitives:
                 s, _ = apply_reorder(s, ReorderOp(tag, index=idx))
             except ValueError:
                 continue
-            assert sorted(s.qubit_order()) == list(range(n))
+            assert sorted(_ion_order(s)) == list(range(n))
 
 
     @pytest.mark.parametrize("crystals, tag, index, message", [
@@ -202,12 +211,11 @@ class TestReorderTime:
     def test_empty(self):
         assert reorder_time({}) == 0.0
 
-    def test_tilt_sweep(self):
-        assert reorder_time({"interzone": 31}) == 8773.0
-
     def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            reorder_time({"teleport": 1})
+        # shifts are transport, not reorder primitives
+        for name in ("teleport", "interzone", "intrazone"):
+            with pytest.raises(ValueError):
+                reorder_time({name: 1})
         with pytest.raises(ValueError):
             reorder_time({"split": -1})
 
@@ -252,13 +260,11 @@ def _bubble_stepwise(cs, left, mover):
 
 def _staged_time_with_set(ops, zones, t=TimingParams()):
     """The staging rule over a set of busy slots: the reference for the
-    bitmask in staged_time."""
+    busy bitmasks in planner._costed."""
     durations = {
         ReorderTag.SPLIT: t.split_or_combine,
         ReorderTag.COMBINE: t.split_or_combine,
         ReorderTag.SWAP: t.swap,
-        ReorderTag.INTRA_SHIFT: t.intra_zone_shift,
-        ReorderTag.INTER_SHIFT: t.inter_zone_shift,
         ReorderTag.PAIR_EXCHANGE: t.pair_exchange,
     }
     cap = max(1, zones)
@@ -324,11 +330,22 @@ class TestStagedTime:
         [TimingParams(), TimingParams(split_or_combine=77.0, swap=13.5, pair_exchange=999.0)]
     )
 
-    @given(ops, st.integers(1, 8), timings)
+    @given(ops, st.integers(1, 8), st.integers(1, 8), timings)
     @settings(max_examples=300, deadline=None)
-    def test_matches_set_reference(self, ops, zones, t):
-        # indices up to 200 take the busy mask far past 64 bits
-        assert staged_time(ops, zones, t) == _staged_time_with_set(ops, zones, t)
+    def test_matches_set_reference(self, ops, gate_zones, reorder_zones, t):
+        # _costed stages all ops over the gate zones and the non-exchange
+        # and exchange ops apart over the reorder zones; indices up to 200
+        # take each busy mask far past 64 bits
+        exchanges = [o for o in ops if o.tag is ReorderTag.PAIR_EXCHANGE]
+        regroup = [o for o in ops if o.tag is not ReorderTag.PAIR_EXCHANGE]
+        plan, exchange_time = _costed(ops, IonState(()), build_track(gate_zones, reorder_zones), t)
+        assert plan.time_1d == _staged_time_with_set(ops, gate_zones, t)
+        assert plan.regroup_time == _staged_time_with_set(regroup, reorder_zones, t)
+        assert exchange_time == _staged_time_with_set(exchanges, reorder_zones, t)
+        counts = {}
+        for o in ops:
+            counts[o.tag.value] = counts.get(o.tag.value, 0) + 1
+        assert plan.op_counts == tuple(counts.items())
 
 
 class TestCrystalIndex:
@@ -342,8 +359,6 @@ class TestCrystalIndex:
         s, _ = _draw_instance(n, data)
         scan = self._scan(s)
         assert dict(s.crystal_index) == scan
-        assert s.qubits() == set(range(n))
-        assert {q: s.crystal_of(q) for q in range(n)} == scan
         # replace() builds the state again, and with it the index
         flipped = replace(s, crystals=s.crystals[::-1])
         assert dict(flipped.crystal_index) == self._scan(flipped)
@@ -352,11 +367,10 @@ class TestCrystalIndex:
     @settings(max_examples=50, deadline=None)
     def test_takes_no_part_in_eq_hash_repr(self, n, data):
         s, _ = _draw_instance(n, data)
-        s = IonState(s.crystals, position=data.draw(st.sampled_from([0.0, 375.0])))
-        twin = IonState(s.crystals, s.position)
+        twin = IonState(s.crystals)
         assert s == twin and hash(s) == hash(twin)
-        assert hash(s) == hash((s.crystals, s.position))
-        assert repr(s) == f"IonState(crystals={s.crystals!r}, position={s.position!r})"
+        assert hash(s) == hash((s.crystals,))
+        assert repr(s) == f"IonState(crystals={s.crystals!r})"
 
     def test_read_only(self):
         s = IonState.initial_pairs(4)
@@ -367,33 +381,28 @@ class TestCrystalIndex:
         assert dict(s.crystal_index) == {0: 0, 1: 0, 2: 1, 3: 1}
 
     def test_pickle_and_deepcopy_rebuild_it(self):
-        s = IonState((Crystal((2,), False), Crystal((0, 1))), position=375.0)
+        s = IonState((Crystal((2,), False), Crystal((0, 1))))
         for twin in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
-            assert twin == s and twin.position == 375.0
+            assert twin == s
             assert dict(twin.crystal_index) == {2: 0, 0: 1, 1: 1}
 
     def test_duplicate_still_rejected(self):
         with pytest.raises(ValueError, match="qubit 1 appears twice in arrangement"):
             IonState((Crystal((0, 1)), Crystal((1,))))
 
-    def test_unknown_qubit(self):
-        s = IonState.initial_pairs(4)
-        with pytest.raises(KeyError, match="qubit 9 not in arrangement"):
-            s.crystal_of(9)
-
 
 class TestReorderOp:
     def test_repr_and_defaults(self):
         op = ReorderOp(ReorderTag.SPLIT)
-        assert (op.operands, op.index, op.zone) == ((), 0, None)
-        assert repr(op) == "ReorderOp(tag=<ReorderTag.SPLIT: 'split'>, operands=(), index=0, zone=None)"
+        assert (op.operands, op.index) == ((), 0)
+        assert repr(op) == "ReorderOp(tag=<ReorderTag.SPLIT: 'split'>, operands=(), index=0)"
 
     def test_hash_and_immutability(self):
         a = ReorderOp(ReorderTag.PAIR_EXCHANGE, (1, 2), 3)
         b = ReorderOp(ReorderTag.PAIR_EXCHANGE, (1, 2), index=3)
         assert a == b and hash(a) == hash(b)
         # the hash the frozen dataclass had: that of the field tuple
-        assert hash(a) == hash((a.tag, a.operands, a.index, a.zone))
+        assert hash(a) == hash((a.tag, a.operands, a.index))
         assert a != ReorderOp(ReorderTag.PAIR_EXCHANGE, (1, 2), 4)
         with pytest.raises(AttributeError):
             a.index = 4
@@ -404,7 +413,7 @@ class TestPlanner:
         s = IonState.initial_pairs(8)
         track = build_track(4)
         plan = plan_reorder(s, [(0, 1), (2, 3)], track)
-        assert plan.n_ops == 0 and plan.time == 0.0
+        assert plan.ops == () and plan.time == 0.0
 
     def test_steane_layer_transition_two_ops(self):
         # (->6,<-0)(->1,<-2)(->3,<-4)<-5  to pairs {(6,1),(0,2),(3,5)}
@@ -414,10 +423,10 @@ class TestPlanner:
         track = build_track(4)
         plan = plan_reorder(s, [(6, 1), (0, 2), (3, 5)], track)
         exchange_ops = [o for o in plan.ops if o.tag is ReorderTag.PAIR_EXCHANGE]
-        assert len(exchange_ops) == 2 and plan.n_ops == 2
-        assert plan.final.paired(6, 1)
-        assert plan.final.paired(0, 2)
-        assert plan.final.paired(3, 5)
+        assert len(exchange_ops) == 2 and len(plan.ops) == 2
+        assert _combined(plan.final, 6, 1)
+        assert _combined(plan.final, 0, 2)
+        assert _combined(plan.final, 3, 5)
 
     def test_duplicate_target_rejected(self):
         s = IonState.initial_pairs(4)
@@ -433,8 +442,8 @@ class TestPlanner:
         mode = data.draw(st.sampled_from(list(PlanMode)))
         plan = plan_reorder(s, targets, build_track(4), mode)
         for a, b in targets:
-            assert plan.final.paired(a, b)
-        assert sorted(plan.final.qubit_order()) == list(range(n))
+            assert _combined(plan.final, a, b)
+        assert sorted(_ion_order(plan.final)) == list(range(n))
 
     @given(st.integers(2, 16), st.data())
     @settings(max_examples=250, deadline=None)
@@ -443,11 +452,10 @@ class TestPlanner:
         # the planner edits a working copy and never replays its ops; the
         # replay through the immutable primitives must land on plan.final
         s, targets = _draw_instance(n, data)
-        s = IonState(s.crystals, position=data.draw(st.sampled_from([0.0, 375.0])))
         plan = plan_reorder(s, targets, build_track(8, shortcuts=[0.5]), mode)
         replayed, _ = apply_plan(s, list(plan.ops))
         assert replayed == plan.final
-        assert sorted(plan.final.qubit_order()) == sorted(s.qubit_order())
+        assert sorted(_ion_order(plan.final)) == sorted(_ion_order(s))
         if mode is PlanMode.ONE_DIMENSIONAL:
             assert plan.path_id is None
 
@@ -468,8 +476,9 @@ class TestPlanner:
             ReorderOp(ReorderTag.SPLIT, index=4),
             ReorderOp(ReorderTag.SPLIT, index=8),
         ]
-        assert staged_time(ops, zones=4) == 128.0
-        assert staged_time(ops, zones=1) == 3 * 128.0
+        t = TimingParams()
+        assert _costed(ops, IonState(()), build_track(4), t)[0].time_1d == 128.0
+        assert _costed(ops, IonState(()), build_track(1), t)[0].time_1d == 3 * 128.0
 
     @staticmethod
     def _assert_costs_carried(plan, track):
@@ -478,12 +487,12 @@ class TestPlanner:
         ops = list(plan.ops)
         exchanges = [o for o in ops if o.tag is ReorderTag.PAIR_EXCHANGE]
         regroup = [o for o in ops if o.tag is not ReorderTag.PAIR_EXCHANGE]
-        assert plan.time_1d == staged_time(ops, track.gate_zones)
-        assert plan.regroup_time == staged_time(regroup, track.reorder_zones)
+        assert plan.time_1d == _staged_time_with_set(ops, track.gate_zones)
+        assert plan.regroup_time == _staged_time_with_set(regroup, track.reorder_zones)
         if plan.path_id is None:
             assert plan.time == plan.time_1d and plan.hidden_time == 0.0
         else:
-            assert plan.hidden_time == staged_time(exchanges, track.reorder_zones)
+            assert plan.hidden_time == _staged_time_with_set(exchanges, track.reorder_zones)
             assert plan.time == max(lap_time(track, plan.path_id), plan.regroup_time)
         counts = {}
         for o in ops:
@@ -508,11 +517,10 @@ class TestPlanner:
     @settings(max_examples=150, deadline=None)
     def test_split_all_plan_carries_its_costs(self, n, track, data):
         s, _ = _draw_instance(n, data)
-        s = IonState(s.crystals, position=data.draw(st.sampled_from([0.0, 375.0])))
         plan = split_all_plan(s, track)
         self._assert_costs_carried(plan, track)
         assert plan.path_id is None
-        assert not plan.final.pairs()
+        assert not any(c.is_pair for c in plan.final.crystals)
         replayed, _ = apply_plan(s, list(plan.ops))
         assert replayed == plan.final
 

@@ -6,6 +6,7 @@ reference bodies in `reference_metrics.py` on drawn traces and on
 scheduled ones.
 """
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -89,10 +90,10 @@ def test_zone_utilization_by_hand():
     tr = hand_trace()
     # busy window: [100, 225) and [600, 705) = 230 us; zone-us: 2*125 + 1*105
     assert zone_utilization(tr) == pytest.approx(100.0 * 355.0 / (2 * 230.0))
-    assert zone_utilization(tr, 1) == pytest.approx(100.0 * 230.0 / 230.0)
+    assert zone_utilization(replace(tr, gate_zones=1)) == pytest.approx(100.0 * 230.0 / 230.0)
     assert zone_utilization(Trace(width=1, gate_zones=2)) == 0.0
     with pytest.raises(ValueError):
-        zone_utilization(tr, 0)
+        zone_utilization(replace(tr, gate_zones=0))
 
 
 def test_project_training_time():
@@ -155,10 +156,10 @@ def _raised(check, tr):
 
 
 @settings(max_examples=400, deadline=None)
-@given(traces(), st.one_of(st.none(), st.integers(1, 8)))
-def test_metrics_match_the_multi_walk_reference(tr, k):
+@given(traces())
+def test_metrics_match_the_multi_walk_reference(tr):
     assert runtime_breakdown(tr) == ref.runtime_breakdown(tr)
-    assert zone_utilization(tr, k) == ref.zone_utilization(tr, k)
+    assert zone_utilization(tr) == ref.zone_utilization(tr)
     assert fidelity_report(tr) == ref.fidelity_report(tr)
 
 

@@ -99,6 +99,20 @@ def test_one_gate_per_slot():
         assert [len(e.payload["gate_ids"]) for e in tr.of_kind(EventKind.GATE_1Q)] == sizes
 
 
+def test_lap_after_a_pass_without_cooling_is_charged():
+    """The 1Q pass between the two ZZ layers only measures, so it cools
+    nothing; the lap after it still waits for that pass's readout to end."""
+    gates = [Gate(0, GateType.ZZ, (0, 2)), Gate(1, GateType.MEASURE, (0,)),
+             Gate(2, GateType.MEASURE, (2,)), Gate(3, GateType.ZZ, (1, 3)),
+             Gate(4, GateType.ZZ, (0, 1))]
+    tr = schedule(build_dag(gates, 4), make_machine(4), "plutarch", PolicyFlags(inplace_blocks=False))
+    laps = [e.t_start for e in tr.of_kind(EventKind.CIRCULATE)]
+    readout = next(e for e in tr.of_kind(EventKind.MEASURE) if e.qubits == (0,))
+    assert laps == [21_851.0, 29_869.0, 39_867.0]
+    assert laps[1] == readout.t_end
+    assert tr.span == 48_005.0
+
+
 MACHINES = {
     "k1": make_machine(1),
     "k4": make_machine(4),

@@ -30,7 +30,6 @@ from racetrack.workloads import (
     gen_qrm_encode,
     gen_steane_encode,
     gen_vqe,
-    parallel_gadget_final_qubit,
     steane_cycles,
     swap_network_rounds,
     _parallel_tree_layers,
