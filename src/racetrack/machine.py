@@ -1,9 +1,9 @@
 """Machine model: hardware timing constants, infidelity budget, and the
 racetrack geometry with optional shortcut chords.
 
-All times are microseconds, distances micrometers.  Defaults follow the
-published H2-class hardware table; every field can be overridden from a
-JSON machine description.
+All times are microseconds.  Defaults follow the published H2-class
+hardware table; every field can be overridden from a JSON machine
+description.
 """
 from __future__ import annotations
 
@@ -11,12 +11,13 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 DEFAULT_CAPACITY = 56
 MACHINE_FILE_ENV = "RACETRACK_MACHINE_FILE"
-# timing fields that divide or scale lengths, so they must not be zero
-_POSITIVE_TIMING = frozenset({"zone_gap", "straight_speed", "inter_zone_shift", "lap_4zone"})
+# timing fields that must not be zero: a pass stream or a lap that took no
+# time would make transport free
+_POSITIVE_TIMING = frozenset({"inter_zone_shift", "lap_4zone"})
 COOLING_STAGES = 550.0 + 850.0 + 650.0   # us, the three stages after each gate batch
 
 
@@ -26,17 +27,20 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _is_number(value) -> bool:
+    """A real number, and not a bool: JSON's true would otherwise read as 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TimingParams:
     """Hardware times.  Cooling follows the gate time: a batch's cooling is
     `COOLING_STAGES` plus its gate time, so it is not a field of its own."""
 
-    zone_gap: float = 750.0            # um between neighboring zones
     init_batch: float = 17000.0        # qubit initialization, per batch
     measure_batch: float = 120.0       # high-fidelity readout, per batch
     one_q_gate: float = 5.0
     two_q_gate: float = 25.0
-    straight_speed: float = 2.65       # um/us on the straight
     inter_zone_shift: float = 283.0
     intra_zone_shift: float = 58.0
     split_or_combine: float = 128.0
@@ -56,16 +60,10 @@ class TimingParams:
         for f in fields(self):
             v = getattr(self, f.name)
             positive = f.name in _POSITIVE_TIMING
-            if not (math.isfinite(v) and (v > 0 if positive else v >= 0)):
+            if not (_is_number(v) and math.isfinite(v) and (v > 0 if positive else v >= 0)):
                 raise ValueError(
                     f"{f.name} must be finite and {'>' if positive else '>='} 0, got {v!r}"
                 )
-        speed = self.zone_gap / self.inter_zone_shift
-        if abs(speed - self.straight_speed) / self.straight_speed > 0.005:
-            raise ValueError(
-                f"zone_gap/inter_zone_shift = {speed:.4f} disagrees with "
-                f"straight_speed {self.straight_speed} by more than 0.5%"
-            )
 
 
 @dataclass(frozen=True)
@@ -82,10 +80,10 @@ class FidelityParams:
         for f in fields(self):
             v = getattr(self, f.name)
             if f.name == "t1":
-                if not v > 0:  # NaN fails this too
+                if not (_is_number(v) and v > 0):  # NaN fails this too
                     raise ValueError(f"t1 must be positive, got {v!r}")
-            elif not (0.0 <= v < 1.0):
-                raise ValueError(f"{f.name} must lie in [0, 1)")
+            elif not (_is_number(v) and 0.0 <= v < 1.0):
+                raise ValueError(f"{f.name} must lie in [0, 1), got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -93,38 +91,31 @@ class TrackLayout:
     """Closed-loop electrode: gate zones on the bottom straight, reorder
     zones on top, plus shortcut chords at fractional positions.
 
-    Lengths are *effective* arc lengths calibrated so the 4-zone main loop
-    reproduces the published 6.2 ms lap (curved-end deceleration is folded
-    into the per-zone allowance rather than modeled per segment).
+    A circulation path is known by its fraction of the main loop; the
+    machine's timing turns a fraction into a lap time (`Machine.lap`).
     """
 
     gate_zones: int
     reorder_zones: int
     shortcuts: tuple[float, ...]
-    loop_length: float
 
     @property
     def circulation_paths(self) -> list[tuple[int, float]]:
-        """(path id, effective length); id 0 is the main loop, id i >= 1 the
-        sub-loop closed by shortcut i (shorter side of the chord)."""
-        paths = [(0, self.loop_length)]
+        """(path id, fraction of the main loop); id 0 is the main loop, id
+        i >= 1 the sub-loop closed by shortcut i (shorter side of the chord)."""
+        paths = [(0, 1.0)]
         for i, f in enumerate(self.shortcuts, start=1):
-            paths.append((i, min(f, 1.0 - f) * self.loop_length))
+            paths.append((i, min(f, 1.0 - f)))
         return paths
 
-    def path_length(self, path_id: int) -> float:
-        for pid, length in self.circulation_paths:
-            if pid == path_id:
-                return length
-        raise KeyError(f"unknown circulation path {path_id}")
-
-    def shortest_path(self, min_fraction: float = 0.0) -> tuple[int, float]:
-        """Shortest circulation path whose length fraction of the main loop
-        is at least `min_fraction` (e.g. enough bottom span for the chain)."""
-        best = (0, self.loop_length)
-        for pid, length in self.circulation_paths:
-            if length >= min_fraction * self.loop_length - 1e-9 and length < best[1]:
-                best = (pid, length)
+    def shortest_path(self, min_fraction: float = 0.0) -> int:
+        """The shortest circulation path whose fraction of the main loop is
+        at least `min_fraction` (e.g. enough bottom span for the chain)."""
+        best, best_fraction = 0, 1.0
+        # the slack absorbs the rounding of 1 - f: 1 - 0.9 falls short of 0.1
+        for pid, fraction in self.circulation_paths:
+            if fraction >= min_fraction - 1e-12 and fraction < best_fraction:
+                best, best_fraction = pid, fraction
         return best
 
 
@@ -132,36 +123,22 @@ def build_track(
     gate_zones: int,
     reorder_zones: int | None = None,
     shortcuts: list[float] | tuple[float, ...] = (),
-    t: TimingParams = TimingParams(),
 ) -> TrackLayout:
-    """Lay out a racetrack with `gate_zones` bottom zones at zone_gap pitch.
-
-    The effective loop length scales linearly with the gate-zone count so
-    lap time is lap_4zone * k / 4; shortcut fractions in (0, 1) close
-    sub-loops at the matching fraction of the loop.
-    """
+    """Lay out a racetrack with `gate_zones` bottom zones; shortcut
+    fractions in (0, 1) close sub-loops at the matching fraction of the
+    loop."""
     _check_count("gate_zones", gate_zones)
     if reorder_zones is None:
         reorder_zones = gate_zones
     _check_count("reorder_zones", reorder_zones)
+    if not isinstance(shortcuts, (list, tuple)) or not all(_is_number(f) for f in shortcuts):
+        raise ValueError(f"shortcuts must be a list of fractions, got {shortcuts!r}")
     fr = [float(f) for f in shortcuts]
     if any(not (0.0 < f < 1.0) for f in fr):
         raise ValueError("shortcut fractions must lie strictly in (0, 1)")
     if len(set(fr)) != len(fr):
         raise ValueError("overlapping shortcut endpoints")
-    loop_length = gate_zones * t.lap_4zone * t.straight_speed / 4.0
-    return TrackLayout(
-        gate_zones=gate_zones,
-        reorder_zones=reorder_zones,
-        shortcuts=tuple(fr),
-        loop_length=loop_length,
-    )
-
-
-def lap_time(layout: TrackLayout, path_id: int = 0, t: TimingParams = TimingParams()) -> float:
-    """Circulation time of one path; linear in calibrated length, anchored
-    to lap_4zone for the 4-zone main loop."""
-    return layout.path_length(path_id) / t.straight_speed
+    return TrackLayout(gate_zones=gate_zones, reorder_zones=reorder_zones, shortcuts=tuple(fr))
 
 
 @dataclass(frozen=True)
@@ -178,7 +155,13 @@ class Machine:
         return self.layout.gate_zones
 
     def lap(self, path_id: int = 0) -> float:
-        return lap_time(self.layout, path_id, self.timing)
+        """Circulation time of one path: the main loop's lap grows linearly
+        with the gate-zone count from `lap_4zone` on the 4-zone track, and
+        a sub-loop takes its fraction of that."""
+        for pid, fraction in self.layout.circulation_paths:
+            if pid == path_id:
+                return fraction * (self.layout.gate_zones * self.timing.lap_4zone / 4.0)
+        raise KeyError(f"unknown circulation path {path_id}")
 
 
 def make_machine(
@@ -195,14 +178,16 @@ def make_machine(
     f.validate()
     _check_count("capacity", capacity)
     return Machine(
-        layout=build_track(gate_zones, reorder_zones, shortcuts, t),
+        layout=build_track(gate_zones, reorder_zones, shortcuts),
         timing=t,
         fidelity=f,
         capacity=capacity,
     )
 
 
-def _apply_overrides(base, overrides: dict):
+def _apply_overrides(base, overrides: dict, key: str):
+    if not isinstance(overrides, dict):
+        raise ValueError(f"{key} must be an object of parameters, got {overrides!r}")
     known = {f.name for f in fields(base)}
     unknown = set(overrides) - known
     if unknown:
@@ -211,12 +196,14 @@ def _apply_overrides(base, overrides: dict):
 
 
 def machine_from_dict(desc: dict) -> Machine:
+    if not isinstance(desc, dict):
+        raise ValueError(f"machine description must be an object, got {desc!r}")
     allowed = {"gate_zones", "reorder_zones", "shortcuts", "timing", "fidelity", "capacity"}
     unknown = set(desc) - allowed
     if unknown:
         raise ValueError(f"unknown machine description key(s): {sorted(unknown)}")
-    timing = _apply_overrides(TimingParams(), desc.get("timing", {}))
-    fid = _apply_overrides(FidelityParams(), desc.get("fidelity", {}))
+    timing = _apply_overrides(TimingParams(), desc.get("timing", {}), "timing")
+    fid = _apply_overrides(FidelityParams(), desc.get("fidelity", {}), "fidelity")
     return make_machine(
         gate_zones=desc.get("gate_zones", 4),
         reorder_zones=desc.get("reorder_zones"),

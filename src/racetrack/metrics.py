@@ -1,5 +1,5 @@
-"""Runtime breakdown, zone utilization, analytic fidelity accounting, and
-end-to-end training-time projection over a Trace.
+"""Runtime breakdown, zone utilization and analytic fidelity accounting
+over a Trace.
 
 Each of the three trace metrics reads the trace once: it tests event kinds
 by identity and computes an event's end as `t_start + duration` in place.
@@ -246,21 +246,3 @@ def fidelity_report(tr: Trace, f: FidelityParams = FidelityParams()) -> Fidelity
         f_transport=f_transport,
         f_decoh=f_decoh,
     )
-
-
-def project_training_time(
-    per_shot_us: float, shots: int, epochs: int, classical_overhead_us: float = 0.0
-) -> float:
-    """(per_shot * shots + classical_overhead) * epochs, in hours."""
-    if per_shot_us < 0 or shots < 0 or epochs < 0 or classical_overhead_us < 0:
-        raise ValueError("projection inputs must be non-negative")
-    total_us = (per_shot_us * shots + classical_overhead_us) * epochs
-    return total_us / 1e6 / 3600.0
-
-
-def geometric_mean(values: list[float]) -> float:
-    if not values:
-        raise ValueError("geometric mean of empty list")
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric mean needs positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))

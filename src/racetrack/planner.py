@@ -42,7 +42,7 @@ from .ions import (  # noqa: F401
     COMBINE, PAIR_EXCHANGE, SPLIT, SWAP, Crystal, IonState, ReorderOp, ReorderTag,
     apply_reorder, bubble_left_in_place, reorder_durations, reorder_in_place,
 )
-from .machine import TimingParams, TrackLayout, lap_time
+from .machine import Machine
 
 
 class PlanMode(Enum):
@@ -125,9 +125,7 @@ class _Arrangement:
             self._stale_from = index
 
 
-def _costed(
-    ops: list[ReorderOp], final: IonState, layout: TrackLayout, t: TimingParams
-) -> tuple[ReorderPlan, float]:
+def _costed(ops: list[ReorderOp], final: IonState, m: Machine) -> tuple[ReorderPlan, float]:
     """The one-dimensional plan of `ops`, with every cost a plan carries,
     and the staged time of its exchanges over the reorder zones (what a
     circulation hides).
@@ -145,9 +143,9 @@ def _costed(
     its op count.  The three are written out rather than shared, because
     a call per op per stager costs about half again as much.
     """
-    durations = reorder_durations(t)
-    gate_cap = max(1, layout.gate_zones)
-    reorder_cap = max(1, layout.reorder_zones)
+    durations = reorder_durations(m.timing)
+    gate_cap = max(1, m.layout.gate_zones)
+    reorder_cap = max(1, m.layout.reorder_zones)
     counts: dict[str, int] = {}
     all_total, all_busy, all_max, all_n = 0.0, 0, 0.0, 0
     reg_total, reg_busy, reg_max, reg_n = 0.0, 0, 0.0, 0
@@ -314,9 +312,8 @@ def _checked_targets(s: IonState, target_pairs) -> list[tuple[int, int]]:
 def plan_reorder(
     s: IonState,
     target_pairs: list[tuple[int, int]],
-    layout: TrackLayout,
+    m: Machine,
     mode: PlanMode = PlanMode.CIRCULATION_ALLOWED,
-    t: TimingParams = TimingParams(),
 ) -> ReorderPlan:
     """Plan primitives making every target pair adjacent and combined.
 
@@ -332,12 +329,11 @@ def plan_reorder(
     if ops is None:
         work = _Arrangement(s)
         ops = _fallback_plan(work, targets)
-    plan, exchange_time = _costed(ops, IonState(tuple(work.crystals)), layout, t)
+    plan, exchange_time = _costed(ops, IonState(tuple(work.crystals)), m)
     if mode is PlanMode.ONE_DIMENSIONAL:
         return plan
     candidates = [(plan.time, -1)] + [
-        (max(lap_time(layout, pid, t), plan.regroup_time), pid)
-        for pid, _length in layout.circulation_paths
+        (max(m.lap(pid), plan.regroup_time), pid) for pid, _fraction in m.layout.circulation_paths
     ]
     charged, path = min(candidates)
     if path == -1:
@@ -345,7 +341,7 @@ def plan_reorder(
     return replace(plan, path_id=path, time=charged, hidden_time=exchange_time)
 
 
-def split_all_plan(s: IonState, layout: TrackLayout, t: TimingParams = TimingParams()) -> ReorderPlan:
+def split_all_plan(s: IonState, m: Machine) -> ReorderPlan:
     """Split every pair, left to right, in one walk; each SPLIT's index
     counts the singles the earlier splits made."""
     ops = []
@@ -358,4 +354,4 @@ def split_all_plan(s: IonState, layout: TrackLayout, t: TimingParams = TimingPar
             crystals.append(Crystal((qs[1],), False))
         else:
             crystals.append(c)
-    return _costed(ops, IonState(tuple(crystals)), layout, t)[0]
+    return _costed(ops, IonState(tuple(crystals)), m)[0]

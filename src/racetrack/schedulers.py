@@ -63,6 +63,8 @@ class _Transition(Enum):
 
 def _policy(policy: str, flags: PolicyFlags | None) -> tuple[_Transition, bool]:
     """The `(transition, pipelining)` pair of a config."""
+    if flags is not None and not isinstance(flags, PolicyFlags):
+        raise ValueError(f"flags must be a PolicyFlags or None, got {flags!r}")
     if policy == "plutarch":
         flags = flags or PolicyFlags()
         return (_Transition.IN_PLACE if flags.inplace_blocks else _Transition.LAP), flags.pipelining
@@ -260,8 +262,7 @@ class _Engine:
     def _rolodex_path(self) -> int:
         """Smallest circulation path whose span hosts the whole chain."""
         need = math.ceil(self.c.width / 2) / max(self.k, 1)
-        pid, _ = self.m.layout.shortest_path(min_fraction=min(need, 1.0))
-        return pid
+        return self.m.layout.shortest_path(min_fraction=min(need, 1.0))
 
 
 def _reorder_payload(plan: ReorderPlan, **extra) -> dict:
@@ -302,9 +303,9 @@ def _schedule_passes(eng: _Engine) -> None:
         # transition: bring ions into the needed shape for this pass
         if kind == "2q":
             targets = [g.qubits for g in gates]
-            plan = plan_reorder(eng.state, targets, eng.m.layout, mode, eng.t)
+            plan = plan_reorder(eng.state, targets, eng.m, mode)
         else:
-            plan = split_all_plan(eng.state, eng.m.layout, eng.t)
+            plan = split_all_plan(eng.state, eng.m)
         eng._apply_plan_events(plan, prev_pass_work=prev_work,
                                hidden_under_lap=eng.transition is _Transition.LAP and idx > 0)
         eng._begin_pass(active_pairs=math.ceil(eng.c.width / 2))
@@ -331,7 +332,7 @@ def _schedule_blocks(eng: _Engine) -> None:
     prev_work = 0.0
     for layer in schedule.layers:
         targets = [b.qubits for b in layer]
-        plan = plan_reorder(eng.state, targets, m.layout, mode, eng.t)
+        plan = plan_reorder(eng.state, targets, m, mode)
         if plan.path_id == 0:
             plan = plan.one_dimensional()
 

@@ -75,16 +75,6 @@ _QASM_MEASURE = re.compile(r"^\s*measure\s+(\S+?)\s*->\s*\S+\s*;", re.IGNORECASE
 _QASM_QREG = re.compile(r"^\s*qreg\s+(\w+)\s*\[(\d+)\]\s*;", re.IGNORECASE)
 _QASM_IDX = re.compile(r"\w+\s*\[(\d+)\]")
 
-_QASM_KINDS = {
-    "h": GateType.H,
-    "x": GateType.X,
-    "rx": GateType.RX,
-    "rz": GateType.RZ,
-    "cx": GateType.CX,
-    "rzz": GateType.RZZ,
-}
-
-
 _BINARY_OPS = {
     ast.Add: operator.add,
     ast.Sub: operator.sub,
@@ -146,7 +136,7 @@ def _qasm_gate(line: str, gid: int) -> Gate:
     m = _QASM_GATE.match(line)
     if m:
         name, args, operands = m.group(1).lower(), m.group(2), m.group(3)
-        kind = _QASM_KINDS[name]
+        kind = GateType[name.upper()]
         qubits = tuple(int(x) for x in _QASM_IDX.findall(operands))
         params: tuple[float, ...] = ()
         if args:

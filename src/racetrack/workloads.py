@@ -58,7 +58,6 @@ class GraphKind(Enum):
 class GraphSpec:
     kind: GraphKind
     n: int
-    exponent: float = 1.0
     seed: int = 1
 
     def __post_init__(self):
@@ -84,12 +83,12 @@ class GraphSpec:
 
     def _powerlaw_edges(self) -> list[tuple[int, int]]:
         # Preferential attachment, one edge per new node; attachment
-        # probability proportional to (degree + 1) ** exponent.
+        # probability proportional to degree + 1.
         rng = Lcg(self.seed)
         deg = [0] * self.n
         edges: list[tuple[int, int]] = []
         for v in range(1, self.n):
-            weights = [(deg[u] + 1.0) ** self.exponent for u in range(v)]
+            weights = [deg[u] + 1.0 for u in range(v)]
             total = sum(weights)
             r = rng.uniform() * total
             acc = 0.0
@@ -170,6 +169,8 @@ def gen_phase_gadget(n: int, alpha: float, variant: GadgetVariant) -> Circuit:
     emit = lambda kind, qs, ps=(): gates.append(Gate(len(gates), kind, qs, ps))
     if n < 2:
         raise ValueError("phase gadget needs n >= 2")
+    if not isinstance(variant, GadgetVariant):
+        raise ValueError(f"unknown gadget variant {variant!r}")
 
     if variant is GadgetVariant.LADDER:
         chain = [(i, i + 1) for i in range(n - 1)]
@@ -236,15 +237,9 @@ class VqeAnsatz(Enum):
     PHASE_GADGET_CHAIN = "phase_gadget_chain"
     TWO_LOCAL_HWEA = "two_local_hwea"
     CIRCULAR_SU2 = "circular_su2"
-    UCCSD_LIKE = "uccsd_like"
 
 
-def gen_vqe(
-    ansatz: VqeAnsatz,
-    n: int,
-    depth: int = 1,
-    variant: GadgetVariant = GadgetVariant.PARALLEL_RZZ,
-) -> Circuit:
+def gen_vqe(ansatz: VqeAnsatz, n: int, depth: int = 1) -> Circuit:
     """Hardware-efficient and gadget-chain ansaetze.
 
     `depth` counts Pauli strings for the gadget-chain families and
@@ -254,10 +249,10 @@ def gen_vqe(
         raise ValueError("ansatz needs n >= 2")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if ansatz in (VqeAnsatz.PHASE_GADGET_CHAIN, VqeAnsatz.UCCSD_LIKE):
+    if ansatz is VqeAnsatz.PHASE_GADGET_CHAIN:
         gates: list[Gate] = []
         for s in range(depth):
-            part = gen_phase_gadget(n, 0.1 * (s + 1), variant)
+            part = gen_phase_gadget(n, 0.1 * (s + 1), GadgetVariant.PARALLEL_RZZ)
             for g in part.gates:
                 gates.append(Gate(len(gates), g.kind, g.qubits, g.params))
         return build_dag(gates, n)
@@ -339,29 +334,22 @@ def gen_steane_encode(num_logical: int) -> Circuit:
     return build_dag(gates, n)
 
 
-def steane_cycles(num_logical: int, gate_zones: int) -> int:
-    """Native operation cycles to prepare `num_logical` blocks on a machine
-    with `gate_zones` zones: 13 * ceil(3n / k)."""
-    return 13 * math.ceil(3 * num_logical / gate_zones)
-
-
 # ---------------------------------------------------------------------------
 # transversal expansion over Steane blocks
 
-def expand_transversal(logical: Circuit, prelude: Circuit | None = None) -> Circuit:
+def expand_transversal(logical: Circuit, prelude: Circuit) -> Circuit:
     """Expand a logical circuit to physical qubits, 7 per logical qubit.
 
     Logical 1Q gates become 7 parallel physical 1Q gates; logical CX
     becomes 7 parallel physical CXs between matching block positions.
-    `prelude` (typically the block encoder) is emitted first.
+    `prelude` (the block encoder) is emitted first.
     """
     width = STEANE_BLOCK * logical.width
+    if prelude.width != width:
+        raise ValueError("prelude width does not match expanded width")
     gates: list[Gate] = []
-    if prelude is not None:
-        if prelude.width != width:
-            raise ValueError("prelude width does not match expanded width")
-        for g in prelude.gates:
-            gates.append(Gate(len(gates), g.kind, g.qubits, g.params))
+    for g in prelude.gates:
+        gates.append(Gate(len(gates), g.kind, g.qubits, g.params))
     for g in logical.gates:
         for i in range(STEANE_BLOCK):
             phys = tuple(STEANE_BLOCK * q + i for q in g.qubits)
@@ -417,6 +405,8 @@ def gen_qrm_encode(n: int, basis: QrmBasis) -> Circuit:
     """
     if n < 4 or n % 2:
         raise ValueError("QRM encoder needs even n >= 4")
+    if not isinstance(basis, QrmBasis):
+        raise ValueError(f"unknown QRM basis {basis!r}")
     if basis is QrmBasis.Z:
         return gen_ghz(n)
     gates: list[Gate] = []
@@ -424,41 +414,4 @@ def gen_qrm_encode(n: int, basis: QrmBasis) -> Circuit:
         gates.append(Gate(len(gates), GateType.H, (q,)))
     for q in range(n - 1):
         gates.append(Gate(len(gates), GateType.CX, (q, n - 1)))
-    return build_dag(gates, n)
-
-
-# ---------------------------------------------------------------------------
-# edge re-coloring (compile-side parallelization of commuting RZZ terms)
-
-def color_edges(edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Greedy partition of an edge list into qubit-disjoint rounds,
-    preserving relative order inside each round."""
-    rounds: list[tuple[list[tuple[int, int]], set[int]]] = []
-    for a, b in edges:
-        for round_edges, used in rounds:
-            if a not in used and b not in used:
-                round_edges.append((a, b))
-                used.update((a, b))
-                break
-        else:
-            rounds.append(([(a, b)], {a, b}))
-    return [e for round_edges, _ in rounds for e in round_edges]
-
-
-def gen_qaoa_parallel(graph: GraphSpec, layers: int = 1) -> Circuit:
-    """gen_qaoa with the cost-layer edges re-colored into disjoint rounds
-    (the compile-side rewrite used by the optimized pipelines)."""
-    if graph.kind is GraphKind.SK:
-        return gen_qaoa(graph, layers)
-    n = graph.n
-    gates: list[Gate] = []
-    emit = lambda kind, qs, ps=(): gates.append(Gate(len(gates), kind, qs, ps))
-    for q in range(n):
-        emit(GateType.H, (q,))
-    colored = color_edges(graph.edges())
-    for p in range(1, layers + 1):
-        for a, b in colored:
-            emit(GateType.RZZ, (a, b), (0.1 * p,))
-        for q in range(n):
-            emit(GateType.RX, (q,), (0.1 * p,))
     return build_dag(gates, n)

@@ -1,5 +1,6 @@
 """Machine parameters, track geometry, ion reorder primitives, planner."""
 import copy
+import json
 import math
 import pickle
 import re
@@ -15,8 +16,6 @@ from racetrack.ions import (
 from racetrack.machine import (
     FidelityParams,
     TimingParams,
-    build_track,
-    lap_time,
     machine_from_dict,
     make_machine,
 )
@@ -37,10 +36,6 @@ def _combined(s, a, b):
 class TestTimingParams:
     def test_defaults_consistent(self):
         TimingParams().validate()
-
-    def test_speed_ratio(self):
-        t = TimingParams()
-        assert abs(t.zone_gap / t.inter_zone_shift - t.straight_speed) / t.straight_speed < 0.005
 
     def test_cooling_sums(self):
         t = TimingParams()
@@ -68,34 +63,44 @@ class TestTimingParams:
 
 class TestTrack:
     def test_lap_default(self):
-        track = build_track(4)
-        assert lap_time(track, 0) == pytest.approx(6200.0)
+        assert make_machine(4).lap(0) == 6200.0
+        with pytest.raises(KeyError, match="unknown circulation path 1"):
+            make_machine(4).lap(1)
 
     def test_lap_8zone(self):
-        track = build_track(8)
-        assert lap_time(track, 0) == pytest.approx(12400.0)
+        assert make_machine(8).lap(0) == 12400.0
+        assert make_machine(8).lap() == 12400.0
 
     def test_lap_monotone_additive(self):
         for k in (1, 2, 4, 16, 64):
-            assert lap_time(build_track(k), 0) == pytest.approx(1550.0 * k)
+            assert make_machine(k).lap(0) == 1550.0 * k
 
     def test_half_shortcut_on_8zone(self):
-        track = build_track(8, shortcuts=[0.5])
-        assert lap_time(track, 1) == pytest.approx(6200.0)
+        m = make_machine(8, shortcuts=[0.5])
+        assert m.lap(1) == 6200.0
+        with pytest.raises(KeyError, match="unknown circulation path 2"):
+            m.lap(2)
 
     def test_three_paths_decreasing(self):
-        track = build_track(64, 64, [0.5, 0.25])
-        lengths = [l for _, l in track.circulation_paths]
-        assert len(lengths) == 3
-        assert lengths[0] > lengths[1] > lengths[2]
+        m = make_machine(64, 64, [0.5, 0.25])
+        assert m.layout.circulation_paths == [(0, 1.0), (1, 0.5), (2, 0.25)]
+        laps = [m.lap(pid) for pid, _ in m.layout.circulation_paths]
+        assert laps == [99200.0, 49600.0, 24800.0]
+
+    def test_shortest_path_absorbs_the_rounding_of_one_minus_f(self):
+        # 1 - 0.9 falls one ulp short of 0.1, yet the sub-loop spans 0.1
+        layout = make_machine(10, shortcuts=[0.9]).layout
+        assert layout.circulation_paths[1][1] < 0.1
+        assert layout.shortest_path(min_fraction=0.1) == 1
+        assert layout.shortest_path(min_fraction=0.2) == 0
 
     def test_shortcut_validation(self):
         with pytest.raises(ValueError):
-            build_track(4, shortcuts=[0.5, 0.5])
+            make_machine(4, shortcuts=[0.5, 0.5])
         with pytest.raises(ValueError):
-            build_track(4, shortcuts=[1.2])
+            make_machine(4, shortcuts=[1.2])
         with pytest.raises(ValueError):
-            build_track(0)
+            make_machine(0)
 
     def test_machine_from_dict(self):
         m = machine_from_dict(
@@ -111,8 +116,9 @@ class TestTrack:
 
     @pytest.mark.parametrize("desc, message", [
         ({"timing": {"inter_zone_shift": 0}}, "inter_zone_shift must be finite and > 0, got 0"),
-        ({"timing": {"straight_speed": 0}}, "straight_speed must be finite and > 0, got 0"),
-        ({"timing": {"zone_gap": -750.0}}, "zone_gap must be finite and > 0, got -750.0"),
+        # the lap time is lap_4zone * k / 4 alone: a track length and speed are not parameters
+        ({"timing": {"straight_speed": 2.65}}, "unknown machine parameter(s): ['straight_speed']"),
+        ({"timing": {"zone_gap": 750.0}}, "unknown machine parameter(s): ['zone_gap']"),
         ({"timing": {"lap_4zone": math.inf}}, "lap_4zone must be finite and > 0, got inf"),
         ({"timing": {"swap": math.nan}}, "swap must be finite and >= 0, got nan"),
         ({"timing": {"swap": -200.0}}, "swap must be finite and >= 0, got -200.0"),
@@ -127,6 +133,23 @@ class TestTrack:
         with pytest.raises(ValueError) as err:
             machine_from_dict(desc)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, name", [
+        ('{"shortcuts": 0.5}', "shortcuts"),
+        ('{"shortcuts": [null]}', "shortcuts"),
+        ('{"shortcuts": "0.5"}', "shortcuts"),
+        ('{"timing": {"swap": "200"}}', "swap"),
+        ('{"timing": {"swap": null}}', "swap"),
+        ('{"timing": {"swap": true}}', "swap"),
+        ('{"fidelity": {"t1": "100"}}', "t1"),
+        ('{"fidelity": {"inf_spam": null}}', "inf_spam"),
+        ('{"timing": 5}', "timing"),
+        ('{"timing": ["swap"]}', "timing"),
+        ('[]', "machine description"),
+    ])
+    def test_wrong_json_types_name_the_field(self, text, name):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must "):
+            machine_from_dict(json.loads(text))
 
     def test_zero_valued_timing_is_allowed_off_the_divisors(self):
         m = machine_from_dict({"timing": {"swap": 0.0, "intra_zone_shift": 0}})
@@ -338,7 +361,8 @@ class TestStagedTime:
         # take each busy mask far past 64 bits
         exchanges = [o for o in ops if o.tag is ReorderTag.PAIR_EXCHANGE]
         regroup = [o for o in ops if o.tag is not ReorderTag.PAIR_EXCHANGE]
-        plan, exchange_time = _costed(ops, IonState(()), build_track(gate_zones, reorder_zones), t)
+        m = make_machine(gate_zones, reorder_zones, timing=t)
+        plan, exchange_time = _costed(ops, IonState(()), m)
         assert plan.time_1d == _staged_time_with_set(ops, gate_zones, t)
         assert plan.regroup_time == _staged_time_with_set(regroup, reorder_zones, t)
         assert exchange_time == _staged_time_with_set(exchanges, reorder_zones, t)
@@ -411,8 +435,7 @@ class TestReorderOp:
 class TestPlanner:
     def test_fixed_point(self):
         s = IonState.initial_pairs(8)
-        track = build_track(4)
-        plan = plan_reorder(s, [(0, 1), (2, 3)], track)
+        plan = plan_reorder(s, [(0, 1), (2, 3)], make_machine(4))
         assert plan.ops == () and plan.time == 0.0
 
     def test_steane_layer_transition_two_ops(self):
@@ -420,8 +443,7 @@ class TestPlanner:
         s = IonState(
             (Crystal((6, 0)), Crystal((1, 2)), Crystal((3, 4)), Crystal((5,), False))
         )
-        track = build_track(4)
-        plan = plan_reorder(s, [(6, 1), (0, 2), (3, 5)], track)
+        plan = plan_reorder(s, [(6, 1), (0, 2), (3, 5)], make_machine(4))
         exchange_ops = [o for o in plan.ops if o.tag is ReorderTag.PAIR_EXCHANGE]
         assert len(exchange_ops) == 2 and len(plan.ops) == 2
         assert _combined(plan.final, 6, 1)
@@ -431,7 +453,7 @@ class TestPlanner:
     def test_duplicate_target_rejected(self):
         s = IonState.initial_pairs(4)
         with pytest.raises(ValueError):
-            plan_reorder(s, [(0, 1), (1, 2)], build_track(4))
+            plan_reorder(s, [(0, 1), (1, 2)], make_machine(4))
 
     @given(st.integers(2, 16), st.data())
     @settings(max_examples=250, deadline=None)
@@ -440,7 +462,7 @@ class TestPlanner:
         # targets, every target pair ends adjacent and combined
         s, targets = _draw_instance(n, data)
         mode = data.draw(st.sampled_from(list(PlanMode)))
-        plan = plan_reorder(s, targets, build_track(4), mode)
+        plan = plan_reorder(s, targets, make_machine(4), mode)
         for a, b in targets:
             assert _combined(plan.final, a, b)
         assert sorted(_ion_order(plan.final)) == list(range(n))
@@ -452,7 +474,7 @@ class TestPlanner:
         # the planner edits a working copy and never replays its ops; the
         # replay through the immutable primitives must land on plan.final
         s, targets = _draw_instance(n, data)
-        plan = plan_reorder(s, targets, build_track(8, shortcuts=[0.5]), mode)
+        plan = plan_reorder(s, targets, make_machine(8, shortcuts=[0.5]), mode)
         replayed, _ = apply_plan(s, list(plan.ops))
         assert replayed == plan.final
         assert sorted(_ion_order(plan.final)) == sorted(_ion_order(s))
@@ -464,11 +486,21 @@ class TestPlanner:
         # circulation-assisted candidate on a 2-path track
         s = IonState(tuple(Crystal((q,), facing_right=(q % 2 == 0)) for q in range(8)))
         targets = [(7, 6), (5, 4), (3, 2), (1, 0)]
-        track = build_track(8, shortcuts=[0.5])
-        p_1d = plan_reorder(s, targets, track, PlanMode.ONE_DIMENSIONAL)
-        p_c = plan_reorder(s, targets, track, PlanMode.CIRCULATION_ALLOWED)
+        m = make_machine(8, shortcuts=[0.5])
+        p_1d = plan_reorder(s, targets, m, PlanMode.ONE_DIMENSIONAL)
+        p_c = plan_reorder(s, targets, m, PlanMode.CIRCULATION_ALLOWED)
         assert p_1d.time >= p_c.time
         assert p_1d.path_id is None
+
+    def test_shortcut_lap_wins_a_long_reversal(self):
+        # nesting every pair around the middle costs 14,076 us one-dimensionally;
+        # the half-loop sub-loop charges its own lap, half the main loop's
+        s = IonState.initial_pairs(8)
+        targets = [(0, 7), (1, 6), (2, 5), (3, 4)]
+        plan = plan_reorder(s, targets, make_machine(8, shortcuts=[0.5]))
+        assert (plan.path_id, plan.time, plan.time_1d) == (1, 6200.0, 14076.0)
+        plan = plan_reorder(s, targets, make_machine(8))
+        assert (plan.path_id, plan.time) == (0, 12400.0)
 
     def test_staged_time_parallelism(self):
         ops = [
@@ -476,62 +508,61 @@ class TestPlanner:
             ReorderOp(ReorderTag.SPLIT, index=4),
             ReorderOp(ReorderTag.SPLIT, index=8),
         ]
-        t = TimingParams()
-        assert _costed(ops, IonState(()), build_track(4), t)[0].time_1d == 128.0
-        assert _costed(ops, IonState(()), build_track(1), t)[0].time_1d == 3 * 128.0
+        assert _costed(ops, IonState(()), make_machine(4))[0].time_1d == 128.0
+        assert _costed(ops, IonState(()), make_machine(1))[0].time_1d == 3 * 128.0
 
     @staticmethod
-    def _assert_costs_carried(plan, track):
+    def _assert_costs_carried(plan, m):
         # the costs the planner carries are the staged times of its own ops,
         # bitwise, and the counts are a first-appearance count of tag values
         ops = list(plan.ops)
         exchanges = [o for o in ops if o.tag is ReorderTag.PAIR_EXCHANGE]
         regroup = [o for o in ops if o.tag is not ReorderTag.PAIR_EXCHANGE]
-        assert plan.time_1d == _staged_time_with_set(ops, track.gate_zones)
-        assert plan.regroup_time == _staged_time_with_set(regroup, track.reorder_zones)
+        assert plan.time_1d == _staged_time_with_set(ops, m.layout.gate_zones)
+        assert plan.regroup_time == _staged_time_with_set(regroup, m.layout.reorder_zones)
         if plan.path_id is None:
             assert plan.time == plan.time_1d and plan.hidden_time == 0.0
         else:
-            assert plan.hidden_time == _staged_time_with_set(exchanges, track.reorder_zones)
-            assert plan.time == max(lap_time(track, plan.path_id), plan.regroup_time)
+            assert plan.hidden_time == _staged_time_with_set(exchanges, m.layout.reorder_zones)
+            assert plan.time == max(m.lap(plan.path_id), plan.regroup_time)
         counts = {}
         for o in ops:
             counts[o.tag.value] = counts.get(o.tag.value, 0) + 1
         assert plan.op_counts == tuple(counts.items())
 
-    # build_track(k) with and without a shortcut; a reorder-zone count
+    # make_machine(k) with and without a shortcut; a reorder-zone count
     # apart from k tells the gate-zone costs from the reorder-zone ones
-    tracks = st.builds(
-        lambda k, reorder, shortcuts: build_track(k, reorder, shortcuts=list(shortcuts)),
+    machines = st.builds(
+        lambda k, reorder, shortcuts: make_machine(k, reorder, shortcuts=list(shortcuts)),
         st.integers(1, 8), st.one_of(st.none(), st.integers(1, 8)), st.sampled_from([(), (0.5,)]),
     )
 
-    @given(st.integers(2, 16), tracks, st.data())
+    @given(st.integers(2, 16), machines, st.data())
     @settings(max_examples=250, deadline=None)
     @pytest.mark.parametrize("mode", list(PlanMode))
-    def test_plan_carries_its_costs(self, mode, n, track, data):
+    def test_plan_carries_its_costs(self, mode, n, m, data):
         s, targets = _draw_instance(n, data)
-        self._assert_costs_carried(plan_reorder(s, targets, track, mode), track)
+        self._assert_costs_carried(plan_reorder(s, targets, m, mode), m)
 
-    @given(st.integers(2, 16), tracks, st.data())
+    @given(st.integers(2, 16), machines, st.data())
     @settings(max_examples=150, deadline=None)
-    def test_split_all_plan_carries_its_costs(self, n, track, data):
+    def test_split_all_plan_carries_its_costs(self, n, m, data):
         s, _ = _draw_instance(n, data)
-        plan = split_all_plan(s, track)
-        self._assert_costs_carried(plan, track)
+        plan = split_all_plan(s, m)
+        self._assert_costs_carried(plan, m)
         assert plan.path_id is None
         assert not any(c.is_pair for c in plan.final.crystals)
         replayed, _ = apply_plan(s, list(plan.ops))
         assert replayed == plan.final
 
-    @given(st.integers(2, 16), tracks, st.data())
+    @given(st.integers(2, 16), machines, st.data())
     @settings(max_examples=150, deadline=None)
-    def test_one_dimensional_needs_no_second_plan(self, n, track, data):
+    def test_one_dimensional_needs_no_second_plan(self, n, m, data):
         # block scheduling turns a full-lap plan into a 1-D one without
         # planning again; that must equal the plan of the 1-D mode
         s, targets = _draw_instance(n, data)
-        plan = plan_reorder(s, targets, track, PlanMode.CIRCULATION_ALLOWED)
-        direct = plan_reorder(s, targets, track, PlanMode.ONE_DIMENSIONAL)
+        plan = plan_reorder(s, targets, m, PlanMode.CIRCULATION_ALLOWED)
+        direct = plan_reorder(s, targets, m, PlanMode.ONE_DIMENSIONAL)
         assert plan.one_dimensional() == direct
 
     @pytest.mark.parametrize(
@@ -544,4 +575,4 @@ class TestPlanner:
     def test_bad_target_names_itself(self, target, reason):
         s = IonState.initial_pairs(8)
         with pytest.raises(ValueError, match=re.escape(f"target {target!r}") + ".*" + reason):
-            plan_reorder(s, [(4, 5), target], build_track(4))
+            plan_reorder(s, [(4, 5), target], make_machine(4))

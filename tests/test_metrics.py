@@ -1,5 +1,5 @@
-"""Runtime breakdown, zone utilization, the fidelity ledger, trace
-validation and the scalar helpers in metrics.
+"""Runtime breakdown, zone utilization, the fidelity ledger and trace
+validation.
 
 The one-walk metrics and `Trace.validate` are held to the multi-walk
 reference bodies in `reference_metrics.py` on drawn traces and on
@@ -17,8 +17,6 @@ from racetrack.machine import make_machine
 from racetrack.metrics import (
     _Coverage,
     fidelity_report,
-    geometric_mean,
-    project_training_time,
     runtime_breakdown,
     zone_utilization,
 )
@@ -94,24 +92,6 @@ def test_zone_utilization_by_hand():
     assert zone_utilization(Trace(width=1, gate_zones=2)) == 0.0
     with pytest.raises(ValueError):
         zone_utilization(replace(tr, gate_zones=0))
-
-
-def test_project_training_time():
-    assert project_training_time(1e6, 3600, 2) == 2.0
-    assert project_training_time(1e6, 1800, 1, classical_overhead_us=1.8e9) == 1.0
-    assert project_training_time(5.0, 0, 10) == 0.0
-    for bad in ((-1.0, 1, 1), (1.0, -1, 1), (1.0, 1, -1), (1.0, 1, 1, -1.0)):
-        with pytest.raises(ValueError):
-            project_training_time(*bad)
-
-
-def test_geometric_mean():
-    assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
-    assert geometric_mean([1.0, 4.0, 16.0]) == pytest.approx(4.0)
-    assert geometric_mean([math.e]) == pytest.approx(math.e)
-    for bad in ([], [1.0, 0.0], [2.0, -1.0]):
-        with pytest.raises(ValueError):
-            geometric_mean(bad)
 
 
 # Times on a half-unit grid make events overlap, touch and have zero

@@ -15,6 +15,7 @@ The qubits start paired, so no config reorders.  With pipelining the
 stream overlaps the second init batch and drops out of the span.
 """
 import math
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -23,10 +24,11 @@ from hypothesis import strategies as st
 from racetrack.blocks import extract_inplace_blocks
 from racetrack.circuit import build_dag
 from racetrack.gates import Gate, GateType
-from racetrack.machine import make_machine
+from racetrack.machine import TimingParams, make_machine
 from racetrack.schedulers import INPLACE_GATHER_FACTOR, PolicyFlags, schedule
 from racetrack.trace import EventKind
 from racetrack.translate import extract_2q_layers, one_qubit_phases, translate_to_native
+from racetrack.workloads import GraphKind, GraphSpec, VqeAnsatz, gen_qaoa, gen_vqe
 from test_blocks import native_circuits
 
 M = make_machine(1)
@@ -86,6 +88,12 @@ def test_event_lanes():
 def test_fixed_policies_take_no_flags(policy):
     with pytest.raises(ValueError, match=policy):
         schedule(one_zz(), M, policy, PolicyFlags())
+
+
+@pytest.mark.parametrize("flags", [{}, {"inplace_blocks": False}, (False, False)])
+def test_flags_must_be_policy_flags(flags):
+    with pytest.raises(ValueError, match="PolicyFlags"):
+        schedule(one_zz(), M, "plutarch", flags)
 
 
 def test_one_gate_per_slot():
@@ -161,3 +169,18 @@ def test_batches_and_streams_last_what_the_config_charges(c, machine, config):
     assert all(e.duration == t.two_q_gate for e in tr.of_kind(EventKind.GATE_2Q))
     streams = [e.duration for e in tr.of_kind(EventKind.SHUTTLE) if e.payload.get("pass_stream")]
     assert streams == stream_durations(c, m, config)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(TimingParams)])
+def test_no_timing_field_is_idle(name):
+    """Doubling any one timing field changes the events of at least one
+    small case: SK-QAOA-8 and circular-SU2-8, at k=4 with a half-loop
+    shortcut, under the five configs."""
+    circuits = [translate_to_native(gen_qaoa(GraphSpec(GraphKind.SK, 8))),
+                translate_to_native(gen_vqe(VqeAnsatz.CIRCULAR_SU2, 8))]
+    base = make_machine(4, shortcuts=(0.5,))
+    doubled = make_machine(4, shortcuts=(0.5,),
+                           timing=replace(base.timing, **{name: 2 * getattr(base.timing, name)}))
+    moved = [events(schedule(c, base, policy, flags)) != events(schedule(c, doubled, policy, flags))
+             for c in circuits for policy, flags in CONFIGS.values()]
+    assert any(moved)

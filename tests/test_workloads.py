@@ -20,17 +20,14 @@ from racetrack.workloads import (
     GraphSpec,
     QrmBasis,
     VqeAnsatz,
-    color_edges,
     gen_ghz,
     gen_ghz_logical,
     gen_msd_7to1,
     gen_phase_gadget,
     gen_qaoa,
-    gen_qaoa_parallel,
     gen_qrm_encode,
     gen_steane_encode,
     gen_vqe,
-    steane_cycles,
     swap_network_rounds,
     _parallel_tree_layers,
 )
@@ -64,6 +61,12 @@ class TestPhaseGadget:
         assert set(c.gates[0].qubits) == {0, 1}
         c2 = gen_phase_gadget(2, 0.3, GadgetVariant.PARALLEL)
         assert [g.kind for g in c2.gates] == [GateType.CX, GateType.RZ, GateType.CX]
+
+    def test_unknown_variant_rejected(self):
+        # the variant's value is not the variant: it must not fall through
+        # to the parallel tree
+        with pytest.raises(ValueError, match="unknown gadget variant 'ladder'"):
+            gen_phase_gadget(4, 0.1, "ladder")
 
     def test_n8_parallel_layers(self):
         c = gen_phase_gadget(8, 0.2, GadgetVariant.PARALLEL)
@@ -145,9 +148,9 @@ class TestGraphs:
         assert [len(l) for l in layers] == [2, 2]
 
     def test_powerlaw_deterministic_connected(self):
-        g1 = GraphSpec(GraphKind.POWERLAW, 16, exponent=1.0, seed=7).edges()
-        g2 = GraphSpec(GraphKind.POWERLAW, 16, exponent=1.0, seed=7).edges()
-        g3 = GraphSpec(GraphKind.POWERLAW, 16, exponent=1.0, seed=8).edges()
+        g1 = GraphSpec(GraphKind.POWERLAW, 16, seed=7).edges()
+        g2 = GraphSpec(GraphKind.POWERLAW, 16, seed=7).edges()
+        g3 = GraphSpec(GraphKind.POWERLAW, 16, seed=8).edges()
         assert g1 == g2
         assert g1 != g3
         assert len(g1) == 15
@@ -201,16 +204,6 @@ class TestQaoa:
         assert kind_count(c, GateType.RZZ) == 9
         assert kind_count(c, GateType.RX) == 12
 
-    def test_colored_path_parallel(self):
-        c = gen_qaoa_parallel(GraphSpec(GraphKind.PATH, 6), 1)
-        layers = extract_2q_layers(c)
-        assert [len(l) for l in layers] == [3, 2]
-
-    def test_color_edges_preserves_set(self):
-        edges = GraphSpec(GraphKind.POWERLAW, 12, seed=3).edges()
-        colored = color_edges(edges)
-        assert sorted(colored) == sorted(edges)
-
 
 class TestVqe:
     def test_hwea_4_1(self):
@@ -227,14 +220,10 @@ class TestVqe:
         assert len(cx) == 4 and (3, 0) in cx
 
     def test_uccsd_like_concatenation(self):
-        c = gen_vqe(VqeAnsatz.UCCSD_LIKE, 8, 4)
+        # the UCCSD-like ansatz is the chain of Parallel+RZZ phase gadgets
+        c = gen_vqe(VqeAnsatz.PHASE_GADGET_CHAIN, 8, 4)
         assert kind_count(c, GateType.RZZ) == 4
         assert kind_count(c, GateType.CX) == 4 * 2 * (8 - 2)
-
-    def test_gadget_chain_matches_uccsd(self):
-        a = gen_vqe(VqeAnsatz.PHASE_GADGET_CHAIN, 6, 2)
-        b = gen_vqe(VqeAnsatz.UCCSD_LIKE, 6, 2)
-        assert [g.kind for g in a.gates] == [g.kind for g in b.gates]
 
 
 class TestGhz:
@@ -296,13 +285,6 @@ class TestSteane:
         # logical |0>: +1 eigenstate of transversal Z
         assert pauli_expectation(state, "ZZZZZZZ") == pytest.approx(1.0, abs=1e-9)
 
-    def test_cycles_formula(self):
-        assert steane_cycles(1, 4) == 13
-        assert steane_cycles(2, 4) == 26
-        assert steane_cycles(8, 4) == 78
-        assert steane_cycles(8, 12) == 26
-        assert steane_cycles(8, 24) == 13
-
 
 class TestMsd:
     def test_width_56(self):
@@ -336,6 +318,9 @@ class TestQrm:
         for bad in (3, 5, 2):
             with pytest.raises(ValueError):
                 gen_qrm_encode(bad, QrmBasis.Z)
+        # the basis's value is not the basis: it must not fall through to X
+        with pytest.raises(ValueError, match="unknown QRM basis 'z'"):
+            gen_qrm_encode(8, "z")
 
     def test_n4_z_matches_ghz(self):
         z = gen_qrm_encode(4, QrmBasis.Z)
