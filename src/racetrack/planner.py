@@ -14,8 +14,9 @@ with the in-place primitives of `ions`.  The fallback looks each target's
 members up once and carries their crystal indices by arithmetic from
 there.  It moves a member with one primitive, `ions.bubble_left_in_place`,
 which emits every SPLIT and PAIR_EXCHANGE of the walk and rewrites the
-crossed crystals with one slice; member splits, swaps and combines go
-through `ions.reorder_in_place` one op at a time.
+crossed crystals with one slice.  It splits, swaps and combines members
+by editing the crystal list directly, emitting the ops `ions.reorder_in_place`
+would apply; the walk itself guarantees each of that function's checks.
 
 The qubit index starts as a copy of the state's own `crystal_index`.  No
 qubit below the crystal where a target combines has moved, so the index
@@ -30,16 +31,22 @@ This module is the only place a plan is costed, and `_costed` is the
 staging rule.  Each cost is computed once per plan, in one walk over its
 ops, and carried on the `ReorderPlan`; the schedulers read those fields
 instead of staging the ops again.
+
+`plan_reorder` must stay a pure function of (arrangement, targets,
+machine, mode): it keeps no state between calls and returns an immutable
+plan.  The schedulers rely on that, reusing a plan whenever a target set
+recurs from an equal arrangement within one schedule.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from numbers import Integral
 
 # apply_reorder stays importable from here: perfbench/spans.py counts calls
 # through planner.apply_reorder
 from .ions import (  # noqa: F401
-    COMBINE, PAIR_EXCHANGE, SPLIT, SWAP, Crystal, IonState, ReorderOp, ReorderTag,
+    COMBINE, PAIR_EXCHANGE, SPLIT, SWAP, Crystal, IonState, ReorderOp,
     apply_reorder, bubble_left_in_place, reorder_durations, reorder_in_place,
 )
 from .machine import Machine
@@ -239,21 +246,22 @@ def _fallback_plan(work: _Arrangement, targets: list[tuple[int, int]]) -> list[R
     ops: list[ReorderOp] = []
     cs = work.crystals
 
-    def do(tag: ReorderTag, index: int):
-        operands = cs[index].qubits
-        if tag is COMBINE:
-            operands = operands + cs[index + 1].qubits
-        op = ReorderOp(tag, operands, index)
-        reorder_in_place(cs, op)
-        ops.append(op)
+    def split(i: int):
+        """Split the pair at i into ->a, <-b."""
+        qs = cs[i].qubits
+        ops.append(ReorderOp(SPLIT, qs, i))
+        cs[i : i + 1] = [Crystal((qs[0],), True), Crystal((qs[1],), False)]
 
     def combine(left: int):
-        """Orient the singles at left, left + 1 as (->, <-) and combine them."""
+        """Orient the singles at left, left + 1 as (->, <-) and combine them.
+        A swapped single is combined at once, so it is never stored."""
+        a, b = cs[left].qubits, cs[left + 1].qubits
         if not cs[left].facing_right:
-            do(SWAP, left)
+            ops.append(ReorderOp(SWAP, a, left))
         if cs[left + 1].facing_right:
-            do(SWAP, left + 1)
-        do(COMBINE, left)
+            ops.append(ReorderOp(SWAP, b, left + 1))
+        ops.append(ReorderOp(COMBINE, a + b, left))
+        cs[left : left + 2] = [Crystal(a + b)]
         work.mark_stale(left)
 
     for a, b in targets:
@@ -263,13 +271,13 @@ def _fallback_plan(work: _Arrangement, targets: list[tuple[int, int]]) -> list[R
         # split each member out of its pair; no such pair is another
         # target's, because targets are disjoint
         if cs[ia].is_pair:
-            do(SPLIT, ia)
+            split(ia)
             if ib > ia:
                 ib += 1
             if cs[ia].qubits[0] != a:
                 ia += 1
         if cs[ib].is_pair:
-            do(SPLIT, ib)
+            split(ib)
             if ia > ib:
                 ia += 1
             if cs[ib].qubits[0] != b:
@@ -289,15 +297,26 @@ def _fallback_plan(work: _Arrangement, targets: list[tuple[int, int]]) -> list[R
     return ops
 
 
+def _is_qubit(q) -> bool:
+    """An integer and not a bool, which hashes like qubit 0 or 1.  The
+    test of the type comes first: the abstract `Integral` check costs
+    about 40 times as much."""
+    return type(q) is int or (isinstance(q, Integral) and not isinstance(q, bool))
+
+
 def _checked_targets(s: IonState, target_pairs) -> list[tuple[int, int]]:
     """The targets as qubit pairs sorted by their lower qubit; ValueError
-    unless each is two distinct qubits of `s` and no qubit is in two."""
+    unless each is two distinct integer qubits of `s` and no qubit is in
+    two."""
     known = s.crystal_index
     seen: set[int] = set()
     targets = []
     for pair in target_pairs:
-        pair = tuple(pair)
-        if len(pair) != 2 or pair[0] == pair[1]:
+        try:
+            pair = tuple(pair)
+        except TypeError:
+            raise ValueError(f"target {pair!r} is not two distinct qubits") from None
+        if len(pair) != 2 or not (_is_qubit(pair[0]) and _is_qubit(pair[1])) or pair[0] == pair[1]:
             raise ValueError(f"target {pair!r} is not two distinct qubits")
         for q in pair:
             if q not in known:

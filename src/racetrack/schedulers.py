@@ -24,6 +24,18 @@ reach the next pass:
   INPLACE_GATHER_FACTOR * k + (blocks in the layer) zone gaps.
 
 Pipelining overlaps initialization, measurement and transport with gating.
+
+A transition to a 2Q pass or block layer is planned for its target set:
+the qubit pairs of the pass's gates, or of the layer's blocks, in order.
+Layered circuits (one entangling layer per rep) ask for the same target
+set again and again, and `plan_reorder` is a pure function of the
+arrangement, the targets, the machine and the mode.  So before the first
+transition the engine counts each target set's occurrences.  A set that
+will occur again keeps one entry, `(arrangement planned from, plan)`, and
+a later occurrence reuses the plan when the current arrangement equals
+that one; otherwise it plans again and keeps the new entry.  An entry is
+dropped at its set's last occurrence.  The engine thus holds at most one
+plan per target set still to come, and none once `schedule` returns.
 """
 from __future__ import annotations
 
@@ -97,6 +109,9 @@ class _Engine:
         self.prep_cursor = 0.0
         self.pass_first_batch_end: float | None = None   # None until a batch of the pass ends
         self.pass_start = 0.0
+        self.mode: PlanMode | None = None   # set by expect_transitions
+        self.uses_left: dict[tuple[tuple[int, ...], ...], int] = {}
+        self.kept: dict[tuple[tuple[int, ...], ...], tuple[IonState, ReorderPlan]] = {}
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -114,6 +129,34 @@ class _Engine:
             if r > start:
                 start = r
         return start
+
+    # -- transition plans --------------------------------------------------
+
+    def expect_transitions(self, mode: PlanMode, target_sets) -> None:
+        """Fix the plan mode and count how often each target set will be
+        planned."""
+        self.mode = mode
+        uses = self.uses_left
+        for targets in target_sets:
+            uses[targets] = uses.get(targets, 0) + 1
+
+    def plan(self, targets: tuple[tuple[int, ...], ...]) -> ReorderPlan:
+        """The plan that takes the current state to `targets`: the kept one
+        if it was planned from an equal state, else a fresh `plan_reorder`.
+        It is kept only while `targets` has uses left (see the module
+        docstring)."""
+        left = self.uses_left[targets] - 1
+        kept = self.kept.pop(targets, None)
+        if kept is not None and kept[0] == self.state:
+            plan = kept[1]
+        else:
+            plan = plan_reorder(self.state, targets, self.m, self.mode)
+        if left:
+            self.uses_left[targets] = left
+            self.kept[targets] = (self.state, plan)
+        else:
+            del self.uses_left[targets]
+        return plan
 
     # -- initialization / measurement -------------------------------------
 
@@ -298,12 +341,13 @@ def _schedule_passes(eng: _Engine) -> None:
     passes = _interleave_passes(eng.c)
     eng.init_all(_first_use_order(g for _, gates in passes for g in gates))
     mode = PlanMode.ONE_DIMENSIONAL if eng.transition is _Transition.SWEEP else PlanMode.CIRCULATION_ALLOWED
+    targets_of = [tuple(g.qubits for g in gates) if kind == "2q" else None for kind, gates in passes]
+    eng.expect_transitions(mode, [targets for targets in targets_of if targets is not None])
     prev_work = 0.0
-    for idx, (kind, gates) in enumerate(passes):
+    for idx, ((kind, gates), targets) in enumerate(zip(passes, targets_of)):
         # transition: bring ions into the needed shape for this pass
         if kind == "2q":
-            targets = [g.qubits for g in gates]
-            plan = plan_reorder(eng.state, targets, eng.m, mode)
+            plan = eng.plan(targets)
         else:
             plan = split_all_plan(eng.state, eng.m)
         eng._apply_plan_events(plan, prev_pass_work=prev_work,
@@ -328,11 +372,12 @@ def _schedule_blocks(eng: _Engine) -> None:
     # every block layer fills at most all gate zones, so only shortcut
     # sub-loops compete with 1-D moves, and a full-lap win is taken 1-D
     mode = PlanMode.CIRCULATION_ALLOWED if m.layout.shortcuts else PlanMode.ONE_DIMENSIONAL
+    targets_of = [tuple(b.qubits for b in layer) for layer in schedule.layers]
+    eng.expect_transitions(mode, targets_of)
     prev_layer_qubits: set[int] = set()
     prev_work = 0.0
-    for layer in schedule.layers:
-        targets = [b.qubits for b in layer]
-        plan = plan_reorder(eng.state, targets, m, mode)
+    for layer, targets in zip(schedule.layers, targets_of):
+        plan = eng.plan(targets)
         if plan.path_id == 0:
             plan = plan.one_dimensional()
 

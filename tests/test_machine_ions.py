@@ -372,6 +372,28 @@ class TestStagedTime:
         assert plan.op_counts == tuple(counts.items())
 
 
+class TestCrystal:
+    def test_value_semantics(self):
+        pair, single = Crystal((0, 2)), Crystal((1,), False)
+        assert pair.is_pair and not single.is_pair
+        assert (pair.qubits, pair.facing_right, single.qubits, single.facing_right) == ((0, 2), True, (1,), False)
+        assert pair == Crystal((0, 2)) and hash(pair) == hash(Crystal((0, 2)))
+        assert single != Crystal((1,), True) and pair != Crystal((2, 0))
+        assert (repr(pair), repr(single), repr(Crystal((3,)))) == ("(->0,<-2)", "<-1", "->3")
+
+    @pytest.mark.parametrize("attr", ["qubits", "facing_right", "is_pair", "other"])
+    def test_assignment_raises_attribute_error(self, attr):
+        with pytest.raises(AttributeError):
+            setattr(Crystal((0, 2)), attr, (1,))
+
+    def test_pickle_and_deepcopy_keep_it(self):
+        for c in (Crystal((0, 2)), Crystal((1,), False)):
+            twins = [pickle.loads(pickle.dumps(c, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for twin in twins + [copy.deepcopy(c), copy.copy(c)]:
+                assert type(twin) is Crystal and twin == c
+                assert (twin.qubits, twin.facing_right, twin.is_pair) == (c.qubits, c.facing_right, c.is_pair)
+
+
 class TestCrystalIndex:
     @staticmethod
     def _scan(s):
@@ -570,7 +592,13 @@ class TestPlanner:
         [((0, 9), "qubit 9, which is not in the arrangement"),
          ((0, 2, 4), "not two distinct qubits"),
          ((0,), "not two distinct qubits"),
-         ((3, 3), "not two distinct qubits")],
+         ((3, 3), "not two distinct qubits"),
+         # a bool or a float hashes like an integer qubit, but names none
+         ((True, 2), "not two distinct qubits"),
+         ((0, 2.0), "not two distinct qubits"),
+         (5, "not two distinct qubits"),
+         (None, "not two distinct qubits"),
+         ((0, [2]), "not two distinct qubits")],
     )
     def test_bad_target_names_itself(self, target, reason):
         s = IonState.initial_pairs(8)

@@ -16,20 +16,24 @@ stream overlaps the second init batch and drops out of the span.
 """
 import math
 from dataclasses import fields, replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from racetrack import schedulers
 from racetrack.blocks import extract_inplace_blocks
 from racetrack.circuit import build_dag
 from racetrack.gates import Gate, GateType
 from racetrack.machine import TimingParams, make_machine
+from racetrack.planner import plan_reorder
 from racetrack.schedulers import INPLACE_GATHER_FACTOR, PolicyFlags, schedule
 from racetrack.trace import EventKind
 from racetrack.translate import extract_2q_layers, one_qubit_phases, translate_to_native
 from racetrack.workloads import GraphKind, GraphSpec, VqeAnsatz, gen_qaoa, gen_vqe
 from test_blocks import native_circuits
+from test_circuit_ir import UNITARY_KINDS, circuits
 
 M = make_machine(1)
 T = M.timing
@@ -184,3 +188,92 @@ def test_no_timing_field_is_idle(name):
     moved = [events(schedule(c, base, policy, flags)) != events(schedule(c, doubled, policy, flags))
              for c in circuits for policy, flags in CONFIGS.values()]
     assert any(moved)
+
+
+class _PlanEveryTransition(schedulers._Engine):
+    """The engine without plan reuse: every transition is planned anew."""
+
+    def plan(self, targets):
+        return schedulers.plan_reorder(self.state, targets, self.m, self.mode)
+
+
+def events_and_plan_calls(c, m, policy, flags):
+    """The events of `schedule` and how often it called `plan_reorder`."""
+    with patch.object(schedulers, "plan_reorder", wraps=plan_reorder) as counted:
+        tr = schedule(c, m, policy, flags)
+    return events(tr), counted.call_count
+
+
+def check_reuse_changes_nothing(c, m, policy, flags):
+    """Plan reuse gives the events of planning every transition, and plans
+    no more often; returns the plan calls with and without reuse."""
+    reused, calls = events_and_plan_calls(c, m, policy, flags)
+    with patch.object(schedulers, "_Engine", _PlanEveryTransition):
+        planned, reference_calls = events_and_plan_calls(c, m, policy, flags)
+    assert reused == planned
+    assert calls <= reference_calls
+    return calls, reference_calls
+
+
+@st.composite
+def repeated_native_circuits(draw):
+    """A random body of gates repeated 2..4 times, as the layers of a
+    variational circuit repeat, translated to native gates."""
+    body = draw(circuits(max_width=6, max_gates=12, kinds=UNITARY_KINDS + (GateType.MEASURE,)))
+    reps = draw(st.integers(2, 4))
+    gates = [Gate(r * body.n_gates + g.id, g.kind, g.qubits, g.params)
+             for r in range(reps) for g in body.gates]
+    return translate_to_native(build_dag(gates, body.width))
+
+
+SHORTCUT_SETS = [(), (0.5,), (0.25, 0.5, 0.75)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(repeated_native_circuits(), st.integers(1, 8), st.sampled_from(SHORTCUT_SETS),
+       st.sampled_from(sorted(CONFIGS)))
+def test_plan_reuse_keeps_every_event(c, k, shortcuts, config):
+    policy, flags = CONFIGS[config]
+    check_reuse_changes_nothing(c, make_machine(k, shortcuts=shortcuts), policy, flags)
+
+
+@pytest.mark.parametrize("circuit", [
+    translate_to_native(gen_vqe(VqeAnsatz.CIRCULAR_SU2, 8, 4)),
+    translate_to_native(gen_qaoa(GraphSpec(GraphKind.SK, 8), 3)),
+], ids=["vqe_su2_8x4", "qaoa_sk8_p3"])
+def test_plan_reuse_keeps_every_event_of_layered_circuits(circuit):
+    calls = reference_calls = 0
+    for k in range(1, 9):
+        for shortcuts in SHORTCUT_SETS:
+            m = make_machine(k, shortcuts=shortcuts)
+            for policy, flags in CONFIGS.values():
+                made, planned = check_reuse_changes_nothing(circuit, m, policy, flags)
+                calls += made
+                reference_calls += planned
+    # the layers repeat, so some transitions are reused
+    assert calls < reference_calls
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_no_plan_is_kept_after_schedule_returns(config):
+    policy, flags = CONFIGS[config]
+    c = translate_to_native(gen_vqe(VqeAnsatz.CIRCULAR_SU2, 8, 4))
+    made = []
+
+    class KeepEngines(schedulers._Engine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with patch.object(schedulers, "_Engine", KeepEngines):
+        schedule(c, make_machine(4, shortcuts=(0.5,)), policy, flags)
+    (eng,) = made
+    assert eng.kept == {} and eng.uses_left == {}
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_no_two_events_share_a_payload(config):
+    policy, flags = CONFIGS[config]
+    c = translate_to_native(gen_vqe(VqeAnsatz.CIRCULAR_SU2, 8, 4))
+    tr = schedule(c, make_machine(4, shortcuts=(0.5,)), policy, flags)
+    assert len({id(e.payload) for e in tr.events}) == len(tr.events)
