@@ -25,6 +25,14 @@ reach the next pass:
 
 Pipelining overlaps initialization, measurement and transport with gating.
 
+Within a pass, or a side of a block layer's 1Q wave, gates run in zone
+batches formed by the one list scheduler, `translate.list_layers`.  A gate
+is ready once every earlier gate of the pass on its qubits has run; each
+batch takes the (source layer, kind) of the earliest ready gate and at
+most k ready gates of that key, lowest qubit first, one per slot (the
+crystal a qubit sits in).  Precedence thus holds by construction, and
+`schedule` checks the trace against the circuit's DAG before returning it.
+
 A transition to a 2Q pass or block layer is planned for its target set:
 the qubit pairs of the pass's gates, or of the layer's blocks, in order.
 Layered circuits (one entangling layer per rep) ask for the same target
@@ -43,6 +51,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from . import translate   # called through the module: perfbench/spans.py rebinds its names
 from .blocks import Block, extract_inplace_blocks
 from .circuit import Circuit
 from .gates import Gate, GateType
@@ -191,40 +200,11 @@ class _Engine:
 
     # -- batching ----------------------------------------------------------
 
-    def _phase_batches(self, gates: list[Gate]):
-        """Kind-homogeneous batches, one gate per zone slot, capacity k.
-
-        Gates from different source (pre-translation) layers never share a
-        batch: a zone fires one homogeneous wave per layer as ions pass.
-        A qubit sits in one slot, so a batch holds at most one gate per
-        qubit, and each gate takes a zone of its own.
-        """
-        groups: list[list[Gate]] = []
-        # keyed by the kind's value: hashing the member itself runs the
-        # Python-level Enum.__hash__ once per gate
-        key_of: dict[tuple[int, str], int] = {}
-        slot_of = self.state.crystal_index
-        for g in gates:
-            key = (g.source, g.kind._value_)
-            if key not in key_of:
-                key_of[key] = len(groups)
-                groups.append([])
-            groups[key_of[key]].append(g)
-        for remaining in groups:
-            while remaining:
-                slots_used: set[int] = set()
-                taken: list[Gate] = []
-                rest: list[Gate] = []
-                for g in remaining:
-                    slot = slot_of[g.qubits[0]]
-                    if len(taken) < self.k and slot not in slots_used:
-                        taken.append(g)
-                        slots_used.add(slot)
-                    else:
-                        rest.append(g)
-                remaining = rest
-                taken.sort(key=lambda g: min(g.qubits))
-                yield taken
+    def _phase_batches(self, gates: list[Gate]) -> list[list[Gate]]:
+        """The zone batches of `gates` (see the module docstring); keyed by
+        the kind's value, as the member's hash is Python-level."""
+        return translate.list_layers(gates, lambda g: (g.source, g.kind._value_),
+                                     self.k, self.state.crystal_index)
 
     def _run_batch(self, gates: list[Gate]):
         """Run one kind-homogeneous batch, each gate in a zone of its own.
@@ -317,18 +297,12 @@ def _reorder_payload(plan: ReorderPlan, **extra) -> dict:
 
 def _interleave_passes(c: Circuit) -> list[tuple[str, list[Gate]]]:
     """[('1q', P0), ('2q', L1), ('1q', P1), ...] with empty phases dropped."""
-    from .translate import extract_2q_layers, one_qubit_phases
-
-    layers = extract_2q_layers(c)
-    phases = one_qubit_phases(c, layers)
-    passes: list[tuple[str, list[Gate]]] = []
-    if phases[0]:
-        passes.append(("1q", phases[0]))
-    for j, layer in enumerate(layers):
-        passes.append(("2q", list(layer)))
-        if phases[j + 1]:
-            passes.append(("1q", phases[j + 1]))
-    return passes
+    layers = translate.extract_2q_layers(c)
+    phases = translate.one_qubit_phases(c, layers)
+    passes = [("1q", phases[0])]
+    for layer, phase in zip(layers, phases[1:]):
+        passes += [("2q", layer), ("1q", phase)]
+    return [(kind, gates) for kind, gates in passes if gates]
 
 
 def _first_use_order(gates) -> list[int]:
@@ -452,5 +426,5 @@ def schedule(c: Circuit, m: Machine, policy: str, flags: PolicyFlags | None = No
     else:
         _schedule_passes(eng)
     eng.measure_all()
-    eng.trace.validate()
+    eng.trace.validate(c)
     return eng.trace

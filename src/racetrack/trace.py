@@ -77,14 +77,19 @@ class Trace:
     def transport_events(self) -> int:
         return sum(int(e.payload.get("transports", 0)) for e in self.events)
 
-    def validate(self) -> None:
+    def validate(self, circuit=None) -> None:
         """Zone-lane events are mutually exclusive; no qubit is touched by
         two overlapping events; every start and duration is finite, no
         duration is negative and no start is before 0 (with eps slack).
 
+        Given the `Circuit` the trace was scheduled from, it also checks,
+        reading gate ids from the `gate_ids` payloads:
+        rule 1, every gate of the circuit runs exactly once;
+        rule 2, no gate starts before a DAG predecessor ends (eps slack).
+
         Reads the trace once, checking times and collecting the zone-lane
-        events and the events that touch qubits; then it checks each of
-        those lists in start order.
+        events and the events that touch qubits; then it checks the gates
+        those events run, and each of those lists in start order.
         """
         eps = 1e-6
         zone_events: list[TraceEvent] = []
@@ -97,6 +102,8 @@ class Trace:
                 zone_events.append(e)
             if e.qubits:
                 touching.append(e)
+        if circuit is not None:
+            _check_gates(circuit, touching, eps)
         zone_events.sort(key=_start)
         prev, prev_end = None, -math.inf
         for e in zone_events:
@@ -114,3 +121,35 @@ class Trace:
                     if not qubits.isdisjoint(x.qubits):
                         raise ValueError(f"qubit overlap between {x} and {e}")
             active.append((e.t_start + e.duration, e))
+
+
+def _check_gates(circuit, touching: list[TraceEvent], eps: float) -> None:
+    """Rules 1 and 2 of `Trace.validate`, over the events that touch qubits
+    (a gate event lists the qubits of its gates)."""
+    start: dict[int, float] = {}
+    end: dict[int, float] = {}
+    repeated: list[int] = []
+    for e in touching:
+        ids = e.payload.get("gate_ids")
+        if ids:
+            t0 = e.t_start
+            t1 = t0 + e.duration
+            for gid in ids:
+                if gid in start:
+                    repeated.append(gid)
+                start[gid] = t0
+                end[gid] = t1
+    ids = {g.id for g in circuit.gates}
+    if repeated or start.keys() != ids:
+        faults = [f"{what} {sorted(set(gids))}" for what, gids in (
+            ("never run:", ids - start.keys()), ("run more than once:", repeated),
+            ("not in the circuit:", start.keys() - ids)) if gids]
+        raise ValueError("rule 1 (every gate runs exactly once) broken: gates "
+                         + "; ".join(faults))
+    early = [(a, b) for a, b in circuit.edges if start[b] < end[a] - eps]
+    if early:
+        a, b = min(early)
+        raise ValueError(
+            f"rule 2 (no gate starts before a DAG predecessor ends) broken by "
+            f"{len(early)} edge(s), first: gate {b} starts at {start[b]!r} us, "
+            f"before its predecessor gate {a} ends at {end[a]!r} us")

@@ -1,5 +1,5 @@
 """Translation of abstract gates to the machine's native set, and
-extraction of same-kind parallel 2Q layers.
+`list_layers`, the one list scheduler behind every 2Q layer and zone batch.
 
 Wall-clock decompositions (verified against a dense statevector oracle;
 the gate order below is the one that reproduces the target unitaries):
@@ -14,6 +14,7 @@ the gate order below is the one that reproduces the target unitaries):
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 
 from .circuit import Circuit, build_dag
 from .gates import Gate, GateType
@@ -72,46 +73,77 @@ def translate_to_native(c: Circuit, expand_rzz: bool = False) -> Circuit:
     return build_dag(out, c.width)
 
 
-def extract_2q_layers(c: Circuit, cap: int | None = None) -> list[list[Gate]]:
-    """Partition the 2Q gates into same-kind qubit-disjoint layers.
+def list_layers(gates, key, cap: int | None = None, slot_of=None) -> list[list[Gate]]:
+    """List-schedule `gates`, in program order, into layers.
 
-    A gate enters a layer once all of its 2Q predecessors (via shared
-    qubits, 1Q gates transparent) are in earlier layers.  Within the ready
-    set, the layer takes the kind of the earliest ready gate in program
-    order, sorts the ready gates of that kind by lowest qubit index and
-    keeps the first `cap` of them (all without a cap); the rest stay ready.
+    A gate is ready once every earlier gate of the list on its qubits is in
+    an earlier layer.  Each layer takes the key of the earliest ready gate
+    in list order, collects the ready gates with that key lowest qubit
+    first, and keeps at most `cap` of them, one per `slot_of[q]` of their
+    lowest qubit q when slots are given; the rest stay ready.  Ready gates
+    share no qubit, so neither does a layer.
+
+    The earliest unplaced gate is always ready, so it names the key.  Each
+    key keeps a heap of its ready gates as (lowest qubit, position); a gate
+    joins it when its last predecessor on the list is placed.
     """
     if cap is not None and cap < 1:
         raise ValueError("cap must be >= 1")
-    two_q = [g for g in c.gates if g.is_2q]
-    # Per-qubit sequences of 2Q gates give the 2Q-projected precedence.
-    pred_count: dict[int, int] = {g.id: 0 for g in two_q}
-    succs: dict[int, list[int]] = {g.id: [] for g in two_q}
+    n = len(gates)
+    if n < 2:
+        return [list(gates)] if n else []
+    keys = list(map(key, gates))
+    waiting = [0] * n            # unplaced predecessors; -1 once placed
+    succs = [()] * n
     last_on: dict[int, int] = {}
-    for g in two_q:
-        for q in g.qubits:
-            if q in last_on:
-                succs[last_on[q]].append(g.id)
-                pred_count[g.id] += 1
-            last_on[q] = g.id
-    by_id = {g.id: g for g in two_q}
-    order = {g.id: i for i, g in enumerate(two_q)}
-    ready = sorted((gid for gid, n in pred_count.items() if n == 0), key=order.get)
+    ready: dict = {}             # key -> heap of (lowest qubit, position)
+    for i, g in enumerate(gates):
+        qs = g.qubits
+        for q in qs:
+            j = last_on.get(q)
+            if j is not None:
+                succs[j] += (i,)
+                waiting[i] += 1
+            last_on[q] = i
+        if not waiting[i]:
+            heappush(ready.setdefault(keys[i], []), (min(qs), i))
+    first = 0
     layers: list[list[Gate]] = []
-    while ready:
-        kind = by_id[ready[0]].kind
-        layer = sorted((by_id[gid] for gid in ready if by_id[gid].kind is kind),
-                       key=lambda g: min(g.qubits))[:cap]
-        taken = {g.id for g in layer}
-        ready = [gid for gid in ready if gid not in taken]
-        for g in layer:
-            for s in succs[g.id]:
-                pred_count[s] -= 1
-                if pred_count[s] == 0:
-                    ready.append(s)
-        ready.sort(key=order.get)
-        layers.append(layer)
+    while first < n:
+        heap = ready[keys[first]]
+        q, i = heappop(heap)
+        taken = [i]
+        if heap and cap != 1:
+            skipped = []
+            used = {slot_of[q]} if slot_of is not None else None
+            while heap and len(taken) != cap:
+                entry = heappop(heap)
+                if used is not None:
+                    slot = slot_of[entry[0]]
+                    if slot in used:
+                        skipped.append(entry)
+                        continue
+                    used.add(slot)
+                taken.append(entry[1])
+            for entry in skipped:
+                heappush(heap, entry)
+        for i in taken:
+            waiting[i] = -1
+            for j in succs[i]:
+                waiting[j] -= 1
+                if not waiting[j]:
+                    heappush(ready.setdefault(keys[j], []), (min(gates[j].qubits), j))
+        layers.append([gates[i] for i in taken])
+        while first < n and waiting[first] < 0:
+            first += 1
     return layers
+
+
+def extract_2q_layers(c: Circuit, cap: int | None = None) -> list[list[Gate]]:
+    """Same-kind qubit-disjoint layers of at most `cap` 2Q gates, 1Q gates
+    transparent: `list_layers` keyed by the kind's value (the member's hash
+    is Python-level)."""
+    return list_layers([g for g in c.gates if g.is_2q], lambda g: g.kind._value_, cap)
 
 
 def one_qubit_phases(c: Circuit, layers: list[list[Gate]]) -> list[list[Gate]]:
@@ -121,21 +153,14 @@ def one_qubit_phases(c: Circuit, layers: list[list[Gate]]) -> list[list[Gate]]:
     before 2Q layer j (as late as their next 2Q gate allows); gates with no
     2Q successor on their qubit trail in phase[len(layers)].
     """
-    layer_of: dict[int, int] = {}
-    for j, layer in enumerate(layers):
-        for g in layer:
-            layer_of[g.id] = j
-    # next 2Q gate per qubit, scanning program order backwards
+    layer_of = {g.id: j for j, layer in enumerate(layers) for g in layer}
+    # next 2Q layer per qubit, scanning program order backwards
     next_2q_layer: dict[int, int] = {}
-    phase_of: dict[int, int] = {}
+    phases: list[list[Gate]] = [[] for _ in range(len(layers) + 1)]
     for g in reversed(c.gates):
         if g.is_2q:
             for q in g.qubits:
                 next_2q_layer[q] = layer_of[g.id]
         else:
-            phase_of[g.id] = next_2q_layer.get(g.qubits[0], len(layers))
-    phases: list[list[Gate]] = [[] for _ in range(len(layers) + 1)]
-    for g in c.gates:
-        if g.is_1q:
-            phases[phase_of[g.id]].append(g)
-    return phases
+            phases[next_2q_layer.get(g.qubits[0], len(layers))].append(g)
+    return [phase[::-1] for phase in phases]

@@ -12,7 +12,9 @@ Front-end references: `build_dag_reference` is the id-keyed DAG build that
 `circuit.build_dag` replaced (chain edges collected first, each redundant
 one found by a window DFS afterwards), `topological_layers` the layering
 by predecessor edges, and `translate_reference` the translation that took
-each gate's `source` from those layers.
+each gate's `source` from those layers.  `extract_2q_layers_reference` is
+the dict-keyed ready-set layering that `translate.extract_2q_layers`
+replaced with a call to the one list scheduler, `translate.list_layers`.
 """
 from __future__ import annotations
 
@@ -301,3 +303,45 @@ def translate_reference(c: Circuit, expand_rzz: bool = False) -> Circuit:
         else:
             emit(g.kind, g.qubits, g.params, src)
     return build_dag_reference(out, c.width)
+
+
+def extract_2q_layers_reference(c: Circuit, cap: int | None = None) -> list[list[Gate]]:
+    """Partition the 2Q gates into same-kind qubit-disjoint layers.
+
+    A gate enters a layer once all of its 2Q predecessors (via shared
+    qubits, 1Q gates transparent) are in earlier layers.  Within the ready
+    set, the layer takes the kind of the earliest ready gate in program
+    order, sorts the ready gates of that kind by lowest qubit index and
+    keeps the first `cap` of them (all without a cap); the rest stay ready.
+    """
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be >= 1")
+    two_q = [g for g in c.gates if g.is_2q]
+    # Per-qubit sequences of 2Q gates give the 2Q-projected precedence.
+    pred_count: dict[int, int] = {g.id: 0 for g in two_q}
+    succs: dict[int, list[int]] = {g.id: [] for g in two_q}
+    last_on: dict[int, int] = {}
+    for g in two_q:
+        for q in g.qubits:
+            if q in last_on:
+                succs[last_on[q]].append(g.id)
+                pred_count[g.id] += 1
+            last_on[q] = g.id
+    by_id = {g.id: g for g in two_q}
+    order = {g.id: i for i, g in enumerate(two_q)}
+    ready = sorted((gid for gid, n in pred_count.items() if n == 0), key=order.get)
+    layers: list[list[Gate]] = []
+    while ready:
+        kind = by_id[ready[0]].kind
+        layer = sorted((by_id[gid] for gid in ready if by_id[gid].kind is kind),
+                       key=lambda g: min(g.qubits))[:cap]
+        taken = {g.id for g in layer}
+        ready = [gid for gid in ready if gid not in taken]
+        for g in layer:
+            for s in succs[g.id]:
+                pred_count[s] -= 1
+                if pred_count[s] == 0:
+                    ready.append(s)
+        ready.sort(key=order.get)
+        layers.append(layer)
+    return layers

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracle import (
     build_dag_reference,
     circuit_unitary,
+    extract_2q_layers_reference,
     phase_aligned_distance,
     topological_layers,
     translate_reference,
@@ -274,9 +275,10 @@ def _native_rows(c):
 
 
 class TestFrontEndReferences:
-    """`build_dag`, `translate_to_native` and `canonical_angle` against the
-    id-keyed reference build, the translation that read `source` from
-    `topological_layers`, and the plain `math.remainder` reduction."""
+    """`build_dag`, `translate_to_native`, `extract_2q_layers` and
+    `canonical_angle` against the id-keyed reference build, the translation
+    that read `source` from `topological_layers`, the ready-set layering
+    and the plain `math.remainder` reduction."""
 
     @settings(max_examples=150, deadline=None)
     @given(circuits(max_width=6, max_gates=40, kinds=UNITARY_KINDS + (GateType.MEASURE, GateType.ZZ)))
@@ -323,6 +325,21 @@ class TestFrontEndReferences:
         ref = translate_reference(c, expand_rzz)
         assert _native_rows(got) == _native_rows(ref)
         assert got.edges == ref.edges
+
+    @settings(max_examples=150, deadline=None)
+    @given(circuits(max_width=6, max_gates=40,
+                    kinds=UNITARY_KINDS + (GateType.MEASURE, GateType.ZZ, GateType.RXXYYZZ)),
+           st.booleans(), st.sampled_from([None, 1, 2, 3, 4, 5, 6, 7, 8]))
+    def test_2q_layers_match_reference(self, c, expand_rzz, cap):
+        native = translate_to_native(c, expand_rzz)
+        for circuit in (c, native):
+            assert extract_2q_layers(circuit, cap) == extract_2q_layers_reference(circuit, cap)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair_heavy_gates(), st.sampled_from([None, 1, 2, 3, 4, 5, 6, 7, 8]))
+    def test_2q_layers_match_reference_on_repeated_pairs(self, drawn, cap):
+        c = build_dag(*drawn)
+        assert extract_2q_layers(c, cap) == extract_2q_layers_reference(c, cap)
 
     @staticmethod
     def _remainder_path(theta: float) -> float:

@@ -6,6 +6,7 @@ reference bodies in `reference_metrics.py` on drawn traces and on
 scheduled ones.
 """
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -13,6 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_metrics as ref
+from racetrack.circuit import build_dag
+from racetrack.gates import Gate, GateType
 from racetrack.machine import make_machine
 from racetrack.metrics import (
     _Coverage,
@@ -204,3 +207,39 @@ def test_validate_rejects_a_qubit_in_two_overlapping_events():
     tr.add(TraceEvent(5.0, 10.0, EventKind.MEASURE, 0, (1,)))
     with pytest.raises(ValueError, match="qubit overlap"):
         tr.validate()
+
+
+def _gate_trace(*runs):
+    """A trace of 1Q gate events on qubit 0, one per (start, gate ids)."""
+    tr = Trace(width=1, gate_zones=1)
+    for start, ids in runs:
+        tr.add(TraceEvent(start, 10.0, EventKind.GATE_1Q, 1, (0,), {"gate_ids": list(ids)}))
+    return tr
+
+
+# gate 0 precedes gate 1 on qubit 0
+TWO_GATES = build_dag([Gate(0, GateType.RZ, (0,), (0.1,)), Gate(1, GateType.RZ, (0,), (0.2,))], 1)
+
+
+def test_validate_accepts_a_trace_that_runs_the_circuit():
+    _gate_trace((0.0, [0]), (10.0 - 1e-7, [1])).validate(TWO_GATES)
+
+
+@pytest.mark.parametrize("runs, names", [
+    ([(0.0, [0])], "never run: [1]"),
+    ([(0.0, [0]), (10.0, [1]), (20.0, [1])], "run more than once: [1]"),
+    ([(0.0, [0]), (10.0, [1, 7])], "not in the circuit: [7]"),
+])
+def test_validate_rejects_a_gate_not_run_exactly_once(runs, names):
+    tr = _gate_trace(*runs)
+    tr.validate()
+    with pytest.raises(ValueError, match=r"rule 1 .* " + re.escape(names)):
+        tr.validate(TWO_GATES)
+
+
+def test_validate_rejects_a_gate_that_starts_before_its_predecessor_ends():
+    tr = _gate_trace((10.0, [0]), (0.0, [1]))
+    tr.validate()
+    with pytest.raises(ValueError, match=r"rule 2 .* gate 1 starts at 0.0 us, before its "
+                                         r"predecessor gate 0 ends at 20.0 us"):
+        tr.validate(TWO_GATES)

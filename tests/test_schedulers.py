@@ -277,3 +277,28 @@ def test_no_two_events_share_a_payload(config):
     c = translate_to_native(gen_vqe(VqeAnsatz.CIRCULAR_SU2, 8, 4))
     tr = schedule(c, make_machine(4, shortcuts=(0.5,)), policy, flags)
     assert len({id(e.payload) for e in tr.events}) == len(tr.events)
+
+
+@settings(max_examples=150, deadline=None)
+@given(native_circuits, st.integers(1, 8), st.sampled_from(SHORTCUT_SETS),
+       st.sampled_from(sorted(CONFIGS)))
+def test_every_schedule_obeys_its_dag(c, k, shortcuts, config):
+    policy, flags = CONFIGS[config]
+    schedule(c, make_machine(k, shortcuts=shortcuts), policy, flags).validate(c)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_a_translated_cx_runs_its_gates_in_qubit_order(config, k):
+    """CX(0, 1) -> U1q q1; ZZ; Rz q0; U1q q1; Rz q1, all from one source
+    layer.  Grouping the 1Q gates after the ZZ by (source, kind) ran both
+    Rz before the U1q, so Rz q1 before U1q q1 (rolodex, tilt and
+    plutarch-noblocks at k = 1, 2 and 4)."""
+    c = translate_to_native(build_dag([Gate(0, GateType.CX, (0, 1))], 2))
+    assert [(g.kind, g.qubits) for g in c.gates[2:]] == [
+        (GateType.RZ, (0,)), (GateType.U1Q, (1,)), (GateType.RZ, (1,))]
+    policy, flags = CONFIGS[config]
+    tr = schedule(c, make_machine(k), policy, flags)
+    tr.validate(c)
+    ran = {gid: e for e in tr.of_kind(EventKind.GATE_1Q) for gid in e.payload["gate_ids"]}
+    assert ran[4].t_start >= ran[3].t_end
