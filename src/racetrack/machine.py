@@ -102,17 +102,21 @@ class TrackLayout:
     @property
     def circulation_paths(self) -> list[tuple[int, float]]:
         """(path id, fraction of the main loop); id 0 is the main loop, id
-        i >= 1 the sub-loop closed by shortcut i (shorter side of the chord)."""
+        i >= 1 the sub-loop closed by shortcut i (shorter side of the chord).
+
+        The fraction is rounded to 12 places, so chords at f and 1 - f
+        close equal sub-loops (1 - 0.9 is 0.09999999999999998) and a tie
+        between them goes to the lower id."""
         paths = [(0, 1.0)]
         for i, f in enumerate(self.shortcuts, start=1):
-            paths.append((i, min(f, 1.0 - f)))
+            paths.append((i, round(min(f, 1.0 - f), 12)))
         return paths
 
     def shortest_path(self, min_fraction: float = 0.0) -> int:
         """The shortest circulation path whose fraction of the main loop is
         at least `min_fraction` (e.g. enough bottom span for the chain)."""
         best, best_fraction = 0, 1.0
-        # the slack absorbs the rounding of 1 - f: 1 - 0.9 falls short of 0.1
+        # the slack absorbs the rounding of fractions to 12 places
         for pid, fraction in self.circulation_paths:
             if fraction >= min_fraction - 1e-12 and fraction < best_fraction:
                 best, best_fraction = pid, fraction

@@ -89,7 +89,15 @@ class _Coverage:
 
 def runtime_breakdown(tr: Trace) -> RuntimeBreakdown:
     """Sum event durations by category.  Circulation time concurrent with
-    zone-lane work or reordering counts as hidden, not as circulation.
+    zone-lane work or reordering counts as hidden, not as circulation.  A
+    circulating transition is one CIRCULATE event, so its regrouping and
+    exchanges count as circulation.  Shuttle and reorder time concurrent
+    with zone-lane work, and init and measure time concurrent with either
+    or with circulation, count in their category and again as hidden.
+
+    The schedulers never run a circulation beside other work and leave no
+    idle time, so on their traces the categories minus `hidden` are the
+    span.
 
     Reads the trace once.  Each category's durations are collected in
     event order and added with `sum`: from Python 3.12 on, `sum`
@@ -99,7 +107,8 @@ def runtime_breakdown(tr: Trace) -> RuntimeBreakdown:
     gate_cooling: list[float] = []
     shift: list[float] = []
     measure: list[float] = []
-    busy: list[tuple[float, float]] = []
+    gating: list[tuple[float, float]] = []
+    moving: list[tuple[float, float]] = []
     circulating: list[tuple[float, float, float]] = []
     prep: list[tuple[float, float]] = []
     events = tr.events
@@ -113,15 +122,16 @@ def runtime_breakdown(tr: Trace) -> RuntimeBreakdown:
             span = end
         if kind is GATE_1Q or kind is GATE_2Q or kind is COOL:
             gate_cooling.append(duration)
-            busy.append((start, end))
+            gating.append((start, end))
         elif kind is SHUTTLE or kind is REORDER:
             shift.append(duration)
-            busy.append((start, end))
+            moving.append((start, end))
         elif kind is CIRCULATE:
             circulating.append((start, end, duration))
         else:
             (init if kind is INIT else measure).append(duration)
             prep.append((start, end))
+    busy = gating + moving
     busy_cover = _Coverage(busy)
     circulation = 0.0
     hidden = 0.0
@@ -129,6 +139,10 @@ def runtime_breakdown(tr: Trace) -> RuntimeBreakdown:
         covered = busy_cover.overlap(start, end)
         circulation += duration - covered
         hidden += covered
+    # moves of some ions while others are gated (pipelining) are hidden
+    gating_cover = _Coverage(gating)
+    for start, end in moving:
+        hidden += gating_cover.overlap(start, end)
     # overlapped prep time (pipelined init/measure) is also hidden
     zone_cover = _Coverage(busy + [(start, end) for start, end, _ in circulating])
     for start, end in prep:

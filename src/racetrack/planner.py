@@ -5,8 +5,9 @@ The planner is greedy and deterministic.  It first tries single boundary
 exchanges (the cheap move the hardware offers between adjacent crystals);
 if those cannot satisfy all targets it falls back to splitting stray
 pairs and bubble-sorting singles into a computed final order.  In
-circulation mode the positional moves can ride a track circulation (they
-cost a lap instead of per-exchange time), and the planner returns
+circulation mode the ops can ride a track circulation instead, in the
+reorder zones while the chain goes round; such a candidate is charged
+`ReorderPlan.charge`, the one circulation charge, and the planner returns
 whichever candidate is cheapest.
 
 Both strategies edit one mutable working arrangement (`_Arrangement`)
@@ -61,17 +62,18 @@ class PlanMode(Enum):
 class ReorderPlan:
     ops: tuple[ReorderOp, ...]
     path_id: int | None          # circulation path carrying the moves, or None
-    time: float                  # charged wall-clock time of the plan
-    hidden_time: float           # positional-move time hidden under the lap
+    time: float                  # time_1d, or the charge of the path's lap
     final: IonState
     time_1d: float               # staged time of all ops over the gate zones
     regroup_time: float          # staged time of the non-exchange ops over the reorder zones
+    exchange_time: float         # staged time of the exchanges over the reorder zones
     op_counts: tuple[tuple[str, int], ...]  # (tag value, count), in order of first appearance
 
-    def one_dimensional(self) -> "ReorderPlan":
-        """The same ops charged without circulation: the plan that
-        `PlanMode.ONE_DIMENSIONAL` would have returned."""
-        return replace(self, path_id=None, time=self.time_1d, hidden_time=0.0)
+    def charge(self, lap: float) -> float:
+        """The time of these ops riding a circulation that takes `lap`: the
+        reorder zones regroup and exchange ions while the chain circulates,
+        so whichever of the three takes longest sets the time."""
+        return max(lap, self.regroup_time, self.exchange_time)
 
 
 class _Arrangement:
@@ -132,10 +134,8 @@ class _Arrangement:
             self._stale_from = index
 
 
-def _costed(ops: list[ReorderOp], final: IonState, m: Machine) -> tuple[ReorderPlan, float]:
-    """The one-dimensional plan of `ops`, with every cost a plan carries,
-    and the staged time of its exchanges over the reorder zones (what a
-    circulation hides).
+def _costed(ops: list[ReorderOp], final: IonState, m: Machine) -> ReorderPlan:
+    """The one-dimensional plan of `ops`, with every cost a plan carries.
 
     This is the staging rule.  Ops are taken in order into stages; an op
     at index i occupies crystal slots i and i + 1 (bits of a busy mask),
@@ -187,11 +187,11 @@ def _costed(ops: list[ReorderOp], final: IonState, m: Machine) -> tuple[ReorderP
                 reg_max = d
             reg_n += 1
     time_1d = all_total + all_max
-    plan = ReorderPlan(
-        ops=tuple(ops), path_id=None, time=time_1d, hidden_time=0.0, final=final,
-        time_1d=time_1d, regroup_time=reg_total + reg_max, op_counts=tuple(counts.items()),
+    return ReorderPlan(
+        ops=tuple(ops), path_id=None, time=time_1d, final=final, time_1d=time_1d,
+        regroup_time=reg_total + reg_max, exchange_time=ex_total + ex_max,
+        op_counts=tuple(counts.items()),
     )
-    return plan, ex_total + ex_max
 
 
 def _pair_sets(crystals) -> set[frozenset[int]]:
@@ -338,9 +338,9 @@ def plan_reorder(
 
     Every candidate carries the same ops.  The one-dimensional candidate
     pays their staged time over the gate zones; in circulation mode each
-    circulation path is a candidate too, on which the positional exchanges
-    ride the lap and only regrouping beyond it is charged.  The cheapest
-    wins, ties going to the one-dimensional plan, then to the lower path.
+    circulation path is a candidate too, charged `ReorderPlan.charge` of
+    its lap.  The cheapest wins, ties going to the one-dimensional plan,
+    then to the lower path.
     """
     targets = _checked_targets(s, target_pairs)
     work = _Arrangement(s)
@@ -348,16 +348,16 @@ def plan_reorder(
     if ops is None:
         work = _Arrangement(s)
         ops = _fallback_plan(work, targets)
-    plan, exchange_time = _costed(ops, IonState(tuple(work.crystals)), m)
+    plan = _costed(ops, IonState(tuple(work.crystals)), m)
     if mode is PlanMode.ONE_DIMENSIONAL:
         return plan
     candidates = [(plan.time, -1)] + [
-        (max(m.lap(pid), plan.regroup_time), pid) for pid, _fraction in m.layout.circulation_paths
+        (plan.charge(m.lap(pid)), pid) for pid, _fraction in m.layout.circulation_paths
     ]
     charged, path = min(candidates)
     if path == -1:
         return plan
-    return replace(plan, path_id=path, time=charged, hidden_time=exchange_time)
+    return replace(plan, path_id=path, time=charged)
 
 
 def split_all_plan(s: IonState, m: Machine) -> ReorderPlan:
@@ -373,4 +373,4 @@ def split_all_plan(s: IonState, m: Machine) -> ReorderPlan:
             crystals.append(Crystal((qs[1],), False))
         else:
             crystals.append(c)
-    return _costed(ops, IonState(tuple(crystals)), m)[0]
+    return _costed(ops, IonState(tuple(crystals)), m)

@@ -14,36 +14,60 @@ block layers.  Each config is one `(transition, pipelining)` pair:
 so `PolicyFlags(False, False)` is Rolodex.  The transition says how ions
 reach the next pass:
 
-* LAP (Rolodex) circulates the track between passes; top-zone reordering
-  rides the circulation and is charged only beyond the lap time.  A pass
-  streams k + ceil(width / 2) zone gaps.
+* LAP (Rolodex) circulates the track between passes, and the reorder
+  zones regroup and exchange ions while the chain goes round.  A pass
+  streams the chain over k + ceil(width / 2) zone gaps.
 * SWEEP (TILT) pays its one-dimensional reordering in full and sweeps the
   chain across the bottom zones: width - 1 zone gaps per pass.
 * IN_PLACE (Plutarch) executes blocks in place, realigns with the cheapest
-  of 1-D moves / shortcut loops / full laps, and gathers over
-  INPLACE_GATHER_FACTOR * k + (blocks in the layer) zone gaps.
+  of 1-D moves and, on a track with shortcuts, circulation, and gathers
+  the layer's ions over INPLACE_GATHER_FACTOR * k + (blocks in the layer)
+  zone gaps.
 
-Pipelining overlaps initialization, measurement and transport with gating.
+Timing.  The engine emits steps in program order, and one function,
+`_Engine._step`, computes every start time.  A step has a duration, a
+lane (that of its event kind: "zones", "prep" or "transport") and the
+ions it holds; it starts once its lane and each of its ions is free, and
+without pipelining also once every earlier step has ended.  Pipelining is
+thus one rule: a step may overlap any step that shares neither its lane
+nor an ion.  The steps hold:
+
+    step                                           lane       ions
+    INIT or MEASURE batch                          prep       its qubits
+    gate batch, until its cooling ends             zones      its qubits
+    pass stream (pass mode)                        transport  the whole chain
+    gather stream, 1Q-wave split and combine,      transport  the layer's ions
+      intra-zone shift (block mode)
+    1-D transition                                 transport  its ops' operands
+    circulating transition                         transport  the whole chain
+
+The COOL event after a gate batch lists no qubits.
+
+A transition is one event.  A 1-D one is a REORDER over the operands of
+its ops, lasting their staged time over the gate zones.  A circulating one
+is a CIRCULATE over the whole chain, lasting `ReorderPlan.charge` of the
+path's lap: max(lap, regroup time, exchange time), as the reorder zones
+work while the chain circulates and swaps that outlast the lap lengthen
+it.  Its payload carries the path, the op counts and the transports: 2
+per exchange plus 2 for each of the ceil(width / 2) pairs aboard.  A lap
+moves the whole chain, so in pass mode it can no longer hide under the
+previous pass's gating: it starts once that gating has cooled.
 
 Within a pass, or a side of a block layer's 1Q wave, gates run in zone
-batches formed by the one list scheduler, `translate.list_layers`.  A gate
-is ready once every earlier gate of the pass on its qubits has run; each
-batch takes the (source layer, kind) of the earliest ready gate and at
-most k ready gates of that key, lowest qubit first, one per slot (the
-crystal a qubit sits in).  Precedence thus holds by construction, and
-`schedule` checks the trace against the circuit's DAG before returning it.
+batches formed by the one list scheduler, `translate.list_layers`: a gate
+is ready once every earlier gate of the pass on its qubits has run, and a
+batch takes at most k ready gates of the earliest ready gate's (source
+layer, kind), lowest qubit first, one per crystal.  Precedence thus holds
+by construction, and `schedule` checks the trace against the DAG.
 
-A transition to a 2Q pass or block layer is planned for its target set:
-the qubit pairs of the pass's gates, or of the layer's blocks, in order.
-Layered circuits (one entangling layer per rep) ask for the same target
-set again and again, and `plan_reorder` is a pure function of the
-arrangement, the targets, the machine and the mode.  So before the first
-transition the engine counts each target set's occurrences.  A set that
-will occur again keeps one entry, `(arrangement planned from, plan)`, and
-a later occurrence reuses the plan when the current arrangement equals
-that one; otherwise it plans again and keeps the new entry.  An entry is
-dropped at its set's last occurrence.  The engine thus holds at most one
-plan per target set still to come, and none once `schedule` returns.
+A transition to a 2Q pass or block layer is planned for its target set,
+the qubit pairs of its gates or blocks in order.  `plan_reorder` is a pure
+function of (arrangement, targets, machine, mode), and layered circuits
+ask for the same set again and again.  So the engine first counts each
+set's occurrences, keeps `(arrangement planned from, plan)` for a set that
+will occur again, reuses the plan when the arrangement is equal, and drops
+the entry at the set's last occurrence; none is left once `schedule`
+returns.
 """
 from __future__ import annotations
 
@@ -101,9 +125,7 @@ class _Engine:
         if not c.is_native():
             raise ValueError("scheduler requires a native-translated circuit")
         if c.width > m.capacity:
-            raise ValueError(
-                f"circuit width {c.width} exceeds machine capacity {m.capacity}"
-            )
+            raise ValueError(f"circuit width {c.width} exceeds machine capacity {m.capacity}")
         self.c = c
         self.m = m
         self.t = m.timing
@@ -112,32 +134,51 @@ class _Engine:
         self.pipelining = pipelining
         self.trace = Trace(width=c.width, gate_zones=self.k)
         self.state = IonState.initial_pairs(c.width)
-        self.cursor = 0.0          # serialized frontier (zone + transport)
-        self.qubit_ready: dict[int, float] = {}
+        self.chain = tuple(range(c.width))
+        self.lane_free = {"zones": 0.0, "prep": 0.0, "transport": 0.0}
+        self.ion_free = [0.0] * c.width
+        self.end = 0.0                    # when every step placed so far has ended
         self.measured: set[int] = set()   # qubits of explicit MEASURE gates
-        self.prep_cursor = 0.0
-        self.pass_first_batch_end: float | None = None   # None until a batch of the pass ends
-        self.pass_start = 0.0
         self.mode: PlanMode | None = None   # set by expect_transitions
         self.uses_left: dict[tuple[tuple[int, ...], ...], int] = {}
         self.kept: dict[tuple[tuple[int, ...], ...], tuple[IonState, ReorderPlan]] = {}
 
-    # -- bookkeeping -----------------------------------------------------
+    # -- placement -----------------------------------------------------------
 
-    def _emit(self, kind: EventKind, start: float, duration: float, *,
-              zones: int = 0, qubits: tuple[int, ...] = (), payload: dict | None = None) -> TraceEvent:
-        ev = TraceEvent(start, duration, kind, zones, qubits, payload or {})
-        return self.trace.add(ev)
+    def _step(self, kind: EventKind, duration: float, ions: tuple[int, ...],
+              payload: dict | None = None, zones: int = 0, cool: float | None = None) -> None:
+        """Place one step (see the module docstring), the only place a start
+        time is computed, and emit its event and any COOL event after it."""
+        lane = kind.lane
+        start = self.lane_free[lane] if self.pipelining else self.end
+        free = self.ion_free
+        for q in ions:
+            if free[q] > start:
+                start = free[q]
+        end = start + duration
+        self.trace.add(TraceEvent(start, duration, kind, zones, ions, payload or {}))
+        if cool is not None:
+            self.trace.add(TraceEvent(end, cool, EventKind.COOL, zones))
+            end += cool
+        self.lane_free[lane] = end
+        for q in ions:
+            free[q] = end
+        if end > self.end:
+            self.end = end
 
-    def _ready(self, qubits, start: float) -> float:
-        """`start`, or the latest ready time of `qubits` if that is later
-        (times are never negative)."""
-        ready = self.qubit_ready
-        for q in qubits:
-            r = ready.get(q, 0.0)
-            if r > start:
-                start = r
-        return start
+    def transit(self, plan: ReorderPlan, path: int | None) -> None:
+        """The one event of a transition: a circulation along `path`, or a
+        one-dimensional reorder when `path` is None."""
+        ops = dict(plan.op_counts)
+        transports = TRANSPORTS_PER_EXCHANGE * ops.get(ReorderTag.PAIR_EXCHANGE.value, 0)
+        if path is not None:
+            transports += TRANSPORTS_PER_CIRCULATING_PAIR * math.ceil(self.c.width / 2)
+            self._step(EventKind.CIRCULATE, plan.charge(self.m.lap(path)), self.chain,
+                       {"path": path, "ops": ops, "transports": transports})
+        elif plan.ops:
+            ions = tuple(sorted({q for op in plan.ops for q in op.operands}))
+            self._step(EventKind.REORDER, plan.time_1d, ions, {"ops": ops, "transports": transports})
+        self.state = plan.final
 
     # -- transition plans --------------------------------------------------
 
@@ -169,42 +210,27 @@ class _Engine:
 
     # -- initialization / measurement -------------------------------------
 
-    def init_all(self, first_use: list[int]):
-        used = set(first_use)
-        order = list(first_use) + [q for q in range(self.c.width) if q not in used]
-        n_batches = math.ceil(self.c.width / self.k) if self.c.width else 0
-        t0 = 0.0
-        for b in range(n_batches):
-            qs = tuple(order[b * self.k : (b + 1) * self.k])
-            self._emit(EventKind.INIT, t0, self.t.init_batch, qubits=qs,
-                       payload={"batch": b})
-            t0 += self.t.init_batch
-            for q in qs:
-                self.qubit_ready[q] = t0
-        self.prep_cursor = t0
-        if self.pipelining:
-            self.cursor = min(self.t.init_batch, t0) if n_batches else 0.0
-        else:
-            self.cursor = t0
+    def init_all(self, gates) -> None:
+        """Initialize every qubit, those of `gates` first, in order of use."""
+        order = list(dict.fromkeys([*(q for g in gates for q in g.qubits), *range(self.c.width)]))
+        for b in range(0, len(order), self.k):
+            self._step(EventKind.INIT, self.t.init_batch, tuple(order[b : b + self.k]),
+                       {"batch": b // self.k})
 
     def measure_all(self):
         """Read out every qubit that no explicit MEASURE gate has."""
         rest = [q for q in range(self.c.width) if q not in self.measured]
-        start = self.cursor if not self.pipelining else max(self.cursor, self.prep_cursor)
-        for b in range(math.ceil(len(rest) / self.k) if rest else 0):
-            qs = tuple(rest[b * self.k : (b + 1) * self.k])
-            begin = self._ready(qs, start)
-            self._emit(EventKind.MEASURE, begin, self.t.measure_batch, qubits=qs)
-            start = begin + self.t.measure_batch
-        self.cursor = max(self.cursor, start)
+        for b in range(0, len(rest), self.k):
+            self._step(EventKind.MEASURE, self.t.measure_batch, tuple(rest[b : b + self.k]))
 
     # -- batching ----------------------------------------------------------
 
-    def _phase_batches(self, gates: list[Gate]) -> list[list[Gate]]:
-        """The zone batches of `gates` (see the module docstring); keyed by
+    def run_gates(self, gates: list[Gate]) -> None:
+        """Run `gates` in zone batches (see the module docstring); keyed by
         the kind's value, as the member's hash is Python-level."""
-        return translate.list_layers(gates, lambda g: (g.source, g.kind._value_),
-                                     self.k, self.state.crystal_index)
+        for batch in translate.list_layers(gates, lambda g: (g.source, g.kind._value_),
+                                           self.k, self.state.crystal_index):
+            self._run_batch(batch)
 
     def _run_batch(self, gates: list[Gate]):
         """Run one kind-homogeneous batch, each gate in a zone of its own.
@@ -213,86 +239,20 @@ class _Engine:
         """
         kind, t = gates[0].kind, self.t
         qs = tuple(sorted({q for g in gates for q in g.qubits}))
-        start = self._ready(qs, self.cursor) if self.pipelining else self.cursor
         payload = {
             "gate_ids": [g.id for g in gates],
             "gate_qubits": {g.id: g.qubits for g in gates},
             "kind": kind._value_,   # `.value` is a Python-level property
         }
         if kind is GateType.INIT:
-            event, dur, cool = EventKind.INIT, t.init_batch, None
+            self._step(EventKind.INIT, t.init_batch, qs, payload)
         elif kind is GateType.MEASURE:
-            event, dur, cool = EventKind.MEASURE, t.measure_batch, None
             self.measured.update(qs)
+            self._step(EventKind.MEASURE, t.measure_batch, qs, payload)
         elif kind.n_qubits == 2:
-            event, dur, cool = EventKind.GATE_2Q, t.two_q_gate, t.cool_2q_batch
+            self._step(EventKind.GATE_2Q, t.two_q_gate, qs, payload, len(gates), t.cool_2q_batch)
         else:
-            event, dur, cool = EventKind.GATE_1Q, t.one_q_gate, t.cool_1q_batch
-        if cool is None:
-            self._emit(event, start, dur, qubits=qs, payload=payload)
-            self.cursor = start + dur
-        else:
-            self._emit(event, start, dur, zones=len(gates), qubits=qs, payload=payload)
-            self._emit(EventKind.COOL, start + dur, cool, zones=len(gates))
-            self.cursor = start + dur + cool
-        if self.pass_first_batch_end is None:
-            self.pass_first_batch_end = self.cursor
-
-    # -- transport ---------------------------------------------------------
-
-    def _begin_pass(self, active_pairs: int, gather: float = 1.0):
-        """Open a pass: mark its start and stream the chain through the
-        zone region."""
-        self.pass_start = self.cursor
-        self.pass_first_batch_end = None
-        if self.transition is _Transition.SWEEP:
-            dur = (self.c.width - 1) * self.t.inter_zone_shift
-        else:
-            dur = (gather * self.k + active_pairs) * self.t.inter_zone_shift
-        self._emit(EventKind.SHUTTLE, self.cursor, dur, payload={"pass_stream": True})
-        self.cursor += dur
-
-    def _apply_plan_events(self, plan: ReorderPlan, *, hidden_under_lap: bool,
-                           prev_pass_work: float = 0.0):
-        """Emit reorder (and circulation) events for a transition plan."""
-        if plan.path_id is not None or hidden_under_lap:
-            path = plan.path_id if plan.path_id is not None else self._rolodex_path()
-            lap = self.m.lap(path)
-            charge = max(lap, plan.regroup_time)
-            # the lap hides only under the pass's work after its first batch
-            if self.pipelining and self.pass_first_batch_end is not None:
-                headstart = max(0.0, prev_pass_work - self.pass_first_batch_end + self.pass_start)
-                effective = max(0.0, charge - headstart)
-            else:
-                effective = charge
-            start = self.cursor + effective - charge
-            pairs_aboard = math.ceil(self.c.width / 2)
-            self._emit(EventKind.CIRCULATE, start, lap, payload={
-                "path": path, "transports": TRANSPORTS_PER_CIRCULATING_PAIR * pairs_aboard,
-                "pairs_aboard": pairs_aboard,
-            })
-            if plan.ops:
-                self._emit(EventKind.REORDER, start, max(plan.regroup_time, plan.hidden_time),
-                           payload=_reorder_payload(plan))
-            self.cursor += effective
-        else:
-            if plan.ops:
-                self._emit(EventKind.REORDER, self.cursor, plan.time_1d,
-                           payload=_reorder_payload(plan))
-            self.cursor += plan.time_1d
-        self.state = plan.final
-
-    def _rolodex_path(self) -> int:
-        """Smallest circulation path whose span hosts the whole chain."""
-        need = math.ceil(self.c.width / 2) / max(self.k, 1)
-        return self.m.layout.shortest_path(min_fraction=min(need, 1.0))
-
-
-def _reorder_payload(plan: ReorderPlan, **extra) -> dict:
-    """The REORDER event payload of a plan: op counts and ion transports."""
-    ops = dict(plan.op_counts)
-    exchanges = ops.get(ReorderTag.PAIR_EXCHANGE.value, 0)
-    return {"ops": ops, "transports": TRANSPORTS_PER_EXCHANGE * exchanges, **extra}
+            self._step(EventKind.GATE_1Q, t.one_q_gate, qs, payload, len(gates), t.cool_1q_batch)
 
 
 def _interleave_passes(c: Circuit) -> list[tuple[str, list[Gate]]]:
@@ -305,109 +265,69 @@ def _interleave_passes(c: Circuit) -> list[tuple[str, list[Gate]]]:
     return [(kind, gates) for kind, gates in passes if gates]
 
 
-def _first_use_order(gates) -> list[int]:
-    """The qubits of `gates` in order of first use."""
-    return list(dict.fromkeys(q for g in gates for q in g.qubits))
-
-
 def _schedule_passes(eng: _Engine) -> None:
     """Pass-based execution: LAP and SWEEP transitions."""
-    passes = _interleave_passes(eng.c)
-    eng.init_all(_first_use_order(g for _, gates in passes for g in gates))
-    mode = PlanMode.ONE_DIMENSIONAL if eng.transition is _Transition.SWEEP else PlanMode.CIRCULATION_ALLOWED
+    c, k = eng.c, eng.k
+    passes = _interleave_passes(c)
+    eng.init_all(g for _, gates in passes for g in gates)
+    sweep = eng.transition is _Transition.SWEEP
     targets_of = [tuple(g.qubits for g in gates) if kind == "2q" else None for kind, gates in passes]
-    eng.expect_transitions(mode, [targets for targets in targets_of if targets is not None])
-    prev_work = 0.0
+    eng.expect_transitions(PlanMode.ONE_DIMENSIONAL if sweep else PlanMode.CIRCULATION_ALLOWED,
+                           [targets for targets in targets_of if targets is not None])
+    pairs = math.ceil(c.width / 2)
+    stream = ((c.width - 1) if sweep else k + pairs) * eng.t.inter_zone_shift
+    # a Rolodex lap needs a path whose span hosts the whole chain
+    lap_path = eng.m.layout.shortest_path(min_fraction=min(pairs / k, 1.0))
     for idx, ((kind, gates), targets) in enumerate(zip(passes, targets_of)):
-        # transition: bring ions into the needed shape for this pass
-        if kind == "2q":
-            plan = eng.plan(targets)
-        else:
-            plan = split_all_plan(eng.state, eng.m)
-        eng._apply_plan_events(plan, prev_pass_work=prev_work,
-                               hidden_under_lap=eng.transition is _Transition.LAP and idx > 0)
-        eng._begin_pass(active_pairs=math.ceil(eng.c.width / 2))
-        for batch in eng._phase_batches(gates):
-            eng._run_batch(batch)
-        prev_work = eng.cursor - eng.pass_start
+        plan = eng.plan(targets) if kind == "2q" else split_all_plan(eng.state, eng.m)
+        path = plan.path_id
+        if path is None and idx and not sweep:
+            path = lap_path
+        eng.transit(plan, path)
+        eng._step(EventKind.SHUTTLE, stream, eng.chain, {"pass_stream": True})
+        eng.run_gates(gates)
 
 
 def _schedule_blocks(eng: _Engine) -> None:
     """In-place block execution: the IN_PLACE transition."""
     m = eng.m
     schedule = extract_inplace_blocks(eng.c, m.gate_zones)
-    eng.init_all(_first_use_order(
-        [g for layer in schedule.layers for b in layer for g in b.gates] + schedule.residual))
-
+    eng.init_all([g for layer in schedule.layers for b in layer for g in b.gates] + schedule.residual)
     # residual 1Q gates with no 2Q neighbors run first (dependency-legal)
-    for batch in eng._phase_batches(schedule.residual):
-        eng._run_batch(batch)
+    eng.run_gates(schedule.residual)
 
-    # every block layer fills at most all gate zones, so only shortcut
-    # sub-loops compete with 1-D moves, and a full-lap win is taken 1-D
+    # realignment circulates only on a track with shortcuts
     mode = PlanMode.CIRCULATION_ALLOWED if m.layout.shortcuts else PlanMode.ONE_DIMENSIONAL
     targets_of = [tuple(b.qubits for b in layer) for layer in schedule.layers]
     eng.expect_transitions(mode, targets_of)
-    prev_layer_qubits: set[int] = set()
-    prev_work = 0.0
     for layer, targets in zip(schedule.layers, targets_of):
         plan = eng.plan(targets)
-        if plan.path_id == 0:
-            plan = plan.one_dimensional()
-
-        layer_qubits = {q for b in layer for g in b.gates for q in g.qubits}
-        if eng.pipelining and not (layer_qubits & prev_layer_qubits):
-            # realignment of a disjoint cohort hides under previous gating
-            charge = max(0.0, plan.time - prev_work)
-            start = eng.cursor - (plan.time - charge)
-            if plan.ops:
-                eng._emit(EventKind.REORDER, start, plan.time,
-                          payload=_reorder_payload(plan, hidden=plan.time - charge))
-            if plan.path_id is not None:
-                eng._emit(EventKind.CIRCULATE, start, m.lap(plan.path_id),
-                          payload={"path": plan.path_id,
-                                   "transports": TRANSPORTS_PER_CIRCULATING_PAIR * len(targets),
-                                   "pairs_aboard": len(targets)})
-            eng.cursor += charge
-            eng.state = plan.final
-        else:
-            eng._apply_plan_events(plan, hidden_under_lap=False)
-
-        eng._begin_pass(active_pairs=len(layer), gather=INPLACE_GATHER_FACTOR)
-        _run_block_layer(eng, layer)
-        prev_work = eng.cursor - eng.pass_start
-        prev_layer_qubits = layer_qubits
+        eng.transit(plan, plan.path_id)
+        ions = tuple(sorted(q for pair in targets for q in pair))
+        eng._step(EventKind.SHUTTLE, (INPLACE_GATHER_FACTOR * eng.k + len(layer)) * eng.t.inter_zone_shift,
+                  ions, {"pass_stream": True})
+        _run_block_layer(eng, layer, ions)
 
 
-def _run_block_layer(eng: _Engine, layer: list[Block]):
+def _run_block_layer(eng: _Engine, layer: list[Block], ions: tuple[int, ...]):
     """Split / left 1Q / shift / right 1Q / combine / 2Q / post mirror."""
     t = eng.t
     # each block's left and right ion, by position: a dict keyed by the
     # frozen Block would hash every gate of the block per lookup
-    sides = []
-    for b in layer:
-        crystal = eng.state.crystals[eng.state.crystal_index[b.qubits[0]]]
-        qs = crystal.qubits
-        sides.append((qs[0], qs[-1]))
+    crystals, index = eng.state.crystals, eng.state.crystal_index
+    sides = [(qs[0], qs[-1]) for qs in (crystals[index[b.qubits[0]]].qubits for b in layer)]
 
     def run_1q_wave(chains: list[tuple[Gate, ...]]) -> None:
+        """Every gate of a chain acts on its block's left or right ion."""
         if not any(chains):
             return
-        eng._emit(EventKind.REORDER, eng.cursor, t.split_or_combine,
-                  payload={"ops": {"split": len(layer)}})
-        eng.cursor += t.split_or_combine
+        eng._step(EventKind.REORDER, t.split_or_combine, ions, {"ops": {"split": len(layer)}})
         left = [g for chain, (lq, _) in zip(chains, sides) for g in chain if g.qubits[0] == lq]
         right = [g for chain, (_, rq) in zip(chains, sides) for g in chain if g.qubits[0] == rq]
-        for i, side in enumerate((left, right)):
-            if i == 1 and (left or right):
-                eng._emit(EventKind.SHUTTLE, eng.cursor, t.intra_zone_shift,
-                          payload={"intra": True})
-                eng.cursor += t.intra_zone_shift
-            for batch in eng._phase_batches(side):
-                eng._run_batch(batch)
-        eng._emit(EventKind.REORDER, eng.cursor, t.split_or_combine,
-                  payload={"ops": {"combine": len(layer)}})
-        eng.cursor += t.split_or_combine
+        eng.run_gates(left)
+        eng._step(EventKind.SHUTTLE, t.intra_zone_shift, ions, {"intra": True})
+        eng.run_gates(right)
+        eng._step(EventKind.REORDER, t.split_or_combine, ions, {"ops": {"combine": len(layer)}})
 
     run_1q_wave([b.pre_1q for b in layer])
     eng._run_batch([b.core_2q for b in layer])

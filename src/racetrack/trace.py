@@ -3,7 +3,11 @@
 Events live on lanes: "zones" (gate, cooling), "prep" (init, measure) and
 "transport" (streaming, sweeps, reordering, circulation).  Zone-lane
 events never overlap each other; pipelined policies may overlap lanes as
-long as no qubit is touched by two events at once.
+long as no qubit is touched by two events at once.  An event lists the
+qubits it touches: a gate, init or readout batch its qubits, a transport
+event the ions it moves, and a COOL event none.  So the rule that no qubit
+is in two overlapping events (rule 4 of the validity rules) covers
+transport too.
 """
 from __future__ import annotations
 
@@ -78,9 +82,11 @@ class Trace:
         return sum(int(e.payload.get("transports", 0)) for e in self.events)
 
     def validate(self, circuit=None) -> None:
-        """Zone-lane events are mutually exclusive; no qubit is touched by
-        two overlapping events; every start and duration is finite, no
-        duration is negative and no start is before 0 (with eps slack).
+        """Zone-lane events are mutually exclusive (rule 3); no qubit is
+        touched by two overlapping events (rule 4), transport events
+        included, as they list the ions they move; every start and duration
+        is finite, no duration is negative and no start is before 0 (with
+        eps slack).
 
         Given the `Circuit` the trace was scheduled from, it also checks,
         reading gate ids from the `gate_ids` payloads:

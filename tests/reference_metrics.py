@@ -34,6 +34,10 @@ def runtime_breakdown(tr: Trace) -> RuntimeBreakdown:
         covered = busy_cover.overlap(e.t_start, e.t_end)
         circulation += e.duration - covered
         hidden += covered
+    gating_cover = _Coverage([(e.t_start, e.t_end) for e in tr.of_kind(
+        EventKind.GATE_1Q, EventKind.GATE_2Q, EventKind.COOL)])
+    for e in tr.of_kind(EventKind.SHUTTLE, EventKind.REORDER):
+        hidden += gating_cover.overlap(e.t_start, e.t_end)
     zone_cover = _Coverage(busy + [(e.t_start, e.t_end) for e in circulating])
     for e in tr.of_kind(EventKind.INIT, EventKind.MEASURE):
         hidden += zone_cover.overlap(e.t_start, e.t_end)

@@ -88,11 +88,24 @@ class TestTrack:
         assert laps == [99200.0, 49600.0, 24800.0]
 
     def test_shortest_path_absorbs_the_rounding_of_one_minus_f(self):
-        # 1 - 0.9 falls one ulp short of 0.1, yet the sub-loop spans 0.1
+        # 1 - 0.9 falls one ulp short of 0.1; the rounded fraction does not
         layout = make_machine(10, shortcuts=[0.9]).layout
-        assert layout.circulation_paths[1][1] < 0.1
+        assert layout.circulation_paths[1][1] == 0.1
         assert layout.shortest_path(min_fraction=0.1) == 1
         assert layout.shortest_path(min_fraction=0.2) == 0
+
+    @pytest.mark.parametrize("shortcuts, k", [((0.1, 0.9), 8), ((0.11, 0.89), 8), ((0.25, 0.75), 4)])
+    def test_chords_at_f_and_one_minus_f_tie_to_the_lower_id(self, shortcuts, k):
+        # reversing 8 ions with 100 us primitives: 2,100 us one-dimensionally,
+        # 1,000 us of regrouping or exchanges, so each sub-loop's lap sets its
+        # charge; the two sub-loops are one length, so path 1 wins over path 2
+        m = make_machine(k, shortcuts=shortcuts,
+                         timing=TimingParams(split_or_combine=100.0, swap=100.0, pair_exchange=100.0))
+        (_, f1), (_, f2) = m.layout.circulation_paths[1:]
+        assert f1 == f2 == shortcuts[0] and m.lap(1) == m.lap(2)
+        assert m.layout.shortest_path() == m.layout.shortest_path(min_fraction=f1) == 1
+        plan = plan_reorder(IonState.initial_pairs(8), [(0, 7), (1, 6), (2, 5), (3, 4)], m)
+        assert (plan.path_id, plan.time, plan.time_1d) == (1, m.lap(1), 2100.0)
 
     def test_shortcut_validation(self):
         with pytest.raises(ValueError):
@@ -362,10 +375,10 @@ class TestStagedTime:
         exchanges = [o for o in ops if o.tag is ReorderTag.PAIR_EXCHANGE]
         regroup = [o for o in ops if o.tag is not ReorderTag.PAIR_EXCHANGE]
         m = make_machine(gate_zones, reorder_zones, timing=t)
-        plan, exchange_time = _costed(ops, IonState(()), m)
+        plan = _costed(ops, IonState(()), m)
         assert plan.time_1d == _staged_time_with_set(ops, gate_zones, t)
         assert plan.regroup_time == _staged_time_with_set(regroup, reorder_zones, t)
-        assert exchange_time == _staged_time_with_set(exchanges, reorder_zones, t)
+        assert plan.exchange_time == _staged_time_with_set(exchanges, reorder_zones, t)
         counts = {}
         for o in ops:
             counts[o.tag.value] = counts.get(o.tag.value, 0) + 1
@@ -516,11 +529,13 @@ class TestPlanner:
 
     def test_shortcut_lap_wins_a_long_reversal(self):
         # nesting every pair around the middle costs 14,076 us one-dimensionally;
-        # the half-loop sub-loop charges its own lap, half the main loop's
+        # on the half-loop sub-loop (a 6,200 us lap) its 12 exchanges, staged
+        # over the 8 reorder zones, take 10 stages of 1,053 us and set the charge
         s = IonState.initial_pairs(8)
         targets = [(0, 7), (1, 6), (2, 5), (3, 4)]
         plan = plan_reorder(s, targets, make_machine(8, shortcuts=[0.5]))
-        assert (plan.path_id, plan.time, plan.time_1d) == (1, 6200.0, 14076.0)
+        assert (plan.path_id, plan.time, plan.time_1d) == (1, 10530.0, 14076.0)
+        assert plan.exchange_time == 10 * 1053.0 and dict(plan.op_counts)["exchange"] == 12
         plan = plan_reorder(s, targets, make_machine(8))
         assert (plan.path_id, plan.time) == (0, 12400.0)
 
@@ -530,8 +545,8 @@ class TestPlanner:
             ReorderOp(ReorderTag.SPLIT, index=4),
             ReorderOp(ReorderTag.SPLIT, index=8),
         ]
-        assert _costed(ops, IonState(()), make_machine(4))[0].time_1d == 128.0
-        assert _costed(ops, IonState(()), make_machine(1))[0].time_1d == 3 * 128.0
+        assert _costed(ops, IonState(()), make_machine(4)).time_1d == 128.0
+        assert _costed(ops, IonState(()), make_machine(1)).time_1d == 3 * 128.0
 
     @staticmethod
     def _assert_costs_carried(plan, m):
@@ -542,11 +557,11 @@ class TestPlanner:
         regroup = [o for o in ops if o.tag is not ReorderTag.PAIR_EXCHANGE]
         assert plan.time_1d == _staged_time_with_set(ops, m.layout.gate_zones)
         assert plan.regroup_time == _staged_time_with_set(regroup, m.layout.reorder_zones)
+        assert plan.exchange_time == _staged_time_with_set(exchanges, m.layout.reorder_zones)
         if plan.path_id is None:
-            assert plan.time == plan.time_1d and plan.hidden_time == 0.0
+            assert plan.time == plan.time_1d
         else:
-            assert plan.hidden_time == _staged_time_with_set(exchanges, m.layout.reorder_zones)
-            assert plan.time == max(m.lap(plan.path_id), plan.regroup_time)
+            assert plan.time == max(m.lap(plan.path_id), plan.regroup_time, plan.exchange_time)
         counts = {}
         for o in ops:
             counts[o.tag.value] = counts.get(o.tag.value, 0) + 1
@@ -580,12 +595,12 @@ class TestPlanner:
     @given(st.integers(2, 16), machines, st.data())
     @settings(max_examples=150, deadline=None)
     def test_one_dimensional_needs_no_second_plan(self, n, m, data):
-        # block scheduling turns a full-lap plan into a 1-D one without
-        # planning again; that must equal the plan of the 1-D mode
+        # both modes plan the same ops, so a plan of either mode carries
+        # the 1-D plan: the same plan charged its time_1d without a path
         s, targets = _draw_instance(n, data)
         plan = plan_reorder(s, targets, m, PlanMode.CIRCULATION_ALLOWED)
         direct = plan_reorder(s, targets, m, PlanMode.ONE_DIMENSIONAL)
-        assert plan.one_dimensional() == direct
+        assert replace(plan, path_id=None, time=plan.time_1d) == direct
 
     @pytest.mark.parametrize(
         "target, reason",

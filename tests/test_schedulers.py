@@ -11,8 +11,11 @@ charges on its critical path, read from schedulers.py:
 * the ZZ and its cooling: two_q_gate + cool_2q_batch;
 * one readout batch per qubit: 2 * measure_batch.
 
-The qubits start paired, so no config reorders.  With pipelining the
-stream overlaps the second init batch and drops out of the span.
+The qubits start paired, so no config reorders.  The stream moves both
+qubits, so even with pipelining it waits for the second init batch, and
+each pipelined span equals its serial counterpart: plutarch that of
+plutarch-nopipe, (INPLACE_GATHER_FACTOR * 1 + 1) zone gaps, and
+plutarch-noblocks that of rolodex, 1 + 1 zone gaps.
 """
 import math
 from dataclasses import fields, replace
@@ -27,6 +30,7 @@ from racetrack.blocks import extract_inplace_blocks
 from racetrack.circuit import build_dag
 from racetrack.gates import Gate, GateType
 from racetrack.machine import TimingParams, make_machine
+from racetrack.metrics import runtime_breakdown
 from racetrack.planner import plan_reorder
 from racetrack.schedulers import INPLACE_GATHER_FACTOR, PolicyFlags, schedule
 from racetrack.trace import EventKind
@@ -43,9 +47,9 @@ GATE = T.two_q_gate + T.cool_2q_batch
 SPANS = {
     "tilt": PREP + (2 - 1) * T.inter_zone_shift + GATE,
     "rolodex": PREP + (1 + 1) * T.inter_zone_shift + GATE,
-    "plutarch": PREP + GATE,
+    "plutarch": PREP + (INPLACE_GATHER_FACTOR * 1 + 1) * T.inter_zone_shift + GATE,
     "plutarch-nopipe": PREP + (INPLACE_GATHER_FACTOR * 1 + 1) * T.inter_zone_shift + GATE,
-    "plutarch-noblocks": PREP + GATE,
+    "plutarch-noblocks": PREP + (1 + 1) * T.inter_zone_shift + GATE,
 }
 CONFIGS = {
     "tilt": ("tilt", None),
@@ -283,8 +287,14 @@ def test_no_two_events_share_a_payload(config):
 @given(native_circuits, st.integers(1, 8), st.sampled_from(SHORTCUT_SETS),
        st.sampled_from(sorted(CONFIGS)))
 def test_every_schedule_obeys_its_dag(c, k, shortcuts, config):
+    """And its breakdown splits the span exactly: the categories count
+    every event once, and `hidden` is the time they count twice."""
     policy, flags = CONFIGS[config]
-    schedule(c, make_machine(k, shortcuts=shortcuts), policy, flags).validate(c)
+    tr = schedule(c, make_machine(k, shortcuts=shortcuts), policy, flags)
+    tr.validate(c)
+    b = runtime_breakdown(tr)
+    categories = b.init + b.gate_cooling + b.shift_swap_split + b.circulation + b.measure
+    assert abs(categories - b.hidden - b.total_span) <= 1e-6
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -302,3 +312,72 @@ def test_a_translated_cx_runs_its_gates_in_qubit_order(config, k):
     tr.validate(c)
     ran = {gid: e for e in tr.of_kind(EventKind.GATE_1Q) for gid in e.payload["gate_ids"]}
     assert ran[4].t_start >= ran[3].t_end
+
+
+def test_exchanges_that_outlast_the_lap_set_the_charge():
+    """Nesting 8 ions around the middle (ZZ(i, 7 - i)) takes 12 exchanges;
+    over 8 reorder zones they stage into 10 stages of pair_exchange, 10,530
+    us, against a 4,000 us lap (lap_4zone = 2,000 us at k = 8), 1,568 us of
+    regrouping and 14,076 us one-dimensionally.  Rolodex circulates, and
+    its one CIRCULATE lasts the exchange time, so the span is one init
+    batch, 10,530 us, a stream of 8 + 4 zone gaps, the ZZ batch and its
+    cooling, and one readout batch."""
+    c = build_dag([Gate(i, GateType.ZZ, (i, 7 - i)) for i in range(4)], 8)
+    m = make_machine(8, timing=replace(T, lap_4zone=2000.0))
+    tr = schedule(c, m, "rolodex")
+    (lap,) = tr.of_kind(EventKind.CIRCULATE)
+    assert not tr.of_kind(EventKind.REORDER)
+    assert m.lap(0) == 4000.0 and lap.duration == 10 * T.pair_exchange == 10_530.0
+    assert lap.qubits == tuple(range(8))
+    assert lap.payload == {"path": 0, "ops": {"split": 4, "exchange": 12, "combine": 4, "swap": 4},
+                           "transports": 2 * 12 + 2 * 4}
+    assert tr.span == T.init_batch + 10_530.0 + (8 + 4) * T.inter_zone_shift + GATE + T.measure_batch
+
+
+@settings(max_examples=100, deadline=None)
+@given(native_circuits, st.integers(1, 8), st.sampled_from(SHORTCUT_SETS),
+       st.sampled_from(sorted(CONFIGS)))
+def test_each_step_lists_the_ions_it_holds(c, k, shortcuts, config):
+    """A gate, init or readout batch lists its qubits and its COOL none; a
+    pass-mode stream and a circulation list the whole chain; a block
+    layer's gather stream, split, shift and combine list the layer's ions;
+    a 1-D transition lists the operands of its ops."""
+    policy, flags = CONFIGS[config]
+    m = make_machine(k, shortcuts=shortcuts)
+    transitions = []   # (plan, path, the events it emitted)
+
+    class Engine(schedulers._Engine):
+        def transit(self, plan, path):
+            n = len(self.trace.events)
+            super().transit(plan, path)
+            transitions.append((plan, path, self.trace.events[n:]))
+
+    with patch.object(schedulers, "_Engine", Engine):
+        tr = schedule(c, m, policy, flags)
+    chain = tuple(range(c.width))
+    moves = set()
+    for plan, path, emitted in transitions:
+        moves.update(map(id, emitted))
+        if path is not None:
+            (e,) = emitted
+            assert (e.kind, e.qubits, e.duration) == (EventKind.CIRCULATE, chain, plan.charge(m.lap(path)))
+        elif plan.ops:
+            (e,) = emitted
+            operands = tuple(sorted({q for op in plan.ops for q in op.operands}))
+            assert (e.kind, e.qubits, e.duration) == (EventKind.REORDER, operands, plan.time_1d)
+        else:
+            assert emitted == []
+    in_place = config in ("plutarch", "plutarch-nopipe")
+    layers = iter(extract_inplace_blocks(c, k).layers) if in_place else None
+    ions = chain
+    for e in tr.events:
+        if e.kind is EventKind.COOL:
+            assert e.qubits == ()
+        elif "gate_qubits" in e.payload:
+            assert e.qubits == tuple(sorted(q for qs in e.payload["gate_qubits"].values() for q in qs))
+        elif e.kind in (EventKind.SHUTTLE, EventKind.REORDER) and id(e) not in moves:
+            if in_place and e.payload.get("pass_stream"):
+                ions = tuple(sorted(q for b in next(layers) for q in b.qubits))
+            assert e.qubits == ions
+        elif e.kind in (EventKind.INIT, EventKind.MEASURE):
+            assert e.qubits
