@@ -1,13 +1,17 @@
 """Runtime breakdown, zone utilization and analytic fidelity accounting
 over a Trace.
 
+The breakdown splits the span exactly: each category is the total duration
+of its events, `hidden` is the time they count more than once and `idle`
+the time no event covers, so the categories minus `hidden` plus `idle` are
+the span for every trace.
+
 Each of the three trace metrics reads the trace once: it tests event kinds
 by identity and computes an event's end as `t_start + duration` in place.
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .machine import FidelityParams
@@ -31,6 +35,7 @@ class RuntimeBreakdown:
     circulation: float
     measure: float
     hidden: float
+    idle: float
     total_span: float
 
     def as_dict(self) -> dict[str, float]:
@@ -41,76 +46,48 @@ class RuntimeBreakdown:
             "circulation_us": self.circulation,
             "measure_us": self.measure,
             "hidden_us": self.hidden,
+            "idle_us": self.idle,
             "total_us": self.total_span,
         }
 
 
 def _union_length(intervals: list[tuple[float, float]]) -> float:
+    """Length of the union of `intervals`; one that ends at or before its
+    start covers nothing."""
     total = 0.0
     last_end = -math.inf
     for a, b in sorted(intervals):
-        if b <= last_end:
+        if b <= last_end or b <= a:
             continue
         total += b - max(a, last_end)
         last_end = b
     return total
 
 
-class _Coverage:
-    """The union of a set of intervals as sorted disjoint runs, with the
-    total run length before each run, for O(log n) overlap queries."""
-
-    def __init__(self, intervals: list[tuple[float, float]]):
-        self.starts: list[float] = []
-        self.ends: list[float] = []
-        for a, b in sorted(intervals):
-            if self.ends and a <= self.ends[-1]:
-                if b > self.ends[-1]:
-                    self.ends[-1] = b
-            else:
-                self.starts.append(a)
-                self.ends.append(b)
-        self.before = [0.0]
-        for a, b in zip(self.starts, self.ends):
-            self.before.append(self.before[-1] + (b - a))
-
-    def overlap(self, a: float, b: float) -> float:
-        """Length of [a, b] covered by the union."""
-        i = bisect_right(self.ends, a)      # first run ending after a
-        j = bisect_left(self.starts, b)     # first run starting at or after b
-        if i >= j:
-            return 0.0
-        first = min(self.ends[i], b) - max(self.starts[i], a)
-        if j - i == 1:
-            return first
-        inner = self.before[j - 1] - self.before[i + 1]
-        return first + inner + (min(self.ends[j - 1], b) - self.starts[j - 1])
-
-
 def runtime_breakdown(tr: Trace) -> RuntimeBreakdown:
-    """Sum event durations by category.  Circulation time concurrent with
-    zone-lane work or reordering counts as hidden, not as circulation.  A
-    circulating transition is one CIRCULATE event, so its regrouping and
-    exchanges count as circulation.  Shuttle and reorder time concurrent
-    with zone-lane work, and init and measure time concurrent with either
-    or with circulation, count in their category and again as hidden.
+    """Split the span by event kind.  Each category is the total duration
+    of its events: gate and cooling, shuttle and reorder, circulation, init
+    and measure.  A circulating transition is one CIRCULATE event, so its
+    regrouping and exchanges count as circulation.  With `busy` the length
+    of the union of all events,
 
-    The schedulers never run a circulation beside other work and leave no
-    idle time, so on their traces the categories minus `hidden` are the
-    span.
+        hidden = (sum of the categories) - busy
+        idle   = span - busy
 
-    Reads the trace once.  Each category's durations are collected in
-    event order and added with `sum`: from Python 3.12 on, `sum`
-    compensates float rounding, which a running `+=` would not.
+    so the categories minus `hidden` plus `idle` are the span, up to float
+    rounding, for every trace.
+
+    Reads the trace once and sorts its intervals once.  Each category's
+    durations are collected in event order and added with `sum`: from
+    Python 3.12 on, `sum` compensates float rounding, which a running `+=`
+    would not.
     """
     init: list[float] = []
     gate_cooling: list[float] = []
     shift: list[float] = []
+    circulation: list[float] = []
     measure: list[float] = []
-    gating: list[tuple[float, float]] = []
-    moving: list[tuple[float, float]] = []
-    circulating: list[tuple[float, float, float]] = []
-    prep: list[tuple[float, float]] = []
+    intervals: list[tuple[float, float]] = []
     events = tr.events
     span = events[0].t_start + events[0].duration if events else 0.0
     for e in events:
@@ -120,42 +97,18 @@ def runtime_breakdown(tr: Trace) -> RuntimeBreakdown:
         end = start + duration
         if end > span:
             span = end
+        intervals.append((start, end))
         if kind is GATE_1Q or kind is GATE_2Q or kind is COOL:
             gate_cooling.append(duration)
-            gating.append((start, end))
         elif kind is SHUTTLE or kind is REORDER:
             shift.append(duration)
-            moving.append((start, end))
         elif kind is CIRCULATE:
-            circulating.append((start, end, duration))
+            circulation.append(duration)
         else:
             (init if kind is INIT else measure).append(duration)
-            prep.append((start, end))
-    busy = gating + moving
-    busy_cover = _Coverage(busy)
-    circulation = 0.0
-    hidden = 0.0
-    for start, end, duration in circulating:
-        covered = busy_cover.overlap(start, end)
-        circulation += duration - covered
-        hidden += covered
-    # moves of some ions while others are gated (pipelining) are hidden
-    gating_cover = _Coverage(gating)
-    for start, end in moving:
-        hidden += gating_cover.overlap(start, end)
-    # overlapped prep time (pipelined init/measure) is also hidden
-    zone_cover = _Coverage(busy + [(start, end) for start, end, _ in circulating])
-    for start, end in prep:
-        hidden += zone_cover.overlap(start, end)
-    return RuntimeBreakdown(
-        init=sum(init),
-        gate_cooling=sum(gate_cooling),
-        shift_swap_split=sum(shift),
-        circulation=circulation,
-        measure=sum(measure),
-        hidden=hidden,
-        total_span=span,
-    )
+    totals = [sum(init), sum(gate_cooling), sum(shift), sum(circulation), sum(measure)]
+    busy = _union_length(intervals)
+    return RuntimeBreakdown(*totals, hidden=sum(totals) - busy, idle=span - busy, total_span=span)
 
 
 def zone_utilization(tr: Trace) -> float:

@@ -30,7 +30,10 @@ lane (that of its event kind: "zones", "prep" or "transport") and the
 ions it holds; it starts once its lane and each of its ions is free, and
 without pipelining also once every earlier step has ended.  Pipelining is
 thus one rule: a step may overlap any step that shares neither its lane
-nor an ion.  The steps hold:
+nor an ion.  Each of those times is 0 or an earlier step's end, so every
+step starts at 0 or where an earlier one ends, and the events cover the
+span without a gap: `runtime_breakdown` reports no idle time.  The steps
+hold:
 
     step                                           lane       ions
     INIT or MEASURE batch                          prep       its qubits

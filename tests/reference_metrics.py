@@ -1,16 +1,30 @@
 """Reference copies of the multi-walk metric and validation bodies.
 
 `racetrack.metrics` and `Trace.validate` read a trace once.  These are the
-straightforward versions they replaced, one pass over the events per
-quantity, kept so that tests can hold the one-walk code to equal results.
+straightforward versions, one pass over the events per quantity, kept so
+that tests can hold the one-walk code to equal results.  The union of
+intervals is computed here on its own, run by run, so that a fault in the
+package's union shows.
 """
 from __future__ import annotations
 
 import math
 
 from racetrack.machine import FidelityParams
-from racetrack.metrics import FidelityLedger, RuntimeBreakdown, _Coverage, _union_length
+from racetrack.metrics import FidelityLedger, RuntimeBreakdown
 from racetrack.trace import EventKind, Trace, TraceEvent
+
+
+def union_length(intervals: list[tuple[float, float]]) -> float:
+    """Length of the union of `intervals`, as the sum of its disjoint runs;
+    an interval that ends at or before its start covers nothing."""
+    runs: list[list[float]] = []
+    for a, b in sorted(iv for iv in intervals if iv[1] > iv[0]):
+        if runs and a <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], b)
+        else:
+            runs.append([a, b])
+    return sum(b - a for a, b in runs)
 
 
 def runtime_breakdown(tr: Trace) -> RuntimeBreakdown:
@@ -19,35 +33,17 @@ def runtime_breakdown(tr: Trace) -> RuntimeBreakdown:
         e.duration for e in tr.of_kind(EventKind.GATE_1Q, EventKind.GATE_2Q, EventKind.COOL)
     )
     shift = sum(e.duration for e in tr.of_kind(EventKind.SHUTTLE, EventKind.REORDER))
+    circulation = sum(e.duration for e in tr.of_kind(EventKind.CIRCULATE))
     measure = sum(e.duration for e in tr.of_kind(EventKind.MEASURE))
-    busy = [
-        (e.t_start, e.t_end)
-        for e in tr.events
-        if e.kind in (EventKind.GATE_1Q, EventKind.GATE_2Q, EventKind.COOL,
-                      EventKind.REORDER, EventKind.SHUTTLE)
-    ]
-    circulating = tr.of_kind(EventKind.CIRCULATE)
-    busy_cover = _Coverage(busy)
-    circulation = 0.0
-    hidden = 0.0
-    for e in circulating:
-        covered = busy_cover.overlap(e.t_start, e.t_end)
-        circulation += e.duration - covered
-        hidden += covered
-    gating_cover = _Coverage([(e.t_start, e.t_end) for e in tr.of_kind(
-        EventKind.GATE_1Q, EventKind.GATE_2Q, EventKind.COOL)])
-    for e in tr.of_kind(EventKind.SHUTTLE, EventKind.REORDER):
-        hidden += gating_cover.overlap(e.t_start, e.t_end)
-    zone_cover = _Coverage(busy + [(e.t_start, e.t_end) for e in circulating])
-    for e in tr.of_kind(EventKind.INIT, EventKind.MEASURE):
-        hidden += zone_cover.overlap(e.t_start, e.t_end)
+    busy = union_length([(e.t_start, e.t_end) for e in tr.events])
     return RuntimeBreakdown(
         init=init,
         gate_cooling=gate_cooling,
         shift_swap_split=shift,
         circulation=circulation,
         measure=measure,
-        hidden=hidden,
+        hidden=init + gate_cooling + shift + circulation + measure - busy,
+        idle=tr.span - busy,
         total_span=tr.span,
     )
 
@@ -59,7 +55,7 @@ def zone_utilization(tr: Trace) -> float:
     events = tr.of_kind(EventKind.GATE_1Q, EventKind.GATE_2Q, EventKind.COOL)
     if not events:
         return 0.0
-    window = _union_length([(e.t_start, e.t_end) for e in events])
+    window = union_length([(e.t_start, e.t_end) for e in events])
     if window <= 0.0:
         return 0.0
     weighted = sum(min(e.zones_busy, k) * e.duration for e in events)

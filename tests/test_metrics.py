@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 import reference_metrics as ref
 from racetrack.circuit import build_dag
 from racetrack.gates import Gate, GateType
-from racetrack.machine import make_machine
+from racetrack.machine import FidelityParams, make_machine
 from racetrack.metrics import (
-    _Coverage,
+    _union_length,
     fidelity_report,
     runtime_breakdown,
     zone_utilization,
@@ -27,29 +27,25 @@ from racetrack.schedulers import PolicyFlags, schedule
 from racetrack.trace import EventKind, Trace, TraceEvent
 from test_blocks import native_circuits
 
-interval = st.tuples(st.integers(0, 20), st.integers(0, 8)).map(lambda p: (p[0], p[0] + p[1]))
+interval = st.tuples(st.integers(0, 20), st.integers(-2, 8)).map(lambda p: (p[0], p[0] + p[1]))
 
 
-def brute_overlap(intervals, a, b):
-    """Unit cells of [a, b] that some interval covers (integer endpoints)."""
-    return sum(
-        1 for x in range(a, b) if any(s <= x and x + 1 <= e for s, e in intervals)
-    )
+def brute_union(intervals):
+    """Unit cells that some interval covers (integer endpoints)."""
+    return sum(1 for x in range(0, 28) if any(s <= x and x + 1 <= e for s, e in intervals))
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(interval, max_size=8), st.integers(-5, 30), st.integers(0, 30))
-@example([(2, 10), (4, 6)], 0, 12)                   # nested
-@example([(2, 5), (5, 9)], 3, 8)                     # touching
-@example([(4, 4), (7, 7), (3, 6)], 4, 7)             # zero-length
-@example([(1, 2), (5, 6), (9, 12)], 0, 15)           # disjoint
-@example([(1, 2), (5, 6)], 20, 5)                    # query past every interval
-@example([(5, 9)], 7, 0)                             # zero-length query
-def test_overlap_matches_brute_force(intervals, a, length):
+@given(st.lists(interval, max_size=8))
+@example([(2, 10), (4, 6)])                          # nested
+@example([(2, 5), (5, 9)])                           # touching
+@example([(4, 4), (7, 7), (3, 6)])                   # zero-length
+@example([(1, 2), (5, 6), (9, 12)])                  # disjoint
+@example([(1, 3), (4, 2), (6, 5)])                   # ending before the start
+def test_union_length_matches_brute_force(intervals):
     floats = [(float(s), float(e)) for s, e in intervals]
-    assert _Coverage(floats).overlap(float(a), float(a + length)) == brute_overlap(
-        intervals, a, a + length
-    )
+    assert _union_length(floats) == brute_union(intervals)
+    assert ref.union_length(floats) == brute_union(intervals)
 
 
 def hand_trace():
@@ -73,18 +69,31 @@ def hand_trace():
 
 def test_breakdown_by_hand():
     b = runtime_breakdown(hand_trace())
-    # the lap [150, 450) overlaps gate/cool [100, 225) for 75 us and the
-    # reorder [400, 500) for 50 us; the measure [480, 600) overlaps the
-    # zone-busy union (which includes the lap) for 20 us
+    # the events cover [0, 705) with no gap; the lap [150, 450) overlaps
+    # gate/cool [100, 225) for 75 us and the reorder [400, 500) for 50 us,
+    # and the measure [480, 600) overlaps the reorder for 20 us
     assert b.as_dict() == {
         "init_us": 100.0,
         "gate_cooling_us": 25.0 + 100.0 + 5.0 + 100.0,
         "shift_swap_split_us": 100.0,
-        "circulation_us": 300.0 - 125.0,
+        "circulation_us": 300.0,
         "measure_us": 120.0,
-        "hidden_us": 125.0 + 20.0,
+        "hidden_us": 75.0 + 50.0 + 20.0,
+        "idle_us": 0.0,
         "total_us": 705.0,
     }
+
+
+def test_breakdown_counts_a_gap_as_idle():
+    tr = Trace(width=1, gate_zones=1)
+    tr.add(TraceEvent(10.0, 5.0, EventKind.GATE_1Q, 1, (0,)))
+    tr.add(TraceEvent(12.0, 20.0, EventKind.COOL, 1))
+    tr.add(TraceEvent(40.0, 8.0, EventKind.MEASURE, 0, (0,)))
+    b = runtime_breakdown(tr)
+    # [0, 10) and [32, 40) hold no event; the cooling overlaps the gate for 3 us
+    assert (b.gate_cooling, b.measure, b.hidden, b.idle, b.total_span) == (25.0, 8.0, 3.0, 18.0, 48.0)
+    assert runtime_breakdown(Trace(width=1, gate_zones=1)).as_dict() == dict.fromkeys(
+        b.as_dict(), 0.0)
 
 
 def test_zone_utilization_by_hand():
@@ -138,12 +147,29 @@ def _raised(check, tr):
     return None
 
 
+def assert_metrics_match_the_reference(tr, f=FidelityParams()):
+    """The reference sums the union run by run and the package piece by
+    piece, so `hidden`, `idle` and zone utilization may differ in rounding."""
+    b, want = runtime_breakdown(tr), ref.runtime_breakdown(tr)
+    assert replace(b, hidden=0.0, idle=0.0) == replace(want, hidden=0.0, idle=0.0)
+    assert b.hidden == pytest.approx(want.hidden, rel=1e-12, abs=1e-9)
+    assert b.idle == pytest.approx(want.idle, rel=1e-12, abs=1e-9)
+    assert zone_utilization(tr) == pytest.approx(ref.zone_utilization(tr), rel=1e-9)
+    assert fidelity_report(tr, f) == ref.fidelity_report(tr, f)
+
+
 @settings(max_examples=400, deadline=None)
 @given(traces())
 def test_metrics_match_the_multi_walk_reference(tr):
-    assert runtime_breakdown(tr) == ref.runtime_breakdown(tr)
-    assert zone_utilization(tr) == ref.zone_utilization(tr)
-    assert fidelity_report(tr) == ref.fidelity_report(tr)
+    assert_metrics_match_the_reference(tr)
+
+
+@settings(max_examples=400, deadline=None)
+@given(traces())
+def test_breakdown_splits_the_span_exactly(tr):
+    b = runtime_breakdown(tr)
+    categories = b.init + b.gate_cooling + b.shift_swap_split + b.circulation + b.measure
+    assert abs(categories - b.hidden + b.idle - b.total_span) <= 1e-9
 
 
 @settings(max_examples=400, deadline=None)
@@ -163,10 +189,7 @@ CONFIGS = [
        st.sampled_from(CONFIGS))
 def test_scheduled_metrics_match_the_multi_walk_reference(c, k, shortcuts, config):
     m = make_machine(k, shortcuts=shortcuts)
-    tr = schedule(c, m, *config)
-    assert runtime_breakdown(tr) == ref.runtime_breakdown(tr)
-    assert zone_utilization(tr) == ref.zone_utilization(tr)
-    assert fidelity_report(tr, m.fidelity) == ref.fidelity_report(tr, m.fidelity)
+    assert_metrics_match_the_reference(schedule(c, m, *config), m.fidelity)
 
 
 def _one_event_trace(start, duration):

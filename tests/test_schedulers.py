@@ -287,12 +287,14 @@ def test_no_two_events_share_a_payload(config):
 @given(native_circuits, st.integers(1, 8), st.sampled_from(SHORTCUT_SETS),
        st.sampled_from(sorted(CONFIGS)))
 def test_every_schedule_obeys_its_dag(c, k, shortcuts, config):
-    """And its breakdown splits the span exactly: the categories count
-    every event once, and `hidden` is the time they count twice."""
+    """And its breakdown splits the span with no idle time: every step
+    starts at 0 or at the end of an earlier step, so the events cover the
+    span without a gap, and the categories minus `hidden` are the span."""
     policy, flags = CONFIGS[config]
     tr = schedule(c, make_machine(k, shortcuts=shortcuts), policy, flags)
     tr.validate(c)
     b = runtime_breakdown(tr)
+    assert b.idle == 0.0
     categories = b.init + b.gate_cooling + b.shift_swap_split + b.circulation + b.measure
     assert abs(categories - b.hidden - b.total_span) <= 1e-6
 
