@@ -5,6 +5,7 @@
     python3 ci/digest_diff.py digests WORKLOAD BASE.json CHANGE.json
     python3 ci/digest_diff.py translations BASE CHANGE
     python3 ci/digest_diff.py plan-calls BASE CHANGE
+    python3 ci/digest_diff.py public-api BASE CHANGE
 
 BASE and CHANGE are the roots of two checkouts of this repository, and the
 .json files come from `perfbench/run.py --out`.  `correct` reads the output
@@ -24,12 +25,18 @@ one Markdown section for the job summary:
 * plan-calls: how often each tree's `schedule` calls
   `schedulers.plan_reorder` over one pass of each workload (seed 1),
   counted through the module attribute the schedulers call it by.
+* public-api: the public names that only one tree has, per src/racetrack
+  module: top-level functions, classes and assigned names, and the
+  methods and class attributes of public classes.  A class only one tree
+  has is listed alone.  The names are read with `ast`; nothing is
+  imported.
 
 Translations and plan calls are computed in one process per tree, as each
 imports its own tree's racetrack.
 """
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import subprocess
@@ -165,12 +172,51 @@ def plan_calls(base: str, change: str) -> None:
     print(FENCE)
 
 
+def _public_names(path: Path) -> set[str]:
+    """The public top-level names a module defines, and "Class.member" for
+    each public method or class attribute of a public class."""
+    if not path.exists():
+        return set()
+
+    def defined(body) -> dict[str, ast.stmt]:
+        names = {}
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names[node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+        return {name: node for name, node in names.items() if not name.startswith("_")}
+
+    top = defined(ast.parse(path.read_text()).body)
+    members = {f"{name}.{member}" for name, node in top.items() if isinstance(node, ast.ClassDef)
+               for member in defined(node.body)}
+    return set(top) | members
+
+
+def public_api(base: str, change: str) -> None:
+    trees = [Path(root, "src/racetrack") for root in (base, change)]
+    lines = []
+    for name in sorted({p.name for d in trees for p in d.glob("*.py")}):
+        old, new = (_public_names(d / name) for d in trees)
+        module = "racetrack." + name.removesuffix(".py")
+        for sign, names in (("-", old - new), ("+", new - old)):
+            # a member of a class only one tree has goes with its class
+            lines += [f"{sign} {module}.{n}" for n in sorted(names)
+                      if "." not in n or n.split(".")[0] not in names]
+    print("### public API (- only in base, + only in change)")
+    print(FENCE)
+    print("\n".join(lines) if lines else "no public name added or removed")
+    print(FENCE)
+
+
 COMMANDS = {
     "size": (size, 2),
     "correct": (correct, 0),
     "digests": (digests, 3),
     "translations": (translations, 2),
     "plan-calls": (plan_calls, 2),
+    "public-api": (public_api, 2),
     # one tree each, run by translations and plan-calls
     "translation-hashes": (translation_hashes, 1),
     "plan-call-counts": (plan_call_counts, 1),

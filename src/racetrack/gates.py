@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 
 TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-12
@@ -38,6 +39,13 @@ class GateType(Enum):
         self.n_params: int = {"U1q": 2, "Rz": 1, "RZZ": 1, "Rxxyyzz": 3, "RX": 1}.get(value, 0)
         self.is_native: bool = value in ("U1q", "Rz", "ZZ", "RZZ", "Rxxyyzz")
         self.is_abstract: bool = value in ("H", "X", "RX", "CX")
+
+
+def is_qubit(q) -> bool:
+    """An integer and not a bool, which hashes like qubit 0 or 1.  The
+    test of the type comes first: the abstract `Integral` check costs
+    about 40 times as much."""
+    return type(q) is int or (isinstance(q, Integral) and not isinstance(q, bool))
 
 
 def canonical_angle(theta: float) -> float:
@@ -73,8 +81,8 @@ class Gate:
 
     Every workload and translation builds gates, so `__init__` is written
     by hand and the instance is slotted (no `__dict__`): it runs the checks
-    (arity, duplicate qubit, negative qubit, param count, in that order)
-    and sets each slot once.
+    (arity, integer qubits, duplicate qubit, negative qubit, param count,
+    in that order) and sets each slot once.
     """
 
     id: int
@@ -94,7 +102,11 @@ class Gate:
             raise ValueError(
                 f"{kind.value} takes {kind.n_qubits} qubit(s), got {qubits}"
             )
-        # every kind acts on one or two qubits, and n is that count here
+        # every kind acts on one or two qubits, and n is that count here;
+        # the test of the type is the fast path of `is_qubit`
+        if ((type(qubits[0]) is not int or type(qubits[-1]) is not int)
+                and not (is_qubit(qubits[0]) and is_qubit(qubits[-1]))):
+            raise ValueError(f"{kind.value} gate {id} takes integer qubits, got {qubits}")
         if n == 2 and qubits[0] == qubits[1]:
             raise ValueError(f"duplicate qubit in {kind.value} gate: {qubits}")
         if qubits[0] < 0 or qubits[-1] < 0:

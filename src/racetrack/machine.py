@@ -1,5 +1,13 @@
-"""Machine model: hardware timing constants, infidelity budget, and the
-racetrack geometry with optional shortcut chords.
+"""Machine model: one checked record per part of the device.
+
+`Machine` is the racetrack itself, with its gate and reorder zone counts,
+its shortcut chords, its `TimingParams`, its `FidelityParams` and its ion
+capacity.  Each record checks its fields when it is built, however it is
+built: directly, through `make_machine`, `dataclasses.replace` or
+`machine_from_dict`.  A bad value raises a `ValueError` that names the
+field, so no machine with zero zones, a chord outside (0, 1) or a negative
+time exists to be scheduled.  A machine computes its circulation paths
+once, when it is built.
 
 All times are microseconds.  Defaults follow the published H2-class
 hardware table; every field can be overridden from a JSON machine
@@ -11,7 +19,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 DEFAULT_CAPACITY = 56
 MACHINE_FILE_ENV = "RACETRACK_MACHINE_FILE"
@@ -56,7 +64,7 @@ class TimingParams:
     def cool_2q_batch(self) -> float:
         return COOLING_STAGES + self.two_q_gate
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
             positive = f.name in _POSITIVE_TIMING
@@ -76,7 +84,7 @@ class FidelityParams:
     inf_spam: float = 16e-4
     t1: float = 100.0                  # seconds
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
             if f.name == "t1":
@@ -87,30 +95,54 @@ class FidelityParams:
 
 
 @dataclass(frozen=True)
-class TrackLayout:
-    """Closed-loop electrode: gate zones on the bottom straight, reorder
-    zones on top, plus shortcut chords at fractional positions.
+class Machine:
+    """One simulated device: a closed-loop electrode with `gate_zones` zones
+    on the bottom straight, `reorder_zones` on top (None: as many as gate
+    zones) and shortcut chords at fractions in (0, 1) of the loop, plus its
+    timing, fidelity budget and ion capacity."""
 
-    A circulation path is known by its fraction of the main loop; the
-    machine's timing turns a fraction into a lap time (`Machine.lap`).
-    """
+    gate_zones: int = 4
+    reorder_zones: int | None = None
+    shortcuts: tuple[float, ...] = ()
+    timing: TimingParams = TimingParams()
+    fidelity: FidelityParams = FidelityParams()
+    capacity: int = DEFAULT_CAPACITY
+    # (path id, fraction of the main loop); id 0 is the main loop, id i >= 1
+    # the sub-loop closed by shortcut i (shorter side of the chord).  The
+    # fraction is rounded to 12 places, so chords at f and 1 - f close
+    # equal sub-loops (1 - 0.9 is 0.09999999999999998) and a tie between
+    # them goes to the lower id.
+    circulation_paths: tuple[tuple[int, float], ...] = field(init=False, repr=False, compare=False)
 
-    gate_zones: int
-    reorder_zones: int
-    shortcuts: tuple[float, ...]
+    def __post_init__(self):
+        _check_count("gate_zones", self.gate_zones)
+        if self.reorder_zones is None:
+            object.__setattr__(self, "reorder_zones", self.gate_zones)
+        _check_count("reorder_zones", self.reorder_zones)
+        sc = self.shortcuts
+        if not isinstance(sc, (list, tuple)) or not all(_is_number(f) for f in sc):
+            raise ValueError(f"shortcuts must be a list of fractions, got {sc!r}")
+        sc = tuple(float(f) for f in sc)
+        if any(not (0.0 < f < 1.0) for f in sc):
+            raise ValueError("shortcut fractions must lie strictly in (0, 1)")
+        if len(set(sc)) != len(sc):
+            raise ValueError("overlapping shortcut endpoints")
+        for name, kind in (("timing", TimingParams), ("fidelity", FidelityParams)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        _check_count("capacity", self.capacity)
+        paths = ((0, 1.0),) + tuple((i, round(min(f, 1.0 - f), 12)) for i, f in enumerate(sc, start=1))
+        object.__setattr__(self, "shortcuts", sc)
+        object.__setattr__(self, "circulation_paths", paths)
 
-    @property
-    def circulation_paths(self) -> list[tuple[int, float]]:
-        """(path id, fraction of the main loop); id 0 is the main loop, id
-        i >= 1 the sub-loop closed by shortcut i (shorter side of the chord).
-
-        The fraction is rounded to 12 places, so chords at f and 1 - f
-        close equal sub-loops (1 - 0.9 is 0.09999999999999998) and a tie
-        between them goes to the lower id."""
-        paths = [(0, 1.0)]
-        for i, f in enumerate(self.shortcuts, start=1):
-            paths.append((i, round(min(f, 1.0 - f), 12)))
-        return paths
+    def lap(self, path_id: int = 0) -> float:
+        """Circulation time of one path: the main loop's lap grows linearly
+        with the gate-zone count from `lap_4zone` on the 4-zone track, and
+        a sub-loop takes its fraction of that."""
+        for pid, fraction in self.circulation_paths:
+            if pid == path_id:
+                return fraction * (self.gate_zones * self.timing.lap_4zone / 4.0)
+        raise KeyError(f"unknown circulation path {path_id}")
 
     def shortest_path(self, min_fraction: float = 0.0) -> int:
         """The shortest circulation path whose fraction of the main loop is
@@ -123,51 +155,6 @@ class TrackLayout:
         return best
 
 
-def build_track(
-    gate_zones: int,
-    reorder_zones: int | None = None,
-    shortcuts: list[float] | tuple[float, ...] = (),
-) -> TrackLayout:
-    """Lay out a racetrack with `gate_zones` bottom zones; shortcut
-    fractions in (0, 1) close sub-loops at the matching fraction of the
-    loop."""
-    _check_count("gate_zones", gate_zones)
-    if reorder_zones is None:
-        reorder_zones = gate_zones
-    _check_count("reorder_zones", reorder_zones)
-    if not isinstance(shortcuts, (list, tuple)) or not all(_is_number(f) for f in shortcuts):
-        raise ValueError(f"shortcuts must be a list of fractions, got {shortcuts!r}")
-    fr = [float(f) for f in shortcuts]
-    if any(not (0.0 < f < 1.0) for f in fr):
-        raise ValueError("shortcut fractions must lie strictly in (0, 1)")
-    if len(set(fr)) != len(fr):
-        raise ValueError("overlapping shortcut endpoints")
-    return TrackLayout(gate_zones=gate_zones, reorder_zones=reorder_zones, shortcuts=tuple(fr))
-
-
-@dataclass(frozen=True)
-class Machine:
-    """One simulated device: geometry + timing + fidelity + capacity."""
-
-    layout: TrackLayout
-    timing: TimingParams = TimingParams()
-    fidelity: FidelityParams = FidelityParams()
-    capacity: int = DEFAULT_CAPACITY
-
-    @property
-    def gate_zones(self) -> int:
-        return self.layout.gate_zones
-
-    def lap(self, path_id: int = 0) -> float:
-        """Circulation time of one path: the main loop's lap grows linearly
-        with the gate-zone count from `lap_4zone` on the 4-zone track, and
-        a sub-loop takes its fraction of that."""
-        for pid, fraction in self.layout.circulation_paths:
-            if pid == path_id:
-                return fraction * (self.layout.gate_zones * self.timing.lap_4zone / 4.0)
-        raise KeyError(f"unknown circulation path {path_id}")
-
-
 def make_machine(
     gate_zones: int = 4,
     reorder_zones: int | None = None,
@@ -176,17 +163,9 @@ def make_machine(
     fidelity: FidelityParams | None = None,
     capacity: int = DEFAULT_CAPACITY,
 ) -> Machine:
-    t = timing or TimingParams()
-    f = fidelity or FidelityParams()
-    t.validate()
-    f.validate()
-    _check_count("capacity", capacity)
-    return Machine(
-        layout=build_track(gate_zones, reorder_zones, shortcuts),
-        timing=t,
-        fidelity=f,
-        capacity=capacity,
-    )
+    """A `Machine`, with None standing for the default timing and fidelity."""
+    return Machine(gate_zones, reorder_zones, shortcuts, timing or TimingParams(),
+                   fidelity or FidelityParams(), capacity)
 
 
 def _apply_overrides(base, overrides: dict, key: str):
@@ -200,22 +179,18 @@ def _apply_overrides(base, overrides: dict, key: str):
 
 
 def machine_from_dict(desc: dict) -> Machine:
+    """The machine a JSON description gives: `Machine`'s fields, with
+    "timing" and "fidelity" as objects of overrides of the defaults."""
     if not isinstance(desc, dict):
         raise ValueError(f"machine description must be an object, got {desc!r}")
-    allowed = {"gate_zones", "reorder_zones", "shortcuts", "timing", "fidelity", "capacity"}
-    unknown = set(desc) - allowed
+    unknown = set(desc) - {f.name for f in fields(Machine) if f.init}
     if unknown:
         raise ValueError(f"unknown machine description key(s): {sorted(unknown)}")
-    timing = _apply_overrides(TimingParams(), desc.get("timing", {}), "timing")
-    fid = _apply_overrides(FidelityParams(), desc.get("fidelity", {}), "fidelity")
-    return make_machine(
-        gate_zones=desc.get("gate_zones", 4),
-        reorder_zones=desc.get("reorder_zones"),
-        shortcuts=desc.get("shortcuts", ()),
-        timing=timing,
-        fidelity=fid,
-        capacity=desc.get("capacity", DEFAULT_CAPACITY),
-    )
+    return make_machine(**{
+        **desc,
+        "timing": _apply_overrides(TimingParams(), desc.get("timing", {}), "timing"),
+        "fidelity": _apply_overrides(FidelityParams(), desc.get("fidelity", {}), "fidelity"),
+    })
 
 
 def load_machine(path: str | None = None) -> Machine:

@@ -42,8 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from numbers import Integral
 
+from .gates import is_qubit
 # apply_reorder stays importable from here: perfbench/spans.py counts calls
 # through planner.apply_reorder
 from .ions import (  # noqa: F401
@@ -151,8 +151,8 @@ def _costed(ops: list[ReorderOp], final: IonState, m: Machine) -> ReorderPlan:
     a call per op per stager costs about half again as much.
     """
     durations = reorder_durations(m.timing)
-    gate_cap = max(1, m.layout.gate_zones)
-    reorder_cap = max(1, m.layout.reorder_zones)
+    gate_cap = m.gate_zones
+    reorder_cap = m.reorder_zones
     counts: dict[str, int] = {}
     all_total, all_busy, all_max, all_n = 0.0, 0, 0.0, 0
     reg_total, reg_busy, reg_max, reg_n = 0.0, 0, 0.0, 0
@@ -297,13 +297,6 @@ def _fallback_plan(work: _Arrangement, targets: list[tuple[int, int]]) -> list[R
     return ops
 
 
-def _is_qubit(q) -> bool:
-    """An integer and not a bool, which hashes like qubit 0 or 1.  The
-    test of the type comes first: the abstract `Integral` check costs
-    about 40 times as much."""
-    return type(q) is int or (isinstance(q, Integral) and not isinstance(q, bool))
-
-
 def _checked_targets(s: IonState, target_pairs) -> list[tuple[int, int]]:
     """The targets as qubit pairs sorted by their lower qubit; ValueError
     unless each is two distinct integer qubits of `s` and no qubit is in
@@ -316,7 +309,7 @@ def _checked_targets(s: IonState, target_pairs) -> list[tuple[int, int]]:
             pair = tuple(pair)
         except TypeError:
             raise ValueError(f"target {pair!r} is not two distinct qubits") from None
-        if len(pair) != 2 or not (_is_qubit(pair[0]) and _is_qubit(pair[1])) or pair[0] == pair[1]:
+        if len(pair) != 2 or not (is_qubit(pair[0]) and is_qubit(pair[1])) or pair[0] == pair[1]:
             raise ValueError(f"target {pair!r} is not two distinct qubits")
         for q in pair:
             if q not in known:
@@ -342,6 +335,8 @@ def plan_reorder(
     its lap.  The cheapest wins, ties going to the one-dimensional plan,
     then to the lower path.
     """
+    if not isinstance(mode, PlanMode):
+        raise ValueError(f"mode must be a PlanMode, got {mode!r}")
     targets = _checked_targets(s, target_pairs)
     work = _Arrangement(s)
     ops = _try_boundary_exchanges(work, targets)
@@ -352,7 +347,7 @@ def plan_reorder(
     if mode is PlanMode.ONE_DIMENSIONAL:
         return plan
     candidates = [(plan.time, -1)] + [
-        (plan.charge(m.lap(pid)), pid) for pid, _fraction in m.layout.circulation_paths
+        (plan.charge(m.lap(pid)), pid) for pid, _fraction in m.circulation_paths
     ]
     charged, path = min(candidates)
     if path == -1:

@@ -66,15 +66,20 @@ by construction, and `schedule` checks the trace against the DAG.
 A transition to a 2Q pass or block layer is planned for its target set,
 the qubit pairs of its gates or blocks in order.  `plan_reorder` is a pure
 function of (arrangement, targets, machine, mode), and layered circuits
-ask for the same set again and again.  So the engine first counts each
-set's occurrences, keeps `(arrangement planned from, plan)` for a set that
-will occur again, reuses the plan when the arrangement is equal, and drops
-the entry at the set's last occurrence; none is left once `schedule`
-returns.
+ask for the same set again and again.  So one generator, `_Engine.plans`,
+yields the plans of a schedule's transitions in order: it counts each
+set's occurrences up front, makes each plan from the state at the moment
+the plan is asked for, reuses the plan it kept for the set when that state
+is equal, and keeps `(state planned from, plan)` only while the set has
+uses left.  A None set is a pass-mode 1Q pass, whose plan splits every
+pair.  The generator's locals are the only store, so no plan outlives
+`schedule`.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -97,10 +102,15 @@ from .trace import EventKind, Trace, TraceEvent
 INPLACE_GATHER_FACTOR = 0.25
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyFlags:
     pipelining: bool = True
     inplace_blocks: bool = True
+
+    def __post_init__(self):
+        for name in ("pipelining", "inplace_blocks"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
 
 class _Transition(Enum):
@@ -142,9 +152,6 @@ class _Engine:
         self.ion_free = [0.0] * c.width
         self.end = 0.0                    # when every step placed so far has ended
         self.measured: set[int] = set()   # qubits of explicit MEASURE gates
-        self.mode: PlanMode | None = None   # set by expect_transitions
-        self.uses_left: dict[tuple[tuple[int, ...], ...], int] = {}
-        self.kept: dict[tuple[tuple[int, ...], ...], tuple[IonState, ReorderPlan]] = {}
 
     # -- placement -----------------------------------------------------------
 
@@ -185,31 +192,24 @@ class _Engine:
 
     # -- transition plans --------------------------------------------------
 
-    def expect_transitions(self, mode: PlanMode, target_sets) -> None:
-        """Fix the plan mode and count how often each target set will be
-        planned."""
-        self.mode = mode
-        uses = self.uses_left
+    def plans(self, mode: PlanMode, target_sets: list) -> Iterator[ReorderPlan]:
+        """The plan of each transition in `target_sets`, each made from the
+        state at the moment it is asked for: a split-all plan for a None
+        set, else the plan kept for the set if it was made from an equal
+        state, or a fresh `plan_reorder` (see the module docstring)."""
+        uses_left = Counter(targets for targets in target_sets if targets is not None)
+        kept: dict[tuple[tuple[int, ...], ...], tuple[IonState, ReorderPlan]] = {}
         for targets in target_sets:
-            uses[targets] = uses.get(targets, 0) + 1
-
-    def plan(self, targets: tuple[tuple[int, ...], ...]) -> ReorderPlan:
-        """The plan that takes the current state to `targets`: the kept one
-        if it was planned from an equal state, else a fresh `plan_reorder`.
-        It is kept only while `targets` has uses left (see the module
-        docstring)."""
-        left = self.uses_left[targets] - 1
-        kept = self.kept.pop(targets, None)
-        if kept is not None and kept[0] == self.state:
-            plan = kept[1]
-        else:
-            plan = plan_reorder(self.state, targets, self.m, self.mode)
-        if left:
-            self.uses_left[targets] = left
-            self.kept[targets] = (self.state, plan)
-        else:
-            del self.uses_left[targets]
-        return plan
+            if targets is None:
+                yield split_all_plan(self.state, self.m)
+                continue
+            state, plan = kept.pop(targets, (None, None))
+            if state != self.state:
+                plan = plan_reorder(self.state, targets, self.m, mode)
+            uses_left[targets] -= 1
+            if uses_left[targets]:
+                kept[targets] = (self.state, plan)
+            yield plan
 
     # -- initialization / measurement -------------------------------------
 
@@ -274,15 +274,13 @@ def _schedule_passes(eng: _Engine) -> None:
     passes = _interleave_passes(c)
     eng.init_all(g for _, gates in passes for g in gates)
     sweep = eng.transition is _Transition.SWEEP
-    targets_of = [tuple(g.qubits for g in gates) if kind == "2q" else None for kind, gates in passes]
-    eng.expect_transitions(PlanMode.ONE_DIMENSIONAL if sweep else PlanMode.CIRCULATION_ALLOWED,
-                           [targets for targets in targets_of if targets is not None])
+    plans = eng.plans(PlanMode.ONE_DIMENSIONAL if sweep else PlanMode.CIRCULATION_ALLOWED,
+                      [tuple(g.qubits for g in gates) if kind == "2q" else None for kind, gates in passes])
     pairs = math.ceil(c.width / 2)
     stream = ((c.width - 1) if sweep else k + pairs) * eng.t.inter_zone_shift
     # a Rolodex lap needs a path whose span hosts the whole chain
-    lap_path = eng.m.layout.shortest_path(min_fraction=min(pairs / k, 1.0))
-    for idx, ((kind, gates), targets) in enumerate(zip(passes, targets_of)):
-        plan = eng.plan(targets) if kind == "2q" else split_all_plan(eng.state, eng.m)
+    lap_path = eng.m.shortest_path(min_fraction=min(pairs / k, 1.0))
+    for idx, ((_, gates), plan) in enumerate(zip(passes, plans)):
         path = plan.path_id
         if path is None and idx and not sweep:
             path = lap_path
@@ -300,11 +298,9 @@ def _schedule_blocks(eng: _Engine) -> None:
     eng.run_gates(schedule.residual)
 
     # realignment circulates only on a track with shortcuts
-    mode = PlanMode.CIRCULATION_ALLOWED if m.layout.shortcuts else PlanMode.ONE_DIMENSIONAL
+    mode = PlanMode.CIRCULATION_ALLOWED if m.shortcuts else PlanMode.ONE_DIMENSIONAL
     targets_of = [tuple(b.qubits for b in layer) for layer in schedule.layers]
-    eng.expect_transitions(mode, targets_of)
-    for layer, targets in zip(schedule.layers, targets_of):
-        plan = eng.plan(targets)
+    for layer, targets, plan in zip(schedule.layers, targets_of, eng.plans(mode, targets_of)):
         eng.transit(plan, plan.path_id)
         ions = tuple(sorted(q for pair in targets for q in pair))
         eng._step(EventKind.SHUTTLE, (INPLACE_GATHER_FACTOR * eng.k + len(layer)) * eng.t.inter_zone_shift,

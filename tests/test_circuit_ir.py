@@ -72,6 +72,13 @@ class TestGate:
         (GateType.ZZ, (0, -2), (), "negative qubit index: (0, -2)"),
         (GateType.ZZ, (-3, 0), (), "negative qubit index: (-3, 0)"),
         (GateType.RZ, (0,), (), "Rz takes 1 param(s), got ()"),
+        # a float or a bool would reach the DAG: a float fails there, and
+        # True would schedule as qubit 1
+        (GateType.RZ, (1.5,), (0.1,), "Rz gate 0 takes integer qubits, got (1.5,)"),
+        (GateType.H, (True,), (), "H gate 0 takes integer qubits, got (True,)"),
+        (GateType.ZZ, (0, 1.0), (), "ZZ gate 0 takes integer qubits, got (0, 1.0)"),
+        (GateType.ZZ, ("0", 1), (), "ZZ gate 0 takes integer qubits, got ('0', 1)"),
+        (GateType.CX, (1.5, 1.5), (), "CX gate 0 takes integer qubits, got (1.5, 1.5)"),
     ])
     def test_checks_name_the_fault(self, kind, qubits, params, message):
         with pytest.raises(ValueError) as err:

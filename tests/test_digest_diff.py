@@ -79,6 +79,40 @@ def test_size_counts_the_modules_of_both_trees(tmp_path):
     ]
 
 
+def test_public_api_lists_the_names_only_one_tree_has(tmp_path):
+    trees = {
+        "base": {"a.py": "import os\nX = 1\n_P = 2\nclass Gone:\n    def m(self): pass\n"
+                         "class Kept:\n    f: int\n    def old(self): pass\n    def _h(self): pass\n"
+                         "def build(): pass\n",
+                 "b.py": "def f(): pass\n"},
+        "change": {"a.py": "import sys\nX = 2\nclass Kept:\n    f: int\n    g: int = 0\n"
+                           "    def new(self): pass\n    def _i(self): pass\nclass _Hidden:\n"
+                           "    def m(self): pass\n",
+                   "c.py": "Y: int = 0\n"},
+    }
+    for root, modules in trees.items():
+        src = tmp_path / root / "src" / "racetrack"
+        src.mkdir(parents=True)
+        for name, text in modules.items():
+            (src / name).write_text(text)
+    out = run("public-api", tmp_path / "base", tmp_path / "change")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "### public API (- only in base, + only in change)",
+        "```",
+        "- racetrack.a.Gone",
+        "- racetrack.a.Kept.old",
+        "- racetrack.a.build",
+        "+ racetrack.a.Kept.g",
+        "+ racetrack.a.Kept.new",
+        "- racetrack.b.f",
+        "+ racetrack.c.Y",
+        "```",
+    ]
+    same = run("public-api", tmp_path / "base", tmp_path / "base")
+    assert same.stdout.splitlines()[2] == "no public name added or removed"
+
+
 def test_a_wrong_command_prints_the_usage():
     out = run("digests", "grid")
     assert out.returncode == 2 and "digest_diff.py size BASE CHANGE" in out.stderr

@@ -16,6 +16,7 @@ from racetrack.ions import (
 from racetrack.machine import (
     MACHINE_FILE_ENV,
     FidelityParams,
+    Machine,
     TimingParams,
     load_machine,
     machine_from_dict,
@@ -35,9 +36,34 @@ def _combined(s, a, b):
     return c.is_pair and set(c.qubits) == {a, b}
 
 
+# every fault of a machine description, with the message it gives
+DESCRIPTION_FAULTS = [
+    ({"timing": {"inter_zone_shift": 0}}, "inter_zone_shift must be finite and > 0, got 0"),
+    # the lap time is lap_4zone * k / 4 alone: a track length and speed are not parameters
+    ({"timing": {"straight_speed": 2.65}}, "unknown machine parameter(s): ['straight_speed']"),
+    ({"timing": {"zone_gap": 750.0}}, "unknown machine parameter(s): ['zone_gap']"),
+    ({"timing": {"lap_4zone": math.inf}}, "lap_4zone must be finite and > 0, got inf"),
+    ({"timing": {"swap": math.nan}}, "swap must be finite and >= 0, got nan"),
+    ({"timing": {"swap": -200.0}}, "swap must be finite and >= 0, got -200.0"),
+    ({"fidelity": {"t1": math.nan}}, "t1 must be positive, got nan"),
+    ({"reorder_zones": 0}, "reorder_zones must be an integer >= 1, got 0"),
+    ({"reorder_zones": -2}, "reorder_zones must be an integer >= 1, got -2"),
+    ({"gate_zones": 2.5}, "gate_zones must be an integer >= 1, got 2.5"),
+    ({"capacity": 0}, "capacity must be an integer >= 1, got 0"),
+    ({"capacity": 8.0}, "capacity must be an integer >= 1, got 8.0"),
+    ({"timing": {"inter_zone_shift": -5.0}}, "inter_zone_shift must be finite and > 0, got -5.0"),
+    ({"gate_zones": 0}, "gate_zones must be an integer >= 1, got 0"),
+    ({"shortcuts": [1.5]}, "shortcut fractions must lie strictly in (0, 1)"),
+]
+# the bad values among them: an unknown parameter has no route to a
+# machine but a description
+BAD_VALUES = [(desc, message) for desc, message in DESCRIPTION_FAULTS
+              if not message.startswith("unknown")]
+
+
 class TestTimingParams:
     def test_defaults_consistent(self):
-        TimingParams().validate()
+        TimingParams()
 
     def test_cooling_sums(self):
         t = TimingParams()
@@ -56,11 +82,11 @@ class TestTimingParams:
                 machine_from_dict({"timing": {key: 2055.0}})
 
     def test_fidelity_ranges(self):
-        FidelityParams().validate()
+        FidelityParams()
         with pytest.raises(ValueError):
-            FidelityParams(inf_spam=1.5).validate()
+            FidelityParams(inf_spam=1.5)
         with pytest.raises(ValueError):
-            FidelityParams(t1=0.0).validate()
+            FidelityParams(t1=0.0)
 
 
 class TestTrack:
@@ -85,16 +111,16 @@ class TestTrack:
 
     def test_three_paths_decreasing(self):
         m = make_machine(64, 64, [0.5, 0.25])
-        assert m.layout.circulation_paths == [(0, 1.0), (1, 0.5), (2, 0.25)]
-        laps = [m.lap(pid) for pid, _ in m.layout.circulation_paths]
+        assert m.circulation_paths == ((0, 1.0), (1, 0.5), (2, 0.25))
+        laps = [m.lap(pid) for pid, _ in m.circulation_paths]
         assert laps == [99200.0, 49600.0, 24800.0]
 
     def test_shortest_path_absorbs_the_rounding_of_one_minus_f(self):
         # 1 - 0.9 falls one ulp short of 0.1; the rounded fraction does not
-        layout = make_machine(10, shortcuts=[0.9]).layout
-        assert layout.circulation_paths[1][1] == 0.1
-        assert layout.shortest_path(min_fraction=0.1) == 1
-        assert layout.shortest_path(min_fraction=0.2) == 0
+        m = make_machine(10, shortcuts=[0.9])
+        assert m.circulation_paths[1][1] == 0.1
+        assert m.shortest_path(min_fraction=0.1) == 1
+        assert m.shortest_path(min_fraction=0.2) == 0
 
     @pytest.mark.parametrize("shortcuts, k", [((0.1, 0.9), 8), ((0.11, 0.89), 8), ((0.25, 0.75), 4)])
     def test_chords_at_f_and_one_minus_f_tie_to_the_lower_id(self, shortcuts, k):
@@ -103,9 +129,9 @@ class TestTrack:
         # charge; the two sub-loops are one length, so path 1 wins over path 2
         m = make_machine(k, shortcuts=shortcuts,
                          timing=TimingParams(split_or_combine=100.0, swap=100.0, pair_exchange=100.0))
-        (_, f1), (_, f2) = m.layout.circulation_paths[1:]
+        (_, f1), (_, f2) = m.circulation_paths[1:]
         assert f1 == f2 == shortcuts[0] and m.lap(1) == m.lap(2)
-        assert m.layout.shortest_path() == m.layout.shortest_path(min_fraction=f1) == 1
+        assert m.shortest_path() == m.shortest_path(min_fraction=f1) == 1
         plan = plan_reorder(IonState.initial_pairs(8), [(0, 7), (1, 6), (2, 5), (3, 4)], m)
         assert (plan.path_id, plan.time, plan.time_1d) == (1, m.lap(1), 2100.0)
 
@@ -129,25 +155,47 @@ class TestTrack:
         with pytest.raises(ValueError):
             machine_from_dict({"timing": {"nope": 1}})
 
-    @pytest.mark.parametrize("desc, message", [
-        ({"timing": {"inter_zone_shift": 0}}, "inter_zone_shift must be finite and > 0, got 0"),
-        # the lap time is lap_4zone * k / 4 alone: a track length and speed are not parameters
-        ({"timing": {"straight_speed": 2.65}}, "unknown machine parameter(s): ['straight_speed']"),
-        ({"timing": {"zone_gap": 750.0}}, "unknown machine parameter(s): ['zone_gap']"),
-        ({"timing": {"lap_4zone": math.inf}}, "lap_4zone must be finite and > 0, got inf"),
-        ({"timing": {"swap": math.nan}}, "swap must be finite and >= 0, got nan"),
-        ({"timing": {"swap": -200.0}}, "swap must be finite and >= 0, got -200.0"),
-        ({"fidelity": {"t1": math.nan}}, "t1 must be positive, got nan"),
-        ({"reorder_zones": 0}, "reorder_zones must be an integer >= 1, got 0"),
-        ({"reorder_zones": -2}, "reorder_zones must be an integer >= 1, got -2"),
-        ({"gate_zones": 2.5}, "gate_zones must be an integer >= 1, got 2.5"),
-        ({"capacity": 0}, "capacity must be an integer >= 1, got 0"),
-        ({"capacity": 8.0}, "capacity must be an integer >= 1, got 8.0"),
-    ])
+    @pytest.mark.parametrize("desc, message", DESCRIPTION_FAULTS)
     def test_bad_description_names_the_field(self, desc, message):
         with pytest.raises(ValueError) as err:
             machine_from_dict(desc)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("desc, message", BAD_VALUES)
+    @pytest.mark.parametrize("route", ["make_machine", "Machine", "replace", "machine_from_dict"])
+    def test_every_route_to_a_bad_machine_names_the_field(self, route, desc, message):
+        """A record checks itself however it is built, so no bad machine
+        reaches `schedule`."""
+        (key, value), = desc.items()
+        with pytest.raises(ValueError) as err:
+            if route == "machine_from_dict":
+                machine_from_dict(desc)
+            elif route == "replace":
+                if key in ("timing", "fidelity"):
+                    replace(getattr(make_machine(), key), **value)
+                else:
+                    replace(make_machine(), **{key: value})
+            else:
+                build = make_machine if route == "make_machine" else Machine
+                if key in ("timing", "fidelity"):
+                    record = TimingParams if key == "timing" else FidelityParams
+                    build(**{key: record(**value)})
+                else:
+                    build(**{key: value})
+        assert str(err.value) == message
+
+    def test_parameter_records_must_be_records(self):
+        for key in ("timing", "fidelity"):
+            with pytest.raises(ValueError, match=f"^{key} must be a "):
+                Machine(**{key: None})
+
+    def test_a_machine_derives_its_paths_when_built(self):
+        m = make_machine(8)
+        assert Machine() == make_machine() and m.reorder_zones == 8
+        assert m.circulation_paths == ((0, 1.0),)
+        half = replace(m, shortcuts=[0.5])
+        assert half.shortcuts == (0.5,) and half.circulation_paths == ((0, 1.0), (1, 0.5))
+        assert half.lap(1) == 6200.0
 
     @pytest.mark.parametrize("text, name", [
         ('{"shortcuts": 0.5}', "shortcuts"),
@@ -584,9 +632,9 @@ class TestPlanner:
         ops = list(plan.ops)
         exchanges = [o for o in ops if o.tag is ReorderTag.PAIR_EXCHANGE]
         regroup = [o for o in ops if o.tag is not ReorderTag.PAIR_EXCHANGE]
-        assert plan.time_1d == _staged_time_with_set(ops, m.layout.gate_zones)
-        assert plan.regroup_time == _staged_time_with_set(regroup, m.layout.reorder_zones)
-        assert plan.exchange_time == _staged_time_with_set(exchanges, m.layout.reorder_zones)
+        assert plan.time_1d == _staged_time_with_set(ops, m.gate_zones)
+        assert plan.regroup_time == _staged_time_with_set(regroup, m.reorder_zones)
+        assert plan.exchange_time == _staged_time_with_set(exchanges, m.reorder_zones)
         if plan.path_id is None:
             assert plan.time == plan.time_1d
         else:
@@ -648,3 +696,11 @@ class TestPlanner:
         s = IonState.initial_pairs(8)
         with pytest.raises(ValueError, match=re.escape(f"target {target!r}") + ".*" + reason):
             plan_reorder(s, [(4, 5), target], make_machine(4))
+
+    @pytest.mark.parametrize("mode", ["one_dimensional", "circulation", None, 0])
+    def test_a_mode_that_is_no_plan_mode_names_itself(self, mode):
+        # a string would otherwise plan with circulation, as it is not
+        # PlanMode.ONE_DIMENSIONAL
+        with pytest.raises(ValueError) as err:
+            plan_reorder(IonState.initial_pairs(4), [(0, 2)], make_machine(4, shortcuts=[0.5]), mode)
+        assert str(err.value) == f"mode must be a PlanMode, got {mode!r}"

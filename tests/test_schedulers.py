@@ -17,8 +17,10 @@ each pipelined span equals its serial counterpart: plutarch that of
 plutarch-nopipe, (INPLACE_GATHER_FACTOR * 1 + 1) zone gaps, and
 plutarch-noblocks that of rolodex, 1 + 1 zone gaps.
 """
+import gc
 import math
-from dataclasses import fields, replace
+import weakref
+from dataclasses import FrozenInstanceError, fields, replace
 from unittest.mock import patch
 
 import pytest
@@ -102,6 +104,18 @@ def test_fixed_policies_take_no_flags(policy):
 def test_flags_must_be_policy_flags(flags):
     with pytest.raises(ValueError, match="PolicyFlags"):
         schedule(one_zz(), M, "plutarch", flags)
+
+
+@pytest.mark.parametrize("name, value", [("pipelining", "no"), ("pipelining", 0),
+                                         ("inplace_blocks", None), ("inplace_blocks", 1.0)])
+def test_flags_must_be_bools(name, value):
+    # "no" is truthy, so it would otherwise run pipelined
+    with pytest.raises(ValueError) as err:
+        PolicyFlags(**{name: value})
+    assert str(err.value) == f"{name} must be a bool, got {value!r}"
+    # the flags are frozen, so no value gets round the check
+    with pytest.raises(FrozenInstanceError):
+        setattr(PolicyFlags(), name, value)
 
 
 def test_one_gate_per_slot():
@@ -197,8 +211,12 @@ def test_no_timing_field_is_idle(name):
 class _PlanEveryTransition(schedulers._Engine):
     """The engine without plan reuse: every transition is planned anew."""
 
-    def plan(self, targets):
-        return schedulers.plan_reorder(self.state, targets, self.m, self.mode)
+    def plans(self, mode, target_sets):
+        for targets in target_sets:
+            if targets is None:
+                yield schedulers.split_all_plan(self.state, self.m)
+            else:
+                yield schedulers.plan_reorder(self.state, targets, self.m, mode)
 
 
 def events_and_plan_calls(c, m, policy, flags):
@@ -264,15 +282,16 @@ def test_no_plan_is_kept_after_schedule_returns(config):
     c = translate_to_native(gen_vqe(VqeAnsatz.CIRCULAR_SU2, 8, 4))
     made = []
 
-    class KeepEngines(schedulers._Engine):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
+    def planned(*args):
+        plan = plan_reorder(*args)
+        made.append(weakref.ref(plan))
+        return plan
 
-    with patch.object(schedulers, "_Engine", KeepEngines):
-        schedule(c, make_machine(4, shortcuts=(0.5,)), policy, flags)
-    (eng,) = made
-    assert eng.kept == {} and eng.uses_left == {}
+    with patch.object(schedulers, "plan_reorder", planned):
+        tr = schedule(c, make_machine(4, shortcuts=(0.5,)), policy, flags)
+    gc.collect()
+    assert made and tr.events
+    assert [ref for ref in made if ref() is not None] == []
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
