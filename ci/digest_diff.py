@@ -22,9 +22,14 @@ one Markdown section for the job summary:
   by a sha256 over each native gate's (id, kind, qubits, repr(params),
   source) and the sorted edge set, per expand_rzz mode, with the circuits
   built by that tree's perfbench/pipeline.build_cases (seed 1).
-* plan-calls: how often each tree's `schedule` calls
-  `schedulers.plan_reorder` over one pass of each workload (seed 1),
-  counted through the module attribute the schedulers call it by.
+* plan-calls: per workload, how often each tree's `schedule` calls
+  `schedulers.plan_reorder` over one pass (seed 1), counted through the
+  module attribute the schedulers call it by; the ops of the plans it
+  returns; and whether one sha256 over every plan, in order, changed.  The
+  hash covers each op's (tag, operands, index), the final crystals,
+  `path_id`, `time`, `time_1d`, `regroup_time`, `exchange_time` and
+  `op_counts`.  Trace digests see a transition's op counts only, so a
+  reordered op sequence shows here alone.
 * public-api: the public names that only one tree has, per src/racetrack
   module: top-level functions, classes and assigned names, and the
   methods and class attributes of public classes.  A class only one tree
@@ -123,23 +128,37 @@ def translation_hashes(root: str) -> None:
                 print(f"{w}/{name} expand_rzz={expand} {h.hexdigest()}")
 
 
+def plan_fields(plan) -> tuple:
+    """What the plan hash covers of one plan, with plain values only."""
+    return (tuple((op.tag.value, op.operands, op.index) for op in plan.ops),
+            tuple((c.qubits, c.facing_right) for c in plan.final.crystals),
+            plan.path_id, plan.time, plan.time_1d, plan.regroup_time, plan.exchange_time,
+            plan.op_counts)
+
+
 def plan_call_counts(root: str) -> None:
+    """One line per workload: the calls, the total ops and the plan hash."""
     pipeline, rt = _import_tree(root)
     plan_reorder = rt.schedulers.plan_reorder
-    calls = 0
+    calls = ops = 0
+    digest = hashlib.sha256()
 
     def counted(*args, **kwargs):
-        nonlocal calls
+        nonlocal calls, ops
+        plan = plan_reorder(*args, **kwargs)
         calls += 1
-        return plan_reorder(*args, **kwargs)
+        ops += len(plan.ops)
+        digest.update(repr(plan_fields(plan)).encode())
+        return plan
 
     rt.schedulers.plan_reorder = counted
     for w in pipeline.WORKLOADS:
-        calls = 0
+        calls = ops = 0
+        digest = hashlib.sha256()
         for case in pipeline.build_cases(rt, w, 1):
             native = rt.translate.translate_to_native(case.circuit)
             rt.schedulers.schedule(native, case.machine, case.policy, case.flags)
-        print(w, calls)
+        print(w, calls, ops, digest.hexdigest())
 
 
 def _per_tree(command: str, root: str) -> list[str]:
@@ -162,13 +181,17 @@ def translations(base: str, change: str) -> None:
 
 
 def plan_calls(base: str, change: str) -> None:
-    old, new = ({w: int(n) for w, n in (line.split() for line in _per_tree("plan-call-counts", root))}
+    old, new = ({w: (int(calls), int(ops), digest)
+                 for w, calls, ops, digest in (line.split() for line in _per_tree("plan-call-counts", root))}
                 for root in (base, change))
-    print("### plan_reorder calls per pass")
+    print("### reorder plans per pass")
     print(FENCE)
-    print(f"{'workload':10} {'base':>7} {'change':>7} {'delta':>7}")
+    print(f"{'':10} {'calls':>23} {'ops':>26}")
+    print(f"{'workload':10} {'base':>7} {'change':>7} {'delta':>7} {'base':>8} {'change':>8} {'delta':>8}  plans")
     for w in old:
-        print(f"{w:10} {old[w]:7} {new[w]:7} {new[w] - old[w]:+7}")
+        (c0, o0, h0), (c1, o1, h1) = old[w], new[w]
+        plans = "same" if h0 == h1 else f"changed: {h0[:12]} -> {h1[:12]}"
+        print(f"{w:10} {c0:7} {c1:7} {c1 - c0:+7} {o0:8} {o1:8} {o1 - o0:+8}  {plans}")
     print(FENCE)
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from .circuit import Circuit
 from .gates import Gate
+from .machine import _check_count
 from .translate import extract_2q_layers
 
 
@@ -51,8 +52,7 @@ def extract_inplace_blocks(c: Circuit, zone_count: int) -> BlockSchedule:
     sequence, so a block's chains are found by walking outward from its
     core: each walk costs the length of the run it returns plus one.
     """
-    if zone_count < 1:
-        raise ValueError("zone_count must be >= 1")
+    _check_count("zone_count", zone_count)
     # per-qubit gate sequences and each gate's positions in them
     seq: dict[int, list[Gate]] = {}
     at: dict[int, tuple[int, ...]] = {}

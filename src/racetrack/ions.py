@@ -94,6 +94,16 @@ class IonState:
                 index[q] = i
         object.__setattr__(self, "crystal_index", MappingProxyType(index))
 
+    @classmethod
+    def _indexed(cls, crystals: tuple[Crystal, ...], index: dict[int, int]) -> "IonState":
+        """The state of `crystals` with `index` as its qubit index, for a
+        caller that built both in one walk and so knows that each qubit
+        appears once and `index` is exact; nothing is checked or rebuilt."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "crystals", crystals)
+        object.__setattr__(s, "crystal_index", MappingProxyType(index))
+        return s
+
     def __reduce__(self):
         # a mapping proxy cannot be pickled or deep-copied; rebuild the index
         return IonState, (self.crystals,)
@@ -157,41 +167,6 @@ def reorder_in_place(cs: list[Crystal], op: ReorderOp) -> None:
             cs[i], cs[i + 1] = b, a
     else:
         raise ValueError(f"unknown reorder op {tag!r}")
-
-
-def bubble_left_in_place(cs: list[Crystal], left: int, mover: int) -> list[ReorderOp]:
-    """Bubble the single at `mover` leftward until it sits at `left + 1`,
-    in place; returns the ops that does, one SPLIT or PAIR_EXCHANGE each.
-
-    A single in the way costs one exchange.  A pair (a, b) in the way is
-    split and its ions are crossed one at a time, so it stays behind the
-    mover as the singles ->a, <-b.  The ops are those `reorder_in_place`
-    would apply one by one, and under the bounds checked here each of its
-    checks holds; the crossed segment is rewritten with one slice instead.
-    """
-    _require(0 <= left < mover < len(cs), "bubble needs 0 <= left < mover < len(crystals)")
-    moving = cs[mover]
-    _require(not moving.is_pair, "bubble needs a single to move")
-    mq = moving.qubits
-    ops: list[ReorderOp] = []
-    crossed: list[Crystal] = []  # right to left
-    for j in range(mover - 1, left, -1):
-        c = cs[j]
-        qs = c.qubits
-        if len(qs) == 2:
-            a, b = qs
-            ops.append(ReorderOp(SPLIT, qs, j))
-            ops.append(ReorderOp(PAIR_EXCHANGE, (b,) + mq, j + 1))
-            ops.append(ReorderOp(PAIR_EXCHANGE, (a,) + mq, j))
-            crossed.append(Crystal((b,), False))
-            crossed.append(Crystal((a,), True))
-        else:
-            ops.append(ReorderOp(PAIR_EXCHANGE, qs + mq, j))
-            crossed.append(c)
-    crossed.append(moving)
-    crossed.reverse()
-    cs[left + 1 : mover + 1] = crossed
-    return ops
 
 
 def apply_reorder(s: IonState, op: ReorderOp, t: TimingParams = TimingParams()) -> tuple[IonState, float]:

@@ -6,8 +6,9 @@ of its events, `hidden` is the time they count more than once and `idle`
 the time no event covers, so the categories minus `hidden` plus `idle` are
 the span for every trace.
 
-Each of the three trace metrics reads the trace once: it tests event kinds
-by identity and computes an event's end as `t_start + duration` in place.
+Each of the three trace metrics reads the trace once: it unpacks each
+event, tests its kind by identity and computes its end as `t_start +
+duration` in place.
 """
 from __future__ import annotations
 
@@ -90,10 +91,7 @@ def runtime_breakdown(tr: Trace) -> RuntimeBreakdown:
     intervals: list[tuple[float, float]] = []
     events = tr.events
     span = events[0].t_start + events[0].duration if events else 0.0
-    for e in events:
-        kind = e.kind
-        start = e.t_start
-        duration = e.duration
+    for start, duration, kind, _, _, _ in events:
         end = start + duration
         if end > span:
             span = end
@@ -120,13 +118,9 @@ def zone_utilization(tr: Trace) -> float:
         raise ValueError("need at least one gate zone")
     busy: list[tuple[float, float]] = []
     zone_us: list[float] = []
-    for e in tr.events:
-        kind = e.kind
+    for start, duration, kind, zones, _, _ in tr.events:
         if kind is GATE_1Q or kind is GATE_2Q or kind is COOL:
-            start = e.t_start
-            duration = e.duration
             busy.append((start, start + duration))
-            zones = e.zones_busy
             zone_us.append((k if k < zones else zones) * duration)
     if not busy:
         return 0.0
@@ -182,13 +176,11 @@ def fidelity_report(tr: Trace, f: FidelityParams = FidelityParams()) -> Fidelity
     n_1q = n_2q = n_transport = 0
     events = tr.events
     span = events[0].t_start + events[0].duration if events else 0.0
-    for e in events:
-        end = e.t_start + e.duration
+    for start, duration, kind, _, _, payload in events:
+        end = start + duration
         if end > span:
             span = end
-        payload = e.payload
         if payload:
-            kind = e.kind
             if kind is GATE_1Q:
                 n_1q += len(payload.get("gate_ids", ()))
             elif kind is GATE_2Q:

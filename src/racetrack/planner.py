@@ -10,23 +10,27 @@ reorder zones while the chain goes round; such a candidate is charged
 `ReorderPlan.charge`, the one circulation charge, and the planner returns
 whichever candidate is cheapest.
 
-Both strategies edit one mutable working arrangement (`_Arrangement`)
-with the in-place primitives of `ions`.  The fallback looks each target's
-members up once and carries their crystal indices by arithmetic from
-there.  It moves a member with one primitive, `ions.bubble_left_in_place`,
-which emits every SPLIT and PAIR_EXCHANGE of the walk and rewrites the
-crossed crystals with one slice.  It splits, swaps and combines members
-by editing the crystal list directly, emitting the ops `ions.reorder_in_place`
-would apply; the walk itself guarantees each of that function's checks.
+Both strategies edit one mutable working arrangement (`_Arrangement`).
+The fallback makes its plan in one walk per target: it looks the target's
+members up once, carries their crystal indices by arithmetic from there,
+and splits, bubbles, orients and combines them by editing the crystal list
+directly.  It emits the ops `ions.reorder_in_place` would apply one at a
+time, and the walk itself guarantees each of that function's checks; ops
+and crystals are built with `tuple.__new__`, skipping their Python-level
+constructors.  A bubble splits every pair it crosses, so a target combined
+earlier can come apart; targets are disjoint, so no other op breaks a
+target's pair, and the restore pass visits only the target pairs a bubble
+split.
 
 The qubit index starts as a copy of the state's own `crystal_index`.  No
 qubit below the crystal where a target combines has moved, so the index
 is marked stale from there.  A lookup trusts a stored index whose crystal
 still holds the qubit; otherwise it reindexes the stale tail up to the
-qubit's crystal.  The final `IonState` is frozen once per plan, which
-builds its index and runs its duplicate check once; the ops are not
-replayed.  Replaying them one at a time through `ions.apply_reorder` gives
-the same final state, and the tests hold the planner to that.
+qubit's crystal.  The final `IonState` is frozen from that index: the
+stale tail is indexed once more, and neither the index nor its duplicate
+check is rebuilt.  The ops are not replayed.  Replaying them one at a time
+through `ions.apply_reorder` gives the same final state, and the tests
+hold the planner to that and to the index of a freshly built state.
 
 This module is the only place a plan is costed, and `_costed` is the
 staging rule.  Each cost is computed once per plan, in one walk over its
@@ -40,15 +44,16 @@ recurs from an equal arrangement within one schedule.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .gates import is_qubit
 # apply_reorder stays importable from here: perfbench/spans.py counts calls
 # through planner.apply_reorder
 from .ions import (  # noqa: F401
     COMBINE, PAIR_EXCHANGE, SPLIT, SWAP, Crystal, IonState, ReorderOp,
-    apply_reorder, bubble_left_in_place, reorder_durations, reorder_in_place,
+    apply_reorder, reorder_durations, reorder_in_place,
 )
 from .machine import Machine
 
@@ -74,6 +79,12 @@ class ReorderPlan:
         reorder zones regroup and exchange ions while the chain circulates,
         so whichever of the three takes longest sets the time."""
         return max(lap, self.regroup_time, self.exchange_time)
+
+    @cached_property
+    def operands(self) -> tuple[int, ...]:
+        """Every qubit the ops act on, sorted: the ions a one-dimensional
+        transition moves.  Computed once per plan, on first use."""
+        return tuple(sorted({q for op in self.ops for q in op.operands}))
 
 
 class _Arrangement:
@@ -133,6 +144,17 @@ class _Arrangement:
         if index < self._stale_from:
             self._stale_from = index
 
+    def frozen(self) -> IonState:
+        """The arrangement as an `IonState` whose index is this map, with
+        the stale tail indexed once; every crystal below it is indexed
+        already."""
+        cs = self.crystals
+        index = self._index
+        for i in range(self._stale_from, len(cs)):
+            for q in cs[i][0]:
+                index[q] = i
+        return IonState._indexed(tuple(cs), index)
+
 
 def _costed(ops: list[ReorderOp], final: IonState, m: Machine) -> ReorderPlan:
     """The one-dimensional plan of `ops`, with every cost a plan carries.
@@ -157,12 +179,11 @@ def _costed(ops: list[ReorderOp], final: IonState, m: Machine) -> ReorderPlan:
     all_total, all_busy, all_max, all_n = 0.0, 0, 0.0, 0
     reg_total, reg_busy, reg_max, reg_n = 0.0, 0, 0.0, 0
     ex_total, ex_busy, ex_max, ex_n = 0.0, 0, 0.0, 0
-    for op in ops:
-        tag = op.tag
+    for tag, _, index in ops:
         value = tag._value_
         counts[value] = counts.get(value, 0) + 1
         d = durations[value]
-        slots = 3 << op.index
+        slots = 3 << index
         if all_n >= gate_cap or all_busy & slots:
             all_total += all_max
             all_busy, all_max, all_n = 0, 0.0, 0
@@ -232,29 +253,103 @@ def _try_boundary_exchanges(
 
 def _fallback_plan(work: _Arrangement, targets: list[tuple[int, int]]) -> list[ReorderOp]:
     """Per-target bubble routing: split the members out of their pairs,
-    bubble the right member leftward next to its partner (splitting any
-    pair in the way), orient, combine.
+    bubble the right member (the mover) leftward next to its partner,
+    splitting every pair in the way, then orient and combine.
 
     `targets` come sorted by their lower qubit.  Each target looks its
     members up once and carries their indices from there: a split at `p`
-    moves every crystal above `p` up by one, and the bubble leaves the
-    mover beside its partner.  A split member that was a pair's right qubit
-    moves up too, while the qubit it leaves behind stays put; so no qubit
-    below the combine's index has moved, and the index is marked stale
-    from there.
+    moves every crystal above `p` up by one.  A split member that was a
+    pair's right qubit moves up too, while the qubit it leaves behind stays
+    put; so no qubit below the combine's index has moved, and the index is
+    marked stale from there.
+
+    The bubble, the orientation and the combine are one rewrite of the
+    segment from the partner to the mover: a single in the way costs one
+    exchange, and a pair (x, y) in the way is split and its ions are
+    crossed one at a time, so it stays behind the mover as ->x, <-y.  A
+    pair a bubble splits may be a target's; the restore pass combines each
+    such target that is still split, in target order.  No other target
+    needs it, because member splits break no target's pair.
     """
     ops: list[ReorderOp] = []
     cs = work.crystals
+    crystal_of = work.crystal_of
+    new = tuple.__new__
+    broken: list[tuple[int, int]] = []   # qubits of every pair a bubble split
+    for a, b in targets:
+        ia, ib = crystal_of(a), crystal_of(b)
+        if ia == ib:  # the crystal holding both members is their pair
+            continue
+        # split each member out of its pair; no such pair is another
+        # target's, because targets are disjoint
+        qs, _, is_pair = cs[ia]
+        if is_pair:
+            ops.append(new(ReorderOp, (SPLIT, qs, ia)))
+            cs[ia : ia + 1] = (new(Crystal, ((qs[0],), True, False)), new(Crystal, ((qs[1],), False, False)))
+            if ib > ia:
+                ib += 1
+            if qs[0] != a:
+                ia += 1
+        qs, _, is_pair = cs[ib]
+        if is_pair:
+            ops.append(new(ReorderOp, (SPLIT, qs, ib)))
+            cs[ib : ib + 1] = (new(Crystal, ((qs[0],), True, False)), new(Crystal, ((qs[1],), False, False)))
+            if ia > ib:
+                ia += 1
+            if qs[0] != b:
+                ib += 1
+        left, mover = (ia, ib) if ia < ib else (ib, ia)
+        mq, mover_right, _ = cs[mover]
+        segment: list[Crystal] = []   # right to left
+        for j in range(mover - 1, left, -1):
+            c = cs[j]
+            qs = c[0]
+            if c[2]:
+                x, y = qs
+                broken.append(qs)
+                ops += (new(ReorderOp, (SPLIT, qs, j)),
+                        new(ReorderOp, (PAIR_EXCHANGE, (y,) + mq, j + 1)),
+                        new(ReorderOp, (PAIR_EXCHANGE, (x,) + mq, j)))
+                segment += (new(Crystal, ((y,), False, False)), new(Crystal, ((x,), True, False)))
+            else:
+                ops.append(new(ReorderOp, (PAIR_EXCHANGE, qs + mq, j)))
+                segment.append(c)
+        # orient the partner and the mover as (->, <-) and combine them; a
+        # swapped single is combined at once, so it is never stored
+        lq, left_right, _ = cs[left]
+        if not left_right:
+            ops.append(new(ReorderOp, (SWAP, lq, left)))
+        if mover_right:
+            ops.append(new(ReorderOp, (SWAP, mq, left + 1)))
+        ops.append(new(ReorderOp, (COMBINE, lq + mq, left)))
+        segment.append(new(Crystal, (lq + mq, True, True)))
+        segment.reverse()
+        cs[left : mover + 1] = segment
+        work.mark_stale(left)
+    if broken:
+        _restore(work, targets, broken, ops)
+    return ops
 
-    def split(i: int):
-        """Split the pair at i into ->a, <-b."""
-        qs = cs[i].qubits
-        ops.append(ReorderOp(SPLIT, qs, i))
-        cs[i : i + 1] = [Crystal((qs[0],), True), Crystal((qs[1],), False)]
 
-    def combine(left: int):
-        """Orient the singles at left, left + 1 as (->, <-) and combine them.
-        A swapped single is combined at once, so it is never stored."""
+def _restore(work: _Arrangement, targets: list[tuple[int, int]],
+             broken: list[tuple[int, int]], ops: list[ReorderOp]) -> None:
+    """Combine again, in target order, each target pair in `broken` that is
+    still split.  Crossing keeps a split pair's ions adjacent."""
+    partner = {}
+    for a, b in targets:
+        partner[a] = b
+        partner[b] = a
+    split = {min(x, y): (x, y) for x, y in broken if partner.get(x) == y}
+    cs = work.crystals
+    for low in sorted(split):
+        x, y = split[low]
+        ix = work.crystal_of(x)
+        if y in cs[ix][0]:   # its own turn combined it after the split
+            continue
+        iy = work.crystal_of(y)
+        if abs(ix - iy) != 1:  # pragma: no cover - crossings keep them adjacent
+            raise AssertionError("split target pair drifted apart")
+        left = min(ix, iy)
         a, b = cs[left].qubits, cs[left + 1].qubits
         if not cs[left].facing_right:
             ops.append(ReorderOp(SWAP, a, left))
@@ -263,38 +358,6 @@ def _fallback_plan(work: _Arrangement, targets: list[tuple[int, int]]) -> list[R
         ops.append(ReorderOp(COMBINE, a + b, left))
         cs[left : left + 2] = [Crystal(a + b)]
         work.mark_stale(left)
-
-    for a, b in targets:
-        ia, ib = work.crystal_of(a), work.crystal_of(b)
-        if ia == ib:  # the crystal holding both members is their pair
-            continue
-        # split each member out of its pair; no such pair is another
-        # target's, because targets are disjoint
-        if cs[ia].is_pair:
-            split(ia)
-            if ib > ia:
-                ib += 1
-            if cs[ia].qubits[0] != a:
-                ia += 1
-        if cs[ib].is_pair:
-            split(ib)
-            if ia > ib:
-                ia += 1
-            if cs[ib].qubits[0] != b:
-                ib += 1
-        # bubble the right member (the mover) leftward to its partner
-        left = min(ia, ib)
-        ops += bubble_left_in_place(cs, left, max(ia, ib))
-        combine(left)
-    # restore any target pair split while being crossed
-    for a, b in targets:
-        if work.paired(a, b):
-            continue
-        ia, ib = work.crystal_of(a), work.crystal_of(b)
-        if abs(ia - ib) != 1:  # pragma: no cover - crossings keep them adjacent
-            raise AssertionError("split target pair drifted apart")
-        combine(min(ia, ib))
-    return ops
 
 
 def _checked_targets(s: IonState, target_pairs) -> list[tuple[int, int]]:
@@ -343,7 +406,7 @@ def plan_reorder(
     if ops is None:
         work = _Arrangement(s)
         ops = _fallback_plan(work, targets)
-    plan = _costed(ops, IonState(tuple(work.crystals)), m)
+    plan = _costed(ops, work.frozen(), m)
     if mode is PlanMode.ONE_DIMENSIONAL:
         return plan
     candidates = [(plan.time, -1)] + [
@@ -352,20 +415,28 @@ def plan_reorder(
     charged, path = min(candidates)
     if path == -1:
         return plan
-    return replace(plan, path_id=path, time=charged)
+    return ReorderPlan(plan.ops, path, charged, plan.final, plan.time_1d,
+                       plan.regroup_time, plan.exchange_time, plan.op_counts)
 
 
 def split_all_plan(s: IonState, m: Machine) -> ReorderPlan:
     """Split every pair, left to right, in one walk; each SPLIT's index
-    counts the singles the earlier splits made."""
+    counts the singles the earlier splits made.  The walk that builds the
+    crystals builds the final state's index too."""
     ops = []
     crystals: list[Crystal] = []
+    index: dict[int, int] = {}
+    new = tuple.__new__
     for c in s.crystals:
-        qs = c.qubits
-        if len(qs) == 2:
-            ops.append(ReorderOp(SPLIT, qs, len(crystals)))
-            crystals.append(Crystal((qs[0],), True))
-            crystals.append(Crystal((qs[1],), False))
+        qs = c[0]
+        i = len(crystals)
+        if c[2]:
+            a, b = qs
+            ops.append(new(ReorderOp, (SPLIT, qs, i)))
+            crystals += (new(Crystal, ((a,), True, False)), new(Crystal, ((b,), False, False)))
+            index[a] = i
+            index[b] = i + 1
         else:
             crystals.append(c)
-    return _costed(ops, IonState(tuple(crystals)), m)
+            index[qs[0]] = i
+    return _costed(ops, IonState._indexed(tuple(crystals), index), m)

@@ -72,8 +72,16 @@ set's occurrences up front, makes each plan from the state at the moment
 the plan is asked for, reuses the plan it kept for the set when that state
 is equal, and keeps `(state planned from, plan)` only while the set has
 uses left.  A None set is a pass-mode 1Q pass, whose plan splits every
-pair.  The generator's locals are the only store, so no plan outlives
-`schedule`.
+pair.  The 1Q pass after a 2Q pass starts from the 2Q plan's final, so
+the split-all plan made from that final is kept with the 2Q plan and
+dropped with it; a reused 2Q plan brings it back, and it is reused only
+while the state is that final itself.  The generator's locals are the only
+store, so no plan outlives `schedule`.
+
+A one-dimensional transition's REORDER lists `ReorderPlan.operands`, the
+sorted qubits of the plan's ops, which a plan computes once however often
+it is reused.  Every event is a tuple-backed `TraceEvent`, appended by
+`_step` straight to the trace's list.
 """
 from __future__ import annotations
 
@@ -95,6 +103,9 @@ from .ions import (  # noqa: F401
 from .machine import Machine
 from .planner import PlanMode, ReorderPlan, plan_reorder, split_all_plan
 from .trace import EventKind, Trace, TraceEvent
+
+# a member as a module global: reading one off the Enum class per step is slow
+_COOL = EventKind.COOL
 
 # Fraction of the zone region a gathering pass traverses under in-place
 # scheduling (ions are gathered to nearby zones instead of conveyed past
@@ -166,9 +177,12 @@ class _Engine:
             if free[q] > start:
                 start = free[q]
         end = start + duration
-        self.trace.add(TraceEvent(start, duration, kind, zones, ions, payload or {}))
+        # tuple.__new__ takes TraceEvent's fields in order and skips its
+        # Python-level constructor
+        events = self.trace.events
+        events.append(tuple.__new__(TraceEvent, (start, duration, kind, zones, ions, payload or {})))
         if cool is not None:
-            self.trace.add(TraceEvent(end, cool, EventKind.COOL, zones))
+            events.append(tuple.__new__(TraceEvent, (end, cool, _COOL, zones, (), {})))
             end += cool
         self.lane_free[lane] = end
         for q in ions:
@@ -186,8 +200,7 @@ class _Engine:
             self._step(EventKind.CIRCULATE, plan.charge(self.m.lap(path)), self.chain,
                        {"path": path, "ops": ops, "transports": transports})
         elif plan.ops:
-            ions = tuple(sorted({q for op in plan.ops for q in op.operands}))
-            self._step(EventKind.REORDER, plan.time_1d, ions, {"ops": ops, "transports": transports})
+            self._step(EventKind.REORDER, plan.time_1d, plan.operands, {"ops": ops, "transports": transports})
         self.state = plan.final
 
     # -- transition plans --------------------------------------------------
@@ -196,20 +209,33 @@ class _Engine:
         """The plan of each transition in `target_sets`, each made from the
         state at the moment it is asked for: a split-all plan for a None
         set, else the plan kept for the set if it was made from an equal
-        state, or a fresh `plan_reorder` (see the module docstring)."""
+        state, or a fresh `plan_reorder` (see the module docstring).
+
+        A 2Q plan is kept as the entry `[state planned from, plan, split-all
+        plan from its final]`, the last filled in when a None set first
+        follows the plan.  So a reused 2Q plan brings back the split-all
+        plan that followed it, which is reused while the state is that
+        plan's `final` itself; the entry is dropped with the plan.
+        """
         uses_left = Counter(targets for targets in target_sets if targets is not None)
-        kept: dict[tuple[tuple[int, ...], ...], tuple[IonState, ReorderPlan]] = {}
+        kept: dict[tuple[tuple[int, ...], ...], list] = {}
+        entry = None   # that of the latest 2Q set
         for targets in target_sets:
             if targets is None:
-                yield split_all_plan(self.state, self.m)
+                if entry is None or self.state is not entry[1].final:
+                    yield split_all_plan(self.state, self.m)
+                    continue
+                if entry[2] is None:
+                    entry[2] = split_all_plan(self.state, self.m)
+                yield entry[2]
                 continue
-            state, plan = kept.pop(targets, (None, None))
-            if state != self.state:
-                plan = plan_reorder(self.state, targets, self.m, mode)
+            entry = kept.pop(targets, None)
+            if entry is None or entry[0] != self.state:
+                entry = [self.state, plan_reorder(self.state, targets, self.m, mode), None]
             uses_left[targets] -= 1
             if uses_left[targets]:
-                kept[targets] = (self.state, plan)
-            yield plan
+                kept[targets] = entry
+            yield entry[1]
 
     # -- initialization / measurement -------------------------------------
 

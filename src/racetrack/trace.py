@@ -8,13 +8,18 @@ qubits it touches: a gate, init or readout batch its qubits, a transport
 event the ions it moves, and a COOL event none.  So the rule that no qubit
 is in two overlapping events (rule 4 of the validity rules) covers
 transport too.
+
+An event is a tuple, like `ions.Crystal`: a ring schedule builds ~10^5 of
+them, and a tuple is built for a fraction of what a frozen dataclass costs.
+The trace readers here and in `metrics` unpack events instead of reading
+their fields by name.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import attrgetter
+from operator import itemgetter
 
 
 class EventKind(Enum):
@@ -38,25 +43,61 @@ class EventKind(Enum):
             self.lane = "transport"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    t_start: float
-    duration: float
-    kind: EventKind
-    zones_busy: int = 0                 # gate zones engaged (gate/cool only)
-    qubits: tuple[int, ...] = ()
-    payload: dict = field(default_factory=dict, hash=False, compare=False)
+class TraceEvent(tuple):
+    """One timed event: an immutable value backed by the tuple `(t_start,
+    duration, kind, zones_busy, qubits, payload)`.
+
+    `zones_busy` counts the gate zones a gate or COOL event engages, and
+    `payload` annotates the event; an event built without one gets a dict
+    of its own.  Equality and hash are those of the first five fields, so
+    the payload takes no part, and an event never equals a plain tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, t_start: float, duration: float, kind: EventKind, zones_busy: int = 0,
+                qubits: tuple[int, ...] = (), payload: dict | None = None):
+        return tuple.__new__(cls, (t_start, duration, kind, zones_busy, qubits,
+                                   {} if payload is None else payload))
+
+    t_start = property(itemgetter(0))
+    duration = property(itemgetter(1))
+    kind = property(itemgetter(2))
+    zones_busy = property(itemgetter(3))
+    qubits = property(itemgetter(4))
+    payload = property(itemgetter(5))
 
     @property
     def t_end(self) -> float:
-        return self.t_start + self.duration
+        return self[0] + self[1]
 
     @property
     def lane(self) -> str:
-        return self.kind.lane
+        return self[2].lane
+
+    def __eq__(self, other):
+        if isinstance(other, TraceEvent):
+            return self[:5] == other[:5]
+        # tuple's own comparison would take the payload into account
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self):
+        return hash(self[:5])
+
+    def __getnewargs__(self):
+        # what pickle and deepcopy pass back to __new__
+        return tuple(self)
+
+    def __repr__(self):
+        return ("TraceEvent(t_start={!r}, duration={!r}, kind={!r}, zones_busy={!r}, "
+                "qubits={!r}, payload={!r})".format(*self))
 
 
-_start = attrgetter("t_start")
+_start = itemgetter(0)
 
 
 @dataclass
@@ -101,32 +142,35 @@ class Trace:
         zone_events: list[TraceEvent] = []
         touching: list[TraceEvent] = []
         for e in self.events:
+            start, duration, kind, _, qubits, _ = e
             # the comparisons are false for NaN, and `< inf` rejects inf
-            if not (-eps <= e.t_start < math.inf and 0.0 <= e.duration < math.inf):
+            if not (-eps <= start < math.inf and 0.0 <= duration < math.inf):
                 raise ValueError(f"bad event time: {e}")
-            if e.kind.lane == "zones":
+            if kind.lane == "zones":
                 zone_events.append(e)
-            if e.qubits:
+            if qubits:
                 touching.append(e)
         if circuit is not None:
             _check_gates(circuit, touching, eps)
         zone_events.sort(key=_start)
         prev, prev_end = None, -math.inf
         for e in zone_events:
-            if e.t_start < prev_end - eps:
+            start, duration, _, _, _, _ = e
+            if start < prev_end - eps:
                 raise ValueError(f"zone events overlap: {prev} / {e}")
-            prev, prev_end = e, e.t_start + e.duration
+            prev, prev_end = e, start + duration
         touching.sort(key=_start)
         active: list[tuple[float, TraceEvent]] = []   # (end, event), in start order
         for e in touching:
-            start = e.t_start + eps
-            active = [x for x in active if x[0] > start]
+            start, duration, _, _, qubits, _ = e
+            after = start + eps
+            active = [x for x in active if x[0] > after]
             if active:
-                qubits = set(e.qubits)
+                qubits = set(qubits)
                 for _, x in active:
-                    if not qubits.isdisjoint(x.qubits):
+                    if not qubits.isdisjoint(x[4]):
                         raise ValueError(f"qubit overlap between {x} and {e}")
-            active.append((e.t_start + e.duration, e))
+            active.append((start + duration, e))
 
 
 def _check_gates(circuit, touching: list[TraceEvent], eps: float) -> None:
@@ -135,11 +179,10 @@ def _check_gates(circuit, touching: list[TraceEvent], eps: float) -> None:
     start: dict[int, float] = {}
     end: dict[int, float] = {}
     repeated: list[int] = []
-    for e in touching:
-        ids = e.payload.get("gate_ids")
+    for t0, duration, _, _, _, payload in touching:
+        ids = payload.get("gate_ids")
         if ids:
-            t0 = e.t_start
-            t1 = t0 + e.duration
+            t1 = t0 + duration
             for gid in ids:
                 if gid in start:
                     repeated.append(gid)

@@ -18,6 +18,7 @@ from heapq import heappop, heappush
 
 from .circuit import Circuit, build_dag
 from .gates import Gate, GateType
+from .machine import _check_count
 
 PI = math.pi
 
@@ -81,14 +82,15 @@ def list_layers(gates, key, cap: int | None = None, slot_of=None) -> list[list[G
     in list order, collects the ready gates with that key lowest qubit
     first, and keeps at most `cap` of them, one per `slot_of[q]` of their
     lowest qubit q when slots are given; the rest stay ready.  Ready gates
-    share no qubit, so neither does a layer.
+    share no qubit, so neither does a layer.  A cap is None or an integer
+    >= 1: a float would never equal a layer's size, and True would cap at 1.
 
     The earliest unplaced gate is always ready, so it names the key.  Each
     key keeps a heap of its ready gates as (lowest qubit, position); a gate
     joins it when its last predecessor on the list is placed.
     """
-    if cap is not None and cap < 1:
-        raise ValueError("cap must be >= 1")
+    if cap is not None:
+        _check_count("cap", cap)
     n = len(gates)
     if n < 2:
         return [list(gates)] if n else []

@@ -8,6 +8,12 @@ A reorder replay: `apply_plan` runs a plan's ops one at a time through the
 immutable primitive `ions.apply_reorder`, and `reorder_time` totals op
 counts through the package's one duration table.
 
+Planner references: `bubble_left_in_place` is the bubble primitive the
+planner used before it built each fallback plan in one walk, and
+`plan_reorder_reference` the ops and final state it planned then: every
+member looked up by a scan of the crystals, the bubble applied by that
+primitive, and every target checked again after the bubbles.
+
 Front-end references: `build_dag_reference` is the id-keyed DAG build that
 `circuit.build_dag` replaced (chain edges collected first, each redundant
 one found by a window DFS afterwards), `topological_layers` the layering
@@ -24,8 +30,11 @@ import numpy as np
 
 from racetrack.circuit import Circuit
 from racetrack.gates import Gate, GateType
-from racetrack.ions import IonState, ReorderOp, apply_reorder, reorder_durations
+from racetrack.ions import (
+    COMBINE, PAIR_EXCHANGE, SPLIT, SWAP, Crystal, IonState, ReorderOp, apply_reorder, reorder_durations,
+)
 from racetrack.machine import TimingParams
+from racetrack.planner import _Arrangement, _checked_targets, _try_boundary_exchanges
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -180,6 +189,107 @@ def reorder_time(counts: dict[str, int], t: TimingParams = TimingParams()) -> fl
             raise ValueError("op counts must be non-negative")
         total += n * cost[name]
     return total
+
+
+def bubble_left_in_place(cs: list[Crystal], left: int, mover: int) -> list[ReorderOp]:
+    """Bubble the single at `mover` leftward until it sits at `left + 1`,
+    in place; returns the ops that does, one SPLIT or PAIR_EXCHANGE each.
+
+    A single in the way costs one exchange.  A pair (a, b) in the way is
+    split and its ions are crossed one at a time, so it stays behind the
+    mover as the singles ->a, <-b.  The crossed segment is rewritten with
+    one slice.
+    """
+    if not 0 <= left < mover < len(cs):
+        raise ValueError("bubble needs 0 <= left < mover < len(crystals)")
+    moving = cs[mover]
+    if moving.is_pair:
+        raise ValueError("bubble needs a single to move")
+    mq = moving.qubits
+    ops: list[ReorderOp] = []
+    crossed: list[Crystal] = []  # right to left
+    for j in range(mover - 1, left, -1):
+        c = cs[j]
+        qs = c.qubits
+        if len(qs) == 2:
+            a, b = qs
+            ops.append(ReorderOp(SPLIT, qs, j))
+            ops.append(ReorderOp(PAIR_EXCHANGE, (b,) + mq, j + 1))
+            ops.append(ReorderOp(PAIR_EXCHANGE, (a,) + mq, j))
+            crossed.append(Crystal((b,), False))
+            crossed.append(Crystal((a,), True))
+        else:
+            ops.append(ReorderOp(PAIR_EXCHANGE, qs + mq, j))
+            crossed.append(c)
+    crossed.append(moving)
+    crossed.reverse()
+    cs[left + 1 : mover + 1] = crossed
+    return ops
+
+
+def plan_reorder_reference(s: IonState, target_pairs) -> tuple[list[ReorderOp], IonState]:
+    """The ops and final state of `planner.plan_reorder` for `target_pairs`.
+
+    Target checks and boundary exchanges are the planner's own; the
+    fallback splits the members out of their pairs, bubbles the right
+    member leftward next to its partner, orients and combines, and then
+    combines again every target a later bubble split.
+    """
+    targets = _checked_targets(s, target_pairs)
+    work = _Arrangement(s)
+    ops = _try_boundary_exchanges(work, targets)
+    if ops is not None:
+        return ops, IonState(tuple(work.crystals))
+    ops = []
+    cs = list(s.crystals)
+
+    def crystal_of(q: int) -> int:
+        return next(i for i, c in enumerate(cs) if q in c.qubits)
+
+    def paired(a: int, b: int) -> bool:
+        c = cs[crystal_of(a)]
+        return c.is_pair and set(c.qubits) == {a, b}
+
+    def split(i: int):
+        qs = cs[i].qubits
+        ops.append(ReorderOp(SPLIT, qs, i))
+        cs[i : i + 1] = [Crystal((qs[0],), True), Crystal((qs[1],), False)]
+
+    def combine(left: int):
+        a, b = cs[left].qubits, cs[left + 1].qubits
+        if not cs[left].facing_right:
+            ops.append(ReorderOp(SWAP, a, left))
+        if cs[left + 1].facing_right:
+            ops.append(ReorderOp(SWAP, b, left + 1))
+        ops.append(ReorderOp(COMBINE, a + b, left))
+        cs[left : left + 2] = [Crystal(a + b)]
+
+    for a, b in targets:
+        ia, ib = crystal_of(a), crystal_of(b)
+        if ia == ib:
+            continue
+        if cs[ia].is_pair:
+            split(ia)
+            if ib > ia:
+                ib += 1
+            if cs[ia].qubits[0] != a:
+                ia += 1
+        if cs[ib].is_pair:
+            split(ib)
+            if ia > ib:
+                ia += 1
+            if cs[ib].qubits[0] != b:
+                ib += 1
+        left = min(ia, ib)
+        ops += bubble_left_in_place(cs, left, max(ia, ib))
+        combine(left)
+    for a, b in targets:
+        if paired(a, b):
+            continue
+        ia, ib = crystal_of(a), crystal_of(b)
+        assert abs(ia - ib) == 1, "split target pair drifted apart"
+        combine(min(ia, ib))
+    return ops, IonState(tuple(cs))
 
 
 def build_dag_reference(gates: list[Gate], width: int) -> Circuit:

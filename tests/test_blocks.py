@@ -1,4 +1,6 @@
 """In-place block extraction: partition, layer shape and chain attachment."""
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from racetrack.blocks import extract_inplace_blocks
 from racetrack.circuit import build_dag
 from racetrack.gates import Gate, GateType
-from racetrack.translate import extract_2q_layers, translate_to_native
+from racetrack.translate import extract_2q_layers, list_layers, translate_to_native
 from test_circuit_ir import UNITARY_KINDS, circuits
 
 native_circuits = circuits(
@@ -92,7 +94,7 @@ def test_chains_attach_to_neighbouring_cores():
 
 def test_zone_count_must_be_positive():
     c = build_dag([Gate(0, GateType.ZZ, (0, 1))], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zone_count must be an integer >= 1, got 0"):
         extract_inplace_blocks(c, 0)
 
 
@@ -126,5 +128,18 @@ def test_2q_layers_match_a_rescan(c, cap):
 
 def test_cap_must_be_positive():
     c = build_dag([Gate(0, GateType.ZZ, (0, 1))], 2)
-    with pytest.raises(ValueError, match="cap must be >= 1"):
+    with pytest.raises(ValueError, match="cap must be an integer >= 1, got 0"):
         extract_2q_layers(c, 0)
+
+
+@pytest.mark.parametrize("cap", [-1, 2.5, 2.0, True, False, "2"])
+def test_a_cap_must_be_an_integer(cap):
+    # 2.5 never equals a layer's size, so it left every layer uncapped,
+    # and True capped at 1
+    c = build_dag([Gate(0, GateType.ZZ, (0, 1)), Gate(1, GateType.ZZ, (2, 3))], 4)
+    with pytest.raises(ValueError, match=re.escape(f"cap must be an integer >= 1, got {cap!r}")):
+        list_layers(c.gates, lambda g: g.kind, cap)
+    with pytest.raises(ValueError, match=re.escape(f"cap must be an integer >= 1, got {cap!r}")):
+        extract_2q_layers(c, cap)
+    with pytest.raises(ValueError, match=re.escape(f"zone_count must be an integer >= 1, got {cap!r}")):
+        extract_inplace_blocks(c, cap)

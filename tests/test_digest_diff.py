@@ -116,3 +116,91 @@ def test_public_api_lists_the_names_only_one_tree_has(tmp_path):
 def test_a_wrong_command_prints_the_usage():
     out = run("digests", "grid")
     assert out.returncode == 2 and "digest_diff.py size BASE CHANGE" in out.stderr
+
+
+# a tree whose perfbench/pipeline.py schedules one small circuit with this
+# checkout's racetrack; REVERSED plans every transition with its ops in
+# reverse order, which keeps every op count
+FAKE_PIPELINE = '''
+import dataclasses
+import sys
+from types import SimpleNamespace
+
+sys.path.insert(0, {src!r})
+from racetrack import machine, schedulers, translate, workloads
+
+WORKLOADS = {{"tiny": None}}
+REVERSED = {reversed!r}
+
+
+def import_racetrack():
+    if REVERSED:
+        plan_reorder = schedulers.plan_reorder
+
+        def reversed_ops(*args):
+            plan = plan_reorder(*args)
+            return dataclasses.replace(plan, ops=plan.ops[::-1])
+
+        schedulers.plan_reorder = reversed_ops
+    return SimpleNamespace(translate=translate, schedulers=schedulers)
+
+
+def build_cases(rt, workload, seed):
+    circuit = workloads.gen_qaoa(workloads.GraphSpec(workloads.GraphKind.SK, 8), 1)
+    return [SimpleNamespace(circuit=circuit, machine=machine.make_machine(4), policy=policy, flags=None)
+            for policy in ("rolodex", "tilt", "plutarch")]
+'''
+
+
+def fake_tree(path, reversed_ops=False):
+    (path / "perfbench").mkdir(parents=True)
+    src = str(SCRIPT.parent.parent / "src")
+    (path / "perfbench" / "pipeline.py").write_text(FAKE_PIPELINE.format(src=src, reversed=reversed_ops))
+    return path
+
+
+def test_plan_call_counts_give_calls_ops_and_a_plan_hash(tmp_path):
+    from racetrack import machine, schedulers, translate, workloads
+
+    calls = ops = 0
+    plan_reorder = schedulers.plan_reorder
+
+    def counted(*args):
+        nonlocal calls, ops
+        plan = plan_reorder(*args)
+        calls += 1
+        ops += len(plan.ops)
+        return plan
+
+    circuit = translate.translate_to_native(workloads.gen_qaoa(workloads.GraphSpec(workloads.GraphKind.SK, 8), 1))
+    schedulers.plan_reorder = counted
+    try:
+        for policy in ("rolodex", "tilt", "plutarch"):
+            schedulers.schedule(circuit, machine.make_machine(4), policy)
+    finally:
+        schedulers.plan_reorder = plan_reorder
+    tree = fake_tree(tmp_path / "tree")
+    out = run("plan-call-counts", tree)
+    assert out.returncode == 0, out.stderr
+    name, n, n_ops, digest = out.stdout.split()
+    assert (name, int(n), int(n_ops)) == ("tiny", calls, ops) and calls and ops
+    assert len(digest) == 64 and run("plan-call-counts", tree).stdout == out.stdout
+
+
+def test_plan_calls_see_a_reordered_op_sequence(tmp_path):
+    base = fake_tree(tmp_path / "base")
+    change = fake_tree(tmp_path / "change", reversed_ops=True)
+    same = run("plan-calls", base, base)
+    assert same.returncode == 0, same.stderr
+    lines = same.stdout.splitlines()
+    assert lines[:2] == ["### reorder plans per pass", "```"]
+    assert lines[3].split() == ["workload", "base", "change", "delta", "base", "change", "delta", "plans"]
+    assert lines[4].split()[-1] == "same" and lines[4].split()[3] == "+0"
+    # the same calls and op counts, so the trace digests would not move
+    changed = run("plan-calls", base, change).stdout.splitlines()
+    row = changed[4].split()
+    assert row[:7] == lines[4].split()[:7]
+    base_hash = run("plan-call-counts", base).stdout.split()[3]
+    change_hash = run("plan-call-counts", change).stdout.split()[3]
+    assert base_hash != change_hash
+    assert row[7:] == ["changed:", base_hash[:12], "->", change_hash[:12]]

@@ -10,9 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racetrack.ions import (
-    Crystal, IonState, ReorderOp, ReorderTag, apply_reorder, bubble_left_in_place, reorder_in_place,
-)
+from racetrack.ions import Crystal, IonState, ReorderOp, ReorderTag, apply_reorder, reorder_in_place
 from racetrack.machine import (
     MACHINE_FILE_ENV,
     FidelityParams,
@@ -24,7 +22,7 @@ from racetrack.machine import (
 )
 from racetrack.planner import PlanMode, _costed, plan_reorder, split_all_plan
 
-from oracle import apply_plan, reorder_time
+from oracle import apply_plan, bubble_left_in_place, plan_reorder_reference, reorder_time
 
 
 def _ion_order(s):
@@ -354,6 +352,24 @@ def _draw_instance(n, data):
     return IonState(tuple(crystals)), targets
 
 
+def _draw_targets_with_pairs(s, data):
+    """Disjoint targets in any order: some of the arrangement's own pairs,
+    either way round, and random pairs of the other qubits."""
+    targets = []
+    pool = []
+    for c in s.crystals:
+        if c.is_pair and data.draw(st.booleans()):
+            a, b = c.qubits
+            targets.append((b, a) if data.draw(st.booleans()) else (a, b))
+        else:
+            pool.extend(c.qubits)
+    for _ in range(data.draw(st.integers(0, len(pool) // 2))):
+        a = pool.pop(data.draw(st.integers(0, len(pool) - 1)))
+        b = pool.pop(data.draw(st.integers(0, len(pool) - 1)))
+        targets.append((a, b))
+    return [targets[i] for i in data.draw(st.permutations(range(len(targets))))]
+
+
 def _bubble_stepwise(cs, left, mover):
     """The bubble one SPLIT or PAIR_EXCHANGE at a time, through the checked
     primitive: a pair in the way is split, a single is crossed."""
@@ -668,6 +684,52 @@ class TestPlanner:
         assert not any(c.is_pair for c in plan.final.crystals)
         replayed, _ = apply_plan(s, list(plan.ops))
         assert replayed == plan.final
+        # the walk that split the pairs built the index
+        assert plan.final.crystal_index == IonState(plan.final.crystals).crystal_index
+        assert all(type(c) is Crystal for c in plan.final.crystals)
+
+    @given(st.integers(2, 16), machines, st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_reference_planner(self, n, m, data):
+        # the one-walk fallback, its restore rule and its frozen index
+        # against the planner that bubbled through the primitive, looked
+        # every qubit up by a scan and checked every target again
+        s, _ = _draw_instance(n, data)
+        targets = _draw_targets_with_pairs(s, data)
+        mode = data.draw(st.sampled_from(list(PlanMode)))
+        plan = plan_reorder(s, targets, m, mode)
+        ops, final = plan_reorder_reference(s, targets)
+        assert [type(op) for op in plan.ops] == [ReorderOp] * len(ops)
+        assert list(plan.ops) == ops
+        assert plan.final == final and all(type(c) is Crystal for c in plan.final.crystals)
+        assert [c.is_pair for c in plan.final.crystals] == [c.is_pair for c in final.crystals]
+        assert plan.final.crystal_index == final.crystal_index
+        assert plan.final.crystal_index == IonState(plan.final.crystals).crystal_index
+        assert plan.operands == tuple(sorted({q for op in ops for q in op.operands}))
+        self._assert_costs_carried(plan, m)
+        candidates = [(plan.time_1d, -1)]
+        if mode is PlanMode.CIRCULATION_ALLOWED:
+            candidates += [(max(m.lap(pid), plan.regroup_time, plan.exchange_time), pid)
+                           for pid, _ in m.circulation_paths]
+        charged, path = min(candidates)
+        assert (plan.time, plan.path_id) == (charged, None if path == -1 else path)
+
+    def test_a_crossed_target_pair_is_combined_again(self):
+        # the bubble of 5 to 2 splits the target pair (0, 1), which was
+        # already combined, and the restore pass combines it again
+        s = IonState((Crystal((2,)), Crystal((0, 1)), Crystal((5,), False)))
+        plan = plan_reorder(s, [(1, 0), (2, 5)], make_machine(4), PlanMode.ONE_DIMENSIONAL)
+        ops, final = plan_reorder_reference(s, [(1, 0), (2, 5)])
+        assert list(plan.ops) == ops and plan.final == final
+        assert [tuple(op) for op in plan.ops] == [
+            (ReorderTag.SPLIT, (0, 1), 1),
+            (ReorderTag.PAIR_EXCHANGE, (1, 5), 2),
+            (ReorderTag.PAIR_EXCHANGE, (0, 5), 1),
+            (ReorderTag.COMBINE, (2, 5), 0),
+            (ReorderTag.COMBINE, (0, 1), 1),
+        ]
+        assert plan.final.crystals == (Crystal((2, 5)), Crystal((0, 1)))
+        assert dict(plan.final.crystal_index) == {2: 0, 5: 0, 0: 1, 1: 1}
 
     @given(st.integers(2, 16), machines, st.data())
     @settings(max_examples=150, deadline=None)

@@ -1,11 +1,13 @@
-"""Runtime breakdown, zone utilization, the fidelity ledger and trace
-validation.
+"""Runtime breakdown, zone utilization, the fidelity ledger, trace
+validation and the trace event's value semantics.
 
 The one-walk metrics and `Trace.validate` are held to the multi-walk
 reference bodies in `reference_metrics.py` on drawn traces and on
 scheduled ones.
 """
+import copy
 import math
+import pickle
 import re
 from dataclasses import replace
 
@@ -25,6 +27,8 @@ from racetrack.metrics import (
 )
 from racetrack.schedulers import PolicyFlags, schedule
 from racetrack.trace import EventKind, Trace, TraceEvent
+from racetrack.translate import translate_to_native
+from racetrack.workloads import VqeAnsatz, gen_vqe
 from test_blocks import native_circuits
 
 interval = st.tuples(st.integers(0, 20), st.integers(-2, 8)).map(lambda p: (p[0], p[0] + p[1]))
@@ -266,3 +270,55 @@ def test_validate_rejects_a_gate_that_starts_before_its_predecessor_ends():
     with pytest.raises(ValueError, match=r"rule 2 .* gate 1 starts at 0.0 us, before its "
                                          r"predecessor gate 0 ends at 20.0 us"):
         tr.validate(TWO_GATES)
+
+
+class TestTraceEvent:
+    """A tuple-backed value: equality and hash of everything but the payload."""
+
+    def test_equality_and_hash_ignore_the_payload(self):
+        a = TraceEvent(1.0, 2.0, EventKind.GATE_1Q, 1, (0,), {"gate_ids": [3]})
+        b = TraceEvent(1.0, 2.0, EventKind.GATE_1Q, 1, (0,), {"gate_ids": [4]})
+        assert a == b and not a != b and hash(a) == hash(b)
+        # the hash the frozen dataclass had: that of the compared fields
+        assert hash(a) == hash((1.0, 2.0, EventKind.GATE_1Q, 1, (0,)))
+        assert a != TraceEvent(1.0, 2.0, EventKind.GATE_1Q, 1, (1,))
+        assert a != TraceEvent(1.0, 2.0, EventKind.GATE_2Q, 1, (0,))
+
+    def test_never_equals_a_plain_tuple(self):
+        e = TraceEvent(1.0, 2.0, EventKind.COOL, 1)
+        for plain in (tuple(e), (1.0, 2.0, EventKind.COOL, 1, ())):
+            assert e != plain and plain != e
+            assert not e == plain and not plain == e
+
+    @pytest.mark.parametrize("field", ["t_start", "duration", "kind", "zones_busy", "qubits", "payload",
+                                       "t_end", "lane", "other"])
+    def test_assignment_raises_attribute_error(self, field):
+        with pytest.raises(AttributeError):
+            setattr(TraceEvent(0.0, 1.0, EventKind.INIT, 0, (0,)), field, 2.0)
+
+    def test_pickle_copy_and_deepcopy_keep_it(self):
+        e = TraceEvent(1.0, 2.0, EventKind.GATE_2Q, 2, (0, 1), {"gate_ids": [5, 6]})
+        twins = [pickle.loads(pickle.dumps(e, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins + [copy.copy(e), copy.deepcopy(e)]:
+            assert type(twin) is TraceEvent and twin == e
+            assert tuple(twin) == tuple(e) and twin.payload == {"gate_ids": [5, 6]}
+        assert copy.deepcopy(e).payload is not e.payload
+
+    def test_keyword_construction_and_fields(self):
+        e = TraceEvent(t_start=1.5, duration=2.0, kind=EventKind.REORDER, qubits=(2, 3),
+                       payload={"ops": {"split": 1}})
+        assert (e.t_start, e.duration, e.kind, e.zones_busy, e.qubits, e.payload) == (
+            1.5, 2.0, EventKind.REORDER, 0, (2, 3), {"ops": {"split": 1}})
+        assert (e.t_end, e.lane) == (3.5, "transport")
+        assert repr(e) == ("TraceEvent(t_start=1.5, duration=2.0, kind=<EventKind.REORDER: 'Reorder'>, "
+                           "zones_busy=0, qubits=(2, 3), payload={'ops': {'split': 1}})")
+
+    def test_each_event_gets_a_payload_of_its_own(self):
+        a, b = TraceEvent(0.0, 1.0, EventKind.COOL), TraceEvent(0.0, 1.0, EventKind.COOL)
+        assert a.payload == {} and a.payload is not b.payload
+
+    @pytest.mark.parametrize("policy", ["rolodex", "plutarch"])
+    def test_scheduled_events_are_those_the_constructor_builds(self, policy):
+        tr = schedule(translate_to_native(gen_vqe(VqeAnsatz.CIRCULAR_SU2, 6, 2)), make_machine(4), policy)
+        assert tr.events and all(type(e) is TraceEvent for e in tr.events)
+        assert [tuple(TraceEvent(*e)) for e in tr.events] == [tuple(e) for e in tr.events]

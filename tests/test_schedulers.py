@@ -33,7 +33,7 @@ from racetrack.circuit import build_dag
 from racetrack.gates import Gate, GateType
 from racetrack.machine import TimingParams, make_machine
 from racetrack.metrics import runtime_breakdown
-from racetrack.planner import plan_reorder
+from racetrack.planner import plan_reorder, split_all_plan
 from racetrack.schedulers import INPLACE_GATHER_FACTOR, PolicyFlags, schedule
 from racetrack.trace import EventKind
 from racetrack.translate import extract_2q_layers, one_qubit_phases, translate_to_native
@@ -220,20 +220,23 @@ class _PlanEveryTransition(schedulers._Engine):
 
 
 def events_and_plan_calls(c, m, policy, flags):
-    """The events of `schedule` and how often it called `plan_reorder`."""
-    with patch.object(schedulers, "plan_reorder", wraps=plan_reorder) as counted:
+    """The events of `schedule` and how often it called `plan_reorder` and
+    `split_all_plan`."""
+    with patch.object(schedulers, "plan_reorder", wraps=plan_reorder) as counted, \
+            patch.object(schedulers, "split_all_plan", wraps=split_all_plan) as splits:
         tr = schedule(c, m, policy, flags)
-    return events(tr), counted.call_count
+    return events(tr), counted.call_count, splits.call_count
 
 
 def check_reuse_changes_nothing(c, m, policy, flags):
     """Plan reuse gives the events of planning every transition, and plans
     no more often; returns the plan calls with and without reuse."""
-    reused, calls = events_and_plan_calls(c, m, policy, flags)
+    reused, calls, splits = events_and_plan_calls(c, m, policy, flags)
     with patch.object(schedulers, "_Engine", _PlanEveryTransition):
-        planned, reference_calls = events_and_plan_calls(c, m, policy, flags)
+        planned, reference_calls, reference_splits = events_and_plan_calls(c, m, policy, flags)
     assert reused == planned
     assert calls <= reference_calls
+    assert splits <= reference_splits
     return calls, reference_calls
 
 
@@ -274,6 +277,18 @@ def test_plan_reuse_keeps_every_event_of_layered_circuits(circuit):
                 reference_calls += planned
     # the layers repeat, so some transitions are reused
     assert calls < reference_calls
+
+
+@pytest.mark.parametrize("config", ["rolodex", "tilt", "plutarch-noblocks"])
+def test_a_reused_plan_brings_back_its_split_all_plan(config):
+    # in pass mode the 1Q pass after a reused 2Q plan starts from that
+    # plan's final, so the split-all plan made from it is reused too
+    policy, flags = CONFIGS[config]
+    c = translate_to_native(gen_vqe(VqeAnsatz.CIRCULAR_SU2, 8, 4))
+    _, _, splits = events_and_plan_calls(c, make_machine(4, shortcuts=(0.5,)), policy, flags)
+    with patch.object(schedulers, "_Engine", _PlanEveryTransition):
+        _, _, reference_splits = events_and_plan_calls(c, make_machine(4, shortcuts=(0.5,)), policy, flags)
+    assert 0 < splits < reference_splits
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
