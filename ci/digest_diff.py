@@ -13,8 +13,10 @@ of a `perfbench/run.py` run, prints its "correct", "attempted" and "failed"
 fields, and exits 1 unless "correct" is true.  Each other command prints
 one Markdown section for the job summary:
 
-* size: the lines of each src/racetrack module in both trees; a module
-  only one tree has counts 0 lines in the other.
+* size: the lines of each src/racetrack module in both trees, and its
+  code lines: those that are not blank, not only a comment and not inside
+  a docstring (found with `ast`), so that deleted prose does not read as
+  deleted code.  A module only one tree has counts 0 in the other.
 * digests: the cases whose trace digest changed (perfbench/compare.py),
   and the cases whose digest held while a reported metric moved (a metric
   of an unchanged trace should not move unless its definition changed).
@@ -53,19 +55,37 @@ FIELDS = ("span_us", "f_total", "zone_util_pct", "transports", "breakdown_residu
 FENCE = "```"
 
 
+def code_lines(text: str) -> int:
+    """The lines of `text` that are not blank, not only a comment and not
+    inside the docstring of the module, a class or a function."""
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docs.update(range(first.lineno, first.end_lineno + 1))
+    return sum(1 for n, line in enumerate(text.splitlines(), start=1)
+               if n not in docs and line.strip() and not line.lstrip().startswith("#"))
+
+
 def size(base: str, change: str) -> None:
-    def lines(path: Path) -> int:
-        return path.read_bytes().count(b"\n") if path.exists() else 0
+    def counts(path: Path) -> tuple[int, int]:
+        if not path.exists():
+            return 0, 0
+        text = path.read_text()
+        return text.count("\n"), code_lines(text)
 
     trees = [Path(root, "src/racetrack") for root in (base, change)]
     names = sorted({p.name for d in trees for p in d.glob("*.py")})
-    rows = [(name, lines(trees[0] / name), lines(trees[1] / name)) for name in names]
-    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
-    print("### source size (lines)")
+    rows = [(name, *counts(trees[0] / name), *counts(trees[1] / name)) for name in names]
+    rows.append(("total", *(sum(r[i] for r in rows) for i in range(1, 5))))
+    print("### source size (lines, and code lines: no blank, comment or docstring line)")
     print(FENCE)
-    print(f"{'module':16} {'base':>6} {'change':>6} {'delta':>6}")
-    for name, old, new in rows:
-        print(f"{name:16} {old:6} {new:6} {new - old:+6}")
+    print(f"{'':16} {'lines':>20} {'code':>20}")
+    print(f"{'module':16} {'base':>6} {'change':>6} {'delta':>6} {'base':>6} {'change':>6} {'delta':>6}")
+    for name, old, old_code, new, new_code in rows:
+        print(f"{name:16} {old:6} {new:6} {new - old:+6} {old_code:6} {new_code:6} {new_code - old_code:+6}")
     print(FENCE)
 
 

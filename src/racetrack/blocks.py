@@ -2,9 +2,11 @@
 predecessors and successors, grouped into zone-capped parallel layers.
 
 Following the block-aware scheduling loop: repeatedly take the maximal
-same-kind parallel 2Q layer (at most `zone_count` gates), attach each
-gate's neighboring 1Q chains, and record everything unclaimed in the
-residual set.
+same-kind parallel 2Q layer (at most `zone_count` gates) and attach to
+each gate the 1Q runs next to it on its two qubits.  Each qubit's 1Q gates
+are cut into runs at its 2Q gates, so every 1Q gate on a qubit that some
+2Q gate touches lands in exactly one block; the 1Q gates of the other
+qubits form the residual set.
 """
 from __future__ import annotations
 
@@ -42,58 +44,30 @@ class BlockSchedule:
 
 
 def extract_inplace_blocks(c: Circuit, zone_count: int) -> BlockSchedule:
-    """Build the block schedule in time linear in the gate count.
+    """Build the block schedule in one walk over the gates.
 
     The cores are the 2Q layers of `extract_2q_layers` capped at
-    `zone_count`.  1Q runs between two 2Q gates on a qubit attach to the
-    earlier gate's block (post); leading runs attach as the first block's
-    pre; 1Q gates on qubits that never see a 2Q gate fall into the
-    residual.  Each gate records its position in every qubit's gate
-    sequence, so a block's chains are found by walking outward from its
-    core: each walk costs the length of the run it returns plus one.
+    `zone_count`.  The walk cuts each qubit's 1Q gates into runs at its 2Q
+    gates: the run after a 2Q gate is its block's post, the run before a
+    qubit's first 2Q gate is that gate's block's pre, and the 1Q gates of
+    a qubit no 2Q gate touches are the residual, in program order.  A
+    block takes its core's runs in the order of the core's qubits.
     """
     _check_count("zone_count", zone_count)
-    # per-qubit gate sequences and each gate's positions in them
-    seq: dict[int, list[Gate]] = {}
-    at: dict[int, tuple[int, ...]] = {}
+    # each qubit's 1Q gates until its first 2Q gate takes them, so the
+    # qubits left in `lead` are those no 2Q gate touches
+    lead: dict[int, list[Gate]] = {}
+    tail: dict[int, list[Gate]] = {}    # each qubit's run after its latest 2Q gate
+    pre: dict[int, tuple[Gate, ...]] = {}
+    post: dict[int, tuple[list[Gate], list[Gate]]] = {}
     for g in c.gates:
-        where = []
-        for q in g.qubits:
-            run = seq.setdefault(q, [])
-            where.append(len(run))
-            run.append(g)
-        at[g.id] = tuple(where)
-
-    # neighbor 1Q chains around each 2Q gate, claimed earlier-block-first
-    claimed: set[int] = set()
-
-    def chain_before(gates: list[Gate], i: int) -> list[Gate]:
-        """The unclaimed 1Q gates directly before position i."""
-        j = i
-        while j > 0 and gates[j - 1].is_1q and gates[j - 1].id not in claimed:
-            j -= 1
-        return gates[j:i]
-
-    def chain_after(gates: list[Gate], i: int) -> list[Gate]:
-        """The 1Q gates after position i, up to the next 2Q gate."""
-        j = i + 1
-        while j < len(gates) and gates[j].is_1q:
-            j += 1
-        return gates[i + 1 : j]
-
-    schedule = BlockSchedule()
-    for cores in extract_2q_layers(c, zone_count):
-        layer: list[Block] = []
-        for core in cores:
-            pre: list[Gate] = []
-            post: list[Gate] = []
-            for q, i in zip(core.qubits, at[core.id]):
-                pre.extend(chain_before(seq[q], i))
-                post.extend(chain_after(seq[q], i))
-            claimed.update(g.id for g in pre + post)
-            layer.append(Block(tuple(pre), core, tuple(post)))
-        schedule.layers.append(layer)
-    schedule.residual = [
-        g for g in c.gates if g.is_1q and g.id not in claimed
-    ]
-    return schedule
+        if g.is_1q:
+            q = g.qubits[0]
+            (tail[q] if q in tail else lead.setdefault(q, [])).append(g)
+        else:
+            a, b = g.qubits
+            pre[g.id] = (*lead.pop(a, ()), *lead.pop(b, ()))
+            tail[a], tail[b] = post[g.id] = [], []
+    layers = [[Block(pre[g.id], g, (*post[g.id][0], *post[g.id][1])) for g in cores]
+              for cores in extract_2q_layers(c, zone_count)]
+    return BlockSchedule(layers, [g for g in c.gates if g.is_1q and g.qubits[0] in lead])

@@ -98,8 +98,9 @@ class FidelityParams:
 class Machine:
     """One simulated device: a closed-loop electrode with `gate_zones` zones
     on the bottom straight, `reorder_zones` on top (None: as many as gate
-    zones) and shortcut chords at fractions in (0, 1) of the loop, plus its
-    timing, fidelity budget and ion capacity."""
+    zones, so `dataclasses.replace` of `gate_zones` changes both) and
+    shortcut chords at fractions in (0, 1) of the loop, plus its timing,
+    fidelity budget and ion capacity."""
 
     gate_zones: int = 4
     reorder_zones: int | None = None
@@ -116,9 +117,8 @@ class Machine:
 
     def __post_init__(self):
         _check_count("gate_zones", self.gate_zones)
-        if self.reorder_zones is None:
-            object.__setattr__(self, "reorder_zones", self.gate_zones)
-        _check_count("reorder_zones", self.reorder_zones)
+        if self.reorder_zones is not None:
+            _check_count("reorder_zones", self.reorder_zones)
         sc = self.shortcuts
         if not isinstance(sc, (list, tuple)) or not all(_is_number(f) for f in sc):
             raise ValueError(f"shortcuts must be a list of fractions, got {sc!r}")

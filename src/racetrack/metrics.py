@@ -13,7 +13,7 @@ duration` in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .machine import FidelityParams
 from .trace import EventKind, Trace
@@ -152,20 +152,7 @@ class FidelityLedger:
         return 1.0 - self.f_total
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "n_1q": self.n_1q,
-            "n_2q": self.n_2q,
-            "n_transport": self.n_transport,
-            "n_qubits": self.n_qubits,
-            "runtime_s": self.runtime_s,
-            "f_spam": self.f_spam,
-            "f_1q": self.f_1q,
-            "f_2q": self.f_2q,
-            "f_transport": self.f_transport,
-            "f_decoh": self.f_decoh,
-            "f_total": self.f_total,
-            "i_total": self.i_total,
-        }
+        return {**asdict(self), "f_total": self.f_total, "i_total": self.i_total}
 
 
 def fidelity_report(tr: Trace, f: FidelityParams = FidelityParams()) -> FidelityLedger:

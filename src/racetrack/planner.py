@@ -174,7 +174,7 @@ def _costed(ops: list[ReorderOp], final: IonState, m: Machine) -> ReorderPlan:
     """
     durations = reorder_durations(m.timing)
     gate_cap = m.gate_zones
-    reorder_cap = m.reorder_zones
+    reorder_cap = m.reorder_zones or m.gate_zones
     counts: dict[str, int] = {}
     all_total, all_busy, all_max, all_n = 0.0, 0, 0.0, 0
     reg_total, reg_busy, reg_max, reg_n = 0.0, 0, 0.0, 0
@@ -220,12 +220,12 @@ def _pair_sets(crystals) -> set[frozenset[int]]:
 
 
 def _try_boundary_exchanges(
-    work: _Arrangement, targets: list[tuple[int, int]]
-) -> list[ReorderOp] | None:
+    work: _Arrangement, targets: list[tuple[int, int]], ops: list[ReorderOp]
+) -> bool:
     """Satisfy every target with at most one boundary exchange each, never
-    disturbing a pair another target needs.  Returns None if impossible,
-    leaving `work` part-edited."""
-    ops: list[ReorderOp] = []
+    disturbing a pair another target needs, appending each exchange to
+    `ops` as it is applied.  Returns False if impossible; `work` is then
+    edited only if `ops` is not empty."""
     wanted = {frozenset(p) for p in targets}
     cs = work.crystals
     for a, b in targets:
@@ -233,22 +233,18 @@ def _try_boundary_exchanges(
             continue
         ia, ib = work.crystal_of(a), work.crystal_of(b)
         if abs(ia - ib) != 1:
-            return None
+            return False
         left = min(ia, ib)
         # an exchange only regroups the two crystals it acts on, so only
         # their wanted pairs can break
         before = _pair_sets(cs[left : left + 2]) & wanted
-        op = work.exchange(left)
+        ops.append(work.exchange(left))
         if not work.paired(a, b):
-            return None
+            return False
         if not before <= _pair_sets(cs[left : left + 2]):
-            return None
-        ops.append(op)
+            return False
     # verify everything held up
-    for a, b in targets:
-        if not work.paired(a, b):
-            return None
-    return ops
+    return all(work.paired(a, b) for a, b in targets)
 
 
 def _fallback_plan(work: _Arrangement, targets: list[tuple[int, int]]) -> list[ReorderOp]:
@@ -402,9 +398,10 @@ def plan_reorder(
         raise ValueError(f"mode must be a PlanMode, got {mode!r}")
     targets = _checked_targets(s, target_pairs)
     work = _Arrangement(s)
-    ops = _try_boundary_exchanges(work, targets)
-    if ops is None:
-        work = _Arrangement(s)
+    ops: list[ReorderOp] = []
+    if not _try_boundary_exchanges(work, targets, ops):
+        if ops:   # the attempt applied an exchange: start again from `s`
+            work = _Arrangement(s)
         ops = _fallback_plan(work, targets)
     plan = _costed(ops, work.frozen(), m)
     if mode is PlanMode.ONE_DIMENSIONAL:

@@ -80,8 +80,9 @@ store, so no plan outlives `schedule`.
 
 A one-dimensional transition's REORDER lists `ReorderPlan.operands`, the
 sorted qubits of the plan's ops, which a plan computes once however often
-it is reused.  Every event is a tuple-backed `TraceEvent`, appended by
-`_step` straight to the trace's list.
+it is reused.  `_step` builds every `TraceEvent` with `tuple.__new__`,
+which skips the named tuple's Python-level constructor, and appends it
+straight to the trace's list.
 """
 from __future__ import annotations
 
@@ -109,7 +110,9 @@ _COOL = EventKind.COOL
 
 # Fraction of the zone region a gathering pass traverses under in-place
 # scheduling (ions are gathered to nearby zones instead of conveyed past
-# every zone the way circulating passes are).
+# every zone the way circulating passes are).  It is an assumption of the
+# IN_PLACE policy about how far its ions travel, not a hardware time, so it
+# stays out of `TimingParams` and a machine description cannot set it.
 INPLACE_GATHER_FACTOR = 0.25
 
 

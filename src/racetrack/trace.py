@@ -9,10 +9,11 @@ event the ions it moves, and a COOL event none.  So the rule that no qubit
 is in two overlapping events (rule 4 of the validity rules) covers
 transport too.
 
-An event is a tuple, like `ions.Crystal`: a ring schedule builds ~10^5 of
-them, and a tuple is built for a fraction of what a frozen dataclass costs.
-The trace readers here and in `metrics` unpack events instead of reading
-their fields by name.
+An event is a `NamedTuple`: a ring schedule builds ~10^5 of them, and the
+scheduler builds each with `tuple.__new__` for a fraction of what a frozen
+dataclass costs.  It compares as the tuple of its six fields, payload
+included.  The trace readers here and in `metrics` unpack events instead
+of reading their fields by name.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
+from typing import NamedTuple
 
 
 class EventKind(Enum):
@@ -43,29 +45,16 @@ class EventKind(Enum):
             self.lane = "transport"
 
 
-class TraceEvent(tuple):
-    """One timed event: an immutable value backed by the tuple `(t_start,
-    duration, kind, zones_busy, qubits, payload)`.
+class TraceEvent(NamedTuple):
+    """One timed event.  `zones_busy` counts the gate zones a gate or COOL
+    event engages, and `payload` annotates the event."""
 
-    `zones_busy` counts the gate zones a gate or COOL event engages, and
-    `payload` annotates the event; an event built without one gets a dict
-    of its own.  Equality and hash are those of the first five fields, so
-    the payload takes no part, and an event never equals a plain tuple.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, t_start: float, duration: float, kind: EventKind, zones_busy: int = 0,
-                qubits: tuple[int, ...] = (), payload: dict | None = None):
-        return tuple.__new__(cls, (t_start, duration, kind, zones_busy, qubits,
-                                   {} if payload is None else payload))
-
-    t_start = property(itemgetter(0))
-    duration = property(itemgetter(1))
-    kind = property(itemgetter(2))
-    zones_busy = property(itemgetter(3))
-    qubits = property(itemgetter(4))
-    payload = property(itemgetter(5))
+    t_start: float
+    duration: float
+    kind: EventKind
+    zones_busy: int
+    qubits: tuple[int, ...]
+    payload: dict
 
     @property
     def t_end(self) -> float:
@@ -74,27 +63,6 @@ class TraceEvent(tuple):
     @property
     def lane(self) -> str:
         return self[2].lane
-
-    def __eq__(self, other):
-        if isinstance(other, TraceEvent):
-            return self[:5] == other[:5]
-        # tuple's own comparison would take the payload into account
-        return False if isinstance(other, tuple) else NotImplemented
-
-    def __ne__(self, other):
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    def __hash__(self):
-        return hash(self[:5])
-
-    def __getnewargs__(self):
-        # what pickle and deepcopy pass back to __new__
-        return tuple(self)
-
-    def __repr__(self):
-        return ("TraceEvent(t_start={!r}, duration={!r}, kind={!r}, zones_busy={!r}, "
-                "qubits={!r}, payload={!r})".format(*self))
 
 
 _start = itemgetter(0)

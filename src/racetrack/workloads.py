@@ -8,7 +8,10 @@ quantum Reed-Muller ([[n, n-2, 2]]) encoders.
 
 Every generator is a pure function of its arguments; the power-law graph
 uses a seeded 64-bit linear congruential generator (Knuth's MMIX
-constants) so outputs are platform-independent.
+constants) so outputs are platform-independent.  Each size (a qubit,
+block, layer or repetition count) goes through `machine._check_count`
+before its generator's own lower bound, so a float or bool size, like a
+graph kind that is no `GraphKind`, raises a `ValueError` naming it.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from enum import Enum
 
 from .circuit import Circuit, build_dag
 from .gates import Gate, GateType
+from .machine import _check_count
 
 PI = math.pi
 
@@ -61,6 +65,9 @@ class GraphSpec:
     seed: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.kind, GraphKind):
+            raise ValueError(f"unknown graph kind {self.kind!r}")
+        _check_count("n", self.n)
         if self.n < 2:
             raise ValueError("graph needs at least 2 nodes")
 
@@ -77,9 +84,7 @@ class GraphSpec:
             return evens + odds + closure
         if self.kind is GraphKind.POWERLAW:
             return self._powerlaw_edges()
-        if self.kind is GraphKind.SK:
-            return [(i, j) for i in range(n) for j in range(i + 1, n)]
-        raise ValueError(self.kind)
+        return [(i, j) for i in range(n) for j in range(i + 1, n)]   # SK
 
     def _powerlaw_edges(self) -> list[tuple[int, int]]:
         # Preferential attachment, one edge per new node; attachment
@@ -167,6 +172,7 @@ def gen_phase_gadget(n: int, alpha: float, variant: GadgetVariant) -> Circuit:
     """exp(-i alpha/2 Z x ... x Z) over n qubits in the requested shape."""
     gates: list[Gate] = []
     emit = lambda kind, qs, ps=(): gates.append(Gate(len(gates), kind, qs, ps))
+    _check_count("n", n)
     if n < 2:
         raise ValueError("phase gadget needs n >= 2")
     if not isinstance(variant, GadgetVariant):
@@ -212,8 +218,7 @@ def gen_qaoa(graph: GraphSpec, layers: int = 1) -> Circuit:
     qubit.  SK graphs route through the fermionic swap network so every
     interaction lands on position-adjacent qubits.  Angles are fixed
     placeholders 0.1*p; timing and fidelity do not depend on them."""
-    if layers < 1:
-        raise ValueError("need at least one QAOA layer")
+    _check_count("layers", layers)
     n = graph.n
     gates: list[Gate] = []
     emit = lambda kind, qs, ps=(): gates.append(Gate(len(gates), kind, qs, ps))
@@ -245,10 +250,10 @@ def gen_vqe(ansatz: VqeAnsatz, n: int, depth: int = 1) -> Circuit:
     `depth` counts Pauli strings for the gadget-chain families and
     repetitions for the brick/ring families.
     """
+    _check_count("n", n)
     if n < 2:
         raise ValueError("ansatz needs n >= 2")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    _check_count("depth", depth)
     if ansatz is VqeAnsatz.PHASE_GADGET_CHAIN:
         gates: list[Gate] = []
         for s in range(depth):
@@ -288,6 +293,7 @@ def gen_vqe(ansatz: VqeAnsatz, n: int, depth: int = 1) -> Circuit:
 
 def gen_ghz(n: int) -> Circuit:
     """H on q0 plus a balanced fan-out CX tree of depth ceil(log2 n)."""
+    _check_count("n", n)
     if n < 2:
         raise ValueError("GHZ needs n >= 2")
     gates: list[Gate] = [Gate(0, GateType.H, (0,))]
@@ -318,8 +324,7 @@ STEANE_BLOCK = 7
 def gen_steane_encode(num_logical: int) -> Circuit:
     """Per 7-qubit block: H on q0,q1,q3 then three depths of three parallel
     CXs.  Blocks are independent; 2Q depth stays 3 for any block count."""
-    if num_logical < 1:
-        raise ValueError("need at least one logical qubit")
+    _check_count("num_logical", num_logical)
     n = STEANE_BLOCK * num_logical
     gates: list[Gate] = []
     for b in range(num_logical):
@@ -403,6 +408,7 @@ def gen_qrm_encode(n: int, basis: QrmBasis) -> Circuit:
     n-1 qubits followed by parity CXs into the last qubit, including the
     maximum-distance CX (q0 -> q_{n-1}).
     """
+    _check_count("n", n)
     if n < 4 or n % 2:
         raise ValueError("QRM encoder needs even n >= 4")
     if not isinstance(basis, QrmBasis):

@@ -237,8 +237,8 @@ def plan_reorder_reference(s: IonState, target_pairs) -> tuple[list[ReorderOp], 
     """
     targets = _checked_targets(s, target_pairs)
     work = _Arrangement(s)
-    ops = _try_boundary_exchanges(work, targets)
-    if ops is not None:
+    ops: list[ReorderOp] = []
+    if _try_boundary_exchanges(work, targets, ops):
         return ops, IonState(tuple(work.crystals))
     ops = []
     cs = list(s.crystals)

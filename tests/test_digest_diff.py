@@ -62,19 +62,25 @@ def test_correct_reads_the_last_line_of_a_run():
 
 
 def test_size_counts_the_modules_of_both_trees(tmp_path):
-    for root, modules in (("base", {"a.py": "x\n", "b.py": "x\ny\n"}), ("change", {"a.py": "x\ny\nz\n"})):
+    modules = {
+        "base": {"a.py": '"""A module\ndocstring."""\nx = 1\n', "b.py": "x\n\n# a comment\ny  # code\n"},
+        "change": {"a.py": 'class A:\n    """One line."""\n\n    def f(self):\n        """Two\n        lines."""\n'
+                           '        return "#"\n'},
+    }
+    for root, texts in modules.items():
         src = tmp_path / root / "src" / "racetrack"
         src.mkdir(parents=True)
-        for name, text in modules.items():
+        for name, text in texts.items():
             (src / name).write_text(text)
     out = run("size", tmp_path / "base", tmp_path / "change")
     assert out.stdout.splitlines() == [
-        "### source size (lines)",
+        "### source size (lines, and code lines: no blank, comment or docstring line)",
         "```",
-        "module             base change  delta",
-        "a.py                  1      3     +2",
-        "b.py                  2      0     -2",
-        "total                 3      3     +0",
+        "                                lines                 code",
+        "module             base change  delta   base change  delta",
+        "a.py                  3      7     +4      1      3     +2",
+        "b.py                  4      0     -4      2      0     -2",
+        "total                 7      7     +0      3      3     +0",
         "```",
     ]
 

@@ -46,6 +46,7 @@ DESCRIPTION_FAULTS = [
     ({"fidelity": {"t1": math.nan}}, "t1 must be positive, got nan"),
     ({"reorder_zones": 0}, "reorder_zones must be an integer >= 1, got 0"),
     ({"reorder_zones": -2}, "reorder_zones must be an integer >= 1, got -2"),
+    ({"reorder_zones": True}, "reorder_zones must be an integer >= 1, got True"),
     ({"gate_zones": 2.5}, "gate_zones must be an integer >= 1, got 2.5"),
     ({"capacity": 0}, "capacity must be an integer >= 1, got 0"),
     ({"capacity": 8.0}, "capacity must be an integer >= 1, got 8.0"),
@@ -189,7 +190,7 @@ class TestTrack:
 
     def test_a_machine_derives_its_paths_when_built(self):
         m = make_machine(8)
-        assert Machine() == make_machine() and m.reorder_zones == 8
+        assert Machine() == make_machine() and m.reorder_zones is None
         assert m.circulation_paths == ((0, 1.0),)
         half = replace(m, shortcuts=[0.5])
         assert half.shortcuts == (0.5,) and half.circulation_paths == ((0, 1.0), (1, 0.5))
@@ -641,6 +642,16 @@ class TestPlanner:
         assert _costed(ops, IonState(()), make_machine(4)).time_1d == 128.0
         assert _costed(ops, IonState(()), make_machine(1)).time_1d == 3 * 128.0
 
+    def test_replacing_the_gate_zones_resizes_the_reorder_zones(self):
+        # six splits and six exchanges on disjoint slots: one stage of each
+        # over eight reorder zones, two over four
+        ops = [ReorderOp(tag, index=i) for tag in (ReorderTag.SPLIT, ReorderTag.PAIR_EXCHANGE)
+               for i in range(0, 12, 2)]
+        replaced = replace(make_machine(4), gate_zones=8)
+        costs = [(p.regroup_time, p.exchange_time) for p in (
+            _costed(ops, IonState(()), m) for m in (replaced, make_machine(8), make_machine(4)))]
+        assert costs == [(128.0, 1053.0), (128.0, 1053.0), (256.0, 2106.0)]
+
     @staticmethod
     def _assert_costs_carried(plan, m):
         # the costs the planner carries are the staged times of its own ops,
@@ -649,8 +660,9 @@ class TestPlanner:
         exchanges = [o for o in ops if o.tag is ReorderTag.PAIR_EXCHANGE]
         regroup = [o for o in ops if o.tag is not ReorderTag.PAIR_EXCHANGE]
         assert plan.time_1d == _staged_time_with_set(ops, m.gate_zones)
-        assert plan.regroup_time == _staged_time_with_set(regroup, m.reorder_zones)
-        assert plan.exchange_time == _staged_time_with_set(exchanges, m.reorder_zones)
+        reorder_zones = m.reorder_zones or m.gate_zones
+        assert plan.regroup_time == _staged_time_with_set(regroup, reorder_zones)
+        assert plan.exchange_time == _staged_time_with_set(exchanges, reorder_zones)
         if plan.path_id is None:
             assert plan.time == plan.time_1d
         else:

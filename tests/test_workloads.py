@@ -350,3 +350,30 @@ def test_ghz_logical_width():
     c = gen_ghz_logical(8)
     assert c.width == 56
     assert kind_count(c, GateType.CX) == 72 + 7 * 7
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: gen_ghz(4.0), "n must be an integer >= 1, got 4.0"),
+    (lambda: gen_ghz(True), "n must be an integer >= 1, got True"),
+    (lambda: gen_ghz(1), "GHZ needs n >= 2"),
+    (lambda: gen_steane_encode(2.0), "num_logical must be an integer >= 1, got 2.0"),
+    (lambda: gen_steane_encode(True), "num_logical must be an integer >= 1, got True"),
+    (lambda: gen_steane_encode(0), "num_logical must be an integer >= 1, got 0"),
+    (lambda: gen_vqe(VqeAnsatz.TWO_LOCAL_HWEA, 4, depth=1.5), "depth must be an integer >= 1, got 1.5"),
+    (lambda: gen_vqe(VqeAnsatz.TWO_LOCAL_HWEA, 4.0), "n must be an integer >= 1, got 4.0"),
+    (lambda: gen_vqe(VqeAnsatz.CIRCULAR_SU2, 1), "ansatz needs n >= 2"),
+    (lambda: GraphSpec(GraphKind.PATH, 4.0), "n must be an integer >= 1, got 4.0"),
+    (lambda: GraphSpec(GraphKind.PATH, 1), "graph needs at least 2 nodes"),
+    (lambda: GraphSpec("sk", 4), "unknown graph kind 'sk'"),
+    (lambda: gen_qaoa(GraphSpec(GraphKind.PATH, 4), 2.5), "layers must be an integer >= 1, got 2.5"),
+    (lambda: gen_qaoa(GraphSpec(GraphKind.PATH, 4), True), "layers must be an integer >= 1, got True"),
+    (lambda: gen_qaoa(GraphSpec(GraphKind.PATH, 4), 0), "layers must be an integer >= 1, got 0"),
+    (lambda: gen_phase_gadget(3.0, 0.1, GadgetVariant.LADDER), "n must be an integer >= 1, got 3.0"),
+    (lambda: gen_phase_gadget(1, 0.1, GadgetVariant.LADDER), "phase gadget needs n >= 2"),
+    (lambda: gen_qrm_encode(4.0, QrmBasis.Z), "n must be an integer >= 1, got 4.0"),
+    (lambda: gen_qrm_encode(5, QrmBasis.X), "QRM encoder needs even n >= 4"),
+])
+def test_a_bad_size_or_kind_raises_a_value_error_naming_it(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
