@@ -1,12 +1,16 @@
 """Circuit container and dependency-DAG construction.
 
-A circuit is a gate list in program order plus the transitive reduction of
-the shared-qubit precedence relation.  The DAG is immutable after
-construction and safe to share across threads.
+A circuit is a gate list in program order.  Its DAG, `Circuit.edges`, the
+transitive reduction of the shared-qubit precedence relation, is derived
+from the gates on first read, which no pipeline stage makes, and is
+immutable.  Python 3.11's `cached_property` builds it under a lock shared
+by all circuits; from 3.12 it takes none, so two threads that read it
+first at once may each build it, and build equal sets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .gates import Gate
 
@@ -15,7 +19,30 @@ from .gates import Gate
 class Circuit:
     width: int
     gates: tuple[Gate, ...]
-    edges: frozenset[tuple[int, int]]
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The transitive reduction of the shared-qubit precedence order of
+        `gates`, as (predecessor id, gate id) pairs.  One walk over positions
+        chains each gate to the last gate on each of its qubits.  When those
+        are two distinct gates, the edge from the earlier is redundant iff it
+        reaches the later; a DFS bounded to the window (early, late] decides
+        that at once, since every edge into that window is in `succs`."""
+        gates = self.gates
+        last_on = [-1] * self.width
+        succs: list[list[int]] = [[] for _ in gates]
+        for i, g in enumerate(gates):
+            qs = g.qubits
+            a, b = qs[0], qs[-1]
+            early, late = last_on[a], last_on[b]
+            last_on[a] = last_on[b] = i
+            if early > late:
+                early, late = late, early
+            if late >= 0:
+                succs[late].append(i)
+                if 0 <= early < late and not _reaches(succs, early, late):
+                    succs[early].append(i)
+        return frozenset((gates[u].id, gates[v].id) for u, vs in enumerate(succs) for v in vs)
 
     def gate(self, gate_id: int) -> Gate:
         """The gate with id `gate_id`, found by a scan; KeyError if none."""
@@ -33,38 +60,14 @@ class Circuit:
 
 
 def build_dag(gates: list[Gate], width: int) -> Circuit:
-    """Build a Circuit whose edge set is the transitive reduction of the
-    shared-qubit precedence order of `gates` (taken in program order).
-
-    One walk over positions chains each gate to the last gate on each of
-    its qubits.  When those are two distinct gates, the edge from the
-    earlier is redundant iff it reaches the later; a DFS bounded to the
-    window (early, late] decides that at once, since every edge into that
-    window is already in `succs`.  Redundant edges are never recorded.
-    """
+    """The Circuit of `gates` in program order, once no two gates share an
+    id and every qubit is below `width`; `Circuit.edges` is its DAG."""
     if width < 0:
         raise ValueError(f"circuit width must be >= 0, got {width}")
     ids = [g.id for g in gates]
-    if len(set(ids)) != len(ids):
+    if len(set(ids)) != len(ids) or (gates and max(q for g in gates for q in g.qubits) >= width):
         _raise_first_fault(gates, width)
-    last_on = [-1] * width
-    succs: list[list[int]] = [[] for _ in ids]
-    try:
-        for i, g in enumerate(gates):
-            qs = g.qubits
-            a, b = qs[0], qs[-1]
-            early, late = last_on[a], last_on[b]
-            last_on[a] = last_on[b] = i
-            if early > late:
-                early, late = late, early
-            if late >= 0:
-                succs[late].append(i)
-                if 0 <= early < late and not _reaches(succs, early, late):
-                    succs[early].append(i)
-    except IndexError:  # a qubit at or past `width`
-        _raise_first_fault(gates, width)
-    edges = frozenset((ids[u], ids[v]) for u, vs in enumerate(succs) for v in vs)
-    return Circuit(width=width, gates=tuple(gates), edges=edges)
+    return Circuit(width=width, gates=tuple(gates))
 
 
 def _reaches(succs: list[list[int]], src: int, dst: int) -> bool:

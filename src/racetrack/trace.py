@@ -101,6 +101,13 @@ class Trace:
         reading gate ids from the `gate_ids` payloads:
         rule 1, every gate of the circuit runs exactly once;
         rule 2, no gate starts before a DAG predecessor ends (eps slack).
+        Rule 2 walks the gates in program order, checking each against the
+        last gate before it on each of its qubits.  Each edge of the DAG,
+        `circuit.edges`, is such a pair, so a trace that passes the walk
+        passes rule 2 and the DAG is not built.  Only when a pair fails are
+        the edges read, to count the early ones and name the least; a pair
+        that is no edge fails alone only by eps slack summed along the
+        edges that imply it, and the trace then passes.
 
         Reads the trace once, checking times and collecting the zone-lane
         events and the events that touch qubits; then it checks the gates
@@ -163,6 +170,14 @@ def _check_gates(circuit, touching: list[TraceEvent], eps: float) -> None:
             ("not in the circuit:", start.keys() - ids)) if gids]
         raise ValueError("rule 1 (every gate runs exactly once) broken: gates "
                          + "; ".join(faults))
+    limit = [-math.inf] * circuit.width   # per qubit: the end, less eps, of its last gate
+    for g in circuit.gates:
+        a, b, t0 = g.qubits[0], g.qubits[-1], start[g.id]
+        if t0 < limit[a] or t0 < limit[b]:
+            break
+        limit[a] = limit[b] = end[g.id] - eps
+    else:
+        return
     early = [(a, b) for a, b in circuit.edges if start[b] < end[a] - eps]
     if early:
         a, b = min(early)

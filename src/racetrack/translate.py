@@ -10,6 +10,9 @@ the gate order below is the one that reproduces the target unitaries):
     RZZ(theta)  -> passthrough, or CX(a,b); Rz(theta) b; CX(a,b) in `expand_rzz`
                    mode, which emulates a conventional compiler that lowers
                    ZZ-interactions through CX (11 native ops instead of 1).
+Every other kind passes through.  `_NATIVE` writes this list as a table:
+each kind's value maps to rows (native kind, which qubits, whether the
+params start with the input's params, constant params).
 """
 from __future__ import annotations
 
@@ -22,17 +25,20 @@ from .machine import _check_count
 
 PI = math.pi
 
-
-def _emit(out: list[Gate], kind: GateType, qubits: tuple[int, ...], params: tuple[float, ...], source: int):
-    out.append(Gate(len(out), kind, qubits, params, source))
-
-
-def _emit_cx(out: list[Gate], c: int, t: int, source: int) -> None:
-    _emit(out, GateType.U1Q, (t,), (-PI / 2, PI / 2), source)
-    _emit(out, GateType.ZZ, (c, t), (), source)
-    _emit(out, GateType.RZ, (c,), (-PI / 2,), source)
-    _emit(out, GateType.U1Q, (t,), (PI / 2, PI), source)
-    _emit(out, GateType.RZ, (t,), (-PI / 2,), source)
+# which qubits a row acts on: the input's first, its last, or all of them
+_FIRST, _LAST, _ALL = 0, -1, None
+_CX = ((GateType.U1Q, _LAST, False, (-PI / 2, PI / 2)),
+       (GateType.ZZ, _ALL, False, ()),
+       (GateType.RZ, _FIRST, False, (-PI / 2,)),
+       (GateType.U1Q, _LAST, False, (PI / 2, PI)),
+       (GateType.RZ, _LAST, False, (-PI / 2,)))
+_NATIVE = {
+    **{kind.value: ((kind, _ALL, True, ()),) for kind in GateType if not kind.is_abstract},
+    "H": ((GateType.U1Q, _ALL, False, (PI / 2, -PI / 2)), (GateType.RZ, _ALL, False, (PI,))),
+    "X": ((GateType.U1Q, _ALL, False, (PI, 0.0)),),
+    "RX": ((GateType.U1Q, _ALL, True, (0.0,)),),
+    "CX": _CX}
+_NATIVE_EXPANDED = {**_NATIVE, "RZZ": _CX + ((GateType.RZ, _LAST, True, ()),) + _CX}
 
 
 def translate_to_native(c: Circuit, expand_rzz: bool = False) -> Circuit:
@@ -44,33 +50,21 @@ def translate_to_native(c: Circuit, expand_rzz: bool = False) -> Circuit:
     batching never merges ops coming from different pre-translation layers.
     The walk that emits them computes it: `depth[q]` is one past the layer
     of the last gate on q, and a gate's layer is the max over its qubits.
-    That is the longest-path layering of `build_dag`'s edges, since the
-    edges a transitive reduction drops never lengthen a path.
+    That is the longest-path layering of `Circuit.edges`, since the edges a
+    transitive reduction drops never lengthen a path.  The same walk reads
+    each gate's rows from the table and builds one gate per row.
     """
+    table = _NATIVE_EXPANDED if expand_rzz else _NATIVE
     depth = [0] * c.width
     out: list[Gate] = []
     for g in c.gates:
-        kind, qubits = g.kind, g.qubits
+        qubits, params = g.qubits, g.params
         a, b = qubits[0], qubits[-1]
         src = depth[a] if depth[a] > depth[b] else depth[b]
         depth[a] = depth[b] = src + 1
-        if kind is GateType.H:
-            _emit(out, GateType.U1Q, qubits, (PI / 2, -PI / 2), src)
-            _emit(out, GateType.RZ, qubits, (PI,), src)
-        elif kind is GateType.X:
-            _emit(out, GateType.U1Q, qubits, (PI, 0.0), src)
-        elif kind is GateType.RX:
-            _emit(out, GateType.U1Q, qubits, (g.params[0], 0.0), src)
-        elif kind is GateType.CX:
-            _emit_cx(out, a, b, src)
-        elif kind is GateType.RZZ and expand_rzz:
-            _emit_cx(out, a, b, src)
-            _emit(out, GateType.RZ, (b,), (g.params[0],), src)
-            _emit_cx(out, a, b, src)
-        elif kind.is_native or kind in (GateType.MEASURE, GateType.INIT):
-            _emit(out, kind, qubits, g.params, src)
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown gate kind {kind}")
+        for kind, which, takes_params, consts in table[g.kind._value_]:
+            out.append(Gate(len(out), kind, qubits if which is None else (qubits[which],),
+                            params + consts if takes_params else consts, src))
     return build_dag(out, c.width)
 
 

@@ -11,13 +11,15 @@ uses a seeded 64-bit linear congruential generator (Knuth's MMIX
 constants) so outputs are platform-independent.  Each size (a qubit,
 block, layer or repetition count) goes through `machine._check_count`
 before its generator's own lower bound, so a float or bool size, like a
-graph kind that is no `GraphKind`, raises a `ValueError` naming it.
+graph kind that is no `GraphKind`, a seed that is no integer or a graph
+that is no `GraphSpec`, raises a `ValueError` naming it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 from .circuit import Circuit, build_dag
 from .gates import Gate, GateType
@@ -70,6 +72,8 @@ class GraphSpec:
         _check_count("n", self.n)
         if self.n < 2:
             raise ValueError("graph needs at least 2 nodes")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list in the family's natural emission order."""
@@ -113,6 +117,7 @@ def swap_network_rounds(n: int) -> list[list[tuple[int, int]]]:
     """Odd-even transposition network: per round, the logical pairs meeting
     at adjacent positions.  Every unordered pair appears exactly once over
     the n rounds; interacting pairs swap positions after each round."""
+    _check_count("n", n)
     pos = list(range(n))
     rounds: list[list[tuple[int, int]]] = []
     seen: set[tuple[int, int]] = set()
@@ -218,6 +223,8 @@ def gen_qaoa(graph: GraphSpec, layers: int = 1) -> Circuit:
     qubit.  SK graphs route through the fermionic swap network so every
     interaction lands on position-adjacent qubits.  Angles are fixed
     placeholders 0.1*p; timing and fidelity do not depend on them."""
+    if not isinstance(graph, GraphSpec):
+        raise ValueError(f"graph must be a GraphSpec, got {graph!r}")
     _check_count("layers", layers)
     n = graph.n
     gates: list[Gate] = []

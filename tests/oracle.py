@@ -15,12 +15,15 @@ member looked up by a scan of the crystals, the bubble applied by that
 primitive, and every target checked again after the bubbles.
 
 Front-end references: `build_dag_reference` is the id-keyed DAG build that
-`circuit.build_dag` replaced (chain edges collected first, each redundant
-one found by a window DFS afterwards), `topological_layers` the layering
-by predecessor edges, and `translate_reference` the translation that took
-each gate's `source` from those layers.  `extract_2q_layers_reference` is
-the dict-keyed ready-set layering that `translate.extract_2q_layers`
-replaced with a call to the one list scheduler, `translate.list_layers`.
+`Circuit.edges` replaced (chain edges collected first, each redundant one
+found by a window DFS afterwards); a `Circuit` holds no edge set, so it
+returns its edges beside the circuit.  `topological_layers` is the
+layering by predecessor edges, and `translate_reference` the translation
+that took each gate's `source` from those layers.
+`extract_2q_layers_reference` is the dict-keyed ready-set layering that
+`translate.extract_2q_layers` replaced with a call to the one list
+scheduler, `translate.list_layers`.  `early_edges` is rule 2 of
+`Trace.validate` as it was checked over every edge of the reduced DAG.
 """
 from __future__ import annotations
 
@@ -292,9 +295,9 @@ def plan_reorder_reference(s: IonState, target_pairs) -> tuple[list[ReorderOp], 
     return ops, IonState(tuple(cs))
 
 
-def build_dag_reference(gates: list[Gate], width: int) -> Circuit:
-    """The transitive reduction of the shared-qubit precedence order,
-    built with id-keyed predecessor and successor sets."""
+def build_dag_reference(gates: list[Gate], width: int) -> tuple[Circuit, frozenset[tuple[int, int]]]:
+    """The circuit and the transitive reduction of its shared-qubit
+    precedence order, built with id-keyed predecessor and successor sets."""
     seen_ids: set[int] = set()
     for g in gates:
         if g.id in seen_ids:
@@ -347,8 +350,19 @@ def build_dag_reference(gates: list[Gate], width: int) -> Circuit:
             early, late = ps
             if reachable(early, late):
                 redundant.add((early, g.id))
-    edges = frozenset(chain - redundant)
-    return Circuit(width=width, gates=tuple(gates), edges=edges)
+    return Circuit(width=width, gates=tuple(gates)), frozenset(chain - redundant)
+
+
+def early_edges(edges, trace, eps: float = 1e-6) -> list[tuple[int, int]]:
+    """Rule 2 of `Trace.validate` over an edge set: the sorted edges (a, b)
+    whose gate b starts, by the `gate_ids` payloads of `trace`, more than
+    `eps` before gate a ends."""
+    start: dict[int, float] = {}
+    end: dict[int, float] = {}
+    for e in trace.events:
+        for gid in e.payload.get("gate_ids", ()):
+            start[gid], end[gid] = e.t_start, e.t_start + e.duration
+    return sorted((a, b) for a, b in edges if start[b] < end[a] - eps)
 
 
 def topological_layers(c: Circuit) -> list[list[Gate]]:
@@ -377,9 +391,9 @@ def validate_topology(c: Circuit) -> None:
             raise ValueError(f"edge ({a}->{b}) violates program order")
 
 
-def translate_reference(c: Circuit, expand_rzz: bool = False) -> Circuit:
+def translate_reference(c: Circuit, expand_rzz: bool = False) -> tuple[Circuit, frozenset[tuple[int, int]]]:
     """Native translation with each gate's `source` read from
-    `topological_layers(c)` and the DAG built by `build_dag_reference`."""
+    `topological_layers(c)`, and its DAG built by `build_dag_reference`."""
     pi = math.pi
     out: list[Gate] = []
 

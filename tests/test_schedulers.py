@@ -27,19 +27,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import early_edges
 from racetrack import schedulers
 from racetrack.blocks import extract_inplace_blocks
 from racetrack.circuit import build_dag
 from racetrack.gates import Gate, GateType
 from racetrack.machine import TimingParams, make_machine
-from racetrack.metrics import runtime_breakdown
+from racetrack.metrics import fidelity_report, runtime_breakdown, zone_utilization
 from racetrack.planner import plan_reorder, split_all_plan
 from racetrack.schedulers import INPLACE_GATHER_FACTOR, PolicyFlags, schedule
 from racetrack.trace import EventKind
 from racetrack.translate import extract_2q_layers, one_qubit_phases, translate_to_native
 from racetrack.workloads import GraphKind, GraphSpec, VqeAnsatz, gen_qaoa, gen_vqe
 from test_blocks import native_circuits
-from test_circuit_ir import UNITARY_KINDS, circuits
+from test_circuit_ir import UNITARY_KINDS, circuits, pair_heavy_gates
 
 M = make_machine(1)
 T = M.timing
@@ -331,6 +332,82 @@ def test_every_schedule_obeys_its_dag(c, k, shortcuts, config):
     assert b.idle == 0.0
     categories = b.init + b.gate_cooling + b.shift_swap_split + b.circulation + b.measure
     assert abs(categories - b.hidden - b.total_span) <= 1e-6
+
+
+RULE_2 = "rule 2 (no gate starts before a DAG predecessor ends) broken by "
+
+
+def check_rule_2_after_a_move(c, k, config, pick, offset, share=0.0):
+    """Schedule `c`, shift every event one span later, so that no start
+    can go below 0, and move the `pick`-th event that runs gates (modulo
+    their count) earlier: to `offset` plus `share` of the span before the
+    latest end of a gate before one of its gates on a shared qubit.
+    `Trace.validate` reports a rule-2 fault iff the reduced DAG has an
+    early edge, and then counts those edges and names the least."""
+    policy, flags = CONFIGS[config]
+    tr = schedule(c, make_machine(k), policy, flags)
+    span = tr.span
+    tr.events = [e._replace(t_start=e.t_start + span) for e in tr.events]
+    runs = [i for i, e in enumerate(tr.events) if e.payload.get("gate_ids")]
+    moved = tr.events[runs[pick % len(runs)]]
+    end = {gid: e.t_end for e in tr.events for gid in e.payload.get("gate_ids", ())}
+    last_on, before = {}, []
+    for g in c.gates:
+        if g.id in moved.payload["gate_ids"]:
+            before += [end[last_on[q]] for q in g.qubits if q in last_on]
+        last_on.update(dict.fromkeys(g.qubits, g.id))
+    delta = moved.t_start - max(before, default=moved.t_start) + offset + share * span
+    tr.events[tr.events.index(moved)] = moved._replace(t_start=moved.t_start - delta)
+    try:
+        tr.validate(c)
+        message = ""
+    except ValueError as err:
+        message = str(err)
+    early = early_edges(c.edges, tr)
+    if early:
+        a, b = early[0]
+        assert message.startswith(f"{RULE_2}{len(early)} edge(s), first: gate {b} starts at ")
+        assert f"before its predecessor gate {a} ends at " in message
+    else:
+        assert not message.startswith(RULE_2)
+    return early
+
+
+@settings(max_examples=200, deadline=None)
+@given(native_circuits | pair_heavy_gates(max_gates=16).map(lambda drawn: translate_to_native(build_dag(*drawn))),
+       st.integers(1, 8), st.sampled_from(sorted(CONFIGS)), st.integers(0, 10**6),
+       st.sampled_from([-1.0, 0.5e-6, 2e-6]), st.just(0.0) | st.floats(0.0, 1.0))
+def test_rule_2_reports_what_the_reduced_dag_reports(c, k, config, pick, offset, share):
+    check_rule_2_after_a_move(c, k, config, pick, offset, share)
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_rule_2_on_a_repeated_pair(config):
+    """ZZ(0,1) twice: the second gate's qubits share one predecessor.  With
+    Rz(0) between them, the first ZZ precedes the second on qubit 1, but
+    that pair is no edge of the reduced DAG: moving the second far enough
+    breaks both pairs, and the edge from the Rz is the one named."""
+    zz, rz = (GateType.ZZ, (0, 1), ()), (GateType.RZ, (0,), (0.3,))
+    for kinds in ((zz, zz), (zz, rz, zz)):
+        n = len(kinds)
+        c = build_dag([Gate(i, *kind) for i, kind in enumerate(kinds)], 2)
+        runs = [e.payload["gate_ids"] for e in schedule(c, make_machine(1), *CONFIGS[config]).events
+                if e.payload.get("gate_ids")]
+        for offset, share, broken in ((0.5e-6, 0.0, []), (2e-6, 0.0, [(n - 2, n - 1)]),
+                                      (0.0, 0.9, [(n - 2, n - 1)])):
+            assert check_rule_2_after_a_move(c, 1, config, runs.index([n - 1]), offset, share) == broken
+        assert c.edges == frozenset((i, i + 1) for i in range(n - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(circuits(max_width=6, max_gates=24, kinds=UNITARY_KINDS + (GateType.MEASURE,)), st.booleans(),
+       st.sampled_from(sorted(CONFIGS)))
+def test_the_pipeline_never_builds_the_dag(c, expand_rzz, config):
+    native = translate_to_native(c, expand_rzz)
+    m = make_machine(4)
+    tr = schedule(native, m, *CONFIGS[config])
+    runtime_breakdown(tr), zone_utilization(tr), fidelity_report(tr, m.fidelity)
+    assert "edges" not in native.__dict__ and "edges" not in c.__dict__
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])

@@ -168,7 +168,7 @@ class TestGraphs:
         assert len({find(v) for v in range(16)}) == 1
 
     def test_swap_network_all_pairs_once(self):
-        for n in (4, 5, 6):
+        for n in (1, 4, 5, 6):
             pairs = [
                 tuple(sorted(p)) for r in swap_network_rounds(n) for p in r
             ]
@@ -372,6 +372,12 @@ def test_ghz_logical_width():
     (lambda: gen_phase_gadget(1, 0.1, GadgetVariant.LADDER), "phase gadget needs n >= 2"),
     (lambda: gen_qrm_encode(4.0, QrmBasis.Z), "n must be an integer >= 1, got 4.0"),
     (lambda: gen_qrm_encode(5, QrmBasis.X), "QRM encoder needs even n >= 4"),
+    (lambda: gen_qaoa((GraphKind.PATH, 4)), "graph must be a GraphSpec, got (<GraphKind.PATH: 'path'>, 4)"),
+    (lambda: GraphSpec(GraphKind.POWERLAW, 16, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: GraphSpec(GraphKind.POWERLAW, 16, seed=True), "seed must be an integer, got True"),
+    (lambda: swap_network_rounds(-1), "n must be an integer >= 1, got -1"),
+    (lambda: swap_network_rounds(4.0), "n must be an integer >= 1, got 4.0"),
+    (lambda: swap_network_rounds(0), "n must be an integer >= 1, got 0"),
 ])
 def test_a_bad_size_or_kind_raises_a_value_error_naming_it(build, message):
     with pytest.raises(ValueError) as err:
