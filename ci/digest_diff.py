@@ -10,8 +10,8 @@
 BASE and CHANGE are the roots of two checkouts of this repository, and the
 .json files come from `perfbench/run.py --out`.  `correct` reads the output
 of a `perfbench/run.py` run, prints its "correct", "attempted" and "failed"
-fields, and exits 1 unless "correct" is true.  Each other command prints
-one Markdown section for the job summary:
+fields, and exits 1 unless "correct" is true and "failed" is 0.  Each other
+command prints one Markdown section for the job summary:
 
 * size: the lines of each src/racetrack module in both trees, and its
   code lines: those that are not blank, not only a comment and not inside
@@ -34,7 +34,8 @@ one Markdown section for the job summary:
   reordered op sequence shows here alone.
 * public-api: the public names that only one tree has, per src/racetrack
   module: top-level functions, classes and assigned names, and the
-  methods and class attributes of public classes.  A class only one tree
+  methods, class attributes and `__init__`'s `self` attributes of public
+  classes.  A class only one tree
   has is listed alone.  The names are read with `ast`; nothing is
   imported.
 
@@ -92,7 +93,7 @@ def size(base: str, change: str) -> None:
 def correct() -> int:
     r = json.loads(sys.stdin.read().splitlines()[-1])
     print(r["correct"], r["attempted"], r["failed"])
-    return 0 if r["correct"] is True else 1
+    return 0 if r["correct"] is True and r["failed"] == 0 else 1
 
 
 def metric_moves(old_path: str, new_path: str) -> list[str]:
@@ -215,9 +216,23 @@ def plan_calls(base: str, change: str) -> None:
     print(FENCE)
 
 
+def _self_attributes(cls: ast.ClassDef) -> set[str]:
+    """The names that `cls.__init__` assigns as attributes of `self`."""
+    names = set()
+    for fn in cls.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+            for node in ast.walk(fn):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, ast.AnnAssign) else [])
+                names.update(t.attr for t in targets if isinstance(t, ast.Attribute)
+                             and isinstance(t.value, ast.Name) and t.value.id == "self")
+    return names
+
+
 def _public_names(path: Path) -> set[str]:
     """The public top-level names a module defines, and "Class.member" for
-    each public method or class attribute of a public class."""
+    each public method, class attribute or `__init__`-set `self` attribute
+    of a public class."""
     if not path.exists():
         return set()
 
@@ -233,7 +248,8 @@ def _public_names(path: Path) -> set[str]:
 
     top = defined(ast.parse(path.read_text()).body)
     members = {f"{name}.{member}" for name, node in top.items() if isinstance(node, ast.ClassDef)
-               for member in defined(node.body)}
+               for member in {*defined(node.body), *_self_attributes(node)}
+               if not member.startswith("_")}
     return set(top) | members
 
 

@@ -1,24 +1,41 @@
 """Circuit container and dependency-DAG construction.
 
-A circuit is a gate list in program order.  Its DAG, `Circuit.edges`, the
-transitive reduction of the shared-qubit precedence relation, is derived
-from the gates on first read, which no pipeline stage makes, and is
-immutable.  Python 3.11's `cached_property` builds it under a lock shared
-by all circuits; from 3.12 it takes none, so two threads that read it
-first at once may each build it, and build equal sets.
+A circuit is a gate list in program order, checked when it is built: its
+width is an int >= 0 (a bool is none), no two gates share an id, and
+every qubit is below the width.  The first fault in program order raises
+a ValueError.  Its DAG, `Circuit.edges`, the transitive reduction of the
+shared-qubit precedence relation, is derived from the gates on first
+read, which no pipeline stage makes, and is immutable.  Python 3.11's
+`cached_property` builds it under a lock shared by all circuits; from
+3.12 it takes none, so two threads that read it first at once may each
+build it, and build equal sets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 
-from .gates import Gate
+from .gates import Gate, is_qubit
 
 
 @dataclass(frozen=True)
 class Circuit:
     width: int
-    gates: tuple[Gate, ...]
+    gates: tuple[Gate, ...]   # stored as a tuple, so the circuit hashes
+
+    def __post_init__(self):
+        width, gates = self.width, self.gates
+        # a width is an integer and not a bool, as a qubit is
+        if not is_qubit(width):
+            raise ValueError(f"circuit width must be an int, got {width!r}")
+        if width < 0:
+            raise ValueError(f"circuit width must be >= 0, got {width}")
+        if type(gates) is not tuple:
+            gates = tuple(gates)
+            object.__setattr__(self, "gates", gates)
+        ids = [g.id for g in gates]
+        if len(set(ids)) != len(ids) or (gates and max(q for g in gates for q in g.qubits) >= width):
+            _raise_first_fault(gates, width)
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -60,14 +77,10 @@ class Circuit:
 
 
 def build_dag(gates: list[Gate], width: int) -> Circuit:
-    """The Circuit of `gates` in program order, once no two gates share an
-    id and every qubit is below `width`; `Circuit.edges` is its DAG."""
-    if width < 0:
-        raise ValueError(f"circuit width must be >= 0, got {width}")
-    ids = [g.id for g in gates]
-    if len(set(ids)) != len(ids) or (gates and max(q for g in gates for q in g.qubits) >= width):
-        _raise_first_fault(gates, width)
-    return Circuit(width=width, gates=tuple(gates))
+    """The checked Circuit of `gates` in program order; `Circuit.edges` is
+    its DAG.  The generators and the translation build every circuit
+    through this name, which `perfbench/spans.py` times."""
+    return Circuit(width, gates)
 
 
 def _reaches(succs: list[list[int]], src: int, dst: int) -> bool:
@@ -84,7 +97,7 @@ def _reaches(succs: list[list[int]], src: int, dst: int) -> bool:
     return False
 
 
-def _raise_first_fault(gates: list[Gate], width: int) -> None:
+def _raise_first_fault(gates: tuple[Gate, ...], width: int) -> None:
     """Raise for the first gate, in program order, with a repeated id or a
     qubit out of range."""
     seen_ids: set[int] = set()

@@ -37,7 +37,6 @@ class GateType(Enum):
     def __init__(self, value: str):
         self.n_qubits: int = 2 if value in ("ZZ", "RZZ", "Rxxyyzz", "CX") else 1
         self.n_params: int = {"U1q": 2, "Rz": 1, "RZZ": 1, "Rxxyyzz": 3, "RX": 1}.get(value, 0)
-        self.is_native: bool = value in ("U1q", "Rz", "ZZ", "RZZ", "Rxxyyzz")
         self.is_abstract: bool = value in ("H", "X", "RX", "CX")
 
 

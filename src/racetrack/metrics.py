@@ -13,7 +13,7 @@ duration` in place.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .machine import FidelityParams
 from .trace import EventKind, Trace
@@ -150,9 +150,6 @@ class FidelityLedger:
     @property
     def i_total(self) -> float:
         return 1.0 - self.f_total
-
-    def as_dict(self) -> dict[str, float]:
-        return {**asdict(self), "f_total": self.f_total, "i_total": self.i_total}
 
 
 def fidelity_report(tr: Trace, f: FidelityParams = FidelityParams()) -> FidelityLedger:

@@ -10,27 +10,31 @@ reorder zones while the chain goes round; such a candidate is charged
 `ReorderPlan.charge`, the one circulation charge, and the planner returns
 whichever candidate is cheapest.
 
-Both strategies edit one mutable working arrangement (`_Arrangement`).
-The fallback makes its plan in one walk per target: it looks the target's
-members up once, carries their crystal indices by arithmetic from there,
-and splits, bubbles, orients and combines them by editing the crystal list
-directly.  It emits the ops `ions.reorder_in_place` would apply one at a
-time, and the walk itself guarantees each of that function's checks; ops
-and crystals are built with `tuple.__new__`, skipping their Python-level
-constructors.  A bubble splits every pair it crosses, so a target combined
-earlier can come apart; targets are disjoint, so no other op breaks a
-target's pair, and the restore pass visits only the target pairs a bubble
-split.
+Both strategies edit one mutable working arrangement (`_Arrangement`),
+whose qubit index is exact at all times: a rewrite of the crystals from
+index `i` reindexes from `i` to the end, and an exchange reindexes its two
+crystals.  The final `IonState` is frozen from that index, and the ops are
+not replayed.  Replaying them one at a time through `ions.apply_reorder`
+gives the same final state, and the tests hold the planner to that and to
+the index of a freshly built state.
 
-The qubit index starts as a copy of the state's own `crystal_index`.  No
-qubit below the crystal where a target combines has moved, so the index
-is marked stale from there.  A lookup trusts a stored index whose crystal
-still holds the qubit; otherwise it reindexes the stale tail up to the
-qubit's crystal.  The final `IonState` is frozen from that index: the
-stale tail is indexed once more, and neither the index nor its duplicate
-check is rebuilt.  The ops are not replayed.  Replaying them one at a time
-through `ions.apply_reorder` gives the same final state, and the tests
-hold the planner to that and to the index of a freshly built state.
+The fallback makes its plan in one walk per target: it reads the target's
+members from the index once, carries their crystal indices by arithmetic
+from there, and splits, bubbles, orients and combines them by editing the
+crystal list directly.  It emits the ops `ions.reorder_in_place` would
+apply one at a time, and the walk itself guarantees each of that
+function's checks; ops and crystals are built with `tuple.__new__`,
+skipping their Python-level constructors.
+
+Two invariants, both from the targets being disjoint, leave the planner
+nothing to check again:
+- A boundary exchange rewrites only the two crystals holding one target's
+  members, so it breaks no other target, and no later exchange touches a
+  target once it is combined.
+- A bubble splits every pair it crosses, so a target combined earlier can
+  come apart, but only into the adjacent singles ->x, <-y, which later
+  bubbles cross together with their order and facing kept.  One COMBINE
+  restores it, and only the target pairs a bubble split are visited.
 
 This module is the only place a plan is costed, and `_costed` is the
 staging rule.  Each cost is computed once per plan, in one walk over its
@@ -90,70 +94,40 @@ class ReorderPlan:
 class _Arrangement:
     """Mutable working copy of an arrangement's crystals for one plan.
 
-    `_index` maps each qubit to its crystal index; it starts as a copy of
-    the state's own index.  A split or combine shifts every crystal to its
-    right, so whoever applies one marks the map stale from there; a
-    boundary exchange keeps crystal positions and updates the map in place.
-    A lookup trusts a stored index whose crystal still holds the qubit.
-    Otherwise the qubit sits at or above the stale mark, since every crystal
-    below it is indexed, and the lookup reindexes the tail up to its crystal.
+    `index` maps each qubit to its crystal index and is exact at all times.
+    A split or combine shifts every crystal to its right, so whoever rewrites
+    the crystals from `i` on reindexes from `i` to the end; a boundary
+    exchange keeps crystal positions and reindexes its two crystals.
     """
 
-    __slots__ = ("crystals", "_index", "_stale_from")
+    __slots__ = ("crystals", "index")
 
     def __init__(self, s: IonState):
         self.crystals: list[Crystal] = list(s.crystals)
-        self._index: dict[int, int] = dict(s.crystal_index)
-        self._stale_from = len(self.crystals)
+        self.index: dict[int, int] = dict(s.crystal_index)
 
-    def crystal_of(self, qubit: int) -> int:
+    def reindex(self, start: int) -> None:
+        """Index every crystal from `start` to the end again."""
         cs = self.crystals
-        index = self._index
-        i = index[qubit]
-        if i < len(cs) and qubit in cs[i].qubits:
-            return i
-        # the qubit sits in the stale tail: reindex the tail up to its crystal
-        i = self._stale_from
-        while True:
-            qubits = cs[i].qubits
-            for q in qubits:
+        index = self.index
+        for i in range(start, len(cs)):
+            for q in cs[i][0]:
                 index[q] = i
-            i += 1
-            if qubit in qubits:
-                self._stale_from = i
-                return i - 1
-
-    def paired(self, a: int, b: int) -> bool:
-        c = self.crystals[self.crystal_of(a)]
-        return c.is_pair and set(c.qubits) == {a, b}
 
     def exchange(self, left: int) -> ReorderOp:
         """Apply a boundary exchange at `left`; the two crystals keep their
-        positions, so the index is updated in place."""
+        positions, so only their qubits are reindexed."""
         cs = self.crystals
         op = ReorderOp(PAIR_EXCHANGE, cs[left].qubits + cs[left + 1].qubits, left)
         reorder_in_place(cs, op)
-        if left < self._stale_from:
-            for j in (left, left + 1):
-                for q in cs[j].qubits:
-                    self._index[q] = j
+        for j in (left, left + 1):
+            for q in cs[j].qubits:
+                self.index[q] = j
         return op
 
-    def mark_stale(self, index: int) -> None:
-        """Crystals from `index` on may have moved since the last lookup."""
-        if index < self._stale_from:
-            self._stale_from = index
-
     def frozen(self) -> IonState:
-        """The arrangement as an `IonState` whose index is this map, with
-        the stale tail indexed once; every crystal below it is indexed
-        already."""
-        cs = self.crystals
-        index = self._index
-        for i in range(self._stale_from, len(cs)):
-            for q in cs[i][0]:
-                index[q] = i
-        return IonState._indexed(tuple(cs), index)
+        """The arrangement as an `IonState` whose index is this map."""
+        return IonState._indexed(tuple(self.crystals), self.index)
 
 
 def _costed(ops: list[ReorderOp], final: IonState, m: Machine) -> ReorderPlan:
@@ -215,36 +189,31 @@ def _costed(ops: list[ReorderOp], final: IonState, m: Machine) -> ReorderPlan:
     )
 
 
-def _pair_sets(crystals) -> set[frozenset[int]]:
-    return {frozenset(c.qubits) for c in crystals if c.is_pair}
-
-
 def _try_boundary_exchanges(
     work: _Arrangement, targets: list[tuple[int, int]], ops: list[ReorderOp]
 ) -> bool:
-    """Satisfy every target with at most one boundary exchange each, never
-    disturbing a pair another target needs, appending each exchange to
-    `ops` as it is applied.  Returns False if impossible; `work` is then
-    edited only if `ops` is not empty."""
-    wanted = {frozenset(p) for p in targets}
-    cs = work.crystals
+    """Satisfy every target with at most one boundary exchange each,
+    appending each exchange to `ops` as it is applied.  Returns False if
+    impossible; `work` is then edited only if `ops` is not empty.
+
+    No exchange can break another target, so none is checked again.
+    Targets are disjoint, and an exchange rewrites only the two crystals
+    that hold the current target's members.  Any other pair in those two
+    crystals holds a member with a non-partner, so it is no target.  Each
+    target is checked right after its exchange, and later exchanges never
+    touch its crystal.
+    """
+    index = work.index
     for a, b in targets:
-        if work.paired(a, b):
+        ia, ib = index[a], index[b]
+        if ia == ib:  # the crystal holding both members is their pair
             continue
-        ia, ib = work.crystal_of(a), work.crystal_of(b)
         if abs(ia - ib) != 1:
             return False
-        left = min(ia, ib)
-        # an exchange only regroups the two crystals it acts on, so only
-        # their wanted pairs can break
-        before = _pair_sets(cs[left : left + 2]) & wanted
-        ops.append(work.exchange(left))
-        if not work.paired(a, b):
+        ops.append(work.exchange(min(ia, ib)))
+        if index[a] != index[b]:
             return False
-        if not before <= _pair_sets(cs[left : left + 2]):
-            return False
-    # verify everything held up
-    return all(work.paired(a, b) for a, b in targets)
+    return True
 
 
 def _fallback_plan(work: _Arrangement, targets: list[tuple[int, int]]) -> list[ReorderOp]:
@@ -252,28 +221,28 @@ def _fallback_plan(work: _Arrangement, targets: list[tuple[int, int]]) -> list[R
     bubble the right member (the mover) leftward next to its partner,
     splitting every pair in the way, then orient and combine.
 
-    `targets` come sorted by their lower qubit.  Each target looks its
-    members up once and carries their indices from there: a split at `p`
-    moves every crystal above `p` up by one.  A split member that was a
-    pair's right qubit moves up too, while the qubit it leaves behind stays
-    put; so no qubit below the combine's index has moved, and the index is
-    marked stale from there.
+    `targets` come sorted by their lower qubit.  Each target reads its
+    members' indices from the exact index once and carries them by
+    arithmetic from there: a split at `p` moves every crystal above `p` up
+    by one.  A split member that was a pair's right qubit moves up too,
+    while the qubit it leaves behind stays put; so no qubit below the
+    combine's index has moved, and the index is rebuilt from there.
 
     The bubble, the orientation and the combine are one rewrite of the
     segment from the partner to the mover: a single in the way costs one
     exchange, and a pair (x, y) in the way is split and its ions are
     crossed one at a time, so it stays behind the mover as ->x, <-y.  A
-    pair a bubble splits may be a target's; the restore pass combines each
-    such target that is still split, in target order.  No other target
-    needs it, because member splits break no target's pair.
+    pair a bubble splits may be a target's; `_restore` combines each such
+    target that is still split.  No other target needs it, because member
+    splits break no target's pair.
     """
     ops: list[ReorderOp] = []
     cs = work.crystals
-    crystal_of = work.crystal_of
+    index = work.index
     new = tuple.__new__
     broken: list[tuple[int, int]] = []   # qubits of every pair a bubble split
     for a, b in targets:
-        ia, ib = crystal_of(a), crystal_of(b)
+        ia, ib = index[a], index[b]
         if ia == ib:  # the crystal holding both members is their pair
             continue
         # split each member out of its pair; no such pair is another
@@ -321,7 +290,7 @@ def _fallback_plan(work: _Arrangement, targets: list[tuple[int, int]]) -> list[R
         segment.append(new(Crystal, (lq + mq, True, True)))
         segment.reverse()
         cs[left : mover + 1] = segment
-        work.mark_stale(left)
+        work.reindex(left)
     if broken:
         _restore(work, targets, broken, ops)
     return ops
@@ -329,31 +298,31 @@ def _fallback_plan(work: _Arrangement, targets: list[tuple[int, int]]) -> list[R
 
 def _restore(work: _Arrangement, targets: list[tuple[int, int]],
              broken: list[tuple[int, int]], ops: list[ReorderOp]) -> None:
-    """Combine again, in target order, each target pair in `broken` that is
-    still split.  Crossing keeps a split pair's ions adjacent."""
+    """Combine again each target pair in `broken` that is still split, in
+    order of its lower qubit, with one COMBINE at its left ion's crystal.
+
+    No swap is needed.  A crossing leaves the pair (x, y) as the adjacent
+    singles ->x, <-y.  A later bubble crosses both or neither, since
+    neither ion belongs to another target, and crossing a single keeps its
+    order and facing.  So y sits right of x, which the one check asserts.
+    """
     partner = {}
     for a, b in targets:
         partner[a] = b
         partner[b] = a
     split = {min(x, y): (x, y) for x, y in broken if partner.get(x) == y}
     cs = work.crystals
+    index = work.index
     for low in sorted(split):
         x, y = split[low]
-        ix = work.crystal_of(x)
-        if y in cs[ix][0]:   # its own turn combined it after the split
+        ix, iy = index[x], index[y]
+        if ix == iy:   # its own turn combined it after the split
             continue
-        iy = work.crystal_of(y)
-        if abs(ix - iy) != 1:  # pragma: no cover - crossings keep them adjacent
+        if iy != ix + 1:  # pragma: no cover - crossings keep them adjacent
             raise AssertionError("split target pair drifted apart")
-        left = min(ix, iy)
-        a, b = cs[left].qubits, cs[left + 1].qubits
-        if not cs[left].facing_right:
-            ops.append(ReorderOp(SWAP, a, left))
-        if cs[left + 1].facing_right:
-            ops.append(ReorderOp(SWAP, b, left + 1))
-        ops.append(ReorderOp(COMBINE, a + b, left))
-        cs[left : left + 2] = [Crystal(a + b)]
-        work.mark_stale(left)
+        ops.append(ReorderOp(COMBINE, (x, y), ix))
+        cs[ix : ix + 2] = [Crystal((x, y))]
+        work.reindex(ix)
 
 
 def _checked_targets(s: IonState, target_pairs) -> list[tuple[int, int]]:

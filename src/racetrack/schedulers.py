@@ -74,9 +74,11 @@ is equal, and keeps `(state planned from, plan)` only while the set has
 uses left.  A None set is a pass-mode 1Q pass, whose plan splits every
 pair.  The 1Q pass after a 2Q pass starts from the 2Q plan's final, so
 the split-all plan made from that final is kept with the 2Q plan and
-dropped with it; a reused 2Q plan brings it back, and it is reused only
-while the state is that final itself.  The generator's locals are the only
-store, so no plan outlives `schedule`.
+dropped with it; a reused 2Q plan brings it back.  A 1Q pass either opens
+the schedule or follows a 2Q pass, as two 1Q passes are never adjacent,
+so the state it starts from is the latest 2Q plan's final whenever there
+is one.  The generator's locals are the only store, so no plan outlives
+`schedule`.
 
 A one-dimensional transition's REORDER lists `ReorderPlan.operands`, the
 sorted qubits of the plan's ops, which a plan computes once however often
@@ -217,15 +219,17 @@ class _Engine:
         A 2Q plan is kept as the entry `[state planned from, plan, split-all
         plan from its final]`, the last filled in when a None set first
         follows the plan.  So a reused 2Q plan brings back the split-all
-        plan that followed it, which is reused while the state is that
-        plan's `final` itself; the entry is dropped with the plan.
+        plan that followed it; the entry is dropped with the plan.  A None
+        set that follows a 2Q set starts from that plan's `final`, which
+        `transit` has just made the state, and a None set never follows
+        another, so only a None set that opens the schedule has no entry.
         """
         uses_left = Counter(targets for targets in target_sets if targets is not None)
         kept: dict[tuple[tuple[int, ...], ...], list] = {}
         entry = None   # that of the latest 2Q set
         for targets in target_sets:
             if targets is None:
-                if entry is None or self.state is not entry[1].final:
+                if entry is None:
                     yield split_all_plan(self.state, self.m)
                     continue
                 if entry[2] is None:

@@ -12,7 +12,11 @@ Planner references: `bubble_left_in_place` is the bubble primitive the
 planner used before it built each fallback plan in one walk, and
 `plan_reorder_reference` the ops and final state it planned then: every
 member looked up by a scan of the crystals, the bubble applied by that
-primitive, and every target checked again after the bubbles.
+primitive, and every target checked again after the bubbles.  Its first
+try, `boundary_exchanges_reference`, applies each exchange through
+`ions.apply_reorder` and keeps the general checks the planner proves
+needless: no exchange breaks a wanted pair, and every target is combined
+at the end.  Only the target check, `planner._checked_targets`, is shared.
 
 Front-end references: `build_dag_reference` is the id-keyed DAG build that
 `Circuit.edges` replaced (chain edges collected first, each redundant one
@@ -37,7 +41,7 @@ from racetrack.ions import (
     COMBINE, PAIR_EXCHANGE, SPLIT, SWAP, Crystal, IonState, ReorderOp, apply_reorder, reorder_durations,
 )
 from racetrack.machine import TimingParams
-from racetrack.planner import _Arrangement, _checked_targets, _try_boundary_exchanges
+from racetrack.planner import _checked_targets
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -230,28 +234,60 @@ def bubble_left_in_place(cs: list[Crystal], left: int, mover: int) -> list[Reord
     return ops
 
 
+def _crystal_of(cs, q: int) -> int:
+    """The index of the crystal holding `q`, found by a scan of `cs`."""
+    return next(i for i, c in enumerate(cs) if q in c.qubits)
+
+
+def _paired(cs, a: int, b: int) -> bool:
+    c = cs[_crystal_of(cs, a)]
+    return c.is_pair and set(c.qubits) == {a, b}
+
+
+def boundary_exchanges_reference(
+    s: IonState, targets: list[tuple[int, int]]
+) -> tuple[list[ReorderOp], IonState] | None:
+    """The planner's first try: at most one boundary exchange per target,
+    in target order, or None if that cannot combine every target without
+    breaking a pair another target wants."""
+    wanted = {frozenset(p) for p in targets}
+
+    def wanted_pairs(s: IonState) -> set[frozenset[int]]:
+        return {frozenset(c.qubits) for c in s.crystals if c.is_pair} & wanted
+
+    ops: list[ReorderOp] = []
+    for a, b in targets:
+        if _paired(s.crystals, a, b):
+            continue
+        ia, ib = _crystal_of(s.crystals, a), _crystal_of(s.crystals, b)
+        if abs(ia - ib) != 1:
+            return None
+        left = min(ia, ib)
+        op = ReorderOp(PAIR_EXCHANGE, s.crystals[left].qubits + s.crystals[left + 1].qubits, left)
+        before = wanted_pairs(s)
+        s, _ = apply_reorder(s, op)
+        ops.append(op)
+        if not _paired(s.crystals, a, b) or not before <= wanted_pairs(s):
+            return None
+    if not all(_paired(s.crystals, a, b) for a, b in targets):
+        return None
+    return ops, s
+
+
 def plan_reorder_reference(s: IonState, target_pairs) -> tuple[list[ReorderOp], IonState]:
     """The ops and final state of `planner.plan_reorder` for `target_pairs`.
 
-    Target checks and boundary exchanges are the planner's own; the
-    fallback splits the members out of their pairs, bubbles the right
-    member leftward next to its partner, orients and combines, and then
-    combines again every target a later bubble split.
+    `boundary_exchanges_reference` is tried first; the fallback splits the
+    members out of their pairs, bubbles the right member leftward next to
+    its partner, orients and combines, and then combines again every
+    target a later bubble split.
     """
     targets = _checked_targets(s, target_pairs)
-    work = _Arrangement(s)
+    exchanged = boundary_exchanges_reference(s, targets)
+    if exchanged is not None:
+        return exchanged
     ops: list[ReorderOp] = []
-    if _try_boundary_exchanges(work, targets, ops):
-        return ops, IonState(tuple(work.crystals))
-    ops = []
     cs = list(s.crystals)
-
-    def crystal_of(q: int) -> int:
-        return next(i for i, c in enumerate(cs) if q in c.qubits)
-
-    def paired(a: int, b: int) -> bool:
-        c = cs[crystal_of(a)]
-        return c.is_pair and set(c.qubits) == {a, b}
 
     def split(i: int):
         qs = cs[i].qubits
@@ -268,7 +304,7 @@ def plan_reorder_reference(s: IonState, target_pairs) -> tuple[list[ReorderOp], 
         cs[left : left + 2] = [Crystal(a + b)]
 
     for a, b in targets:
-        ia, ib = crystal_of(a), crystal_of(b)
+        ia, ib = _crystal_of(cs, a), _crystal_of(cs, b)
         if ia == ib:
             continue
         if cs[ia].is_pair:
@@ -287,9 +323,9 @@ def plan_reorder_reference(s: IonState, target_pairs) -> tuple[list[ReorderOp], 
         ops += bubble_left_in_place(cs, left, max(ia, ib))
         combine(left)
     for a, b in targets:
-        if paired(a, b):
+        if _paired(cs, a, b):
             continue
-        ia, ib = crystal_of(a), crystal_of(b)
+        ia, ib = _crystal_of(cs, a), _crystal_of(cs, b)
         assert abs(ia - ib) == 1, "split target pair drifted apart"
         combine(min(ia, ib))
     return ops, IonState(tuple(cs))

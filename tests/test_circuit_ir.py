@@ -18,7 +18,7 @@ from oracle import (
     translate_reference,
     validate_topology,
 )
-from racetrack.circuit import build_dag
+from racetrack.circuit import Circuit, build_dag
 from racetrack.gates import Gate, GateType, angles_close, canonical_angle
 from racetrack.textio import circuit_from_qasm, circuit_from_text, circuit_to_text
 from racetrack.translate import extract_2q_layers, one_qubit_phases, translate_to_native
@@ -87,14 +87,12 @@ class TestGate:
 
     def test_kind_attributes(self):
         two_qubit = {GateType.ZZ, GateType.RZZ, GateType.RXXYYZZ, GateType.CX}
-        native = {GateType.U1Q, GateType.RZ, GateType.ZZ, GateType.RZZ, GateType.RXXYYZZ}
         abstract = {GateType.H, GateType.X, GateType.RX, GateType.CX}
         n_params = {GateType.U1Q: 2, GateType.RZ: 1, GateType.RZZ: 1, GateType.RXXYYZZ: 3,
                     GateType.RX: 1}
         for kind in GateType:
             assert kind.n_qubits == (2 if kind in two_qubit else 1)
             assert kind.n_params == n_params.get(kind, 0)
-            assert kind.is_native is (kind in native)
             assert kind.is_abstract is (kind in abstract)
 
     def test_angle_canonicalization(self):
@@ -159,6 +157,21 @@ class TestBuildDag:
             build_dag(gates, 2)
         with pytest.raises(ValueError, match=r"^duplicate gate id 1$"):
             build_dag(gates[1:] + gates[:1], 2)
+
+    def test_a_directly_built_circuit_is_checked(self):
+        # the constructor runs the checks build_dag reports, with the same
+        # messages, and stores the gates as a tuple so the circuit hashes
+        with pytest.raises(ValueError, match=r"^qubit index 5 out of range for width 2 \(gate 0\)$"):
+            Circuit(2, (g(0, GateType.H, 5), g(0, GateType.H, 1)))
+        with pytest.raises(ValueError, match=r"^circuit width must be >= 0, got -3$"):
+            Circuit(-3, ())
+        for width in (True, 2.0, "2", None):
+            with pytest.raises(ValueError, match=r"^circuit width must be an int, got "):
+                Circuit(width, ())
+        gate = g(0, GateType.H, 1)
+        c = Circuit(2, [gate])
+        assert c.gates == (gate,) and type(c.gates) is tuple
+        assert hash(c) == hash(Circuit(2, (gate,))) and c == build_dag([gate], 2)
 
     def test_gate_lookup(self):
         c = build_dag([g(7, GateType.H, 0), g(3, GateType.CX, 0, 1)], 2)

@@ -59,6 +59,9 @@ def test_correct_reads_the_last_line_of_a_run():
     assert (ok.returncode, ok.stdout) == (0, "True 3 0\n")
     bad = run("correct", stdin='{"correct": false, "attempted": 3, "failed": 1}\n')
     assert (bad.returncode, bad.stdout) == (1, "False 3 1\n")
+    # a run that is correct but had a case raise or break the oracle fails too
+    failed = run("correct", stdin='{"correct": true, "attempted": 3, "failed": 1}\n')
+    assert (failed.returncode, failed.stdout) == (1, "True 3 1\n")
 
 
 def test_size_counts_the_modules_of_both_trees(tmp_path):
@@ -89,10 +92,15 @@ def test_public_api_lists_the_names_only_one_tree_has(tmp_path):
     trees = {
         "base": {"a.py": "import os\nX = 1\n_P = 2\nclass Gone:\n    def m(self): pass\n"
                          "class Kept:\n    f: int\n    def old(self): pass\n    def _h(self): pass\n"
+                         "    def __init__(self):\n        self.flag: bool = True\n        self._p = 1\n"
+                         "        self.kept = 0\n"
                          "def build(): pass\n",
                  "b.py": "def f(): pass\n"},
         "change": {"a.py": "import sys\nX = 2\nclass Kept:\n    f: int\n    g: int = 0\n"
-                           "    def new(self): pass\n    def _i(self): pass\nclass _Hidden:\n"
+                           "    def new(self): pass\n    def _i(self): pass\n"
+                           "    def __init__(self):\n        self.kept = self.later = 0\n"
+                           "    def other(self):\n        self.set_late = 1\n"
+                           "class _Hidden:\n"
                            "    def m(self): pass\n",
                    "c.py": "Y: int = 0\n"},
     }
@@ -107,10 +115,13 @@ def test_public_api_lists_the_names_only_one_tree_has(tmp_path):
         "### public API (- only in base, + only in change)",
         "```",
         "- racetrack.a.Gone",
+        "- racetrack.a.Kept.flag",
         "- racetrack.a.Kept.old",
         "- racetrack.a.build",
         "+ racetrack.a.Kept.g",
+        "+ racetrack.a.Kept.later",
         "+ racetrack.a.Kept.new",
+        "+ racetrack.a.Kept.other",
         "- racetrack.b.f",
         "+ racetrack.c.Y",
         "```",
