@@ -11,6 +11,7 @@ and CIRCULATE events.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -110,7 +111,10 @@ class IonState:
 
     @staticmethod
     def initial_pairs(n: int) -> "IonState":
-        """(->0,<-1)(->2,<-3)... with an odd trailing single facing left."""
+        """(->0,<-1)(->2,<-3)... with an odd trailing single facing left;
+        `n` is an int >= 0 (not a bool)."""
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+            raise ValueError(f"ion count must be an integer >= 0, got {n!r}")
         crystals = [Crystal((i, i + 1)) for i in range(0, n - 1, 2)]
         if n % 2:
             crystals.append(Crystal((n - 1,), facing_right=False))

@@ -138,11 +138,11 @@ class Machine:
     def lap(self, path_id: int = 0) -> float:
         """Circulation time of one path: the main loop's lap grows linearly
         with the gate-zone count from `lap_4zone` on the 4-zone track, and
-        a sub-loop takes its fraction of that."""
-        for pid, fraction in self.circulation_paths:
-            if pid == path_id:
-                return fraction * (self.gate_zones * self.timing.lap_4zone / 4.0)
-        raise KeyError(f"unknown circulation path {path_id}")
+        a sub-loop takes its fraction of that.  A path id is an int (not a
+        bool) from 0 to the shortcut count."""
+        if type(path_id) is not int or not 0 <= path_id < len(self.circulation_paths):
+            raise ValueError(f"unknown circulation path {path_id!r}")
+        return self.circulation_paths[path_id][1] * (self.gate_zones * self.timing.lap_4zone / 4.0)
 
     def shortest_path(self, min_fraction: float = 0.0) -> int:
         """The shortest circulation path whose fraction of the main loop is

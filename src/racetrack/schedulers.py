@@ -371,6 +371,10 @@ def schedule(c: Circuit, m: Machine, policy: str, flags: PolicyFlags | None = No
 
     `flags` applies to "plutarch" only; "rolodex" and "tilt" take None.
     """
+    if not isinstance(c, Circuit):
+        raise ValueError(f"schedule needs a Circuit, got {c!r}")
+    if not isinstance(m, Machine):
+        raise ValueError(f"schedule needs a Machine, got {m!r}")
     transition, pipelining = _policy(policy, flags)
     eng = _Engine(c, m, transition, pipelining)
     if transition is _Transition.IN_PLACE:

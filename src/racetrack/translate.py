@@ -54,6 +54,8 @@ def translate_to_native(c: Circuit, expand_rzz: bool = False) -> Circuit:
     transitive reduction drops never lengthen a path.  The same walk reads
     each gate's rows from the table and builds one gate per row.
     """
+    if not isinstance(c, Circuit):
+        raise ValueError(f"translate_to_native needs a Circuit, got {c!r}")
     table = _NATIVE_EXPANDED if expand_rzz else _NATIVE
     depth = [0] * c.width
     out: list[Gate] = []

@@ -8,7 +8,11 @@ quantum Reed-Muller ([[n, n-2, 2]]) encoders.
 
 Every generator is a pure function of its arguments; the power-law graph
 uses a seeded 64-bit linear congruential generator (Knuth's MMIX
-constants) so outputs are platform-independent.  Each size (a qubit,
+constants) so outputs are platform-independent.  A generator lists its
+gates as rows, `(kind, qubits)` or `(kind, qubits, params)`, in program
+order, and one builder, `_circuit`, numbers the rows in that order and
+checks the circuit through `build_dag`; so no generator numbers or copies
+gates, and composite circuits concatenate rows.  Each size (a qubit,
 block, layer or repetition count) goes through `machine._check_count`
 before its generator's own lower bound, so a float or bool size, like a
 graph kind that is no `GraphKind`, a seed that is no integer or a graph
@@ -17,6 +21,7 @@ that is no `GraphSpec`, raises a `ValueError` naming it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
@@ -29,25 +34,22 @@ PI = math.pi
 
 
 # ---------------------------------------------------------------------------
-# deterministic PRNG for graph construction
+# gate rows and the deterministic PRNG
 
-_LCG_A = 6364136223846793005
-_LCG_C = 1442695040888963407
-_LCG_MASK = (1 << 64) - 1
+def _circuit(width: int, rows: list[tuple]) -> Circuit:
+    """The checked circuit of `rows`, each (kind, qubits) or (kind, qubits,
+    params), with the gates numbered in row order."""
+    return build_dag([Gate(i, *row) for i, row in enumerate(rows)], width)
 
 
-class Lcg:
-    """64-bit linear congruential generator, top-bits output."""
-
-    def __init__(self, seed: int):
-        self.state = (seed ^ 0x9E3779B97F4A7C15) & _LCG_MASK
-
-    def next_u64(self) -> int:
-        self.state = (_LCG_A * self.state + _LCG_C) & _LCG_MASK
-        return self.state
-
-    def uniform(self) -> float:
-        return (self.next_u64() >> 11) / float(1 << 53)
+def _lcg_uniform(seed: int) -> Iterator[float]:
+    """Floats in [0, 1): the top 53 bits of each state of a 64-bit linear
+    congruential generator with Knuth's MMIX constants."""
+    mask = (1 << 64) - 1
+    state = (seed ^ 0x9E3779B97F4A7C15) & mask
+    while True:
+        state = (6364136223846793005 * state + 1442695040888963407) & mask
+        yield (state >> 11) / float(1 << 53)
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +95,13 @@ class GraphSpec:
     def _powerlaw_edges(self) -> list[tuple[int, int]]:
         # Preferential attachment, one edge per new node; attachment
         # probability proportional to degree + 1.
-        rng = Lcg(self.seed)
+        uniform = _lcg_uniform(self.seed)
         deg = [0] * self.n
         edges: list[tuple[int, int]] = []
         for v in range(1, self.n):
             weights = [deg[u] + 1.0 for u in range(v)]
             total = sum(weights)
-            r = rng.uniform() * total
+            r = next(uniform) * total
             acc = 0.0
             target = v - 1
             for u, w in enumerate(weights):
@@ -115,26 +117,19 @@ class GraphSpec:
 
 def swap_network_rounds(n: int) -> list[list[tuple[int, int]]]:
     """Odd-even transposition network: per round, the logical pairs meeting
-    at adjacent positions.  Every unordered pair appears exactly once over
-    the n rounds; interacting pairs swap positions after each round."""
+    at adjacent positions, which then swap positions.  Rounds start at even
+    and odd positions in turn; n such rounds reverse the order and so meet
+    every unordered pair exactly once (Knuth, TAOCP vol. 3, 5.3.4).  Empty
+    rounds are dropped: n rounds for n >= 3, one for n = 2, none for n = 1."""
     _check_count("n", n)
     pos = list(range(n))
     rounds: list[list[tuple[int, int]]] = []
-    seen: set[tuple[int, int]] = set()
-    r = 0
-    while len(seen) < n * (n - 1) // 2:
-        start = r % 2
-        round_pairs: list[tuple[int, int]] = []
-        for i in range(start, n - 1, 2):
-            a, b = pos[i], pos[i + 1]
-            key = (min(a, b), max(a, b))
-            if key not in seen:
-                seen.add(key)
-                round_pairs.append((a, b))
-                pos[i], pos[i + 1] = pos[i + 1], pos[i]
-        rounds.append(round_pairs)
-        r += 1
-    return [rp for rp in rounds if rp]
+    for r in range(n):
+        starts = range(r % 2, n - 1, 2)
+        rounds.append([(pos[i], pos[i + 1]) for i in starts])
+        for i in starts:
+            pos[i], pos[i + 1] = pos[i + 1], pos[i]
+    return [pairs for pairs in rounds if pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -173,46 +168,35 @@ def _parallel_tree_layers(n: int) -> tuple[list[list[tuple[int, int]]], int]:
     return layers, active[0]
 
 
+def _gadget_rows(n: int, alpha: float, variant: GadgetVariant) -> list[tuple]:
+    """The CXs that gather the parity of n qubits, the phase, and the same
+    CXs in reverse.  Parallel+RZZ fuses the tree's last CX, which has a
+    layer of its own, into the phase."""
+    phase = (GateType.RZ, (n - 1,), (alpha,))
+    if variant is GadgetVariant.LADDER:
+        pairs = [(i, i + 1) for i in range(n - 1)]
+    elif variant is GadgetVariant.FOUNTAIN:
+        pairs = [(i, n - 1) for i in range(n - 1)]
+    else:
+        layers, final = _parallel_tree_layers(n)
+        if variant is GadgetVariant.PARALLEL_RZZ:
+            [(c, t)] = layers.pop()
+            phase = (GateType.RZZ, (t, c), (alpha,))
+        else:
+            phase = (GateType.RZ, (final,), (alpha,))
+        pairs = [pair for layer in layers for pair in layer]
+    cxs = [(GateType.CX, pair) for pair in pairs]
+    return [*cxs, phase, *reversed(cxs)]
+
+
 def gen_phase_gadget(n: int, alpha: float, variant: GadgetVariant) -> Circuit:
     """exp(-i alpha/2 Z x ... x Z) over n qubits in the requested shape."""
-    gates: list[Gate] = []
-    emit = lambda kind, qs, ps=(): gates.append(Gate(len(gates), kind, qs, ps))
     _check_count("n", n)
     if n < 2:
         raise ValueError("phase gadget needs n >= 2")
     if not isinstance(variant, GadgetVariant):
         raise ValueError(f"unknown gadget variant {variant!r}")
-
-    if variant is GadgetVariant.LADDER:
-        chain = [(i, i + 1) for i in range(n - 1)]
-        for c, t in chain:
-            emit(GateType.CX, (c, t))
-        emit(GateType.RZ, (n - 1,), (alpha,))
-        for c, t in reversed(chain):
-            emit(GateType.CX, (c, t))
-    elif variant is GadgetVariant.FOUNTAIN:
-        hub = n - 1
-        for i in range(n - 1):
-            emit(GateType.CX, (i, hub))
-        emit(GateType.RZ, (hub,), (alpha,))
-        for i in reversed(range(n - 1)):
-            emit(GateType.CX, (i, hub))
-    else:
-        layers, final = _parallel_tree_layers(n)
-        fuse = variant is GadgetVariant.PARALLEL_RZZ and layers[-1]
-        body = layers[:-1] if fuse else layers
-        for layer in body:
-            for c, t in layer:
-                emit(GateType.CX, (c, t))
-        if fuse:
-            c, t = layers[-1][0]
-            emit(GateType.RZZ, (t, c), (alpha,))
-        else:
-            emit(GateType.RZ, (final,), (alpha,))
-        for layer in reversed(body):
-            for c, t in reversed(layer):
-                emit(GateType.CX, (c, t))
-    return build_dag(gates, n)
+    return _circuit(n, _gadget_rows(n, alpha, variant))
 
 
 # ---------------------------------------------------------------------------
@@ -227,22 +211,16 @@ def gen_qaoa(graph: GraphSpec, layers: int = 1) -> Circuit:
         raise ValueError(f"graph must be a GraphSpec, got {graph!r}")
     _check_count("layers", layers)
     n = graph.n
-    gates: list[Gate] = []
-    emit = lambda kind, qs, ps=(): gates.append(Gate(len(gates), kind, qs, ps))
-    for q in range(n):
-        emit(GateType.H, (q,))
+    if graph.kind is GraphKind.SK:
+        edges = [pair for pairs in swap_network_rounds(n) for pair in pairs]
+    else:
+        edges = graph.edges()
+    rows = [(GateType.H, (q,)) for q in range(n)]
     for p in range(1, layers + 1):
         gamma, beta = 0.1 * p, 0.1 * p
-        if graph.kind is GraphKind.SK:
-            for round_pairs in swap_network_rounds(n):
-                for a, b in round_pairs:
-                    emit(GateType.RZZ, (a, b), (gamma,))
-        else:
-            for a, b in graph.edges():
-                emit(GateType.RZZ, (a, b), (gamma,))
-        for q in range(n):
-            emit(GateType.RX, (q,), (beta,))
-    return build_dag(gates, n)
+        rows += [(GateType.RZZ, edge, (gamma,)) for edge in edges]
+        rows += [(GateType.RX, (q,), (beta,)) for q in range(n)]
+    return _circuit(n, rows)
 
 
 class VqeAnsatz(Enum):
@@ -255,44 +233,28 @@ def gen_vqe(ansatz: VqeAnsatz, n: int, depth: int = 1) -> Circuit:
     """Hardware-efficient and gadget-chain ansaetze.
 
     `depth` counts Pauli strings for the gadget-chain families and
-    repetitions for the brick/ring families.
+    repetitions for the brick/ring families.  Each repetition of a
+    brick/ring family opens with an RY wall.
     """
     _check_count("n", n)
     if n < 2:
         raise ValueError("ansatz needs n >= 2")
     _check_count("depth", depth)
+    if not isinstance(ansatz, VqeAnsatz):
+        raise ValueError(f"unknown ansatz {ansatz!r}")
     if ansatz is VqeAnsatz.PHASE_GADGET_CHAIN:
-        gates: list[Gate] = []
-        for s in range(depth):
-            part = gen_phase_gadget(n, 0.1 * (s + 1), GadgetVariant.PARALLEL_RZZ)
-            for g in part.gates:
-                gates.append(Gate(len(gates), g.kind, g.qubits, g.params))
-        return build_dag(gates, n)
-
-    gates = []
-    emit = lambda kind, qs, ps=(): gates.append(Gate(len(gates), kind, qs, ps))
-    if ansatz is VqeAnsatz.TWO_LOCAL_HWEA:
-        for rep in range(depth):
-            theta = 0.1 * (rep + 1)
-            for q in range(n):
-                emit(GateType.U1Q, (q,), (theta, PI / 2))  # RY
-            for i in range(0, n - 1, 2):
-                emit(GateType.CX, (i, i + 1))
-            for i in range(1, n - 1, 2):
-                emit(GateType.CX, (i, i + 1))
-    elif ansatz is VqeAnsatz.CIRCULAR_SU2:
-        for rep in range(depth):
-            theta = 0.1 * (rep + 1)
-            for q in range(n):
-                emit(GateType.U1Q, (q,), (theta, PI / 2))  # RY
-            for q in range(n):
-                emit(GateType.RZ, (q,), (theta / 2,))
-            emit(GateType.CX, (n - 1, 0))
-            for i in range(n - 1):
-                emit(GateType.CX, (i, i + 1))
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown ansatz {ansatz}")
-    return build_dag(gates, n)
+        return _circuit(n, [row for s in range(depth)
+                            for row in _gadget_rows(n, 0.1 * (s + 1), GadgetVariant.PARALLEL_RZZ)])
+    rows: list[tuple] = []
+    for rep in range(depth):
+        theta = 0.1 * (rep + 1)
+        rows += [(GateType.U1Q, (q,), (theta, PI / 2)) for q in range(n)]  # RY
+        if ansatz is VqeAnsatz.TWO_LOCAL_HWEA:
+            rows += [(GateType.CX, (i, i + 1)) for i in (*range(0, n - 1, 2), *range(1, n - 1, 2))]
+        else:   # the ring, from its closing CX (n-1, 0) on
+            rows += [(GateType.RZ, (q,), (theta / 2,)) for q in range(n)]
+            rows += [(GateType.CX, ((i - 1) % n, i)) for i in range(n)]
+    return _circuit(n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +265,10 @@ def gen_ghz(n: int) -> Circuit:
     _check_count("n", n)
     if n < 2:
         raise ValueError("GHZ needs n >= 2")
-    gates: list[Gate] = [Gate(0, GateType.H, (0,))]
-    depth = math.ceil(math.log2(n))
-    for s in range(depth):
-        offset = 1 << (depth - 1 - s)
-        for i in range(0, n, 2 * offset):
-            if i + offset < n:
-                gates.append(Gate(len(gates), GateType.CX, (i, i + offset)))
-    return build_dag(gates, n)
+    offsets = [1 << s for s in reversed(range(math.ceil(math.log2(n))))]
+    fan_out = [(GateType.CX, (i, i + offset))
+               for offset in offsets for i in range(0, n - offset, 2 * offset)]
+    return _circuit(n, [(GateType.H, (0,)), *fan_out])
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +291,11 @@ def gen_steane_encode(num_logical: int) -> Circuit:
     CXs.  Blocks are independent; 2Q depth stays 3 for any block count."""
     _check_count("num_logical", num_logical)
     n = STEANE_BLOCK * num_logical
-    gates: list[Gate] = []
-    for b in range(num_logical):
-        base = STEANE_BLOCK * b
-        for q in STEANE_H_QUBITS:
-            gates.append(Gate(len(gates), GateType.H, (base + q,)))
-    for layer in STEANE_CX_LAYERS:
-        for b in range(num_logical):
-            base = STEANE_BLOCK * b
-            for c, t in layer:
-                gates.append(Gate(len(gates), GateType.CX, (base + c, base + t)))
-    return build_dag(gates, n)
+    bases = range(0, n, STEANE_BLOCK)
+    rows = [(GateType.H, (base + q,)) for base in bases for q in STEANE_H_QUBITS]
+    rows += [(GateType.CX, (base + c, base + t))
+             for layer in STEANE_CX_LAYERS for base in bases for c, t in layer]
+    return _circuit(n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +311,10 @@ def expand_transversal(logical: Circuit, prelude: Circuit) -> Circuit:
     width = STEANE_BLOCK * logical.width
     if prelude.width != width:
         raise ValueError("prelude width does not match expanded width")
-    gates: list[Gate] = []
-    for g in prelude.gates:
-        gates.append(Gate(len(gates), g.kind, g.qubits, g.params))
-    for g in logical.gates:
-        for i in range(STEANE_BLOCK):
-            phys = tuple(STEANE_BLOCK * q + i for q in g.qubits)
-            gates.append(Gate(len(gates), g.kind, phys, g.params))
-    return build_dag(gates, width)
+    rows = [(g.kind, g.qubits, g.params) for g in prelude.gates]
+    rows += [(g.kind, tuple(STEANE_BLOCK * q + i for q in g.qubits), g.params)
+             for g in logical.gates for i in range(STEANE_BLOCK)]
+    return _circuit(width, rows)
 
 
 def gen_msd_7to1() -> Circuit:
@@ -377,22 +325,14 @@ def gen_msd_7to1() -> Circuit:
     block is decoded and measured.  Expanded transversally after the
     8-block Steane encoder.
     """
-    lg: list[Gate] = []
-    emit = lambda kind, qs, ps=(): lg.append(Gate(len(lg), kind, qs, ps))
-    emit(GateType.H, (0,))
-    emit(GateType.CX, (0, 1))
-    for q in range(1, 8):
-        emit(GateType.RZ, (q,), (PI / 4,))  # the seven T-state inputs
+    rows = [(GateType.H, (0,)), (GateType.CX, (0, 1))]
+    rows += [(GateType.RZ, (q,), (PI / 4,)) for q in range(1, 8)]  # the seven T-state inputs
     # inverse block encoder on L1..L7 (CX depths reversed, then H on pivots)
-    for layer in reversed(STEANE_CX_LAYERS):
-        for c, t in reversed(layer):
-            emit(GateType.CX, (1 + c, 1 + t))
-    for q in STEANE_H_QUBITS:
-        emit(GateType.H, (1 + q,))
-    for q in range(1, 8):
-        emit(GateType.MEASURE, (q,))
-    logical = build_dag(lg, 8)
-    return expand_transversal(logical, prelude=gen_steane_encode(8))
+    rows += [(GateType.CX, (1 + c, 1 + t))
+             for layer in reversed(STEANE_CX_LAYERS) for c, t in reversed(layer)]
+    rows += [(GateType.H, (1 + q,)) for q in STEANE_H_QUBITS]
+    rows += [(GateType.MEASURE, (q,)) for q in range(1, 8)]
+    return expand_transversal(_circuit(8, rows), prelude=gen_steane_encode(8))
 
 
 def gen_ghz_logical(num_logical: int = 8) -> Circuit:
@@ -422,9 +362,5 @@ def gen_qrm_encode(n: int, basis: QrmBasis) -> Circuit:
         raise ValueError(f"unknown QRM basis {basis!r}")
     if basis is QrmBasis.Z:
         return gen_ghz(n)
-    gates: list[Gate] = []
-    for q in range(n - 1):
-        gates.append(Gate(len(gates), GateType.H, (q,)))
-    for q in range(n - 1):
-        gates.append(Gate(len(gates), GateType.CX, (q, n - 1)))
-    return build_dag(gates, n)
+    return _circuit(n, [(GateType.H, (q,)) for q in range(n - 1)]
+                    + [(GateType.CX, (q, n - 1)) for q in range(n - 1)])

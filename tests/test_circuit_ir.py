@@ -215,6 +215,12 @@ class TestTranslate:
         assert n.n_gates == 1 and n.gates[0].kind is GateType.RZZ
         assert n.gates[0].params == (0.3,)
 
+    @pytest.mark.parametrize("c", ["x", None, [Gate(0, GateType.H, (0,))]])
+    def test_a_record_that_is_no_circuit_is_named(self, c):
+        with pytest.raises(ValueError) as err:
+            translate_to_native(c)
+        assert str(err.value) == f"translate_to_native needs a Circuit, got {c!r}"
+
     def test_rzz_expansion_op_count(self):
         # Lowering through CX costs 11 native ops where native RZZ costs 1.
         c = build_dag([g(0, GateType.RZZ, 0, 1, params=(0.7,))], 2)

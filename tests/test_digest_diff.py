@@ -135,9 +135,9 @@ def test_a_wrong_command_prints_the_usage():
     assert out.returncode == 2 and "digest_diff.py size BASE CHANGE" in out.stderr
 
 
-# a tree whose perfbench/pipeline.py schedules one small circuit with this
-# checkout's racetrack; REVERSED plans every transition with its ops in
-# reverse order, which keeps every op count
+# a tree whose perfbench/pipeline.py schedules one small circuit, SK-QAOA on
+# 8 qubits with LAYERS layers, with this checkout's racetrack; REVERSED plans
+# every transition with its ops in reverse order, which keeps every op count
 FAKE_PIPELINE = '''
 import dataclasses
 import sys
@@ -148,6 +148,7 @@ from racetrack import machine, schedulers, translate, workloads
 
 WORKLOADS = {{"tiny": None}}
 REVERSED = {reversed!r}
+LAYERS = {layers!r}
 
 
 def import_racetrack():
@@ -163,17 +164,36 @@ def import_racetrack():
 
 
 def build_cases(rt, workload, seed):
-    circuit = workloads.gen_qaoa(workloads.GraphSpec(workloads.GraphKind.SK, 8), 1)
-    return [SimpleNamespace(circuit=circuit, machine=machine.make_machine(4), policy=policy, flags=None)
+    circuit = workloads.gen_qaoa(workloads.GraphSpec(workloads.GraphKind.SK, 8), LAYERS)
+    return [SimpleNamespace(circuit_name="sk8", circuit=circuit, machine=machine.make_machine(4),
+                            policy=policy, flags=None)
             for policy in ("rolodex", "tilt", "plutarch")]
 '''
 
 
-def fake_tree(path, reversed_ops=False):
+def fake_tree(path, reversed_ops=False, layers=1):
     (path / "perfbench").mkdir(parents=True)
     src = str(SCRIPT.parent.parent / "src")
-    (path / "perfbench" / "pipeline.py").write_text(FAKE_PIPELINE.format(src=src, reversed=reversed_ops))
+    (path / "perfbench" / "pipeline.py").write_text(
+        FAKE_PIPELINE.format(src=src, reversed=reversed_ops, layers=layers))
     return path
+
+
+def test_translations_list_each_changed_circuit_once_per_expand_mode(tmp_path):
+    base = fake_tree(tmp_path / "base")
+    same = run("translations", base, base)
+    assert same.returncode == 0, same.stderr
+    assert same.stdout.splitlines() == [
+        "### translations", "```", "no translation changed",
+        "0 of 2 circuit translations changed", "```"]
+    # reordered plans leave the translations as they are
+    reordered = run("translations", base, fake_tree(tmp_path / "reversed", reversed_ops=True))
+    assert reordered.stdout == same.stdout
+    deeper = run("translations", base, fake_tree(tmp_path / "deeper", layers=2))
+    assert deeper.returncode == 0, deeper.stderr
+    assert deeper.stdout.splitlines() == [
+        "### translations", "```", "tiny/sk8 expand_rzz=False", "tiny/sk8 expand_rzz=True",
+        "2 of 2 circuit translations changed", "```"]
 
 
 def test_plan_call_counts_give_calls_ops_and_a_plan_hash(tmp_path):

@@ -91,7 +91,7 @@ class TestTimingParams:
 class TestTrack:
     def test_lap_default(self):
         assert make_machine(4).lap(0) == 6200.0
-        with pytest.raises(KeyError, match="unknown circulation path 1"):
+        with pytest.raises(ValueError, match="unknown circulation path 1"):
             make_machine(4).lap(1)
 
     def test_lap_8zone(self):
@@ -105,8 +105,15 @@ class TestTrack:
     def test_half_shortcut_on_8zone(self):
         m = make_machine(8, shortcuts=[0.5])
         assert m.lap(1) == 6200.0
-        with pytest.raises(KeyError, match="unknown circulation path 2"):
+        with pytest.raises(ValueError, match="unknown circulation path 2"):
             m.lap(2)
+
+    @pytest.mark.parametrize("path_id", [2, -1, True, 1.0, "1", None])
+    def test_a_path_id_the_machine_lacks_is_named(self, path_id):
+        # a bool or a float must not read as path 1, nor -1 as the last path
+        with pytest.raises(ValueError) as err:
+            make_machine(8, shortcuts=(0.5,)).lap(path_id)
+        assert str(err.value) == f"unknown circulation path {path_id!r}"
 
     def test_three_paths_decreasing(self):
         m = make_machine(64, 64, [0.5, 0.25])
@@ -314,6 +321,16 @@ class TestReorderPrimitives:
         with pytest.raises(ValueError, match=message):
             apply_reorder(s, ReorderOp(tag, index=index))
         assert s.crystals == crystals
+
+    def test_initial_pairs(self):
+        assert IonState.initial_pairs(0).crystals == ()
+        assert IonState.initial_pairs(3).crystals == (Crystal((0, 1)), Crystal((2,), False))
+
+    @pytest.mark.parametrize("n", [-3, -1, True, 2.0, "4", None])
+    def test_initial_pairs_names_a_bad_ion_count(self, n):
+        with pytest.raises(ValueError) as err:
+            IonState.initial_pairs(n)
+        assert str(err.value) == f"ion count must be an integer >= 0, got {n!r}"
 
 
 class TestReorderTime:

@@ -87,6 +87,19 @@ def test_unknown_policy():
         schedule(one_zz(), M, "teleport")
 
 
+@pytest.mark.parametrize("c, m, message", [
+    ("x", M, "schedule needs a Circuit, got 'x'"),
+    (None, None, "schedule needs a Circuit, got None"),
+    ([Gate(0, GateType.ZZ, (0, 1))], M, "schedule needs a Circuit, got [Gate(0: ZZ q0 q1)]"),
+    (one_zz(), None, "schedule needs a Machine, got None"),
+    (one_zz(), {"gate_zones": 1}, "schedule needs a Machine, got {'gate_zones': 1}"),
+])
+def test_a_record_of_the_wrong_type_is_named(c, m, message):
+    with pytest.raises(ValueError) as err:
+        schedule(c, m, "rolodex")
+    assert str(err.value) == message
+
+
 def test_event_lanes():
     lanes = {"prep": {EventKind.INIT, EventKind.MEASURE},
              "zones": {EventKind.GATE_1Q, EventKind.GATE_2Q, EventKind.COOL},

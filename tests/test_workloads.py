@@ -168,24 +168,32 @@ class TestGraphs:
         assert len({find(v) for v in range(16)}) == 1
 
     def test_swap_network_all_pairs_once(self):
-        for n in (1, 4, 5, 6):
+        for n in (1, 2, 3, 4, 5, 6, 7, 16, 33):
+            rounds = swap_network_rounds(n)
+            # n rounds of odd-even transposition, less the empty ones
+            assert len(rounds) == {1: 0, 2: 1}.get(n, n)
             pairs = [
-                tuple(sorted(p)) for r in swap_network_rounds(n) for p in r
+                tuple(sorted(p)) for r in rounds for p in r
             ]
             assert sorted(pairs) == sorted(
                 (i, j) for i in range(n) for j in range(i + 1, n)
             )
             assert len(pairs) == len(set(pairs))
+            for r in rounds:   # no qubit meets two others in one round
+                qubits = [q for p in r for q in p]
+                assert r and len(qubits) == len(set(qubits))
 
     def test_swap_network_adjacency(self):
-        # every interaction happens between position-adjacent qubits
-        n = 6
-        pos = list(range(n))
-        for round_pairs in swap_network_rounds(n):
-            for a, b in round_pairs:
-                ia, ib = pos.index(a), pos.index(b)
-                assert abs(ia - ib) == 1
-                pos[ia], pos[ib] = pos[ib], pos[ia]
+        # every interaction happens between position-adjacent qubits, and
+        # replaying the rounds as position swaps reverses the order
+        for n in (2, 3, 6, 7, 16):
+            pos = list(range(n))
+            for round_pairs in swap_network_rounds(n):
+                for a, b in round_pairs:
+                    ia, ib = pos.index(a), pos.index(b)
+                    assert abs(ia - ib) == 1
+                    pos[ia], pos[ib] = pos[ib], pos[ia]
+            assert pos == list(range(n))[::-1]
 
 
 class TestQaoa:
@@ -218,6 +226,9 @@ class TestVqe:
         assert rot == 8
         cx = [g.qubits for g in c.gates if g.kind is GateType.CX]
         assert len(cx) == 4 and (3, 0) in cx
+        # the ring opens with its closing CX, after the RY and RZ walls
+        assert cx == [(3, 0), (0, 1), (1, 2), (2, 3)]
+        assert [g.kind for g in c.gates[:8]] == [GateType.U1Q] * 4 + [GateType.RZ] * 4
 
     def test_uccsd_like_concatenation(self):
         # the UCCSD-like ansatz is the chain of Parallel+RZZ phase gadgets
@@ -362,6 +373,8 @@ def test_ghz_logical_width():
     (lambda: gen_vqe(VqeAnsatz.TWO_LOCAL_HWEA, 4, depth=1.5), "depth must be an integer >= 1, got 1.5"),
     (lambda: gen_vqe(VqeAnsatz.TWO_LOCAL_HWEA, 4.0), "n must be an integer >= 1, got 4.0"),
     (lambda: gen_vqe(VqeAnsatz.CIRCULAR_SU2, 1), "ansatz needs n >= 2"),
+    (lambda: gen_vqe("circular_su2", 4), "unknown ansatz 'circular_su2'"),
+    (lambda: gen_vqe(None, 4, 2), "unknown ansatz None"),
     (lambda: GraphSpec(GraphKind.PATH, 4.0), "n must be an integer >= 1, got 4.0"),
     (lambda: GraphSpec(GraphKind.PATH, 1), "graph needs at least 2 nodes"),
     (lambda: GraphSpec("sk", 4), "unknown graph kind 'sk'"),
