@@ -35,9 +35,12 @@ command prints one Markdown section for the job summary:
 * public-api: the public names that only one tree has, per src/racetrack
   module: top-level functions, classes and assigned names, and the
   methods, class attributes and `__init__`'s `self` attributes of public
-  classes.  A class only one tree
-  has is listed alone.  The names are read with `ast`; nothing is
-  imported.
+  classes.  A class only one tree has is listed alone.  A second section
+  lists each public name of the change tree that nothing calls: one whose
+  last component appears as a whole word in no .py file under
+  src/racetrack, perfbench or ci, other than where the name is defined.
+  The members of an `Enum` subclass are values, not API, and are skipped.
+  The names are read with `ast`; nothing is imported.
 
 Translations and plan calls are computed in one process per tree, as each
 imports its own tree's racetrack.
@@ -47,13 +50,16 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 FIELDS = ("span_us", "f_total", "zone_util_pct", "transports", "breakdown_residual_us")
 FENCE = "```"
+CALLERS = ("src/racetrack", "perfbench", "ci")   # the trees whose files count as callers
 
 
 def code_lines(text: str) -> int:
@@ -216,9 +222,10 @@ def plan_calls(base: str, change: str) -> None:
     print(FENCE)
 
 
-def _self_attributes(cls: ast.ClassDef) -> set[str]:
-    """The names that `cls.__init__` assigns as attributes of `self`."""
-    names = set()
+def _self_attributes(cls: ast.ClassDef) -> Counter:
+    """The names that `cls.__init__` assigns as attributes of `self`, each
+    with the number of its assignments."""
+    names = Counter()
     for fn in cls.body:
         if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
             for node in ast.walk(fn):
@@ -229,35 +236,55 @@ def _self_attributes(cls: ast.ClassDef) -> set[str]:
     return names
 
 
-def _public_names(path: Path) -> set[str]:
+def _public_names(path: Path, values: bool = True) -> Counter:
     """The public top-level names a module defines, and "Class.member" for
     each public method, class attribute or `__init__`-set `self` attribute
-    of a public class."""
+    of a public class, each with the number of places that define it.
+    Without `values`, the members of an `Enum` subclass are left out."""
     if not path.exists():
-        return set()
+        return Counter()
 
-    def defined(body) -> dict[str, ast.stmt]:
-        names = {}
+    def defined(body, assigned: bool = True) -> Counter:
+        names = Counter()
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names[node.name] = node
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names[node.name] += 1
+            elif assigned and isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names.update((t.id, node) for t in targets if isinstance(t, ast.Name))
-        return {name: node for name, node in names.items() if not name.startswith("_")}
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+        return Counter({name: n for name, n in names.items() if not name.startswith("_")})
 
-    top = defined(ast.parse(path.read_text()).body)
-    members = {f"{name}.{member}" for name, node in top.items() if isinstance(node, ast.ClassDef)
-               for member in {*defined(node.body), *_self_attributes(node)}
-               if not member.startswith("_")}
-    return set(top) | members
+    body = ast.parse(path.read_text()).body
+    names = defined(body)
+    for cls in body:
+        if not isinstance(cls, ast.ClassDef) or cls.name not in names:
+            continue
+        # an Enum's members are the names its body assigns
+        is_enum = any(ast.unparse(base) in ("Enum", "enum.Enum") for base in cls.bases)
+        members = defined(cls.body, values or not is_enum) + _self_attributes(cls)
+        names.update({f"{cls.name}.{member}": n for member, n in members.items()
+                      if not member.startswith("_")})
+    return names
+
+
+def uncalled(root: str) -> list[str]:
+    """The public names of the tree at `root` whose last component appears
+    as a whole word in no .py file under CALLERS but where it is defined.
+    Members of an `Enum` subclass are values, not API, and are skipped."""
+    words = Counter(word for d in CALLERS for path in Path(root, d).rglob("*.py")
+                    for word in re.findall(r"\w+", path.read_text()))
+    names = {f"racetrack.{path.stem}.{name}": n for path in sorted(Path(root, "src/racetrack").glob("*.py"))
+             for name, n in _public_names(path, values=False).items()}
+    for name, n in names.items():
+        words[name.rsplit(".", 1)[1]] -= n
+    return [name for name in sorted(names) if words[name.rsplit(".", 1)[1]] <= 0]
 
 
 def public_api(base: str, change: str) -> None:
     trees = [Path(root, "src/racetrack") for root in (base, change)]
     lines = []
     for name in sorted({p.name for d in trees for p in d.glob("*.py")}):
-        old, new = (_public_names(d / name) for d in trees)
+        old, new = (_public_names(d / name).keys() for d in trees)
         module = "racetrack." + name.removesuffix(".py")
         for sign, names in (("-", old - new), ("+", new - old)):
             # a member of a class only one tree has goes with its class
@@ -266,6 +293,11 @@ def public_api(base: str, change: str) -> None:
     print("### public API (- only in base, + only in change)")
     print(FENCE)
     print("\n".join(lines) if lines else "no public name added or removed")
+    print(FENCE)
+    lines = uncalled(change)
+    print("### public names of the change with no caller in src/racetrack, perfbench or ci")
+    print(FENCE)
+    print("\n".join(lines) if lines else "every public name has a caller")
     print(FENCE)
 
 

@@ -78,8 +78,8 @@ class Circuit:
 
 def build_dag(gates: list[Gate], width: int) -> Circuit:
     """The checked Circuit of `gates` in program order; `Circuit.edges` is
-    its DAG.  The generators and the translation build every circuit
-    through this name, which `perfbench/spans.py` times."""
+    its DAG.  `perfbench/spans.py` times the translation's builds, made
+    through `translate.build_dag`, and not the generators'."""
     return Circuit(width, gates)
 
 

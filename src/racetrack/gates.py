@@ -13,7 +13,6 @@ from enum import Enum
 from numbers import Integral
 
 TWO_PI = 2.0 * math.pi
-ANGLE_TOL = 1e-12
 
 
 class GateType(Enum):
@@ -62,12 +61,6 @@ def canonical_angle(theta: float) -> float:
     if r <= -TWO_PI:
         r += 2.0 * TWO_PI
     return r
-
-
-def angles_close(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
-    """Equality on canonical angles, treating the +/-2*pi seam as equal."""
-    d = abs(canonical_angle(a) - canonical_angle(b))
-    return d <= tol or abs(d - 2.0 * TWO_PI) <= tol
 
 
 @dataclass(frozen=True, init=False, slots=True)

@@ -15,14 +15,11 @@ description.
 """
 from __future__ import annotations
 
-import json
 import math
 import numbers
-import os
 from dataclasses import dataclass, field, fields, replace
 
 DEFAULT_CAPACITY = 56
-MACHINE_FILE_ENV = "RACETRACK_MACHINE_FILE"
 # timing fields that must not be zero: a pass stream or a lap that took no
 # time would make transport free
 _POSITIVE_TIMING = frozenset({"inter_zone_shift", "lap_4zone"})
@@ -191,13 +188,3 @@ def machine_from_dict(desc: dict) -> Machine:
         "timing": _apply_overrides(TimingParams(), desc.get("timing", {}), "timing"),
         "fidelity": _apply_overrides(FidelityParams(), desc.get("fidelity", {}), "fidelity"),
     })
-
-
-def load_machine(path: str | None = None) -> Machine:
-    """Load a machine description JSON; falls back to the H2-class default.
-    The path may also come from the RACETRACK_MACHINE_FILE variable."""
-    path = path or os.environ.get(MACHINE_FILE_ENV)
-    if path is None:
-        return make_machine()
-    with open(path) as fh:
-        return machine_from_dict(json.load(fh))

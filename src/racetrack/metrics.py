@@ -39,18 +39,6 @@ class RuntimeBreakdown:
     idle: float
     total_span: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "init_us": self.init,
-            "gate_cooling_us": self.gate_cooling,
-            "shift_swap_split_us": self.shift_swap_split,
-            "circulation_us": self.circulation,
-            "measure_us": self.measure,
-            "hidden_us": self.hidden,
-            "idle_us": self.idle,
-            "total_us": self.total_span,
-        }
-
 
 def _union_length(intervals: list[tuple[float, float]]) -> float:
     """Length of the union of `intervals`; one that ends at or before its
@@ -146,10 +134,6 @@ class FidelityLedger:
     @property
     def f_total(self) -> float:
         return self.f_spam * self.f_1q * self.f_2q * self.f_transport * self.f_decoh
-
-    @property
-    def i_total(self) -> float:
-        return 1.0 - self.f_total
 
 
 def fidelity_report(tr: Trace, f: FidelityParams = FidelityParams()) -> FidelityLedger:

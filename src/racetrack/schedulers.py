@@ -1,28 +1,50 @@
-"""Execution policies as data: one engine runs all five configs.
+"""Execution policies as data: one engine loop runs all five configs.
 
-A circuit is decomposed into passes: the 1Q phases between consecutive 2Q
-layers plus the 2Q layers themselves, or, for in-place blocks, zone-capped
-block layers.  Each config is one `(transition, pipelining)` pair:
+Each config is a pass builder and a pipelining flag:
 
-    config                                          transition  pipelining
-    "rolodex"                                       LAP         False
-    "tilt"                                          SWEEP       False
-    "plutarch"                                      IN_PLACE    True
-    "plutarch", PolicyFlags(pipelining=False)       IN_PLACE    False
-    "plutarch", PolicyFlags(inplace_blocks=False)   LAP         True
+    config                                          builder                 pipelining
+    "rolodex"                                       _layer_passes, laps     False
+    "tilt"                                          _layer_passes, sweeps   False
+    "plutarch"                                      _block_passes           True
+    "plutarch", PolicyFlags(pipelining=False)       _block_passes           False
+    "plutarch", PolicyFlags(inplace_blocks=False)   _layer_passes, laps     True
 
-so `PolicyFlags(False, False)` is Rolodex.  The transition says how ions
-reach the next pass:
+so `PolicyFlags(False, False)` is Rolodex.  A builder returns the plan
+mode of its transitions, the residual gates that run before any pass, and
+the passes.  A pass is a `_Pass` record:
 
-* LAP (Rolodex) circulates the track between passes, and the reorder
-  zones regroup and exchange ions while the chain goes round.  A pass
-  streams the chain over k + ceil(width / 2) zone gaps.
-* SWEEP (TILT) pays its one-dimensional reordering in full and sweeps the
-  chain across the bottom zones: width - 1 zone gaps per pass.
-* IN_PLACE (Plutarch) executes blocks in place, realigns with the cheapest
-  of 1-D moves and, on a track with shortcuts, circulation, and gathers
-  the layer's ions over INPLACE_GATHER_FACTOR * k + (blocks in the layer)
-  zone gaps.
+* `targets`: the pairs its transition combines, or None to split every
+  pair;
+* `gates`: its gates, in the order their qubits are initialized;
+* `lap`: the path a 1-D plan takes instead, or None;
+* `ions` and `stream`: the ions its stream moves and how long it takes;
+* `layer`: its block layer, or None to run its gates in zone batches.
+
+`schedule` is the one loop.  It initializes every qubit, those of the
+passes' gates and then of the residual first, in order of use, and runs
+the residual.  Then, for each pass, it makes the transition with the
+pass's plan from `_Engine.plans`, streams the pass's ions (a SHUTTLE
+marked `pass_stream`) and runs the pass's gates, in zone batches or as a
+block layer.  Last, it reads out every qubit that no MEASURE gate has.
+The builders say how ions reach each pass:
+
+* Pass mode, `_layer_passes`: the 1Q phases between consecutive 2Q layers
+  and the 2Q layers themselves, empty phases dropped, with no residual.  A
+  2Q pass targets its gates' pairs, and a 1Q pass splits every pair.
+  - Rolodex laps: the track circulates between passes, and the reorder
+    zones regroup and exchange ions while the chain goes round.  A
+    circulating plan rides `plan_reorder`'s cheapest path; a pass after
+    the first whose plan is 1-D laps along the shortest path whose span
+    hosts the whole chain.  A pass streams the chain over
+    k + ceil(width / 2) zone gaps.
+  - TILT sweeps: it pays its one-dimensional reordering in full and
+    sweeps the chain across the bottom zones, width - 1 zone gaps per
+    pass.
+* Block mode, `_block_passes` (Plutarch): the residual 1Q gates that no 2Q
+  gate neighbours, then one pass per in-place block layer.  It realigns
+  with the cheapest of 1-D moves and, on a track with shortcuts,
+  circulation, and gathers the layer's ions over
+  INPLACE_GATHER_FACTOR * k + (blocks in the layer) zone gaps.
 
 Timing.  The engine emits steps in program order, and one function,
 `_Engine._step`, computes every start time.  A step has a duration, a
@@ -90,9 +112,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from enum import Enum
+from functools import partial
+from typing import NamedTuple
 
 from . import translate   # called through the module: perfbench/spans.py rebinds its names
 from .blocks import Block, extract_inplace_blocks
@@ -113,7 +136,7 @@ _COOL = EventKind.COOL
 # Fraction of the zone region a gathering pass traverses under in-place
 # scheduling (ions are gathered to nearby zones instead of conveyed past
 # every zone the way circulating passes are).  It is an assumption of the
-# IN_PLACE policy about how far its ions travel, not a hardware time, so it
+# block policy about how far its ions travel, not a hardware time, so it
 # stays out of `TimingParams` and a machine description cannot set it.
 INPLACE_GATHER_FACTOR = 0.25
 
@@ -129,28 +152,36 @@ class PolicyFlags:
                 raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
 
-class _Transition(Enum):
-    LAP = "lap"
-    SWEEP = "sweep"
-    IN_PLACE = "in-place"
+class _Pass(NamedTuple):
+    """One pass of a schedule (see the module docstring)."""
+    targets: tuple[tuple[int, ...], ...] | None   # the pairs its transition combines; None splits every pair
+    gates: list[Gate]                   # in the order their qubits are initialized
+    lap: int | None                     # the path a 1-D plan takes instead, or None
+    ions: tuple[int, ...]               # the ions its stream moves
+    stream: float                       # how long its stream takes
+    layer: list[Block] | None           # its block layer, or None to run its gates in zone batches
 
 
-def _policy(policy: str, flags: PolicyFlags | None) -> tuple[_Transition, bool]:
-    """The `(transition, pipelining)` pair of a config."""
+_Passes = tuple[PlanMode, list[Gate], list[_Pass]]
+
+
+def _policy(policy: str, flags: PolicyFlags | None) -> tuple[Callable[[Circuit, Machine], _Passes], bool]:
+    """The pass builder and the pipelining of a config."""
     if flags is not None and not isinstance(flags, PolicyFlags):
         raise ValueError(f"flags must be a PolicyFlags or None, got {flags!r}")
     if policy == "plutarch":
         flags = flags or PolicyFlags()
-        return (_Transition.IN_PLACE if flags.inplace_blocks else _Transition.LAP), flags.pipelining
+        build = _block_passes if flags.inplace_blocks else partial(_layer_passes, sweep=False)
+        return build, flags.pipelining
     if policy not in ("rolodex", "tilt"):
         raise ValueError(f"unknown policy {policy!r}")
     if flags is not None:
         raise ValueError(f"policy {policy!r} takes no flags, got {flags}")
-    return (_Transition.LAP if policy == "rolodex" else _Transition.SWEEP), False
+    return partial(_layer_passes, sweep=policy == "tilt"), False
 
 
 class _Engine:
-    def __init__(self, c: Circuit, m: Machine, transition: _Transition, pipelining: bool):
+    def __init__(self, c: Circuit, m: Machine, pipelining: bool):
         if not c.is_native():
             raise ValueError("scheduler requires a native-translated circuit")
         if c.width > m.capacity:
@@ -159,7 +190,6 @@ class _Engine:
         self.m = m
         self.t = m.timing
         self.k = m.gate_zones
-        self.transition = transition
         self.pipelining = pipelining
         self.trace = Trace(width=c.width, gate_zones=self.k)
         self.state = IonState.initial_pairs(c.width)
@@ -291,54 +321,40 @@ class _Engine:
             self._step(EventKind.GATE_1Q, t.one_q_gate, qs, payload, len(gates), t.cool_1q_batch)
 
 
-def _interleave_passes(c: Circuit) -> list[tuple[str, list[Gate]]]:
-    """[('1q', P0), ('2q', L1), ('1q', P1), ...] with empty phases dropped."""
+def _layer_passes(c: Circuit, m: Machine, sweep: bool) -> _Passes:
+    """Pass mode: the 1Q phases between consecutive 2Q layers and the 2Q
+    layers themselves, empty phases dropped; Rolodex laps, TILT sweeps."""
     layers = translate.extract_2q_layers(c)
     phases = translate.one_qubit_phases(c, layers)
-    passes = [("1q", phases[0])]
+    runs = [(None, phases[0])]
     for layer, phase in zip(layers, phases[1:]):
-        passes += [("2q", layer), ("1q", phase)]
-    return [(kind, gates) for kind, gates in passes if gates]
+        runs += [(tuple(g.qubits for g in layer), layer), (None, phase)]
+    k, pairs = m.gate_zones, math.ceil(c.width / 2)
+    stream = ((c.width - 1) if sweep else k + pairs) * m.timing.inter_zone_shift
+    # a pass after the first whose plan is 1-D laps along the shortest path
+    # whose span hosts the whole chain; a circulating plan keeps
+    # plan_reorder's cheapest path
+    lap_path = None if sweep else m.shortest_path(min_fraction=min(pairs / k, 1.0))
+    chain = tuple(range(c.width))
+    passes = [_Pass(targets, gates, lap_path if idx else None, chain, stream, None)
+              for idx, (targets, gates) in enumerate(run for run in runs if run[1])]
+    return (PlanMode.ONE_DIMENSIONAL if sweep else PlanMode.CIRCULATION_ALLOWED), [], passes
 
 
-def _schedule_passes(eng: _Engine) -> None:
-    """Pass-based execution: LAP and SWEEP transitions."""
-    c, k = eng.c, eng.k
-    passes = _interleave_passes(c)
-    eng.init_all(g for _, gates in passes for g in gates)
-    sweep = eng.transition is _Transition.SWEEP
-    plans = eng.plans(PlanMode.ONE_DIMENSIONAL if sweep else PlanMode.CIRCULATION_ALLOWED,
-                      [tuple(g.qubits for g in gates) if kind == "2q" else None for kind, gates in passes])
-    pairs = math.ceil(c.width / 2)
-    stream = ((c.width - 1) if sweep else k + pairs) * eng.t.inter_zone_shift
-    # a Rolodex lap needs a path whose span hosts the whole chain
-    lap_path = eng.m.shortest_path(min_fraction=min(pairs / k, 1.0))
-    for idx, ((_, gates), plan) in enumerate(zip(passes, plans)):
-        path = plan.path_id
-        if path is None and idx and not sweep:
-            path = lap_path
-        eng.transit(plan, path)
-        eng._step(EventKind.SHUTTLE, stream, eng.chain, {"pass_stream": True})
-        eng.run_gates(gates)
-
-
-def _schedule_blocks(eng: _Engine) -> None:
-    """In-place block execution: the IN_PLACE transition."""
-    m = eng.m
-    schedule = extract_inplace_blocks(eng.c, m.gate_zones)
-    eng.init_all([g for layer in schedule.layers for b in layer for g in b.gates] + schedule.residual)
-    # residual 1Q gates with no 2Q neighbors run first (dependency-legal)
-    eng.run_gates(schedule.residual)
-
+def _block_passes(c: Circuit, m: Machine) -> _Passes:
+    """Block mode: one pass per in-place block layer, after the residual 1Q
+    gates that no 2Q gate neighbours."""
+    k, shift = m.gate_zones, m.timing.inter_zone_shift
+    blocks = extract_inplace_blocks(c, k)
+    passes = []
+    for layer in blocks.layers:
+        targets = tuple(b.qubits for b in layer)
+        ions = tuple(sorted(q for pair in targets for q in pair))
+        passes.append(_Pass(targets, [g for b in layer for g in b.gates], None, ions,
+                            (INPLACE_GATHER_FACTOR * k + len(layer)) * shift, layer))
     # realignment circulates only on a track with shortcuts
     mode = PlanMode.CIRCULATION_ALLOWED if m.shortcuts else PlanMode.ONE_DIMENSIONAL
-    targets_of = [tuple(b.qubits for b in layer) for layer in schedule.layers]
-    for layer, targets, plan in zip(schedule.layers, targets_of, eng.plans(mode, targets_of)):
-        eng.transit(plan, plan.path_id)
-        ions = tuple(sorted(q for pair in targets for q in pair))
-        eng._step(EventKind.SHUTTLE, (INPLACE_GATHER_FACTOR * eng.k + len(layer)) * eng.t.inter_zone_shift,
-                  ions, {"pass_stream": True})
-        _run_block_layer(eng, layer, ions)
+    return mode, blocks.residual, passes
 
 
 def _run_block_layer(eng: _Engine, layer: list[Block], ions: tuple[int, ...]):
@@ -375,12 +391,18 @@ def schedule(c: Circuit, m: Machine, policy: str, flags: PolicyFlags | None = No
         raise ValueError(f"schedule needs a Circuit, got {c!r}")
     if not isinstance(m, Machine):
         raise ValueError(f"schedule needs a Machine, got {m!r}")
-    transition, pipelining = _policy(policy, flags)
-    eng = _Engine(c, m, transition, pipelining)
-    if transition is _Transition.IN_PLACE:
-        _schedule_blocks(eng)
-    else:
-        _schedule_passes(eng)
+    build, pipelining = _policy(policy, flags)
+    eng = _Engine(c, m, pipelining)
+    mode, residual, passes = build(c, m)
+    eng.init_all([*(g for p in passes for g in p.gates), *residual])
+    eng.run_gates(residual)
+    for p, plan in zip(passes, eng.plans(mode, [p.targets for p in passes])):
+        eng.transit(plan, p.lap if plan.path_id is None else plan.path_id)
+        eng._step(EventKind.SHUTTLE, p.stream, p.ions, {"pass_stream": True})
+        if p.layer is None:
+            eng.run_gates(p.gates)
+        else:
+            _run_block_layer(eng, p.layer, p.ions)
     eng.measure_all()
     eng.trace.validate(c)
     return eng.trace

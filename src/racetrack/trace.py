@@ -82,11 +82,6 @@ class Trace:
     def span(self) -> float:
         return max((e.t_end for e in self.events), default=0.0)
 
-    def of_kind(self, *kinds: EventKind) -> list[TraceEvent]:
-        # a tuple test matches members by identity; a set would run the
-        # Python-level Enum.__hash__ once per event
-        return [e for e in self.events if e.kind in kinds]
-
     def transport_events(self) -> int:
         return sum(int(e.payload.get("transports", 0)) for e in self.events)
 

@@ -15,6 +15,11 @@ from racetrack.metrics import FidelityLedger, RuntimeBreakdown
 from racetrack.trace import EventKind, Trace, TraceEvent
 
 
+def of_kind(tr: Trace, *kinds: EventKind) -> list[TraceEvent]:
+    """The events of `tr` of any of `kinds`, in trace order."""
+    return [e for e in tr.events if e.kind in kinds]
+
+
 def union_length(intervals: list[tuple[float, float]]) -> float:
     """Length of the union of `intervals`, as the sum of its disjoint runs;
     an interval that ends at or before its start covers nothing."""
@@ -28,13 +33,13 @@ def union_length(intervals: list[tuple[float, float]]) -> float:
 
 
 def runtime_breakdown(tr: Trace) -> RuntimeBreakdown:
-    init = sum(e.duration for e in tr.of_kind(EventKind.INIT))
+    init = sum(e.duration for e in of_kind(tr, EventKind.INIT))
     gate_cooling = sum(
-        e.duration for e in tr.of_kind(EventKind.GATE_1Q, EventKind.GATE_2Q, EventKind.COOL)
+        e.duration for e in of_kind(tr, EventKind.GATE_1Q, EventKind.GATE_2Q, EventKind.COOL)
     )
-    shift = sum(e.duration for e in tr.of_kind(EventKind.SHUTTLE, EventKind.REORDER))
-    circulation = sum(e.duration for e in tr.of_kind(EventKind.CIRCULATE))
-    measure = sum(e.duration for e in tr.of_kind(EventKind.MEASURE))
+    shift = sum(e.duration for e in of_kind(tr, EventKind.SHUTTLE, EventKind.REORDER))
+    circulation = sum(e.duration for e in of_kind(tr, EventKind.CIRCULATE))
+    measure = sum(e.duration for e in of_kind(tr, EventKind.MEASURE))
     busy = union_length([(e.t_start, e.t_end) for e in tr.events])
     return RuntimeBreakdown(
         init=init,
@@ -52,7 +57,7 @@ def zone_utilization(tr: Trace) -> float:
     k = tr.gate_zones
     if k < 1:
         raise ValueError("need at least one gate zone")
-    events = tr.of_kind(EventKind.GATE_1Q, EventKind.GATE_2Q, EventKind.COOL)
+    events = of_kind(tr, EventKind.GATE_1Q, EventKind.GATE_2Q, EventKind.COOL)
     if not events:
         return 0.0
     window = union_length([(e.t_start, e.t_end) for e in events])
@@ -63,8 +68,8 @@ def zone_utilization(tr: Trace) -> float:
 
 
 def fidelity_report(tr: Trace, f: FidelityParams = FidelityParams()) -> FidelityLedger:
-    n_1q = sum(len(e.payload.get("gate_ids", ())) for e in tr.of_kind(EventKind.GATE_1Q))
-    n_2q = sum(len(e.payload.get("gate_ids", ())) for e in tr.of_kind(EventKind.GATE_2Q))
+    n_1q = sum(len(e.payload.get("gate_ids", ())) for e in of_kind(tr, EventKind.GATE_1Q))
+    n_2q = sum(len(e.payload.get("gate_ids", ())) for e in of_kind(tr, EventKind.GATE_2Q))
     n_transport = sum(int(e.payload.get("transports", 0)) for e in tr.events)
     n_qubits = tr.width
     runtime_s = tr.span * 1e-6

@@ -1,4 +1,4 @@
-"""Gate IR, DAG construction, translation, layering, and text round-trips."""
+"""Gate IR, DAG construction, translation and layering."""
 import copy
 import dataclasses
 import math
@@ -19,8 +19,7 @@ from oracle import (
     validate_topology,
 )
 from racetrack.circuit import Circuit, build_dag
-from racetrack.gates import Gate, GateType, angles_close, canonical_angle
-from racetrack.textio import circuit_from_qasm, circuit_from_text, circuit_to_text
+from racetrack.gates import Gate, GateType, canonical_angle
 from racetrack.translate import extract_2q_layers, one_qubit_phases, translate_to_native
 
 PI = math.pi
@@ -105,7 +104,9 @@ class TestGate:
 
     @given(st.floats(-50, 50), st.integers(-3, 3))
     def test_angle_period(self, a, k):
-        assert angles_close(a, a + 4 * PI * k)
+        # a and a + 4*pi*k reduce to one value, the +/-2*pi seam counting as equal
+        d = abs(canonical_angle(a) - canonical_angle(a + 4 * PI * k))
+        assert d <= 1e-12 or abs(d - 4 * PI) <= 1e-12
 
     @given(st.floats(-100, 100, allow_nan=False))
     def test_angle_range(self, a):
@@ -495,79 +496,6 @@ class TestLayers:
         phases = one_qubit_phases(c, layers)
         assert [x.id for x in phases[0]] == [0, 1]
         assert [x.id for x in phases[1]] == [3]
-
-
-class TestTextIO:
-    def test_round_trip_bit_exact(self):
-        gates = [
-            g(0, GateType.H, 0), g(1, GateType.CX, 0, 1),
-            g(2, GateType.RZZ, 1, 2, params=(0.30000000000000004,)),
-            g(3, GateType.U1Q, 2, params=(PI / 2, -PI / 2)),
-            g(4, GateType.MEASURE, 0), g(5, GateType.INIT, 1),
-        ]
-        c = build_dag(gates, 3)
-        text = circuit_to_text(c)
-        c2 = circuit_from_text(text)
-        assert circuit_to_text(c2) == text
-        assert [(x.kind, x.qubits, x.params) for x in c2.gates] == [
-            (x.kind, x.qubits, x.params) for x in c.gates
-        ]
-        assert c2.edges == c.edges
-
-    def test_width_comment(self):
-        c = circuit_from_text("# width 5\nH q0\n")
-        assert c.width == 5
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            circuit_from_text("BOGUS q0\n")
-
-    def test_qasm_subset(self):
-        qasm = """
-        OPENQASM 2.0;
-        include "qelib1.inc";
-        qreg q[3];
-        creg c[3];
-        h q[0];
-        x q[1];
-        rx(pi/2) q[2];
-        rz(0.25) q[0];
-        cx q[0], q[1];
-        rzz(pi/4) q[1], q[2];
-        measure q[0] -> c[0];
-        """
-        c = circuit_from_qasm(qasm)
-        kinds = [x.kind for x in c.gates]
-        assert kinds == [
-            GateType.H, GateType.X, GateType.RX, GateType.RZ, GateType.CX,
-            GateType.RZZ, GateType.MEASURE,
-        ]
-        assert c.width == 3
-        assert c.gates[2].params == (PI / 2,)
-
-    def test_qasm_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            circuit_from_qasm("qreg q[1];\nt q[0];\n")
-
-    @pytest.mark.parametrize("expr", ["1/0", "2*pi+", "2**3", "abs(1)", "pi.real", "1j", "True"])
-    def test_qasm_bad_parameter_names_line(self, expr):
-        with pytest.raises(ValueError, match=r"^line 3: "):
-            circuit_from_qasm(f"qreg q[1];\nh q[0];\nrz({expr}) q[0];\n")
-
-    def test_qasm_parameter_arithmetic(self):
-        c = circuit_from_qasm("qreg q[1];\nrz(-pi/4 + 2*0.5 - +1) q[0];\nrx(3/2) q[0];\n")
-        assert c.gates[0].params == (-PI / 4 + 2 * 0.5 - +1,)
-        assert c.gates[1].params == (1.5,)
-
-    def test_qasm_bad_gate_names_line(self):
-        with pytest.raises(ValueError, match=r"^line 2: "):
-            circuit_from_qasm("qreg q[2];\ncx q[0];\n")
-
-    def test_text_bad_parameter_names_line(self):
-        with pytest.raises(ValueError, match=r"^line 2: .*'abc'"):
-            circuit_from_text("H q0\nRz q0 abc\n")
-        with pytest.raises(ValueError, match=r"^line 1: "):
-            circuit_from_text("Rz q0 nan\n")
 
 
 def test_topological_layers_match_program_order():

@@ -111,7 +111,8 @@ def test_public_api_lists_the_names_only_one_tree_has(tmp_path):
             (src / name).write_text(text)
     out = run("public-api", tmp_path / "base", tmp_path / "change")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == [
+    # the first section; the second is held by the test below
+    assert out.stdout.splitlines()[:13] == [
         "### public API (- only in base, + only in change)",
         "```",
         "- racetrack.a.Gone",
@@ -128,6 +129,31 @@ def test_public_api_lists_the_names_only_one_tree_has(tmp_path):
     ]
     same = run("public-api", tmp_path / "base", tmp_path / "base")
     assert same.stdout.splitlines()[2] == "no public name added or removed"
+
+
+def test_public_api_lists_the_names_nothing_calls(tmp_path):
+    """A name counts as called where its last component is a word of a
+    file under src/racetrack, perfbench or ci other than its definition;
+    an Enum's members are skipped, its other names are not."""
+    src = tmp_path / "tree" / "src" / "racetrack"
+    src.mkdir(parents=True)
+    (src / "m.py").write_text("from enum import Enum\n\n\nclass Kind(Enum):\n    A = 1\n\n"
+                              "    def spare(self): pass\n\n\ndef used(): pass\n\n\ndef unused(): pass\n")
+    (tmp_path / "tree" / "perfbench").mkdir()
+    (tmp_path / "tree" / "perfbench" / "p.py").write_text("from racetrack import m\nm.used(m.Kind)\n")
+    out = run("public-api", tmp_path / "tree", tmp_path / "tree")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[4:] == [
+        "### public names of the change with no caller in src/racetrack, perfbench or ci",
+        "```",
+        "racetrack.m.Kind.spare",
+        "racetrack.m.unused",
+        "```",
+    ]
+    (tmp_path / "tree" / "ci").mkdir()
+    (tmp_path / "tree" / "ci" / "c.py").write_text("# unused and spare are called here\n")
+    assert run("public-api", tmp_path / "tree", tmp_path / "tree").stdout.splitlines()[6] == (
+        "every public name has a caller")
 
 
 def test_a_wrong_command_prints_the_usage():

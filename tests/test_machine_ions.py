@@ -12,11 +12,9 @@ from hypothesis import strategies as st
 
 from racetrack.ions import Crystal, IonState, ReorderOp, ReorderTag, apply_reorder, reorder_in_place
 from racetrack.machine import (
-    MACHINE_FILE_ENV,
     FidelityParams,
     Machine,
     TimingParams,
-    load_machine,
     machine_from_dict,
     make_machine,
 )
@@ -224,33 +222,6 @@ class TestTrack:
         m = machine_from_dict({"timing": {"swap": 0.0, "intra_zone_shift": 0}})
         assert m.timing.swap == 0.0
         assert machine_from_dict({"fidelity": {"t1": math.inf}}).fidelity.t1 == math.inf
-
-
-class TestLoadMachine:
-    @staticmethod
-    def write(tmp_path, name, desc):
-        path = tmp_path / name
-        path.write_text(json.dumps(desc))
-        return str(path)
-
-    def test_an_explicit_path(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(MACHINE_FILE_ENV, self.write(tmp_path, "env.json", {"gate_zones": 2}))
-        path = self.write(tmp_path, "m.json", {"gate_zones": 8, "shortcuts": [0.5]})
-        assert load_machine(path) == make_machine(8, shortcuts=[0.5])
-
-    def test_the_environment_variable(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(MACHINE_FILE_ENV, self.write(tmp_path, "m.json", {"gate_zones": 6}))
-        assert load_machine() == make_machine(6)
-
-    def test_neither_gives_the_default(self, monkeypatch):
-        monkeypatch.delenv(MACHINE_FILE_ENV, raising=False)
-        assert load_machine() == make_machine()
-
-    def test_bad_json_names_the_field(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(MACHINE_FILE_ENV, raising=False)
-        path = self.write(tmp_path, "m.json", {"timing": {"swap": "200"}})
-        with pytest.raises(ValueError, match="^swap must "):
-            load_machine(path)
 
 
 class TestReorderPrimitives:

@@ -9,7 +9,7 @@ import copy
 import math
 import pickle
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -76,15 +76,15 @@ def test_breakdown_by_hand():
     # the events cover [0, 705) with no gap; the lap [150, 450) overlaps
     # gate/cool [100, 225) for 75 us and the reorder [400, 500) for 50 us,
     # and the measure [480, 600) overlaps the reorder for 20 us
-    assert b.as_dict() == {
-        "init_us": 100.0,
-        "gate_cooling_us": 25.0 + 100.0 + 5.0 + 100.0,
-        "shift_swap_split_us": 100.0,
-        "circulation_us": 300.0,
-        "measure_us": 120.0,
-        "hidden_us": 75.0 + 50.0 + 20.0,
-        "idle_us": 0.0,
-        "total_us": 705.0,
+    assert asdict(b) == {
+        "init": 100.0,
+        "gate_cooling": 25.0 + 100.0 + 5.0 + 100.0,
+        "shift_swap_split": 100.0,
+        "circulation": 300.0,
+        "measure": 120.0,
+        "hidden": 75.0 + 50.0 + 20.0,
+        "idle": 0.0,
+        "total_span": 705.0,
     }
 
 
@@ -96,8 +96,7 @@ def test_breakdown_counts_a_gap_as_idle():
     b = runtime_breakdown(tr)
     # [0, 10) and [32, 40) hold no event; the cooling overlaps the gate for 3 us
     assert (b.gate_cooling, b.measure, b.hidden, b.idle, b.total_span) == (25.0, 8.0, 3.0, 18.0, 48.0)
-    assert runtime_breakdown(Trace(width=1, gate_zones=1)).as_dict() == dict.fromkeys(
-        b.as_dict(), 0.0)
+    assert asdict(runtime_breakdown(Trace(width=1, gate_zones=1))) == dict.fromkeys(asdict(b), 0.0)
 
 
 def test_zone_utilization_by_hand():

@@ -39,6 +39,7 @@ from racetrack.schedulers import INPLACE_GATHER_FACTOR, PolicyFlags, schedule
 from racetrack.trace import EventKind
 from racetrack.translate import extract_2q_layers, one_qubit_phases, translate_to_native
 from racetrack.workloads import GraphKind, GraphSpec, VqeAnsatz, gen_qaoa, gen_vqe
+from reference_metrics import of_kind
 from test_blocks import native_circuits
 from test_circuit_ir import UNITARY_KINDS, circuits, pair_heavy_gates
 
@@ -73,9 +74,9 @@ def test_one_zz_span(config):
     tr = schedule(one_zz(), M, policy, flags)
     tr.validate()
     assert tr.span == SPANS[config]
-    gates = tr.of_kind(EventKind.GATE_2Q)
+    gates = of_kind(tr, EventKind.GATE_2Q)
     assert [e.payload["gate_ids"] for e in gates] == [[0]]
-    assert not tr.of_kind(EventKind.REORDER, EventKind.CIRCULATE)
+    assert not of_kind(tr, EventKind.REORDER, EventKind.CIRCULATE)
 
 
 def test_tilt_span_literal():
@@ -140,7 +141,7 @@ def test_one_gate_per_slot():
     m = make_machine(2)
     for policy, sizes in (("plutarch", [1, 1, 1, 1]), ("rolodex", [2, 2])):
         tr = schedule(c, m, policy)
-        assert [len(e.payload["gate_ids"]) for e in tr.of_kind(EventKind.GATE_1Q)] == sizes
+        assert [len(e.payload["gate_ids"]) for e in of_kind(tr, EventKind.GATE_1Q)] == sizes
 
 
 def test_lap_after_a_pass_without_cooling_is_charged():
@@ -150,8 +151,8 @@ def test_lap_after_a_pass_without_cooling_is_charged():
              Gate(2, GateType.MEASURE, (2,)), Gate(3, GateType.ZZ, (1, 3)),
              Gate(4, GateType.ZZ, (0, 1))]
     tr = schedule(build_dag(gates, 4), make_machine(4), "plutarch", PolicyFlags(inplace_blocks=False))
-    laps = [e.t_start for e in tr.of_kind(EventKind.CIRCULATE)]
-    readout = next(e for e in tr.of_kind(EventKind.MEASURE) if e.qubits == (0,))
+    laps = [e.t_start for e in of_kind(tr, EventKind.CIRCULATE)]
+    readout = next(e for e in of_kind(tr, EventKind.MEASURE) if e.qubits == (0,))
     assert laps == [21_851.0, 29_869.0, 39_867.0]
     assert laps[1] == readout.t_end
     assert tr.span == 48_005.0
@@ -196,14 +197,14 @@ def test_batches_and_streams_last_what_the_config_charges(c, machine, config):
     t = m.timing
     policy, flags = CONFIGS[config]
     tr = schedule(c, m, policy, flags)
-    for e in tr.of_kind(EventKind.GATE_1Q):
+    for e in of_kind(tr, EventKind.GATE_1Q):
         ids = e.payload["gate_ids"]
         qubits = [q for gid in ids for q in e.payload["gate_qubits"][gid]]
         assert len(ids) <= m.gate_zones
         assert len(qubits) == len(set(qubits))
         assert e.duration == t.one_q_gate
-    assert all(e.duration == t.two_q_gate for e in tr.of_kind(EventKind.GATE_2Q))
-    streams = [e.duration for e in tr.of_kind(EventKind.SHUTTLE) if e.payload.get("pass_stream")]
+    assert all(e.duration == t.two_q_gate for e in of_kind(tr, EventKind.GATE_2Q))
+    streams = [e.duration for e in of_kind(tr, EventKind.SHUTTLE) if e.payload.get("pass_stream")]
     assert streams == stream_durations(c, m, config)
 
 
@@ -436,7 +437,7 @@ def test_a_translated_cx_runs_its_gates_in_qubit_order(config, k):
     policy, flags = CONFIGS[config]
     tr = schedule(c, make_machine(k), policy, flags)
     tr.validate(c)
-    ran = {gid: e for e in tr.of_kind(EventKind.GATE_1Q) for gid in e.payload["gate_ids"]}
+    ran = {gid: e for e in of_kind(tr, EventKind.GATE_1Q) for gid in e.payload["gate_ids"]}
     assert ran[4].t_start >= ran[3].t_end
 
 
@@ -451,8 +452,8 @@ def test_exchanges_that_outlast_the_lap_set_the_charge():
     c = build_dag([Gate(i, GateType.ZZ, (i, 7 - i)) for i in range(4)], 8)
     m = make_machine(8, timing=replace(T, lap_4zone=2000.0))
     tr = schedule(c, m, "rolodex")
-    (lap,) = tr.of_kind(EventKind.CIRCULATE)
-    assert not tr.of_kind(EventKind.REORDER)
+    (lap,) = of_kind(tr, EventKind.CIRCULATE)
+    assert not of_kind(tr, EventKind.REORDER)
     assert m.lap(0) == 4000.0 and lap.duration == 10 * T.pair_exchange == 10_530.0
     assert lap.qubits == tuple(range(8))
     assert lap.payload == {"path": 0, "ops": {"split": 4, "exchange": 12, "combine": 4, "swap": 4},
