@@ -34,7 +34,7 @@ from racetrack.circuit import build_dag
 from racetrack.gates import Gate, GateType
 from racetrack.machine import TimingParams, make_machine
 from racetrack.metrics import fidelity_report, runtime_breakdown, zone_utilization
-from racetrack.planner import plan_reorder, split_all_plan
+from racetrack.planner import PlanMode, plan_reorder, split_all_plan
 from racetrack.schedulers import INPLACE_GATHER_FACTOR, PolicyFlags, schedule
 from racetrack.trace import EventKind
 from racetrack.translate import extract_2q_layers, one_qubit_phases, translate_to_native
@@ -508,3 +508,131 @@ def test_each_step_lists_the_ions_it_holds(c, k, shortcuts, config):
             assert e.qubits == ions
         elif e.kind in (EventKind.INIT, EventKind.MEASURE):
             assert e.qubits
+
+
+# -- the pass list -------------------------------------------------------------
+
+BUILDERS = {   # config: (pass builder, its keywords, pipelining)
+    "tilt": (schedulers._layer_passes, {"sweep": True}, False),
+    "rolodex": (schedulers._layer_passes, {"sweep": False}, False),
+    "plutarch": (schedulers._block_passes, {}, True),
+    "plutarch-nopipe": (schedulers._block_passes, {}, False),
+    "plutarch-noblocks": (schedulers._layer_passes, {"sweep": False}, True),
+}
+
+
+def build_passes(c, m, config):
+    build, _ = schedulers._policy(*CONFIGS[config])
+    return build(c, m)
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_each_config_is_a_builder_and_a_pipelining(config):
+    build, pipelining = schedulers._policy(*CONFIGS[config])
+    func, keywords, expected = BUILDERS[config]
+    assert (getattr(build, "func", build), getattr(build, "keywords", {})) == (func, keywords)
+    assert pipelining is expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(native_circuits, st.sampled_from(sorted(MACHINES)))
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_the_passes_run_every_gate_once_after_its_predecessors(config, c, machine):
+    """Every gate is in the residual or in one pass, and no pass is empty.
+    The residual runs first, then the passes in order, so a gate's DAG
+    predecessors are in the residual or an earlier pass, or earlier in its
+    own pass."""
+    _, residual, passes = build_passes(c, MACHINES[machine], config)
+    where = {}   # gate id: (pass index, -1 for the residual; position in it)
+    for i, gates in [(-1, residual), *enumerate(p.gates for p in passes)]:
+        for position, g in enumerate(gates):
+            assert g.id not in where
+            where[g.id] = (i, position)
+    assert sorted(where) == [g.id for g in c.gates]
+    assert all(p.gates for p in passes)
+    for a, b in c.edges:
+        assert where[a] < where[b]
+
+
+@settings(max_examples=40, deadline=None)
+@given(native_circuits, st.sampled_from(sorted(MACHINES)))
+@pytest.mark.parametrize("config", ["rolodex", "tilt", "plutarch-noblocks"])
+def test_pass_mode_alternates_1q_phases_and_2q_layers(config, c, machine):
+    """Pass mode has no residual.  A 2Q pass is one 2Q layer and targets
+    its gates' pairs; a 1Q pass splits every pair, and no two 1Q passes are
+    adjacent, which `_Engine.plans` relies on.  Every pass streams the
+    whole chain.  TILT plans one-dimensionally and never laps; under
+    Rolodex laps every pass after the first laps, when its plan is 1-D,
+    along the shortest path whose span hosts the chain's pairs."""
+    m = MACHINES[machine]
+    mode, residual, passes = build_passes(c, m, config)
+    assert residual == []
+    assert [p.gates for p in passes if p.targets is not None] == extract_2q_layers(c)
+    for p, after in zip(passes, passes[1:] + [None]):
+        assert p.layer is None and p.ions == tuple(range(c.width))
+        if p.targets is None:
+            assert all(len(g.qubits) == 1 for g in p.gates)
+            assert after is None or after.targets is not None
+        else:
+            assert p.targets == tuple(g.qubits for g in p.gates)
+    if config == "tilt":
+        assert mode is PlanMode.ONE_DIMENSIONAL
+        assert [p.lap for p in passes] == [None] * len(passes)
+        return
+    assert mode is PlanMode.CIRCULATION_ALLOWED
+    share = min(math.ceil(c.width / 2) / m.gate_zones, 1.0)
+    fraction = dict(m.circulation_paths)
+    lap = min((pid for pid, f in m.circulation_paths if f >= share - 1e-12), key=fraction.get)
+    assert [p.lap for p in passes] == [None, *[lap] * (len(passes) - 1)][:len(passes)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(native_circuits)
+@pytest.mark.parametrize("machine", sorted(MACHINES))
+def test_block_mode_runs_one_pass_per_block_layer(machine, c):
+    """The residual is the block schedule's, and each pass is one in-place
+    block layer: it targets its blocks' pairs, runs their gates block by
+    block, gathers only their ions and never laps.  Realignment circulates
+    only on a track with shortcuts."""
+    m = MACHINES[machine]
+    blocks = extract_inplace_blocks(c, m.gate_zones)
+    mode, residual, passes = schedulers._block_passes(c, m)
+    assert mode is (PlanMode.CIRCULATION_ALLOWED if m.shortcuts else PlanMode.ONE_DIMENSIONAL)
+    assert residual == blocks.residual
+    assert [p.layer for p in passes] == blocks.layers
+    for p in passes:
+        assert p.targets == tuple(b.core_2q.qubits for b in p.layer)
+        assert p.gates == [g for b in p.layer for g in (*b.pre_1q, b.core_2q, *b.post_1q)]
+        assert p.ions == tuple(sorted(q for b in p.layer for q in b.core_2q.qubits))
+        assert p.lap is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(native_circuits, st.sampled_from(sorted(MACHINES)))
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_the_loop_makes_one_transition_and_one_stream_per_pass(config, c, machine):
+    """`schedule` initializes the qubits of the passes' gates, then of the
+    residual, then the rest, in order of use and in batches of at most k.
+    Then each pass makes one transition, along the plan's path or, for a
+    1-D plan, the pass's lap, and one stream of the pass's ions."""
+    m = MACHINES[machine]
+    policy, flags = CONFIGS[config]
+    _, residual, passes = build_passes(c, m, config)
+    paths = []   # (the plan's path, the path the transition took)
+
+    class Engine(schedulers._Engine):
+        def transit(self, plan, path):
+            paths.append((plan.path_id, path))
+            super().transit(plan, path)
+
+    with patch.object(schedulers, "_Engine", Engine):
+        tr = schedule(c, m, policy, flags)
+    assert len(paths) == len(passes)
+    for (planned, path), p in zip(paths, passes):
+        assert path == (p.lap if planned is None else planned)
+    streams = [(e.qubits, e.duration) for e in of_kind(tr, EventKind.SHUTTLE) if e.payload.get("pass_stream")]
+    assert streams == [(p.ions, p.stream) for p in passes]
+    inits = [e.qubits for e in of_kind(tr, EventKind.INIT) if "gate_ids" not in e.payload]
+    used = [q for gates in [*(p.gates for p in passes), residual] for g in gates for q in g.qubits]
+    assert [q for qs in inits for q in qs] == list(dict.fromkeys([*used, *range(c.width)]))
+    assert all(len(qs) <= m.gate_zones for qs in inits)
