@@ -6,6 +6,7 @@
     python3 ci/digest_diff.py translations BASE CHANGE
     python3 ci/digest_diff.py plan-calls BASE CHANGE
     python3 ci/digest_diff.py public-api BASE CHANGE
+    python3 ci/digest_diff.py host-ab BASE CHANGE [--rounds N] [WORKLOAD ...]
 
 BASE and CHANGE are the roots of two checkouts of this repository, and the
 .json files come from `perfbench/run.py --out`.  `correct` reads the output
@@ -41,20 +42,39 @@ command prints one Markdown section for the job summary:
   src/racetrack, perfbench or ci, other than where the name is defined.
   The members of an `Enum` subclass are values, not API, and are skipped.
   The names are read with `ast`; nothing is imported.
+* host-ab: an interleaved A/B of host time in one process.  Each tree's
+  src/racetrack is copied to a temporary directory under a package name of
+  its own (its modules must import each other only relatively), each
+  workload's cases are built once per package with the change tree's
+  perfbench/pipeline.build_cases (seed 1), and every round runs each case
+  once per tree, the tree that goes first alternating from case to case
+  and from round to round.  Per workload it prints gates/s (the gates of
+  every case over the sum of the per-case median seconds), the p50 and p90
+  of the per-case medians, and the change/base ratio of each.  Every
+  workload by default, and 5 rounds.  No time is scaled by a
+  reference loop: both trees run on the same host, case by case, so the
+  ratio is what the run measures.
 
 Translations and plan calls are computed in one process per tree, as each
 imports its own tree's racetrack.
 """
 from __future__ import annotations
 
+import argparse
 import ast
+import gc
 import hashlib
+import importlib
 import json
 import re
+import shutil
+import statistics
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 FIELDS = ("span_us", "f_total", "zone_util_pct", "transports", "breakdown_residual_us")
@@ -301,6 +321,85 @@ def public_api(base: str, change: str) -> None:
     print(FENCE)
 
 
+def _absolute_imports(package: Path) -> list[str]:
+    """Each module of `package` that imports `racetrack` by name, as
+    "module: line"."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) and not node.level else [])
+            if any(n == "racetrack" or n.startswith("racetrack.") for n in names if n):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def _load_copy(root: str, name: str, into: Path, modules) -> SimpleNamespace:
+    """The modules of the tree at `root`'s src/racetrack, copied into
+    `into` as the package `name` and imported from there."""
+    source = Path(root, "src/racetrack")
+    absolute = _absolute_imports(source)
+    if absolute:
+        raise SystemExit(f"host-ab: {source} imports racetrack by name ({', '.join(absolute)}); "
+                         "its modules must import each other relatively to load under a second name")
+    shutil.copytree(source, into / name, ignore=shutil.ignore_patterns("__pycache__"))
+    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in modules})
+
+
+def _summary(samples: dict[str, list[float]], gates: dict[str, int]) -> tuple[float, float, float]:
+    """gates/s, p50 ms and p90 ms from each case's median seconds."""
+    medians = sorted(statistics.median(s) for s in samples.values())
+    p90 = statistics.quantiles(medians, n=10, method="inclusive")[8]
+    return sum(gates.values()) / sum(medians), 1e3 * statistics.median(medians), 1e3 * p90
+
+
+def host_ab(*argv: str) -> None:
+    parser = argparse.ArgumentParser(prog="digest_diff.py host-ab")
+    parser.add_argument("base")
+    parser.add_argument("change")
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("workloads", nargs="*")
+    args = parser.parse_intermixed_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds takes an integer >= 1")
+    sys.path.insert(0, str(Path(args.change, "perfbench")))
+    import pipeline
+
+    workloads = args.workloads or list(pipeline.WORKLOADS)
+    unknown = sorted(set(workloads) - set(pipeline.WORKLOADS))
+    if unknown:
+        parser.error(f"unknown workload(s) {unknown}; known: {sorted(pipeline.WORKLOADS)}")
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        trees = {tree: _load_copy(root, f"racetrack_ab_{tree}", Path(tmp), pipeline.MODULES)
+                 for tree, root in (("base", args.base), ("change", args.change))}
+        for w in workloads:
+            cases = {tree: pipeline.build_cases(rt, w, 1) for tree, rt in trees.items()}
+            names = [c.name for c in cases["change"]]
+            if [c.name for c in cases["base"]] != names:
+                raise SystemExit(f"host-ab: the trees build different {w} cases")
+            samples = {tree: {name: [] for name in names} for tree in trees}
+            gates: dict[str, int] = {}
+            gc.collect()
+            for r in range(args.rounds):
+                for i, name in enumerate(names):
+                    for tree in (("base", "change") if (r + i) % 2 == 0 else ("change", "base")):
+                        out = pipeline.run_case(trees[tree], cases[tree][i])
+                        samples[tree][name].append(out.seconds)
+                        gates[name] = out.native.n_gates
+            rows.append((w, len(names), _summary(samples["base"], gates), _summary(samples["change"], gates)))
+    print(f"### host time, base against change ({args.rounds} interleaved rounds in one process, seed 1)")
+    print(FENCE)
+    print(f"{'':10} {'':>5} {'gates/s':>26} {'case ms p50':>24} {'case ms p90':>24}")
+    print(f"{'workload':10} {'cases':>5} {'base':>9} {'change':>9} {'ratio':>6} "
+          f"{'base':>8} {'change':>8} {'ratio':>6} {'base':>8} {'change':>8} {'ratio':>6}")
+    for w, n, (g0, p50_0, p90_0), (g1, p50_1, p90_1) in rows:
+        print(f"{w:10} {n:5} {g0:9.0f} {g1:9.0f} {g1 / g0:6.3f} "
+              f"{p50_0:8.2f} {p50_1:8.2f} {p50_1 / p50_0:6.3f} {p90_0:8.2f} {p90_1:8.2f} {p90_1 / p90_0:6.3f}")
+    print(FENCE)
+
+
 COMMANDS = {
     "size": (size, 2),
     "correct": (correct, 0),
@@ -308,6 +407,7 @@ COMMANDS = {
     "translations": (translations, 2),
     "plan-calls": (plan_calls, 2),
     "public-api": (public_api, 2),
+    "host-ab": (host_ab, None),   # parses its own arguments
     # one tree each, run by translations and plan-calls
     "translation-hashes": (translation_hashes, 1),
     "plan-call-counts": (plan_call_counts, 1),
@@ -315,7 +415,7 @@ COMMANDS = {
 
 
 def main(argv: list[str]) -> int:
-    if not argv or argv[0] not in COMMANDS or len(argv) - 1 != COMMANDS[argv[0]][1]:
+    if not argv or argv[0] not in COMMANDS or COMMANDS[argv[0]][1] not in (None, len(argv) - 1):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     command, _ = COMMANDS[argv[0]]

@@ -1,14 +1,15 @@
 """Circuit container and dependency-DAG construction.
 
 A circuit is a gate list in program order, checked when it is built: its
-width is an int >= 0 (a bool is none), no two gates share an id, and
-every qubit is below the width.  The first fault in program order raises
-a ValueError.  Its DAG, `Circuit.edges`, the transitive reduction of the
-shared-qubit precedence relation, is derived from the gates on first
-read, which no pipeline stage makes, and is immutable.  Python 3.11's
-`cached_property` builds it under a lock shared by all circuits; from
-3.12 it takes none, so two threads that read it first at once may each
-build it, and build equal sets.
+width is an int >= 0 (a bool is none), its gates are a sequence of
+`Gate`s, no two gates share an id, and every qubit is below the width.
+The first fault in program order raises a ValueError.  Its DAG,
+`Circuit.edges`, the transitive reduction of the shared-qubit precedence
+relation, is derived from the gates on first read, which no pipeline
+stage makes, and is immutable.  Python 3.11's `cached_property` builds it
+under a lock shared by all circuits; from 3.12 it takes none, so two
+threads that read it first at once may each build it, and build equal
+sets.
 """
 from __future__ import annotations
 
@@ -31,8 +32,16 @@ class Circuit:
         if width < 0:
             raise ValueError(f"circuit width must be >= 0, got {width}")
         if type(gates) is not tuple:
-            gates = tuple(gates)
+            try:
+                gates = tuple(gates)
+            except TypeError:
+                raise ValueError(f"circuit gates must be a sequence of Gates, got {gates!r}") from None
             object.__setattr__(self, "gates", gates)
+        # one C-level pass over the gates' types; the scan names the first fault
+        if {*map(type, gates)} - {Gate}:
+            for i, g in enumerate(gates):
+                if not isinstance(g, Gate):
+                    raise ValueError(f"circuit gates must be Gates, got {g!r} at position {i}")
         ids = [g.id for g in gates]
         if len(set(ids)) != len(ids) or (gates and max(q for g in gates for q in g.qubits) >= width):
             _raise_first_fault(gates, width)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from numbers import Integral
+from numbers import Integral, Real
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,8 +73,11 @@ class Gate:
 
     Every workload and translation builds gates, so `__init__` is written
     by hand and the instance is slotted (no `__dict__`): it runs the checks
-    (arity, integer qubits, duplicate qubit, negative qubit, param count,
-    in that order) and sets each slot once, through the slot descriptors.
+    (an int id that is no bool, a `GateType` kind, qubits that are a
+    sequence, arity, integer qubits, duplicate qubit, negative qubit,
+    params that are a sequence, param count, real-number params, in that
+    order), each failing with a ValueError that names the field, and sets
+    each slot once, through the slot descriptors.
     """
 
     id: int
@@ -88,7 +91,14 @@ class Gate:
 
     def __init__(self, id: int, kind: GateType, qubits: tuple[int, ...],
                  params: tuple[float, ...] = (), source: int = -1):
-        qubits = tuple(qubits)
+        if type(id) is not int and not is_qubit(id):
+            raise ValueError(f"gate id must be an int, got {id!r}")
+        if kind.__class__ is not GateType:
+            raise ValueError(f"gate {id} kind must be a GateType, got {kind!r}")
+        try:
+            qubits = tuple(qubits)
+        except TypeError:
+            raise ValueError(f"{kind.value} gate {id} qubits must be a sequence, got {qubits!r}") from None
         n = len(qubits)
         if n != kind.n_qubits:
             raise ValueError(
@@ -103,14 +113,29 @@ class Gate:
             raise ValueError(f"duplicate qubit in {kind.value} gate: {qubits}")
         if qubits[0] < 0 or qubits[-1] < 0:
             raise ValueError(f"negative qubit index: {qubits}")
-        if len(params) != kind.n_params:
+        try:
+            n_params = len(params)
+        except TypeError:
+            raise ValueError(f"{kind.value} gate {id} params must be a sequence, got {params!r}") from None
+        if n_params != kind.n_params:
             raise ValueError(
                 f"{kind.value} takes {kind.n_params} param(s), got {params}"
             )
         _set_id(self, id)
         _set_kind(self, kind)
         _set_qubits(self, qubits)
-        _set_params(self, tuple(map(canonical_angle, params)) if kind.n_params else ())
+        if n_params:
+            # canonical_angle returns an in-range float as it is, so only a
+            # param that fails that first test of its needs the call
+            for p in params:
+                if p.__class__ is not float or not -TWO_PI < p <= TWO_PI:
+                    params = _canonical_params(id, kind, params)
+                    break
+            else:
+                params = tuple(params)
+        else:
+            params = ()
+        _set_params(self, params)
         _set_source(self, source)
         _set_is_2q(self, n == 2)
         _set_is_1q(self, n == 1)
@@ -121,6 +146,15 @@ class Gate:
             ps = ",".join(repr(p) for p in self.params)
             return f"Gate({self.id}: {self.kind.value} {qs} {ps})"
         return f"Gate({self.id}: {self.kind.value} {qs})"
+
+
+def _canonical_params(id: int, kind: GateType, params) -> tuple[float, ...]:
+    """`params` through `canonical_angle`, each checked to be a real number
+    and not a bool first."""
+    for p in params:
+        if not isinstance(p, Real) or isinstance(p, bool):
+            raise ValueError(f"{kind.value} gate {id} params must be real numbers, got {params!r}")
+    return tuple(map(canonical_angle, params))
 
 
 # The frozen class's `__setattr__` raises: `__init__` sets each slot by its

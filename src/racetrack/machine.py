@@ -27,7 +27,11 @@ COOLING_STAGES = 550.0 + 850.0 + 650.0   # us, the three stages after each gate 
 
 
 def _check_count(name: str, value) -> None:
-    """Zone counts and capacity are integers >= 1."""
+    """Zone counts and capacity are integers >= 1.  An exact int >= 1 is
+    accepted before the `numbers.Integral` test, which costs about 40
+    times as much: `translate.list_layers` checks its cap per call."""
+    if type(value) is int and value >= 1:
+        return
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 

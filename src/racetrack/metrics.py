@@ -41,15 +41,27 @@ class RuntimeBreakdown:
 
 
 def _union_length(intervals: list[tuple[float, float]]) -> float:
-    """Length of the union of `intervals`; one that ends at or before its
-    start covers nothing."""
+    """Length of the union of `intervals`; an interval covers nothing
+    unless it ends after it starts, which one with a NaN never does.
+
+    A NaN would leave the sort's order undefined, so when the walk meets
+    one it walks again over the intervals that end after their start.  The
+    test for it sits in the branch of intervals that cover nothing, so a
+    walk without one pays nothing for it.  The conditional is `max(a,
+    last_end)` without the call: both give `a` unless `a < last_end`.
+    """
     total = 0.0
     last_end = -math.inf
+    nan = False
     for a, b in sorted(intervals):
-        if b <= last_end or b <= a:
-            continue
-        total += b - max(a, last_end)
-        last_end = b
+        if a < b:
+            if b > last_end:
+                total += b - (last_end if a < last_end else a)
+                last_end = b
+        elif not b <= a:
+            nan = True
+    if nan:
+        return _union_length([iv for iv in intervals if iv[0] < iv[1]])
     return total
 
 

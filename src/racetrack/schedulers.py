@@ -54,8 +54,11 @@ without pipelining also once every earlier step has ended.  Pipelining is
 thus one rule: a step may overlap any step that shares neither its lane
 nor an ion.  Each of those times is 0 or an earlier step's end, so every
 step starts at 0 or where an earlier one ends, and the events cover the
-span without a gap: `runtime_breakdown` reports no idle time.  The steps
-hold:
+span without a gap: `runtime_breakdown` reports no idle time.
+
+An ion is free once every earlier step that lists it has ended; `_step`
+keeps each ion's latest end, and a whole-chain step (a pass-mode stream or
+a circulation) reads and sets the end of every ion.  The steps hold:
 
     step                                           lane       ions
     INIT or MEASURE batch                          prep       its qubits
@@ -126,12 +129,14 @@ from .gates import Gate, GateType
 from .ions import (  # noqa: F401
     TRANSPORTS_PER_CIRCULATING_PAIR, TRANSPORTS_PER_EXCHANGE, IonState, ReorderTag, apply_reorder,
 )
-from .machine import Machine
+from .machine import Machine, TimingParams
 from .planner import PlanMode, ReorderPlan, plan_reorder, split_all_plan
 from .trace import EventKind, Trace, TraceEvent
 
-# a member as a module global: reading one off the Enum class per step is slow
+# members as module globals: reading one off the Enum class per step is slow
 _COOL = EventKind.COOL
+_MEASURE = EventKind.MEASURE
+_EXCHANGE = ReorderTag.PAIR_EXCHANGE.value
 
 # Fraction of the zone region a gathering pass traverses under in-place
 # scheduling (ions are gathered to nearby zones instead of conveyed past
@@ -180,6 +185,20 @@ def _policy(policy: str, flags: PolicyFlags | None) -> tuple[Callable[[Circuit, 
     return partial(_layer_passes, sweep=policy == "tilt"), False
 
 
+def _batch_table(t: TimingParams) -> dict[str, tuple[EventKind, float, float | None]]:
+    """A zone batch's event kind, duration and cooling (None: no COOL
+    event, no zones engaged), keyed by its gate kind's value."""
+    def entry(kind: GateType) -> tuple[EventKind, float, float | None]:
+        if kind is GateType.INIT:
+            return EventKind.INIT, t.init_batch, None
+        if kind is GateType.MEASURE:
+            return EventKind.MEASURE, t.measure_batch, None
+        if kind.n_qubits == 2:
+            return EventKind.GATE_2Q, t.two_q_gate, t.cool_2q_batch
+        return EventKind.GATE_1Q, t.one_q_gate, t.cool_1q_batch
+    return {kind._value_: entry(kind) for kind in GateType}
+
+
 class _Engine:
     def __init__(self, c: Circuit, m: Machine, pipelining: bool):
         if not c.is_native():
@@ -198,6 +217,9 @@ class _Engine:
         self.ion_free = [0.0] * c.width
         self.end = 0.0                    # when every step placed so far has ended
         self.measured: set[int] = set()   # qubits of explicit MEASURE gates
+        self.batch_of = _batch_table(self.t)
+        # what a circulation adds to its exchanges' transports
+        self.aboard_transports = TRANSPORTS_PER_CIRCULATING_PAIR * math.ceil(c.width / 2)
 
     # -- placement -----------------------------------------------------------
 
@@ -229,9 +251,9 @@ class _Engine:
         """The one event of a transition: a circulation along `path`, or a
         one-dimensional reorder when `path` is None."""
         ops = dict(plan.op_counts)
-        transports = TRANSPORTS_PER_EXCHANGE * ops.get(ReorderTag.PAIR_EXCHANGE.value, 0)
+        transports = TRANSPORTS_PER_EXCHANGE * ops.get(_EXCHANGE, 0)
         if path is not None:
-            transports += TRANSPORTS_PER_CIRCULATING_PAIR * math.ceil(self.c.width / 2)
+            transports += self.aboard_transports
             self._step(EventKind.CIRCULATE, plan.charge(self.m.lap(path)), self.chain,
                        {"path": path, "ops": ops, "transports": transports})
         elif plan.ops:
@@ -301,24 +323,32 @@ class _Engine:
     def _run_batch(self, gates: list[Gate]):
         """Run one kind-homogeneous batch, each gate in a zone of its own.
 
-        A 1Q batch holds each qubit once, so it lasts one `one_q_gate`.
+        A 1Q batch holds each qubit once, so it lasts one `one_q_gate`.  The
+        batch's qubits need no dedupe: a batch's gates share no qubit (a
+        zone batch is a `list_layers` layer, a block layer's 2Q gates act on
+        disjoint pairs), which `test_each_step_lists_the_ions_it_holds`
+        checks.  One loop collects the ids, the qubits per id and the
+        qubits, where a comprehension each would be three calls on Python
+        3.11, and the kind's value keys the event, its time and its cooling
+        in `_Engine.batch_of`, built once per schedule.
         """
-        kind, t = gates[0].kind, self.t
-        qs = tuple(sorted({q for g in gates for q in g.qubits}))
-        payload = {
-            "gate_ids": [g.id for g in gates],
-            "gate_qubits": {g.id: g.qubits for g in gates},
-            "kind": kind._value_,   # `.value` is a Python-level property
-        }
-        if kind is GateType.INIT:
-            self._step(EventKind.INIT, t.init_batch, qs, payload)
-        elif kind is GateType.MEASURE:
-            self.measured.update(qs)
-            self._step(EventKind.MEASURE, t.measure_batch, qs, payload)
-        elif kind.n_qubits == 2:
-            self._step(EventKind.GATE_2Q, t.two_q_gate, qs, payload, len(gates), t.cool_2q_batch)
+        value = gates[0].kind._value_   # `.value` is a Python-level property
+        event, duration, cool = self.batch_of[value]
+        ids, gate_qubits, qubits = [], {}, []
+        for g in gates:
+            gid, qs = g.id, g.qubits
+            ids.append(gid)
+            gate_qubits[gid] = qs
+            qubits += qs
+        qubits.sort()
+        qs = tuple(qubits)
+        payload = {"gate_ids": ids, "gate_qubits": gate_qubits, "kind": value}
+        if cool is None:
+            if event is _MEASURE:
+                self.measured.update(qs)
+            self._step(event, duration, qs, payload)
         else:
-            self._step(EventKind.GATE_1Q, t.one_q_gate, qs, payload, len(gates), t.cool_1q_batch)
+            self._step(event, duration, qs, payload, len(gates), cool)
 
 
 def _layer_passes(c: Circuit, m: Machine, sweep: bool) -> _Passes:
@@ -370,8 +400,10 @@ def _run_block_layer(eng: _Engine, layer: list[Block], ions: tuple[int, ...]):
         if not any(chains):
             return
         eng._step(EventKind.REORDER, t.split_or_combine, ions, {"ops": {"split": len(layer)}})
-        left = [g for chain, (lq, _) in zip(chains, sides) for g in chain if g.qubits[0] == lq]
-        right = [g for chain, (_, rq) in zip(chains, sides) for g in chain if g.qubits[0] == rq]
+        left, right = [], []
+        for chain, (lq, _) in zip(chains, sides):
+            for g in chain:
+                (left if g.qubits[0] == lq else right).append(g)
         eng.run_gates(left)
         eng._step(EventKind.SHUTTLE, t.intra_zone_shift, ions, {"intra": True})
         eng.run_gates(right)

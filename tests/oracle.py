@@ -28,6 +28,10 @@ that took each gate's `source` from those layers.
 `translate.extract_2q_layers` replaced with a call to the one list
 scheduler, `translate.list_layers`.  `early_edges` is rule 2 of
 `Trace.validate` as it was checked over every edge of the reduced DAG.
+
+A start-time replay: `replay_starts` recomputes every event's start from
+the schedulers' timing rule alone, keeping each ion's end per ion with no
+shortcut for a step that holds the whole chain.
 """
 from __future__ import annotations
 
@@ -42,6 +46,7 @@ from racetrack.ions import (
 )
 from racetrack.machine import TimingParams
 from racetrack.planner import _checked_targets
+from racetrack.trace import EventKind, Trace
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -505,3 +510,36 @@ def extract_2q_layers_reference(c: Circuit, cap: int | None = None) -> list[list
         ready.sort(key=order.get)
         layers.append(layer)
     return layers
+
+
+def replay_starts(trace: Trace, pipelining: bool) -> list[float]:
+    """Every event's start, recomputed in emission order.  A step is an
+    event, with the COOL event right after a gate batch as its tail.  It
+    starts at the latest end of the earlier steps on its lane (of every
+    earlier step, without pipelining) and of each earlier step that lists
+    one of its ions, and its COOL starts where it ends."""
+    events = trace.events
+    lane_end: dict[str, float] = {}
+    ion_end: dict[int, float] = {}
+    last_end = 0.0
+    starts: list[float] = []
+    i = 0
+    while i < len(events):
+        _, duration, kind, _, qubits, _ = events[i]
+        assert kind is not EventKind.COOL, f"event {i}: a COOL event after no gate batch"
+        start = lane_end.get(kind.lane, 0.0) if pipelining else last_end
+        for q in qubits:
+            start = max(start, ion_end.get(q, 0.0))
+        starts.append(start)
+        end = start + duration
+        if i + 1 < len(events) and events[i + 1].kind is EventKind.COOL:
+            assert kind in (EventKind.GATE_1Q, EventKind.GATE_2Q), f"event {i + 1}: a COOL after a {kind}"
+            i += 1
+            starts.append(end)
+            end += events[i].duration
+        lane_end[kind.lane] = end
+        for q in qubits:
+            ion_end[q] = end
+        last_end = max(last_end, end)
+        i += 1
+    return starts

@@ -84,6 +84,47 @@ class TestGate:
             Gate(0, kind, qubits, params)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("args, message", [
+        ((0, "U1q", (0,), (0.1, 0.2)), "gate 0 kind must be a GateType, got 'U1q'"),
+        ((0, GateType.RZ, 5, (0.1,)), "Rz gate 0 qubits must be a sequence, got 5"),
+        ((0, GateType.RZ, (0,), 0.5), "Rz gate 0 params must be a sequence, got 0.5"),
+        ((0, GateType.RZ, (0,), ("a",)), "Rz gate 0 params must be real numbers, got ('a',)"),
+        ((0, GateType.U1Q, (0,), (0.5, None)), "U1q gate 0 params must be real numbers, got (0.5, None)"),
+        ((0, GateType.RZ, (0,), (True,)), "Rz gate 0 params must be real numbers, got (True,)"),
+        ((True, GateType.H, (0,)), "gate id must be an int, got True"),
+        (("x", GateType.H, (0,)), "gate id must be an int, got 'x'"),
+        ((1.0, GateType.H, (0,)), "gate id must be an int, got 1.0"),
+    ])
+    def test_bad_input_is_a_value_error_that_names_the_field(self, args, message):
+        with pytest.raises(ValueError) as err:
+            Gate(*args)
+        assert str(err.value) == message
+
+    def test_an_integral_id_is_kept(self):
+        assert Gate(np.int64(3), GateType.H, (0,)).id == 3
+
+    @pytest.mark.parametrize("params", [
+        (2 * PI,), (-2 * PI,), (-0.0,), (3,), (np.float64(7.0),), (np.float64(0.25),),
+        (math.nan,), (math.inf,), (-math.inf,), (4 * PI + 1.0,),
+    ])
+    def test_params_are_canonical_angles_fast_path_or_not(self, params):
+        """An in-range float skips `canonical_angle`, which returns it as it
+        is; every other param goes through it, with its ValueError."""
+        try:
+            expected = repr(tuple(map(canonical_angle, params)))
+        except ValueError as fault:
+            with pytest.raises(ValueError) as err:
+                Gate(0, GateType.RZ, (0,), params)
+            assert str(err.value) == str(fault)
+            return
+        assert repr(Gate(0, GateType.RZ, (0,), params).params) == expected
+        # a fast param beside a slow one, in either order
+        for pair in ((0.5, params[0]), (params[0], 0.5)):
+            assert repr(Gate(0, GateType.U1Q, (0,), pair).params) == repr(tuple(map(canonical_angle, pair)))
+
+    def test_params_from_a_list_are_a_tuple(self):
+        assert Gate(0, GateType.U1Q, (0,), [0.5, 0.25]).params == (0.5, 0.25)
+
     def test_kind_attributes(self):
         two_qubit = {GateType.ZZ, GateType.RZZ, GateType.RXXYYZZ, GateType.CX}
         abstract = {GateType.H, GateType.X, GateType.RX, GateType.CX}
@@ -173,6 +214,16 @@ class TestBuildDag:
         c = Circuit(2, [gate])
         assert c.gates == (gate,) and type(c.gates) is tuple
         assert hash(c) == hash(Circuit(2, (gate,))) and c == build_dag([gate], 2)
+
+    @pytest.mark.parametrize("gates, message", [
+        ([1, 2], "circuit gates must be Gates, got 1 at position 0"),
+        ([Gate(0, GateType.H, (0,)), "H"], "circuit gates must be Gates, got 'H' at position 1"),
+        (5, "circuit gates must be a sequence of Gates, got 5"),
+    ])
+    def test_gates_that_are_no_gates_are_named(self, gates, message):
+        with pytest.raises(ValueError) as err:
+            Circuit(2, gates)
+        assert str(err.value) == message
 
     def test_gate_lookup(self):
         c = build_dag([g(7, GateType.H, 0), g(3, GateType.CX, 0, 1)], 2)

@@ -267,3 +267,32 @@ def test_plan_calls_see_a_reordered_op_sequence(tmp_path):
     change_hash = run("plan-call-counts", change).stdout.split()[3]
     assert base_hash != change_hash
     assert row[7:] == ["changed:", base_hash[:12], "->", change_hash[:12]]
+
+
+def test_host_ab_runs_this_checkout_against_itself():
+    root = SCRIPT.parent.parent
+    out = run("host-ab", root, root, "--rounds", "1", "ring")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[:2] == ["### host time, base against change (1 interleaved rounds in one process, seed 1)", "```"]
+    assert lines[3].split() == ["workload", "cases"] + ["base", "change", "ratio"] * 3
+    row = lines[4].split()
+    assert row[:2] == ["ring", "10"] and len(row) == 11 and lines[5:] == ["```"]
+    assert all(float(x) > 0 for x in row[2:])
+
+
+def test_host_ab_needs_relative_imports(tmp_path):
+    src = tmp_path / "tree" / "src" / "racetrack"
+    src.mkdir(parents=True)
+    (src / "gates.py").write_text("import math\nfrom . import circuit\n")
+    (src / "circuit.py").write_text("from racetrack.gates import Gate\n")
+    root = SCRIPT.parent.parent
+    out = run("host-ab", tmp_path / "tree", root, "--rounds", "1")
+    assert out.returncode == 1 and out.stdout == ""
+    assert "imports racetrack by name (circuit.py:1)" in out.stderr
+
+
+def test_host_ab_rejects_an_unknown_workload():
+    root = SCRIPT.parent.parent
+    out = run("host-ab", root, root, "nowhere")
+    assert out.returncode == 2 and "unknown workload(s) ['nowhere']" in out.stderr

@@ -6,6 +6,7 @@ import pickle
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from racetrack.ions import Crystal, IonState, ReorderOp, ReorderTag, apply_reorder, reorder_in_place
 from racetrack.machine import (
     FidelityParams,
+    _check_count,
     Machine,
     TimingParams,
     machine_from_dict,
@@ -52,6 +54,18 @@ DESCRIPTION_FAULTS = [
     ({"gate_zones": 0}, "gate_zones must be an integer >= 1, got 0"),
     ({"shortcuts": [1.5]}, "shortcut fractions must lie strictly in (0, 1)"),
 ]
+@pytest.mark.parametrize("value", [True, 1.0, 0, -1, "2", 2.5, None])
+def test_a_bad_count_keeps_its_message(value):
+    with pytest.raises(ValueError) as err:
+        _check_count("gate_zones", value)
+    assert str(err.value) == f"gate_zones must be an integer >= 1, got {value!r}"
+
+
+def test_an_integral_count_is_accepted():
+    for value in (1, 3, np.int64(3), 2**70):
+        _check_count("gate_zones", value)
+
+
 # the bad values among them: an unknown parameter has no route to a
 # machine but a description
 BAD_VALUES = [(desc, message) for desc, message in DESCRIPTION_FAULTS

@@ -52,6 +52,20 @@ def test_union_length_matches_brute_force(intervals):
     assert ref.union_length(floats) == brute_union(intervals)
 
 
+END = st.sampled_from([0.0, 1.0, 2.0, 2.5, 4.0, -math.inf, math.inf, math.nan])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(END, END), max_size=8))
+@example([(0.0, math.nan)])                                     # a NaN end
+@example([(math.nan, 4.0), (1.0, 2.0)])                         # a NaN start
+@example([(5.0, 6.0), (math.nan, 1.0), (0.0, 10.0)])            # a NaN that would misorder the sort
+@example([(1.0, 2.0), (1.0, 2.0), (2.0, 4.0), (2.0, 2.0)])      # equal, touching and empty
+def test_union_length_matches_the_reference_with_nan_and_shared_ends(intervals):
+    """An interval with a NaN covers nothing, as in the reference."""
+    assert repr(_union_length(intervals)) == repr(float(ref.union_length(intervals)))
+
+
 def hand_trace():
     def ev(kind, start, end, zones=0, qubits=()):
         return TraceEvent(float(start), float(end - start), kind, zones, qubits, {})

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import early_edges
+from oracle import early_edges, replay_starts
 from racetrack import schedulers
 from racetrack.blocks import extract_inplace_blocks
 from racetrack.circuit import build_dag
@@ -36,7 +36,7 @@ from racetrack.machine import TimingParams, make_machine
 from racetrack.metrics import fidelity_report, runtime_breakdown, zone_utilization
 from racetrack.planner import PlanMode, plan_reorder, split_all_plan
 from racetrack.schedulers import INPLACE_GATHER_FACTOR, PolicyFlags, schedule
-from racetrack.trace import EventKind
+from racetrack.trace import EventKind, TraceEvent
 from racetrack.translate import extract_2q_layers, one_qubit_phases, translate_to_native
 from racetrack.workloads import GraphKind, GraphSpec, VqeAnsatz, gen_qaoa, gen_vqe
 from reference_metrics import of_kind
@@ -348,6 +348,32 @@ def test_every_schedule_obeys_its_dag(c, k, shortcuts, config):
     assert abs(categories - b.hidden - b.total_span) <= 1e-6
 
 
+def check_starts_replay(c, m, config):
+    """Every start of the config's schedule is, bit for bit, the start the
+    timing rule gives with each ion's end kept per ion."""
+    policy, flags = CONFIGS[config]
+    tr = schedule(c, m, policy, flags)
+    pipelining = schedulers._policy(policy, flags)[1]
+    assert [e.t_start.hex() for e in tr.events] == [t.hex() for t in replay_starts(tr, pipelining)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(native_circuits, st.integers(1, 8), st.sampled_from(SHORTCUT_SETS),
+       st.sampled_from(sorted(CONFIGS)))
+def test_every_start_is_the_replayed_start(c, k, shortcuts, config):
+    check_starts_replay(c, make_machine(k, shortcuts=shortcuts), config)
+
+
+RING = translate_to_native(gen_vqe(VqeAnsatz.CIRCULAR_SU2, 56, 8))
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("machine", ["k4", "k8sc"])
+def test_every_start_of_the_ring_cases_is_the_replayed_start(machine, config):
+    m = make_machine(4) if machine == "k4" else make_machine(8, shortcuts=(0.5,))
+    check_starts_replay(RING, m, config)
+
+
 RULE_2 = "rule 2 (no gate starts before a DAG predecessor ends) broken by "
 
 
@@ -636,3 +662,32 @@ def test_the_loop_makes_one_transition_and_one_stream_per_pass(config, c, machin
     used = [q for gates in [*(p.gates for p in passes), residual] for g in gates for q in g.qubits]
     assert [q for qs in inits for q in qs] == list(dict.fromkeys([*used, *range(c.width)]))
     assert all(len(qs) <= m.gate_zones for qs in inits)
+
+
+# -- zone batches ----------------------------------------------------------------
+
+@pytest.mark.parametrize("kind, params, event", [
+    (GateType.INIT, (), (0.0, 17000.0, EventKind.INIT, 0)),
+    (GateType.MEASURE, (), (0.0, 120.0, EventKind.MEASURE, 0)),
+    (GateType.RZ, (0.5,), (0.0, 5.0, EventKind.GATE_1Q, 3)),
+])
+def test_a_1q_batch_emits_its_literal_event(kind, params, event):
+    eng = schedulers._Engine(build_dag([], 6), make_machine(4), pipelining=True)
+    eng._run_batch([Gate(5, kind, (4,), params), Gate(2, kind, (0,), params), Gate(9, kind, (3,), params)])
+    payload = {"gate_ids": [5, 2, 9], "gate_qubits": {5: (4,), 2: (0,), 9: (3,)}, "kind": kind.value}
+    expected = [TraceEvent(*event, (0, 3, 4), payload)]
+    if event[2] is EventKind.GATE_1Q:
+        expected.append(TraceEvent(5.0, 2055.0, EventKind.COOL, 3, (), {}))
+    assert eng.trace.events == expected
+    assert list(eng.trace.events[0].payload["gate_qubits"]) == [5, 2, 9]
+    assert eng.measured == ({0, 3, 4} if kind is GateType.MEASURE else set())
+
+
+def test_a_2q_batch_emits_its_literal_event_and_cooling():
+    eng = schedulers._Engine(build_dag([], 6), make_machine(4), pipelining=True)
+    eng._run_batch([Gate(7, GateType.ZZ, (4, 1)), Gate(3, GateType.ZZ, (0, 5))])
+    assert eng.trace.events == [
+        TraceEvent(0.0, 25.0, EventKind.GATE_2Q, 2, (0, 1, 4, 5),
+                   {"gate_ids": [7, 3], "gate_qubits": {7: (4, 1), 3: (0, 5)}, "kind": "ZZ"}),
+        TraceEvent(25.0, 2075.0, EventKind.COOL, 2, (), {})]
+    assert eng.measured == set()
