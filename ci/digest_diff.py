@@ -42,18 +42,26 @@ command prints one Markdown section for the job summary:
   src/racetrack, perfbench or ci, other than where the name is defined.
   The members of an `Enum` subclass are values, not API, and are skipped.
   The names are read with `ast`; nothing is imported.
-* host-ab: an interleaved A/B of host time in one process.  Each tree's
-  src/racetrack is copied to a temporary directory under a package name of
-  its own (its modules must import each other only relatively), each
-  workload's cases are built once per package with the change tree's
-  perfbench/pipeline.build_cases (seed 1), and every round runs each case
-  once per tree, the tree that goes first alternating from case to case
-  and from round to round.  Per workload it prints gates/s (the gates of
-  every case over the sum of the per-case median seconds), the p50 and p90
-  of the per-case medians, and the change/base ratio of each.  Every
-  workload by default, and 5 rounds.  No time is scaled by a
-  reference loop: both trees run on the same host, case by case, so the
-  ratio is what the run measures.
+* host-ab: an interleaved A/B of host time.  A round has two slots, base
+  and change, and runs in two processes, one per assignment of trees to
+  slots: forward, each slot holding its own tree, and reversed, the trees
+  swapped, the first alternating from round to round.  In each, a slot's
+  tree's src/racetrack is copied to a temporary directory under a package
+  name of its own (its modules must import each other only relatively),
+  each workload's cases are built once per slot with the change tree's
+  perfbench/pipeline.build_cases (seed 1), and each case runs once per
+  slot, the slot that goes first alternating from case to case and from
+  round to round.  Per workload it prints, for gates/s (the gates of every
+  case over the sum of the per-case median seconds) and the p50 and p90 of
+  the per-case medians: each tree's value over both slots; the change slot
+  over the base slot, forward and reversed; and sqrt(forward / reversed),
+  the change/base ratio with what a slot adds to its tree cancelled.  A
+  slot can add a few percent to its tree in every process alike, so the
+  forward ratio alone can show a difference that is not there; the
+  corrected ratio cancels it because each slot takes the same place in
+  both processes.  Every workload by default, and 5 rounds.  No time is
+  scaled by a reference loop: both trees run on the same host, case by
+  case, so the ratio is what the run measures.
 
 Translations and plan calls are computed in one process per tree, as each
 imports its own tree's racetrack.
@@ -66,6 +74,7 @@ import gc
 import hashlib
 import importlib
 import json
+import math
 import re
 import shutil
 import statistics
@@ -346,11 +355,47 @@ def _load_copy(root: str, name: str, into: Path, modules) -> SimpleNamespace:
     return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in modules})
 
 
-def _summary(samples: dict[str, list[float]], gates: dict[str, int]) -> tuple[float, float, float]:
-    """gates/s, p50 ms and p90 ms from each case's median seconds."""
-    medians = sorted(statistics.median(s) for s in samples.values())
+def _summary(samples: list[dict[str, list[float]]], gates: dict[str, int]) -> tuple[float, float, float]:
+    """gates/s, p50 ms and p90 ms from each case's median seconds over the
+    samples of every dict in `samples`."""
+    medians = sorted(statistics.median(s for d in samples for s in d[name]) for name in gates)
     p90 = statistics.quantiles(medians, n=10, method="inclusive")[8]
     return sum(gates.values()) / sum(medians), 1e3 * statistics.median(medians), 1e3 * p90
+
+
+SLOTS = ("base", "change")
+# the tree each slot holds: forward its own, reversed the other one
+ASSIGNMENTS = {"forward": SLOTS, "reversed": SLOTS[::-1]}
+
+
+def host_ab_round(cases_root: str, base: str, change: str, r: str, *workloads: str) -> None:
+    """One round of host-ab, in a process of its own: the tree at `base` in
+    the base slot, the one at `change` in the change slot, and the cases
+    built with `cases_root`'s pipeline.  Prints one JSON object: per
+    workload, the seconds of each case per slot and the gates of each."""
+    sys.path.insert(0, str(Path(cases_root, "perfbench")))
+    import pipeline
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        slots = {slot: _load_copy(root, f"racetrack_ab_{slot}", Path(tmp), pipeline.MODULES)
+                 for slot, root in zip(SLOTS, (base, change))}
+        for w in workloads:
+            cases = {slot: pipeline.build_cases(rt, w, 1) for slot, rt in slots.items()}
+            names = [c.name for c in cases["change"]]
+            if [c.name for c in cases["base"]] != names:
+                raise SystemExit(f"host-ab: the trees build different {w} cases")
+            seconds: dict[str, dict[str, float]] = {slot: {} for slot in SLOTS}
+            gates: dict[str, int] = {}
+            gc.collect()
+            for i, name in enumerate(names):
+                for slot in (SLOTS if (int(r) + i) % 2 == 0 else SLOTS[::-1]):
+                    run = pipeline.run_case(slots[slot], cases[slot][i])
+                    seconds[slot][name] = run.seconds
+                    gates[name] = run.native.n_gates
+            out[w] = {"seconds": seconds, "gates": gates}
+    print(json.dumps(out))
 
 
 def host_ab(*argv: str) -> None:
@@ -369,35 +414,40 @@ def host_ab(*argv: str) -> None:
     unknown = sorted(set(workloads) - set(pipeline.WORKLOADS))
     if unknown:
         parser.error(f"unknown workload(s) {unknown}; known: {sorted(pipeline.WORKLOADS)}")
-    rows = []
-    with tempfile.TemporaryDirectory() as tmp:
-        sys.path.insert(0, tmp)
-        trees = {tree: _load_copy(root, f"racetrack_ab_{tree}", Path(tmp), pipeline.MODULES)
-                 for tree, root in (("base", args.base), ("change", args.change))}
-        for w in workloads:
-            cases = {tree: pipeline.build_cases(rt, w, 1) for tree, rt in trees.items()}
-            names = [c.name for c in cases["change"]]
-            if [c.name for c in cases["base"]] != names:
-                raise SystemExit(f"host-ab: the trees build different {w} cases")
-            samples = {tree: {name: [] for name in names} for tree in trees}
-            gates: dict[str, int] = {}
-            gc.collect()
-            for r in range(args.rounds):
-                for i, name in enumerate(names):
-                    for tree in (("base", "change") if (r + i) % 2 == 0 else ("change", "base")):
-                        out = pipeline.run_case(trees[tree], cases[tree][i])
-                        samples[tree][name].append(out.seconds)
-                        gates[name] = out.native.n_gates
-            rows.append((w, len(names), _summary(samples["base"], gates), _summary(samples["change"], gates)))
-    print(f"### host time, base against change ({args.rounds} interleaved rounds in one process, seed 1)")
+    roots = {"base": args.base, "change": args.change}
+    holds = {(a, slot): tree for a, trees in ASSIGNMENTS.items() for slot, tree in zip(SLOTS, trees)}
+    samples = {p: {w: {} for w in workloads} for p in holds}
+    gates: dict[str, dict[str, int]] = {}
+    for r in range(args.rounds):
+        for a in (ASSIGNMENTS if r % 2 == 0 else reversed(ASSIGNMENTS)):
+            slot_roots = [roots[tree] for tree in ASSIGNMENTS[a]]
+            run = subprocess.run([sys.executable, __file__, "host-ab-round", args.change, *slot_roots, str(r),
+                                  *workloads], stdout=subprocess.PIPE, text=True)
+            if run.returncode:
+                raise SystemExit(run.returncode)
+            for w, result in json.loads(run.stdout).items():
+                gates[w] = result["gates"]
+                for slot in SLOTS:
+                    for name, seconds in result["seconds"][slot].items():
+                        samples[a, slot][w].setdefault(name, []).append(seconds)
+    print(f"### host time, base against change ({args.rounds} interleaved rounds, "
+          "each in both slot assignments, seed 1)")
     print(FENCE)
-    print(f"{'':10} {'':>5} {'gates/s':>26} {'case ms p50':>24} {'case ms p90':>24}")
-    print(f"{'workload':10} {'cases':>5} {'base':>9} {'change':>9} {'ratio':>6} "
-          f"{'base':>8} {'change':>8} {'ratio':>6} {'base':>8} {'change':>8} {'ratio':>6}")
-    for w, n, (g0, p50_0, p90_0), (g1, p50_1, p90_1) in rows:
-        print(f"{w:10} {n:5} {g0:9.0f} {g1:9.0f} {g1 / g0:6.3f} "
-              f"{p50_0:8.2f} {p50_1:8.2f} {p50_1 / p50_0:6.3f} {p90_0:8.2f} {p90_1:8.2f} {p90_1 / p90_0:6.3f}")
+    print(f"{'':10} {'':>5} {'gates/s':>40} {'case ms p50':>40} {'case ms p90':>40}")
+    print(f"{'workload':10} {'cases':>5}" + 3 * f" {'base':>9} {'change':>9} {'fwd':>6} {'rev':>6} {'ratio':>6}")
+    for w in workloads:
+        trees = {tree: _summary([samples[p][w] for p in holds if holds[p] == tree], gates[w]) for tree in SLOTS}
+        slots = {p: _summary([samples[p][w]], gates[w]) for p in holds}
+        cells = []
+        for m, digits in enumerate((0, 2, 2)):
+            fwd, rev = (slots[a, "change"][m] / slots[a, "base"][m] for a in ASSIGNMENTS)
+            cells.append(f" {trees['base'][m]:9.{digits}f} {trees['change'][m]:9.{digits}f}"
+                         f" {fwd:6.3f} {rev:6.3f} {math.sqrt(fwd / rev):6.3f}")
+        print(f"{w:10} {len(gates[w]):5}" + "".join(cells))
     print(FENCE)
+    print("base and change: each tree over both slots.  fwd: the change slot over the base slot, each "
+          "slot holding its own tree; rev: the same with the trees swapped.  ratio: sqrt(fwd / rev), "
+          "change over base with the slots' bias cancelled.")
 
 
 COMMANDS = {
@@ -408,6 +458,7 @@ COMMANDS = {
     "plan-calls": (plan_calls, 2),
     "public-api": (public_api, 2),
     "host-ab": (host_ab, None),   # parses its own arguments
+    "host-ab-round": (host_ab_round, None),   # one round of host-ab, run by host_ab
     # one tree each, run by translations and plan-calls
     "translation-hashes": (translation_hashes, 1),
     "plan-call-counts": (plan_call_counts, 1),

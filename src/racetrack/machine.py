@@ -36,6 +36,12 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _check_type(name: str, value, kind: type) -> None:
+    """A record of the wrong type is named here, not met deep in the code."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 def _is_number(value) -> bool:
     """A real number, and not a bool: JSON's true would otherwise read as 1."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -128,9 +134,8 @@ class Machine:
             raise ValueError("shortcut fractions must lie strictly in (0, 1)")
         if len(set(sc)) != len(sc):
             raise ValueError("overlapping shortcut endpoints")
-        for name, kind in (("timing", TimingParams), ("fidelity", FidelityParams)):
-            if not isinstance(getattr(self, name), kind):
-                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        _check_type("timing", self.timing, TimingParams)
+        _check_type("fidelity", self.fidelity, FidelityParams)
         _check_count("capacity", self.capacity)
         paths = ((0, 1.0),) + tuple((i, round(min(f, 1.0 - f), 12)) for i, f in enumerate(sc, start=1))
         object.__setattr__(self, "shortcuts", sc)
@@ -165,8 +170,8 @@ def make_machine(
     capacity: int = DEFAULT_CAPACITY,
 ) -> Machine:
     """A `Machine`, with None standing for the default timing and fidelity."""
-    return Machine(gate_zones, reorder_zones, shortcuts, timing or TimingParams(),
-                   fidelity or FidelityParams(), capacity)
+    return Machine(gate_zones, reorder_zones, shortcuts, TimingParams() if timing is None else timing,
+                   FidelityParams() if fidelity is None else fidelity, capacity)
 
 
 def _apply_overrides(base, overrides: dict, key: str):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .machine import FidelityParams
+from .machine import FidelityParams, _check_type
 from .trace import EventKind, Trace
 
 # members as module globals: reading one off the Enum class per event is slow
@@ -153,6 +153,7 @@ def fidelity_report(tr: Trace, f: FidelityParams = FidelityParams()) -> Fidelity
     transport RB event per inter-pair exchange or curved-electrode passage,
     one SPAM term per qubit, and exponential T1 decay over the span.  Reads
     the trace once."""
+    _check_type("f", f, FidelityParams)
     n_1q = n_2q = n_transport = 0
     events = tr.events
     span = events[0].t_start + events[0].duration if events else 0.0

@@ -59,7 +59,7 @@ from .ions import (  # noqa: F401
     COMBINE, PAIR_EXCHANGE, SPLIT, SWAP, Crystal, IonState, ReorderOp,
     apply_reorder, reorder_durations, reorder_in_place,
 )
-from .machine import Machine
+from .machine import Machine, _check_type
 
 
 class PlanMode(Enum):
@@ -363,8 +363,7 @@ def plan_reorder(
     its lap.  The cheapest wins, ties going to the one-dimensional plan,
     then to the lower path.
     """
-    if not isinstance(mode, PlanMode):
-        raise ValueError(f"mode must be a PlanMode, got {mode!r}")
+    _check_type("mode", mode, PlanMode)
     targets = _checked_targets(s, target_pairs)
     work = _Arrangement(s)
     ops: list[ReorderOp] = []

@@ -89,21 +89,17 @@ layer, kind), lowest qubit first, one per crystal.  Precedence thus holds
 by construction, and `schedule` checks the trace against the DAG.
 
 A transition to a 2Q pass or block layer is planned for its target set,
-the qubit pairs of its gates or blocks in order.  `plan_reorder` is a pure
-function of (arrangement, targets, machine, mode), and layered circuits
-ask for the same set again and again.  So one generator, `_Engine.plans`,
-yields the plans of a schedule's transitions in order: it counts each
-set's occurrences up front, makes each plan from the state at the moment
-the plan is asked for, reuses the plan it kept for the set when that state
-is equal, and keeps `(state planned from, plan)` only while the set has
-uses left.  A None set is a pass-mode 1Q pass, whose plan splits every
-pair.  The 1Q pass after a 2Q pass starts from the 2Q plan's final, so
-the split-all plan made from that final is kept with the 2Q plan and
-dropped with it; a reused 2Q plan brings it back.  A 1Q pass either opens
-the schedule or follows a 2Q pass, as two 1Q passes are never adjacent,
-so the state it starts from is the latest 2Q plan's final whenever there
-is one.  The generator's locals are the only store, so no plan outlives
-`schedule`.
+the qubit pairs of its gates or blocks in order, and one to a pass-mode 1Q
+pass (a None set) splits every pair.  `plan_reorder` and `split_all_plan`
+are pure functions of their arguments, and layered circuits make the same
+transition again and again.  So one generator, `_Engine.plans`, yields the
+plans of a schedule's transitions in order.  Each transition has a key:
+its target set, or `(None, the set before it)` for a None set.  The
+generator counts each key's uses up front, makes each plan from the state
+at the moment the plan is asked for, reuses the plan it kept for the key
+when that state is equal, and keeps `(state planned from, plan)` only
+while the key has uses left.  It reads no order of the passes, and its
+locals are the only store, so no plan outlives `schedule`.
 
 A one-dimensional transition's REORDER lists `ReorderPlan.operands`, the
 sorted qubits of the plan's ops, which a plan computes once however often
@@ -129,7 +125,7 @@ from .gates import Gate, GateType
 from .ions import (  # noqa: F401
     TRANSPORTS_PER_CIRCULATING_PAIR, TRANSPORTS_PER_EXCHANGE, IonState, ReorderTag, apply_reorder,
 )
-from .machine import Machine, TimingParams
+from .machine import Machine, TimingParams, _check_type
 from .planner import PlanMode, ReorderPlan, plan_reorder, split_all_plan
 from .trace import EventKind, Trace, TraceEvent
 
@@ -153,8 +149,7 @@ class PolicyFlags:
 
     def __post_init__(self):
         for name in ("pipelining", "inplace_blocks"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+            _check_type(name, getattr(self, name), bool)
 
 
 class _Pass(NamedTuple):
@@ -263,37 +258,22 @@ class _Engine:
     # -- transition plans --------------------------------------------------
 
     def plans(self, mode: PlanMode, target_sets: list) -> Iterator[ReorderPlan]:
-        """The plan of each transition in `target_sets`, each made from the
-        state at the moment it is asked for: a split-all plan for a None
-        set, else the plan kept for the set if it was made from an equal
-        state, or a fresh `plan_reorder` (see the module docstring).
-
-        A 2Q plan is kept as the entry `[state planned from, plan, split-all
-        plan from its final]`, the last filled in when a None set first
-        follows the plan.  So a reused 2Q plan brings back the split-all
-        plan that followed it; the entry is dropped with the plan.  A None
-        set that follows a 2Q set starts from that plan's `final`, which
-        `transit` has just made the state, and a None set never follows
-        another, so only a None set that opens the schedule has no entry.
-        """
-        uses_left = Counter(targets for targets in target_sets if targets is not None)
-        kept: dict[tuple[tuple[int, ...], ...], list] = {}
-        entry = None   # that of the latest 2Q set
-        for targets in target_sets:
-            if targets is None:
-                if entry is None:
-                    yield split_all_plan(self.state, self.m)
-                    continue
-                if entry[2] is None:
-                    entry[2] = split_all_plan(self.state, self.m)
-                yield entry[2]
-                continue
-            entry = kept.pop(targets, None)
+        """The plan of each transition in `target_sets`, made from the state
+        at the moment it is asked for: the plan kept for its key if that
+        was made from an equal state, else a fresh `plan_reorder`, or
+        `split_all_plan` for a None set (see the module docstring)."""
+        keys = [(None, prev) if targets is None else targets
+                for prev, targets in zip([None, *target_sets], target_sets)]
+        uses_left = Counter(keys)
+        kept: dict[tuple, tuple[IonState, ReorderPlan]] = {}
+        for key, targets in zip(keys, target_sets):
+            entry = kept.pop(key, None)
             if entry is None or entry[0] != self.state:
-                entry = [self.state, plan_reorder(self.state, targets, self.m, mode), None]
-            uses_left[targets] -= 1
-            if uses_left[targets]:
-                kept[targets] = entry
+                entry = (self.state, split_all_plan(self.state, self.m) if targets is None
+                         else plan_reorder(self.state, targets, self.m, mode))
+            uses_left[key] -= 1
+            if uses_left[key]:
+                kept[key] = entry
             yield entry[1]
 
     # -- initialization / measurement -------------------------------------

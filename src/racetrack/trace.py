@@ -23,6 +23,9 @@ from enum import Enum
 from operator import itemgetter
 from typing import NamedTuple
 
+from .circuit import Circuit
+from .machine import _check_type
+
 
 class EventKind(Enum):
     INIT = "Init"
@@ -121,6 +124,7 @@ class Trace:
             if qubits:
                 touching.append(e)
         if circuit is not None:
+            _check_type("circuit", circuit, Circuit)
             _check_gates(circuit, touching, eps)
         zone_events.sort(key=_start)
         prev, prev_end = None, -math.inf

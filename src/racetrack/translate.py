@@ -21,7 +21,7 @@ from heapq import heappop, heappush
 
 from .circuit import Circuit, build_dag
 from .gates import Gate, GateType
-from .machine import _check_count
+from .machine import _check_count, _check_type
 
 PI = math.pi
 
@@ -56,6 +56,7 @@ def translate_to_native(c: Circuit, expand_rzz: bool = False) -> Circuit:
     """
     if not isinstance(c, Circuit):
         raise ValueError(f"translate_to_native needs a Circuit, got {c!r}")
+    _check_type("expand_rzz", expand_rzz, bool)
     table = _NATIVE_EXPANDED if expand_rzz else _NATIVE
     depth = [0] * c.width
     out: list[Gate] = []

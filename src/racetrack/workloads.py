@@ -28,7 +28,7 @@ from numbers import Integral
 
 from .circuit import Circuit, build_dag
 from .gates import Gate, GateType
-from .machine import _check_count
+from .machine import _check_count, _check_type
 
 PI = math.pi
 
@@ -207,8 +207,7 @@ def gen_qaoa(graph: GraphSpec, layers: int = 1) -> Circuit:
     qubit.  SK graphs route through the fermionic swap network so every
     interaction lands on position-adjacent qubits.  Angles are fixed
     placeholders 0.1*p; timing and fidelity do not depend on them."""
-    if not isinstance(graph, GraphSpec):
-        raise ValueError(f"graph must be a GraphSpec, got {graph!r}")
+    _check_type("graph", graph, GraphSpec)
     _check_count("layers", layers)
     n = graph.n
     if graph.kind is GraphKind.SK:
@@ -308,6 +307,8 @@ def expand_transversal(logical: Circuit, prelude: Circuit) -> Circuit:
     becomes 7 parallel physical CXs between matching block positions.
     `prelude` (the block encoder) is emitted first.
     """
+    _check_type("logical", logical, Circuit)
+    _check_type("prelude", prelude, Circuit)
     width = STEANE_BLOCK * logical.width
     if prelude.width != width:
         raise ValueError("prelude width does not match expanded width")

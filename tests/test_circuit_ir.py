@@ -273,6 +273,14 @@ class TestTranslate:
             translate_to_native(c)
         assert str(err.value) == f"translate_to_native needs a Circuit, got {c!r}"
 
+    @pytest.mark.parametrize("value", ["no", 0, 1.0, None])
+    def test_expand_rzz_must_be_a_bool(self, value):
+        # "no" is truthy, so it would otherwise expand
+        c = build_dag([g(0, GateType.RZZ, 0, 1, params=(0.7,))], 2)
+        with pytest.raises(ValueError) as err:
+            translate_to_native(c, expand_rzz=value)
+        assert str(err.value) == f"expand_rzz must be a bool, got {value!r}"
+
     def test_rzz_expansion_op_count(self):
         # Lowering through CX costs 11 native ops where native RZZ costs 1.
         c = build_dag([g(0, GateType.RZZ, 0, 1, params=(0.7,))], 2)

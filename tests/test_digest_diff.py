@@ -1,9 +1,12 @@
 """ci/digest_diff.py, which makes the summaries of the digest-diff CI job,
 run on small hand-made `perfbench/run.py --out` files and source trees."""
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "ci" / "digest_diff.py"
 
@@ -274,11 +277,15 @@ def test_host_ab_runs_this_checkout_against_itself():
     out = run("host-ab", root, root, "--rounds", "1", "ring")
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[:2] == ["### host time, base against change (1 interleaved rounds in one process, seed 1)", "```"]
-    assert lines[3].split() == ["workload", "cases"] + ["base", "change", "ratio"] * 3
+    assert lines[:2] == ["### host time, base against change (1 interleaved rounds, "
+                         "each in both slot assignments, seed 1)", "```"]
+    assert lines[3].split() == ["workload", "cases"] + ["base", "change", "fwd", "rev", "ratio"] * 3
     row = lines[4].split()
-    assert row[:2] == ["ring", "10"] and len(row) == 11 and lines[5:] == ["```"]
+    assert row[:2] == ["ring", "10"] and len(row) == 17 and lines[5] == "```"
     assert all(float(x) > 0 for x in row[2:])
+    for base, change, fwd, rev, ratio in zip(*[iter(map(float, row[2:]))] * 5):
+        assert ratio == pytest.approx(math.sqrt(fwd / rev), abs=2e-3)
+    assert lines[6].startswith("base and change: each tree over both slots.") and len(lines) == 7
 
 
 def test_host_ab_needs_relative_imports(tmp_path):

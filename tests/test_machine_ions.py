@@ -61,6 +61,16 @@ def test_a_bad_count_keeps_its_message(value):
     assert str(err.value) == f"gate_zones must be an integer >= 1, got {value!r}"
 
 
+@pytest.mark.parametrize("name, value, kind", [("timing", {}, "TimingParams"), ("timing", 0, "TimingParams"),
+                                               ("fidelity", [], "FidelityParams"),
+                                               ("fidelity", "", "FidelityParams")])
+def test_make_machine_takes_only_none_as_the_default(name, value, kind):
+    # a falsy value is no default: Machine rejects it by name
+    with pytest.raises(ValueError) as err:
+        make_machine(4, **{name: value})
+    assert str(err.value) == f"{name} must be a {kind}, got {value!r}"
+
+
 def test_an_integral_count_is_accepted():
     for value in (1, 3, np.int64(3), 2**70):
         _check_count("gate_zones", value)

@@ -285,6 +285,18 @@ def test_validate_rejects_a_gate_that_starts_before_its_predecessor_ends():
         tr.validate(TWO_GATES)
 
 
+def test_validate_names_a_circuit_that_is_no_circuit():
+    with pytest.raises(ValueError) as err:
+        _gate_trace((0.0, [0])).validate(circuit="x")
+    assert str(err.value) == "circuit must be a Circuit, got 'x'"
+
+
+def test_fidelity_report_names_params_that_are_no_fidelity_params():
+    with pytest.raises(ValueError) as err:
+        fidelity_report(_gate_trace((0.0, [0])), f="x")
+    assert str(err.value) == "f must be a FidelityParams, got 'x'"
+
+
 class TestTraceEvent:
     """A named tuple of six fields, compared as a tuple, payload included."""
 

@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import early_edges, replay_starts
-from racetrack import schedulers
+from racetrack import schedulers, translate
 from racetrack.blocks import extract_inplace_blocks
 from racetrack.circuit import build_dag
 from racetrack.gates import Gate, GateType
@@ -304,6 +304,51 @@ def test_a_reused_plan_brings_back_its_split_all_plan(config):
     with patch.object(schedulers, "_Engine", _PlanEveryTransition):
         _, _, reference_splits = events_and_plan_calls(c, make_machine(4, shortcuts=(0.5,)), policy, flags)
     assert 0 < splits < reference_splits
+
+
+def check_every_plan_is_fresh(m, width, mode, target_sets):
+    """Each plan `_Engine.plans` yields equals the one made afresh from the
+    state at that moment; `transit` then moves the state on.  Returns the
+    plans."""
+    eng = schedulers._Engine(build_dag([], width), m, pipelining=True)
+    plans = []
+    for targets, plan in zip(target_sets, eng.plans(mode, target_sets)):
+        fresh = (split_all_plan(eng.state, m) if targets is None
+                 else plan_reorder(eng.state, targets, m, mode))
+        assert plan == fresh
+        eng.transit(plan, plan.path_id)
+        plans.append(plan)
+    return plans
+
+
+@st.composite
+def transition_sequences(draw):
+    """A width, and a sequence of target sets and None drawn from a pool of
+    at most three sets, so that a set recurs from another state and Nones
+    open the sequence or follow each other."""
+    width = draw(st.integers(2, 8))
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        qubits = draw(st.permutations(range(width)))
+        n = draw(st.integers(1, width // 2))
+        pool.append(tuple(tuple(qubits[2 * i : 2 * i + 2]) for i in range(n)))
+    return width, draw(st.lists(st.sampled_from([None, *pool]), min_size=1, max_size=10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(transition_sequences(), st.sampled_from(["k1", "k4", "k8sc"]), st.sampled_from(list(PlanMode)))
+def test_plans_equal_fresh_plans_in_any_pass_order(sequence, machine, mode):
+    width, target_sets = sequence
+    check_every_plan_is_fresh(MACHINES[machine], width, mode, target_sets)
+
+
+def test_a_second_1q_pass_in_a_row_is_planned_from_its_own_state():
+    # the second None starts with every ion single, so its split-all plan
+    # has no op, where the first one's split both pairs
+    target_sets = [((0, 2),), None, None, ((0, 2),), None]
+    plans = check_every_plan_is_fresh(make_machine(4), 4, PlanMode.CIRCULATION_ALLOWED, target_sets)
+    assert [plan.op_counts for plan in plans] == [
+        (("exchange", 1),), (("split", 2),), (), (("combine", 1),), (("split", 1),)]
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
@@ -586,10 +631,10 @@ def test_the_passes_run_every_gate_once_after_its_predecessors(config, c, machin
 def test_pass_mode_alternates_1q_phases_and_2q_layers(config, c, machine):
     """Pass mode has no residual.  A 2Q pass is one 2Q layer and targets
     its gates' pairs; a 1Q pass splits every pair, and no two 1Q passes are
-    adjacent, which `_Engine.plans` relies on.  Every pass streams the
-    whole chain.  TILT plans one-dimensionally and never laps; under
-    Rolodex laps every pass after the first laps, when its plan is 1-D,
-    along the shortest path whose span hosts the chain's pairs."""
+    adjacent.  Every pass streams the whole chain.  TILT plans
+    one-dimensionally and never laps; under Rolodex laps every pass after
+    the first laps, when its plan is 1-D, along the shortest path whose
+    span hosts the chain's pairs."""
     m = MACHINES[machine]
     mode, residual, passes = build_passes(c, m, config)
     assert residual == []
@@ -691,3 +736,30 @@ def test_a_2q_batch_emits_its_literal_event_and_cooling():
                    {"gate_ids": [7, 3], "gate_qubits": {7: (4, 1), 3: (0, 5)}, "kind": "ZZ"}),
         TraceEvent(25.0, 2075.0, EventKind.COOL, 2, (), {})]
     assert eng.measured == set()
+
+
+@settings(max_examples=40, deadline=None)
+@given(native_circuits, st.sampled_from(sorted(MACHINES)))
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+def test_one_gate_per_crystal_binds_only_on_the_residual(config, c, machine):
+    """After the residual, every zone batch list is the same without the
+    one-gate-per-crystal rule: a 2Q pass's crystals hold its pairs, a 1Q
+    pass follows a split of every pair, and a block layer's 1Q wave runs
+    the left and the right ions of its crystals apart.
+    `test_one_gate_per_slot` is the residual case."""
+    m = MACHINES[machine]
+    policy, flags = CONFIGS[config]
+    list_layers = translate.list_layers
+    calls = []   # (gates, key, cap, its layers) of each call with slots
+
+    def recorded(gates, key, cap=None, slot_of=None):
+        layers = list_layers(gates, key, cap, slot_of)
+        if slot_of is not None:
+            calls.append((gates, key, cap, layers))
+        return layers
+
+    with patch.object(translate, "list_layers", recorded):
+        schedule(c, m, policy, flags)
+    assert calls[0][0] == build_passes(c, m, config)[1]
+    for gates, key, cap, layers in calls[1:]:
+        assert list_layers(gates, key, cap) == layers

@@ -20,6 +20,7 @@ from racetrack.workloads import (
     GraphSpec,
     QrmBasis,
     VqeAnsatz,
+    expand_transversal,
     gen_ghz,
     gen_ghz_logical,
     gen_msd_7to1,
@@ -391,6 +392,8 @@ def test_ghz_logical_width():
     (lambda: swap_network_rounds(-1), "n must be an integer >= 1, got -1"),
     (lambda: swap_network_rounds(4.0), "n must be an integer >= 1, got 4.0"),
     (lambda: swap_network_rounds(0), "n must be an integer >= 1, got 0"),
+    (lambda: expand_transversal(None, gen_steane_encode(1)), "logical must be a Circuit, got None"),
+    (lambda: expand_transversal(gen_ghz(2), None), "prelude must be a Circuit, got None"),
 ])
 def test_a_bad_size_or_kind_raises_a_value_error_naming_it(build, message):
     with pytest.raises(ValueError) as err:
