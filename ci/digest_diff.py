@@ -30,9 +30,9 @@ command prints one Markdown section for the job summary:
   module attribute the schedulers call it by; the ops of the plans it
   returns; and whether one sha256 over every plan, in order, changed.  The
   hash covers each op's (tag, operands, index), the final crystals,
-  `path_id`, `time`, `time_1d`, `regroup_time`, `exchange_time` and
-  `op_counts`.  Trace digests see a transition's op counts only, so a
-  reordered op sequence shows here alone.
+  `path_id`, `time_1d`, `regroup_time`, `exchange_time` and `op_counts`.
+  Trace digests see a transition's op counts only, so a reordered op
+  sequence shows here alone.
 * public-api: the public names that only one tree has, per src/racetrack
   module: top-level functions, classes and assigned names, and the
   methods, class attributes and `__init__`'s `self` attributes of public
@@ -188,7 +188,7 @@ def plan_fields(plan) -> tuple:
     """What the plan hash covers of one plan, with plain values only."""
     return (tuple((op.tag.value, op.operands, op.index) for op in plan.ops),
             tuple((c.qubits, c.facing_right) for c in plan.final.crystals),
-            plan.path_id, plan.time, plan.time_1d, plan.regroup_time, plan.exchange_time,
+            plan.path_id, plan.time_1d, plan.regroup_time, plan.exchange_time,
             plan.op_counts)
 
 

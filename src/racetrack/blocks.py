@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .circuit import Circuit
 from .gates import Gate
-from .machine import _check_count
+from .machine import _check_count, _check_type
 from .translate import extract_2q_layers
 
 
@@ -53,6 +53,7 @@ def extract_inplace_blocks(c: Circuit, zone_count: int) -> BlockSchedule:
     a qubit no 2Q gate touches are the residual, in program order.  A
     block takes its core's runs in the order of the core's qubits.
     """
+    _check_type("c", c, Circuit)
     _check_count("zone_count", zone_count)
     # each qubit's 1Q gates until its first 2Q gate takes them, so the
     # qubits left in `lead` are those no 2Q gate touches

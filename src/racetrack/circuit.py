@@ -3,17 +3,19 @@
 A circuit is a gate list in program order, checked when it is built: its
 width is an int >= 0 (a bool is none), its gates are a sequence of
 `Gate`s, no two gates share an id, and every qubit is below the width.
-The first fault in program order raises a ValueError.  Its DAG,
-`Circuit.edges`, the transitive reduction of the shared-qubit precedence
-relation, is derived from the gates on first read, which no pipeline
-stage makes, and is immutable.  Python 3.11's `cached_property` builds it
-under a lock shared by all circuits; from 3.12 it takes none, so two
-threads that read it first at once may each build it, and build equal
-sets.
+The first fault in program order raises a ValueError.  The check finds
+`used_width`, one past the highest qubit a gate uses; a list kept per
+qubit is that long, not as long as the width, which need not fit in
+memory.  Its DAG, `Circuit.edges`, the transitive reduction of the
+shared-qubit precedence relation, is derived from the gates on first
+read, which no pipeline stage makes, and is immutable.  Python 3.11's
+`cached_property` builds it under a lock shared by all circuits; from
+3.12 it takes none, so two threads that read it first at once may each
+build it, and build equal sets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .gates import Gate, is_qubit
@@ -23,6 +25,8 @@ from .gates import Gate, is_qubit
 class Circuit:
     width: int
     gates: tuple[Gate, ...]   # stored as a tuple, so the circuit hashes
+    # one past the highest qubit the gates use, 0 without gates
+    used_width: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         width, gates = self.width, self.gates
@@ -43,8 +47,10 @@ class Circuit:
                 if not isinstance(g, Gate):
                     raise ValueError(f"circuit gates must be Gates, got {g!r} at position {i}")
         ids = [g.id for g in gates]
-        if len(set(ids)) != len(ids) or (gates and max(q for g in gates for q in g.qubits) >= width):
+        used = max(q for g in gates for q in g.qubits) + 1 if gates else 0
+        if len(set(ids)) != len(ids) or used > width:
             _raise_first_fault(gates, width)
+        object.__setattr__(self, "used_width", used)
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -55,7 +61,7 @@ class Circuit:
         reaches the later; a DFS bounded to the window (early, late] decides
         that at once, since every edge into that window is in `succs`."""
         gates = self.gates
-        last_on = [-1] * self.width
+        last_on = [-1] * self.used_width
         succs: list[list[int]] = [[] for _ in gates]
         for i, g in enumerate(gates):
             qs = g.qubits

@@ -19,7 +19,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .machine import TimingParams
+from .machine import TimingParams, _check_type
 
 # Fidelity accounting: ions crossing a crystal boundary during an exchange.
 TRANSPORTS_PER_EXCHANGE = 2
@@ -76,7 +76,9 @@ class ReorderOp(NamedTuple):
     # a named tuple, not a frozen dataclass: plans hold ~10^5 of them per
     # deep circuit, and a tuple is built at about half the cost
     tag: ReorderTag
-    operands: tuple[int, ...] = ()  # affected qubit ids (informational)
+    # the qubits it acts on: a 1-D transition's REORDER holds them
+    # (`ReorderPlan.operands`), so they set its start and rule 4 checks them
+    operands: tuple[int, ...] = ()
     index: int = 0                  # crystal index the op acts at
 
 
@@ -87,8 +89,21 @@ class IonState:
     crystal_index: Mapping[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        """Store the crystals as a tuple, so a state built from a list
+        equals the same state built from a tuple; ValueError unless each
+        is a `Crystal` of one or two qubits.  `_indexed` skips this."""
+        crystals = self.crystals
+        if type(crystals) is not tuple:
+            try:
+                crystals = tuple(crystals)
+            except TypeError:
+                raise ValueError(f"crystals must be a sequence of Crystals, got {crystals!r}") from None
+            object.__setattr__(self, "crystals", crystals)
         index: dict[int, int] = {}
-        for i, c in enumerate(self.crystals):
+        for i, c in enumerate(crystals):
+            _check_type(f"crystals[{i}]", c, Crystal)
+            if not 1 <= len(c.qubits) <= 2:
+                raise ValueError(f"crystals[{i}] must hold one or two qubits, got {c.qubits!r}")
             for q in c.qubits:
                 if q in index:
                     raise ValueError(f"qubit {q} appears twice in arrangement")

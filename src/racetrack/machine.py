@@ -39,7 +39,8 @@ def _check_count(name: str, value) -> None:
 def _check_type(name: str, value, kind: type) -> None:
     """A record of the wrong type is named here, not met deep in the code."""
     if not isinstance(value, kind):
-        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")
 
 
 def _is_number(value) -> bool:

@@ -83,6 +83,7 @@ def runtime_breakdown(tr: Trace) -> RuntimeBreakdown:
     Python 3.12 on, `sum` compensates float rounding, which a running `+=`
     would not.
     """
+    _check_type("tr", tr, Trace)
     init: list[float] = []
     gate_cooling: list[float] = []
     shift: list[float] = []
@@ -113,6 +114,7 @@ def zone_utilization(tr: Trace) -> float:
     """Time-weighted percentage of the trace's gate zones engaged in gate
     application or cooling, averaged over the union of busy intervals.
     Reads the trace once."""
+    _check_type("tr", tr, Trace)
     k = tr.gate_zones
     if k < 1:
         raise ValueError("need at least one gate zone")
@@ -150,9 +152,12 @@ class FidelityLedger:
 
 def fidelity_report(tr: Trace, f: FidelityParams = FidelityParams()) -> FidelityLedger:
     """Multiplicative error budget: per-gate RB and leakage terms, one
-    transport RB event per inter-pair exchange or curved-electrode passage,
-    one SPAM term per qubit, and exponential T1 decay over the span.  Reads
-    the trace once."""
+    transport RB term per transport the events' payloads count, one SPAM
+    term per qubit, and exponential T1 decay over the span.  Only a
+    transition counts transports: `TRANSPORTS_PER_EXCHANGE` (2) per pair
+    exchange, and a circulation `TRANSPORTS_PER_CIRCULATING_PAIR` (2) more
+    for each of the ceil(width / 2) pairs aboard.  Reads the trace once."""
+    _check_type("tr", tr, Trace)
     _check_type("f", f, FidelityParams)
     n_1q = n_2q = n_transport = 0
     events = tr.events

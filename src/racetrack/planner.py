@@ -48,7 +48,8 @@ recurs from an equal arrangement within one schedule.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
@@ -71,7 +72,6 @@ class PlanMode(Enum):
 class ReorderPlan:
     ops: tuple[ReorderOp, ...]
     path_id: int | None          # circulation path carrying the moves, or None
-    time: float                  # time_1d, or the charge of the path's lap
     final: IonState
     time_1d: float               # staged time of all ops over the gate zones
     regroup_time: float          # staged time of the non-exchange ops over the reorder zones
@@ -183,7 +183,7 @@ def _costed(ops: list[ReorderOp], final: IonState, m: Machine) -> ReorderPlan:
             reg_n += 1
     time_1d = all_total + all_max
     return ReorderPlan(
-        ops=tuple(ops), path_id=None, time=time_1d, final=final, time_1d=time_1d,
+        ops=tuple(ops), path_id=None, final=final, time_1d=time_1d,
         regroup_time=reg_total + reg_max, exchange_time=ex_total + ex_max,
         op_counts=tuple(counts.items()),
     )
@@ -363,6 +363,9 @@ def plan_reorder(
     its lap.  The cheapest wins, ties going to the one-dimensional plan,
     then to the lower path.
     """
+    _check_type("s", s, IonState)
+    _check_type("target_pairs", target_pairs, Iterable)
+    _check_type("m", m, Machine)
     _check_type("mode", mode, PlanMode)
     targets = _checked_targets(s, target_pairs)
     work = _Arrangement(s)
@@ -372,22 +375,17 @@ def plan_reorder(
             work = _Arrangement(s)
         ops = _fallback_plan(work, targets)
     plan = _costed(ops, work.frozen(), m)
-    if mode is PlanMode.ONE_DIMENSIONAL:
-        return plan
-    candidates = [(plan.time, -1)] + [
-        (plan.charge(m.lap(pid)), pid) for pid, _fraction in m.circulation_paths
-    ]
-    charged, path = min(candidates)
-    if path == -1:
-        return plan
-    return ReorderPlan(plan.ops, path, charged, plan.final, plan.time_1d,
-                       plan.regroup_time, plan.exchange_time, plan.op_counts)
+    paths = m.circulation_paths if mode is PlanMode.CIRCULATION_ALLOWED else ()
+    _, path = min([(plan.time_1d, -1), *((plan.charge(m.lap(pid)), pid) for pid, _ in paths)])
+    return plan if path == -1 else replace(plan, path_id=path)
 
 
 def split_all_plan(s: IonState, m: Machine) -> ReorderPlan:
     """Split every pair, left to right, in one walk; each SPLIT's index
     counts the singles the earlier splits made.  The walk that builds the
     crystals builds the final state's index too."""
+    _check_type("s", s, IonState)
+    _check_type("m", m, Machine)
     ops = []
     crystals: list[Crystal] = []
     index: dict[int, int] = {}

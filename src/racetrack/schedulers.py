@@ -47,18 +47,22 @@ The builders say how ions reach each pass:
   INPLACE_GATHER_FACTOR * k + (blocks in the layer) zone gaps.
 
 Timing.  The engine emits steps in program order, and one function,
-`_Engine._step`, computes every start time.  A step has a duration, a
-lane (that of its event kind: "zones", "prep" or "transport") and the
-ions it holds; it starts once its lane and each of its ions is free, and
-without pipelining also once every earlier step has ended.  Pipelining is
-thus one rule: a step may overlap any step that shares neither its lane
-nor an ion.  Each of those times is 0 or an earlier step's end, so every
-step starts at 0 or where an earlier one ends, and the events cover the
-span without a gap: `runtime_breakdown` reports no idle time.
+`_Engine._step`, computes every start time by one rule: a step has a
+duration, a lane and the ions it holds, and it starts once its lane and
+each of its ions is free.  With pipelining, a step's lane is that of its
+event kind ("zones", "prep" or "transport"), so a step may overlap any
+step that shares neither its lane nor an ion.  Without pipelining, every
+kind maps to one shared lane; no two steps on it overlap and none lasts a
+negative time, so its free time is the end of the last step placed and
+every step waits for every earlier one.  Each of those times is 0 or an
+earlier step's end, so every step starts at 0 or where an earlier one
+ends, and the events cover the span without a gap: `runtime_breakdown`
+reports no idle time.
 
 An ion is free once every earlier step that lists it has ended; `_step`
 keeps each ion's latest end, and a whole-chain step (a pass-mode stream or
-a circulation) reads and sets the end of every ion.  The steps hold:
+a circulation) reads and sets the end of every ion.  The steps hold,
+with their lanes under pipelining:
 
     step                                           lane       ions
     INIT or MEASURE batch                          prep       its qubits
@@ -71,15 +75,17 @@ a circulation) reads and sets the end of every ion.  The steps hold:
 
 The COOL event after a gate batch lists no qubits.
 
-A transition is one event.  A 1-D one is a REORDER over the operands of
-its ops, lasting their staged time over the gate zones.  A circulating one
-is a CIRCULATE over the whole chain, lasting `ReorderPlan.charge` of the
-path's lap: max(lap, regroup time, exchange time), as the reorder zones
-work while the chain circulates and swaps that outlast the lap lengthen
-it.  Its payload carries the path, the op counts and the transports: 2
-per exchange plus 2 for each of the ceil(width / 2) pairs aboard.  A lap
-moves the whole chain, so in pass mode it can no longer hide under the
-previous pass's gating: it starts once that gating has cooled.
+A transition is one event.  It circulates along the plan's path or, for
+a 1-D plan, the pass's lap; with neither it is 1-D.  A 1-D one is a
+REORDER over the operands of its ops, lasting their staged time over the
+gate zones.  A circulating one is a CIRCULATE over the whole chain,
+lasting `ReorderPlan.charge` of the path's lap: max(lap, regroup time,
+exchange time), as the reorder zones work while the chain circulates and
+swaps that outlast the lap lengthen it.  Its payload carries the path,
+the op counts and the transports: 2 per exchange plus 2 for each of the
+ceil(width / 2) pairs aboard.  A lap moves the whole chain, so in pass
+mode it can no longer hide under the previous pass's gating: it starts
+once that gating has cooled.
 
 Within a pass, or a side of a block layer's 1Q wave, gates run in zone
 batches formed by the one list scheduler, `translate.list_layers`: a gate
@@ -133,6 +139,7 @@ from .trace import EventKind, Trace, TraceEvent
 _COOL = EventKind.COOL
 _MEASURE = EventKind.MEASURE
 _EXCHANGE = ReorderTag.PAIR_EXCHANGE.value
+_LANES = {kind.lane for kind in EventKind}
 
 # Fraction of the zone region a gathering pass traverses under in-place
 # scheduling (ions are gathered to nearby zones instead of conveyed past
@@ -204,13 +211,14 @@ class _Engine:
         self.m = m
         self.t = m.timing
         self.k = m.gate_zones
-        self.pipelining = pipelining
         self.trace = Trace(width=c.width, gate_zones=self.k)
         self.state = IonState.initial_pairs(c.width)
         self.chain = tuple(range(c.width))
-        self.lane_free = {"zones": 0.0, "prep": 0.0, "transport": 0.0}
+        # each lane's free time, in a one-item list; without pipelining the
+        # lanes share one list, so every kind maps to one lane
+        self.lane_free = ({lane: [0.0] for lane in _LANES} if pipelining
+                          else dict.fromkeys(_LANES, [0.0]))
         self.ion_free = [0.0] * c.width
-        self.end = 0.0                    # when every step placed so far has ended
         self.measured: set[int] = set()   # qubits of explicit MEASURE gates
         self.batch_of = _batch_table(self.t)
         # what a circulation adds to its exchanges' transports
@@ -222,8 +230,8 @@ class _Engine:
               payload: dict | None = None, zones: int = 0, cool: float | None = None) -> None:
         """Place one step (see the module docstring), the only place a start
         time is computed, and emit its event and any COOL event after it."""
-        lane = kind.lane
-        start = self.lane_free[lane] if self.pipelining else self.end
+        lane = self.lane_free[kind.lane]
+        start = lane[0]
         free = self.ion_free
         for q in ions:
             if free[q] > start:
@@ -236,15 +244,14 @@ class _Engine:
         if cool is not None:
             events.append(tuple.__new__(TraceEvent, (end, cool, _COOL, zones, (), {})))
             end += cool
-        self.lane_free[lane] = end
+        lane[0] = end
         for q in ions:
             free[q] = end
-        if end > self.end:
-            self.end = end
 
-    def transit(self, plan: ReorderPlan, path: int | None) -> None:
-        """The one event of a transition: a circulation along `path`, or a
-        one-dimensional reorder when `path` is None."""
+    def transit(self, plan: ReorderPlan, lap: int | None) -> None:
+        """The one event of a transition: a circulation along the plan's
+        path or else `lap`, or a one-dimensional reorder when both are None."""
+        path = lap if plan.path_id is None else plan.path_id
         ops = dict(plan.op_counts)
         transports = TRANSPORTS_PER_EXCHANGE * ops.get(_EXCHANGE, 0)
         if path is not None:
@@ -323,12 +330,9 @@ class _Engine:
         qubits.sort()
         qs = tuple(qubits)
         payload = {"gate_ids": ids, "gate_qubits": gate_qubits, "kind": value}
-        if cool is None:
-            if event is _MEASURE:
-                self.measured.update(qs)
-            self._step(event, duration, qs, payload)
-        else:
-            self._step(event, duration, qs, payload, len(gates), cool)
+        if event is _MEASURE:
+            self.measured.update(qs)
+        self._step(event, duration, qs, payload, 0 if cool is None else len(gates), cool)
 
 
 def _layer_passes(c: Circuit, m: Machine, sweep: bool) -> _Passes:
@@ -409,7 +413,7 @@ def schedule(c: Circuit, m: Machine, policy: str, flags: PolicyFlags | None = No
     eng.init_all([*(g for p in passes for g in p.gates), *residual])
     eng.run_gates(residual)
     for p, plan in zip(passes, eng.plans(mode, [p.targets for p in passes])):
-        eng.transit(plan, p.lap if plan.path_id is None else plan.path_id)
+        eng.transit(plan, p.lap)
         eng._step(EventKind.SHUTTLE, p.stream, p.ions, {"pass_stream": True})
         if p.layer is None:
             eng.run_gates(p.gates)

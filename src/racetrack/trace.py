@@ -169,7 +169,7 @@ def _check_gates(circuit, touching: list[TraceEvent], eps: float) -> None:
             ("not in the circuit:", start.keys() - ids)) if gids]
         raise ValueError("rule 1 (every gate runs exactly once) broken: gates "
                          + "; ".join(faults))
-    limit = [-math.inf] * circuit.width   # per qubit: the end, less eps, of its last gate
+    limit = [-math.inf] * circuit.used_width   # per qubit: the end, less eps, of its last gate
     for g in circuit.gates:
         a, b, t0 = g.qubits[0], g.qubits[-1], start[g.id]
         if t0 < limit[a] or t0 < limit[b]:

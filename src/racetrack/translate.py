@@ -58,7 +58,7 @@ def translate_to_native(c: Circuit, expand_rzz: bool = False) -> Circuit:
         raise ValueError(f"translate_to_native needs a Circuit, got {c!r}")
     _check_type("expand_rzz", expand_rzz, bool)
     table = _NATIVE_EXPANDED if expand_rzz else _NATIVE
-    depth = [0] * c.width
+    depth = [0] * c.used_width
     out: list[Gate] = []
     for g in c.gates:
         qubits, params = g.qubits, g.params
@@ -142,6 +142,7 @@ def extract_2q_layers(c: Circuit, cap: int | None = None) -> list[list[Gate]]:
     """Same-kind qubit-disjoint layers of at most `cap` 2Q gates, 1Q gates
     transparent: `list_layers` keyed by the kind's value (the member's hash
     is Python-level)."""
+    _check_type("c", c, Circuit)
     return list_layers([g for g in c.gates if g.is_2q], lambda g: g.kind._value_, cap)
 
 
@@ -152,6 +153,7 @@ def one_qubit_phases(c: Circuit, layers: list[list[Gate]]) -> list[list[Gate]]:
     before 2Q layer j (as late as their next 2Q gate allows); gates with no
     2Q successor on their qubit trail in phase[len(layers)].
     """
+    _check_type("c", c, Circuit)
     layer_of = {g.id: j for j, layer in enumerate(layers) for g in layer}
     # next 2Q layer per qubit, scanning program order backwards
     next_2q_layer: dict[int, int] = {}

@@ -47,6 +47,11 @@ def circuits(draw, max_width: int, max_gates: int, kinds=UNITARY_KINDS):
     return build_dag(gates, width)
 
 
+# a width no list of that length could hold: a per-qubit list sized by it
+# raises OverflowError
+HUGE_WIDTH = 10**30
+
+
 class TestGate:
     def test_arity_checks(self):
         with pytest.raises(ValueError):
@@ -225,6 +230,12 @@ class TestBuildDag:
             Circuit(2, gates)
         assert str(err.value) == message
 
+    def test_a_huge_width_sizes_no_list(self):
+        # one past the highest qubit used sizes the per-qubit list
+        c = build_dag([g(0, GateType.ZZ, 0, 1), g(1, GateType.ZZ, 1, 2)], HUGE_WIDTH)
+        assert c.edges == {(0, 1)}
+        assert c.used_width == 3
+
     def test_gate_lookup(self):
         c = build_dag([g(7, GateType.H, 0), g(3, GateType.CX, 0, 1)], 2)
         assert c.gate(3) is c.gates[1] and c.gate(7) is c.gates[0]
@@ -244,6 +255,12 @@ class TestBuildDag:
 
 
 class TestTranslate:
+    def test_a_huge_width_sizes_no_list(self):
+        c = translate_to_native(build_dag([g(0, GateType.H, 3)], HUGE_WIDTH))
+        assert c.width == HUGE_WIDTH and c.used_width == 4
+        assert [(gate.kind, gate.qubits, gate.source) for gate in c.gates] == [
+            (GateType.U1Q, (3,), 0), (GateType.RZ, (3,), 0)]
+
     def test_h_expansion(self):
         c = build_dag([g(0, GateType.H, 0)], 1)
         n = translate_to_native(c)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from racetrack.blocks import extract_inplace_blocks
 from racetrack.ions import Crystal, IonState, ReorderOp, ReorderTag, apply_reorder, reorder_in_place
 from racetrack.machine import (
     FidelityParams,
@@ -20,7 +21,9 @@ from racetrack.machine import (
     machine_from_dict,
     make_machine,
 )
+from racetrack.metrics import fidelity_report, runtime_breakdown, zone_utilization
 from racetrack.planner import PlanMode, _costed, plan_reorder, split_all_plan
+from racetrack.translate import extract_2q_layers, one_qubit_phases
 
 from oracle import apply_plan, bubble_left_in_place, plan_reorder_reference, reorder_time
 
@@ -32,6 +35,12 @@ def _ion_order(s):
 def _combined(s, a, b):
     c = s.crystals[s.crystal_index[a]]
     return c.is_pair and set(c.qubits) == {a, b}
+
+
+def _charged(plan, m):
+    """What a plan's transition lasts on `m`: its staged 1-D time, or the
+    charge of its path's lap."""
+    return plan.time_1d if plan.path_id is None else plan.charge(m.lap(plan.path_id))
 
 
 # every fault of a machine description, with the message it gives
@@ -74,6 +83,30 @@ def test_make_machine_takes_only_none_as_the_default(name, value, kind):
 def test_an_integral_count_is_accepted():
     for value in (1, 3, np.int64(3), 2**70):
         _check_count("gate_zones", value)
+
+
+S4, M4 = IonState.initial_pairs(4), make_machine(4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: plan_reorder(None, [(0, 2)], M4), "s must be an IonState, got None"),
+    (lambda: plan_reorder(S4, [(0, 2)], None), "m must be a Machine, got None"),
+    (lambda: plan_reorder(S4, None, M4), "target_pairs must be an Iterable, got None"),
+    (lambda: split_all_plan(None, M4), "s must be an IonState, got None"),
+    (lambda: split_all_plan(S4, None), "m must be a Machine, got None"),
+    (lambda: extract_2q_layers(None), "c must be a Circuit, got None"),
+    (lambda: one_qubit_phases(None, []), "c must be a Circuit, got None"),
+    (lambda: extract_inplace_blocks(None, 2), "c must be a Circuit, got None"),
+    (lambda: runtime_breakdown(None), "tr must be a Trace, got None"),
+    (lambda: zone_utilization(None), "tr must be a Trace, got None"),
+    (lambda: fidelity_report(None), "tr must be a Trace, got None"),
+], ids=["plan_reorder-s", "plan_reorder-m", "plan_reorder-targets", "split_all_plan-s",
+        "split_all_plan-m", "extract_2q_layers", "one_qubit_phases", "extract_inplace_blocks",
+        "runtime_breakdown", "zone_utilization", "fidelity_report"])
+def test_a_record_of_the_wrong_type_is_named(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 # the bad values among them: an unknown parameter has no route to a
@@ -161,7 +194,7 @@ class TestTrack:
         assert f1 == f2 == shortcuts[0] and m.lap(1) == m.lap(2)
         assert m.shortest_path() == m.shortest_path(min_fraction=f1) == 1
         plan = plan_reorder(IonState.initial_pairs(8), [(0, 7), (1, 6), (2, 5), (3, 4)], m)
-        assert (plan.path_id, plan.time, plan.time_1d) == (1, m.lap(1), 2100.0)
+        assert (plan.path_id, _charged(plan, m), plan.time_1d) == (1, m.lap(1), 2100.0)
 
     def test_shortcut_validation(self):
         with pytest.raises(ValueError):
@@ -316,6 +349,13 @@ class TestReorderPrimitives:
         with pytest.raises(ValueError, match=message):
             apply_reorder(s, ReorderOp(tag, index=index))
         assert s.crystals == crystals
+
+    def test_an_unknown_tag_is_rejected(self):
+        cs = [Crystal((0, 1))]
+        with pytest.raises(ValueError) as err:
+            reorder_in_place(cs, ReorderOp("split", (0, 1), 0))
+        assert str(err.value) == "unknown reorder op 'split'"
+        assert cs == [Crystal((0, 1))]
 
     def test_initial_pairs(self):
         assert IonState.initial_pairs(0).crystals == ()
@@ -555,6 +595,22 @@ class TestCrystalIndex:
         with pytest.raises(ValueError, match="qubit 1 appears twice in arrangement"):
             IonState((Crystal((0, 1)), Crystal((1,))))
 
+    @pytest.mark.parametrize("crystals, message", [
+        (((0, 1),), "crystals[0] must be a Crystal, got (0, 1)"),
+        ((Crystal(()),), "crystals[0] must hold one or two qubits, got ()"),
+        ((Crystal((0, 1, 2)),), "crystals[0] must hold one or two qubits, got (0, 1, 2)"),
+    ], ids=["a-tuple", "no-qubit", "three-qubits"])
+    def test_a_crystal_that_is_no_crystal_of_one_or_two_qubits_is_named(self, crystals, message):
+        with pytest.raises(ValueError) as err:
+            IonState(crystals)
+        assert str(err.value) == message
+
+    def test_a_state_built_from_a_list_equals_one_built_from_a_tuple(self):
+        crystals = [Crystal((0, 1)), Crystal((2,), False)]
+        s = IonState(crystals)
+        assert type(s.crystals) is tuple
+        assert s == IonState(tuple(crystals)) and hash(s) == hash(IonState(tuple(crystals)))
+
 
 class TestReorderOp:
     def test_repr_and_defaults(self):
@@ -576,8 +632,9 @@ class TestReorderOp:
 class TestPlanner:
     def test_fixed_point(self):
         s = IonState.initial_pairs(8)
-        plan = plan_reorder(s, [(0, 1), (2, 3)], make_machine(4))
-        assert plan.ops == () and plan.time == 0.0
+        m = make_machine(4)
+        plan = plan_reorder(s, [(0, 1), (2, 3)], m)
+        assert plan.ops == () and _charged(plan, m) == 0.0
 
     def test_steane_layer_transition_two_ops(self):
         # (->6,<-0)(->1,<-2)(->3,<-4)<-5  to pairs {(6,1),(0,2),(3,5)}
@@ -630,7 +687,7 @@ class TestPlanner:
         m = make_machine(8, shortcuts=[0.5])
         p_1d = plan_reorder(s, targets, m, PlanMode.ONE_DIMENSIONAL)
         p_c = plan_reorder(s, targets, m, PlanMode.CIRCULATION_ALLOWED)
-        assert p_1d.time >= p_c.time
+        assert _charged(p_1d, m) >= _charged(p_c, m)
         assert p_1d.path_id is None
 
     def test_shortcut_lap_wins_a_long_reversal(self):
@@ -639,11 +696,13 @@ class TestPlanner:
         # over the 8 reorder zones, take 10 stages of 1,053 us and set the charge
         s = IonState.initial_pairs(8)
         targets = [(0, 7), (1, 6), (2, 5), (3, 4)]
-        plan = plan_reorder(s, targets, make_machine(8, shortcuts=[0.5]))
-        assert (plan.path_id, plan.time, plan.time_1d) == (1, 10530.0, 14076.0)
+        m = make_machine(8, shortcuts=[0.5])
+        plan = plan_reorder(s, targets, m)
+        assert (plan.path_id, _charged(plan, m), plan.time_1d) == (1, 10530.0, 14076.0)
         assert plan.exchange_time == 10 * 1053.0 and dict(plan.op_counts)["exchange"] == 12
-        plan = plan_reorder(s, targets, make_machine(8))
-        assert (plan.path_id, plan.time) == (0, 12400.0)
+        m = make_machine(8)
+        plan = plan_reorder(s, targets, m)
+        assert (plan.path_id, _charged(plan, m)) == (0, 12400.0)
 
     def test_staged_time_parallelism(self):
         ops = [
@@ -676,9 +735,9 @@ class TestPlanner:
         assert plan.regroup_time == _staged_time_with_set(regroup, reorder_zones)
         assert plan.exchange_time == _staged_time_with_set(exchanges, reorder_zones)
         if plan.path_id is None:
-            assert plan.time == plan.time_1d
+            assert _charged(plan, m) == plan.time_1d
         else:
-            assert plan.time == max(m.lap(plan.path_id), plan.regroup_time, plan.exchange_time)
+            assert _charged(plan, m) == max(m.lap(plan.path_id), plan.regroup_time, plan.exchange_time)
         counts = {}
         for o in ops:
             counts[o.tag.value] = counts.get(o.tag.value, 0) + 1
@@ -736,7 +795,7 @@ class TestPlanner:
             candidates += [(max(m.lap(pid), plan.regroup_time, plan.exchange_time), pid)
                            for pid, _ in m.circulation_paths]
         charged, path = min(candidates)
-        assert (plan.time, plan.path_id) == (charged, None if path == -1 else path)
+        assert (_charged(plan, m), plan.path_id) == (charged, None if path == -1 else path)
 
     def test_a_crossed_target_pair_is_combined_again(self):
         # the bubble of 5 to 2 splits the target pair (0, 1), which was
@@ -763,7 +822,7 @@ class TestPlanner:
         s, targets = _draw_instance(n, data)
         plan = plan_reorder(s, targets, m, PlanMode.CIRCULATION_ALLOWED)
         direct = plan_reorder(s, targets, m, PlanMode.ONE_DIMENSIONAL)
-        assert replace(plan, path_id=None, time=plan.time_1d) == direct
+        assert replace(plan, path_id=None) == direct
 
     @pytest.mark.parametrize(
         "target, reason",

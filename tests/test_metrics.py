@@ -285,6 +285,14 @@ def test_validate_rejects_a_gate_that_starts_before_its_predecessor_ends():
         tr.validate(TWO_GATES)
 
 
+def test_validate_sizes_no_list_by_a_huge_width():
+    # rule 2's per-qubit list is sized by the qubits the gates use
+    c = build_dag(TWO_GATES.gates, 10**30)
+    _gate_trace((0.0, [0]), (10.0, [1])).validate(c)
+    with pytest.raises(ValueError, match="rule 2 .* gate 1 starts at 0.0 us"):
+        _gate_trace((10.0, [0]), (0.0, [1])).validate(c)
+
+
 def test_validate_names_a_circuit_that_is_no_circuit():
     with pytest.raises(ValueError) as err:
         _gate_trace((0.0, [0])).validate(circuit="x")

@@ -101,6 +101,18 @@ def test_a_record_of_the_wrong_type_is_named(c, m, message):
     assert str(err.value) == message
 
 
+def test_a_circuit_that_is_not_native_is_rejected():
+    with pytest.raises(ValueError) as err:
+        schedule(build_dag([Gate(0, GateType.CX, (0, 1))], 2), M, "rolodex")
+    assert str(err.value) == "scheduler requires a native-translated circuit"
+
+
+def test_a_circuit_wider_than_the_machine_is_rejected():
+    with pytest.raises(ValueError) as err:
+        schedule(build_dag([Gate(0, GateType.ZZ, (0, 1))], M.capacity + 1), M, "plutarch")
+    assert str(err.value) == f"circuit width {M.capacity + 1} exceeds machine capacity {M.capacity}"
+
+
 def test_event_lanes():
     lanes = {"prep": {EventKind.INIT, EventKind.MEASURE},
              "zones": {EventKind.GATE_1Q, EventKind.GATE_2Q, EventKind.COOL},
@@ -316,7 +328,7 @@ def check_every_plan_is_fresh(m, width, mode, target_sets):
         fresh = (split_all_plan(eng.state, m) if targets is None
                  else plan_reorder(eng.state, targets, m, mode))
         assert plan == fresh
-        eng.transit(plan, plan.path_id)
+        eng.transit(plan, None)
         plans.append(plan)
     return plans
 
@@ -542,23 +554,23 @@ def test_each_step_lists_the_ions_it_holds(c, k, shortcuts, config):
     a 1-D transition lists the operands of its ops."""
     policy, flags = CONFIGS[config]
     m = make_machine(k, shortcuts=shortcuts)
-    transitions = []   # (plan, path, the events it emitted)
+    transitions = []   # (plan, the events it emitted)
 
     class Engine(schedulers._Engine):
-        def transit(self, plan, path):
+        def transit(self, plan, lap):
             n = len(self.trace.events)
-            super().transit(plan, path)
-            transitions.append((plan, path, self.trace.events[n:]))
+            super().transit(plan, lap)
+            transitions.append((plan, self.trace.events[n:]))
 
     with patch.object(schedulers, "_Engine", Engine):
         tr = schedule(c, m, policy, flags)
     chain = tuple(range(c.width))
     moves = set()
-    for plan, path, emitted in transitions:
+    for plan, emitted in transitions:
         moves.update(map(id, emitted))
-        if path is not None:
+        if emitted and emitted[0].kind is EventKind.CIRCULATE:
             (e,) = emitted
-            assert (e.kind, e.qubits, e.duration) == (EventKind.CIRCULATE, chain, plan.charge(m.lap(path)))
+            assert (e.qubits, e.duration) == (chain, plan.charge(m.lap(e.payload["path"])))
         elif plan.ops:
             (e,) = emitted
             operands = tuple(sorted({q for op in plan.ops for q in op.operands}))
@@ -689,12 +701,14 @@ def test_the_loop_makes_one_transition_and_one_stream_per_pass(config, c, machin
     m = MACHINES[machine]
     policy, flags = CONFIGS[config]
     _, residual, passes = build_passes(c, m, config)
-    paths = []   # (the plan's path, the path the transition took)
+    paths = []   # (the plan's path, the path of the transition's CIRCULATE or None)
 
     class Engine(schedulers._Engine):
-        def transit(self, plan, path):
-            paths.append((plan.path_id, path))
-            super().transit(plan, path)
+        def transit(self, plan, lap):
+            n = len(self.trace.events)
+            super().transit(plan, lap)
+            circulations = [e.payload["path"] for e in self.trace.events[n:] if e.kind is EventKind.CIRCULATE]
+            paths.append((plan.path_id, circulations[0] if circulations else None))
 
     with patch.object(schedulers, "_Engine", Engine):
         tr = schedule(c, m, policy, flags)

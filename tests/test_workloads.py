@@ -184,6 +184,13 @@ class TestGraphs:
                 qubits = [q for p in r for q in p]
                 assert r and len(qubits) == len(set(qubits))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 16])
+    def test_sk_edges_are_the_swap_network_pairs_once_each(self, n):
+        pairs = [frozenset(e) for e in GraphSpec(GraphKind.SK, n).edges()]
+        assert all(len(p) == 2 for p in pairs)
+        assert len(set(pairs)) == len(pairs)
+        assert set(pairs) == {frozenset(p) for r in swap_network_rounds(n) for p in r}
+
     def test_swap_network_adjacency(self):
         # every interaction happens between position-adjacent qubits, and
         # replaying the rounds as position swaps reverses the order
@@ -394,6 +401,7 @@ def test_ghz_logical_width():
     (lambda: swap_network_rounds(0), "n must be an integer >= 1, got 0"),
     (lambda: expand_transversal(None, gen_steane_encode(1)), "logical must be a Circuit, got None"),
     (lambda: expand_transversal(gen_ghz(2), None), "prelude must be a Circuit, got None"),
+    (lambda: expand_transversal(gen_ghz(2), gen_steane_encode(1)), "prelude width does not match expanded width"),
 ])
 def test_a_bad_size_or_kind_raises_a_value_error_naming_it(build, message):
     with pytest.raises(ValueError) as err:
