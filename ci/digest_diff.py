@@ -5,6 +5,7 @@
     python3 ci/digest_diff.py digests WORKLOAD BASE.json CHANGE.json
     python3 ci/digest_diff.py translations BASE CHANGE
     python3 ci/digest_diff.py plan-calls BASE CHANGE
+    python3 ci/digest_diff.py metrics BASE CHANGE
     python3 ci/digest_diff.py public-api BASE CHANGE
     python3 ci/digest_diff.py host-ab BASE CHANGE [--rounds N] [WORKLOAD ...]
 
@@ -33,6 +34,13 @@ command prints one Markdown section for the job summary:
   `path_id`, `time_1d`, `regroup_time`, `exchange_time` and `op_counts`.
   Trace digests see a transition's op counts only, so a reordered op
   sequence shows here alone.
+* metrics: per workload, each case where a field of
+  `runtime_breakdown`, `zone_utilization` or `fidelity_report` (F_total
+  included) differs by `repr` between the trees, with the fields that
+  differ.  Trace digests do not cover the metrics, and perfbench records
+  only a few of their fields.  Both trees are loaded into one process, as
+  host-ab loads them, and each builds the cases with the change tree's
+  perfbench/pipeline.build_cases (seed 1).
 * public-api: the public names that only one tree has, per src/racetrack
   module: top-level functions, classes and assigned names, and the
   methods, class attributes and `__init__`'s `self` attributes of public
@@ -251,6 +259,45 @@ def plan_calls(base: str, change: str) -> None:
     print(FENCE)
 
 
+def metric_reprs(rt, case) -> dict[str, str]:
+    """The repr of every field of the three trace metrics of one case."""
+    native = rt.translate.translate_to_native(case.circuit)
+    trace = rt.schedulers.schedule(native, case.machine, case.policy, case.flags)
+    breakdown = rt.metrics.runtime_breakdown(trace)
+    ledger = rt.metrics.fidelity_report(trace, case.machine.fidelity)
+    fields = {f"runtime_breakdown.{name}": value for name, value in vars(breakdown).items()}
+    fields["zone_utilization"] = rt.metrics.zone_utilization(trace)
+    fields.update({f"fidelity_report.{name}": value for name, value in vars(ledger).items()})
+    fields["fidelity_report.f_total"] = ledger.f_total
+    return {name: repr(value) for name, value in fields.items()}
+
+
+def metrics(base: str, change: str) -> None:
+    sys.path.insert(0, str(Path(change, "perfbench")))
+    import pipeline
+
+    print("### trace metrics (runtime_breakdown, zone_utilization, fidelity_report), by repr")
+    print(FENCE)
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        slots = {slot: _load_copy(root, f"racetrack_metrics_{slot}", Path(tmp), pipeline.MODULES)
+                 for slot, root in zip(SLOTS, (base, change))}
+        for w in pipeline.WORKLOADS:
+            cases = {slot: pipeline.build_cases(rt, w, 1) for slot, rt in slots.items()}
+            if [c.name for c in cases["base"]] != [c.name for c in cases["change"]]:
+                raise SystemExit(f"metrics: the trees build different {w} cases")
+            differ = 0
+            for old, new in zip(cases["base"], cases["change"]):
+                a, b = metric_reprs(slots["base"], old), metric_reprs(slots["change"], new)
+                fields = [f"{name} {a.get(name)} -> {b.get(name)}"
+                          for name in sorted(a.keys() | b.keys()) if a.get(name) != b.get(name)]
+                if fields:
+                    differ += 1
+                    print(f"{w}/{new.name}: " + ", ".join(fields))
+            print(f"{w}: {differ} of {len(cases['change'])} cases differ")
+    print(FENCE)
+
+
 def _self_attributes(cls: ast.ClassDef) -> Counter:
     """The names that `cls.__init__` assigns as attributes of `self`, each
     with the number of its assignments."""
@@ -349,7 +396,7 @@ def _load_copy(root: str, name: str, into: Path, modules) -> SimpleNamespace:
     source = Path(root, "src/racetrack")
     absolute = _absolute_imports(source)
     if absolute:
-        raise SystemExit(f"host-ab: {source} imports racetrack by name ({', '.join(absolute)}); "
+        raise SystemExit(f"{source} imports racetrack by name ({', '.join(absolute)}); "
                          "its modules must import each other relatively to load under a second name")
     shutil.copytree(source, into / name, ignore=shutil.ignore_patterns("__pycache__"))
     return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in modules})
@@ -456,6 +503,7 @@ COMMANDS = {
     "digests": (digests, 3),
     "translations": (translations, 2),
     "plan-calls": (plan_calls, 2),
+    "metrics": (metrics, 2),
     "public-api": (public_api, 2),
     "host-ab": (host_ab, None),   # parses its own arguments
     "host-ab-round": (host_ab_round, None),   # one round of host-ab, run by host_ab

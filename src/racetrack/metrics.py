@@ -8,15 +8,17 @@ the span for every trace.
 
 Each of the three trace metrics reads the trace once: it unpacks each
 event, tests its kind by identity and computes its end as `t_start +
-duration` in place.
+duration` in place.  The union of busy intervals is taken over the events
+themselves, so neither union builds a `(start, end)` tuple per event.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .machine import FidelityParams, _check_type
-from .trace import EventKind, Trace
+from .trace import EventKind, Trace, TraceEvent
 
 # members as module globals: reading one off the Enum class per event is slow
 INIT = EventKind.INIT
@@ -26,6 +28,10 @@ COOL = EventKind.COOL
 SHUTTLE = EventKind.SHUTTLE
 REORDER = EventKind.REORDER
 CIRCULATE = EventKind.CIRCULATE
+MEASURE = EventKind.MEASURE
+
+_start = itemgetter(0)
+_duration = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -40,20 +46,31 @@ class RuntimeBreakdown:
     total_span: float
 
 
-def _union_length(intervals: list[tuple[float, float]]) -> float:
-    """Length of the union of `intervals`; an interval covers nothing
-    unless it ends after it starts, which one with a NaN never does.
+def _union_length(events: list[TraceEvent]) -> float:
+    """Length of the union of the events' intervals, each from `t_start` to
+    `t_start + duration`; an event covers nothing unless it ends after it
+    starts, which one with a NaN start or end never does.
 
-    A NaN would leave the sort's order undefined, so when the walk meets
-    one it walks again over the intervals that end after their start.  The
-    test for it sits in the branch of intervals that cover nothing, so a
+    Two stable sorts, by duration and then by start, order the events by
+    (start, end) without building a tuple per event: of two events with
+    one start, the longer never ends first.  The walk indexes each event,
+    which costs less than unpacking its six fields, and computes its end
+    as `t_start + duration`, as the metrics do.
+
+    A NaN would leave the sorts' order undefined, so when the walk meets
+    one it walks again over the events that end after their start.  The
+    test for it sits in the branch of events that cover nothing, so a
     walk without one pays nothing for it.  The conditional is `max(a,
     last_end)` without the call: both give `a` unless `a < last_end`.
     """
     total = 0.0
     last_end = -math.inf
     nan = False
-    for a, b in sorted(intervals):
+    order = sorted(events, key=_duration)
+    order.sort(key=_start)
+    for e in order:
+        a = e[0]
+        b = a + e[1]
         if a < b:
             if b > last_end:
                 total += b - (last_end if a < last_end else a)
@@ -61,7 +78,7 @@ def _union_length(intervals: list[tuple[float, float]]) -> float:
         elif not b <= a:
             nan = True
     if nan:
-        return _union_length([iv for iv in intervals if iv[0] < iv[1]])
+        return _union_length([e for e in events if e[0] < e[0] + e[1]])
     return total
 
 
@@ -78,10 +95,10 @@ def runtime_breakdown(tr: Trace) -> RuntimeBreakdown:
     so the categories minus `hidden` plus `idle` are the span, up to float
     rounding, for every trace.
 
-    Reads the trace once and sorts its intervals once.  Each category's
+    Reads the trace once and sorts its events once.  Each category's
     durations are collected in event order and added with `sum`: from
     Python 3.12 on, `sum` compensates float rounding, which a running `+=`
-    would not.
+    would not.  An event of no known kind is named in a `ValueError`.
     """
     _check_type("tr", tr, Trace)
     init: list[float] = []
@@ -89,24 +106,27 @@ def runtime_breakdown(tr: Trace) -> RuntimeBreakdown:
     shift: list[float] = []
     circulation: list[float] = []
     measure: list[float] = []
-    intervals: list[tuple[float, float]] = []
     events = tr.events
-    span = events[0].t_start + events[0].duration if events else 0.0
-    for start, duration, kind, _, _, _ in events:
+    span = events[0][0] + events[0][1] if events else 0.0
+    for e in events:
+        start, duration, kind, _, _, _ = e
         end = start + duration
         if end > span:
             span = end
-        intervals.append((start, end))
         if kind is GATE_1Q or kind is GATE_2Q or kind is COOL:
             gate_cooling.append(duration)
         elif kind is SHUTTLE or kind is REORDER:
             shift.append(duration)
         elif kind is CIRCULATE:
             circulation.append(duration)
+        elif kind is INIT:
+            init.append(duration)
+        elif kind is MEASURE:
+            measure.append(duration)
         else:
-            (init if kind is INIT else measure).append(duration)
+            raise ValueError(f"event of unknown kind: {e}")
     totals = [sum(init), sum(gate_cooling), sum(shift), sum(circulation), sum(measure)]
-    busy = _union_length(intervals)
+    busy = _union_length(events)
     return RuntimeBreakdown(*totals, hidden=sum(totals) - busy, idle=span - busy, total_span=span)
 
 
@@ -118,11 +138,12 @@ def zone_utilization(tr: Trace) -> float:
     k = tr.gate_zones
     if k < 1:
         raise ValueError("need at least one gate zone")
-    busy: list[tuple[float, float]] = []
+    busy: list[TraceEvent] = []
     zone_us: list[float] = []
-    for start, duration, kind, zones, _, _ in tr.events:
+    for e in tr.events:
+        _, duration, kind, zones, _, _ = e
         if kind is GATE_1Q or kind is GATE_2Q or kind is COOL:
-            busy.append((start, start + duration))
+            busy.append(e)
             zone_us.append((k if k < zones else zones) * duration)
     if not busy:
         return 0.0
@@ -161,7 +182,7 @@ def fidelity_report(tr: Trace, f: FidelityParams = FidelityParams()) -> Fidelity
     _check_type("f", f, FidelityParams)
     n_1q = n_2q = n_transport = 0
     events = tr.events
-    span = events[0].t_start + events[0].duration if events else 0.0
+    span = events[0][0] + events[0][1] if events else 0.0
     for start, duration, kind, _, _, payload in events:
         end = start + duration
         if end > span:

@@ -59,10 +59,16 @@ earlier step's end, so every step starts at 0 or where an earlier one
 ends, and the events cover the span without a gap: `runtime_breakdown`
 reports no idle time.
 
-An ion is free once every earlier step that lists it has ended; `_step`
-keeps each ion's latest end, and a whole-chain step (a pass-mode stream or
-a circulation) reads and sets the end of every ion.  The steps hold,
-with their lanes under pipelining:
+An ion is free once every earlier step that lists it has ended.  `_step`
+keeps each ion's own latest end, the end of the last whole-chain step (a
+step that lists every ion, such as a pass-mode stream or a circulation)
+and the latest end of any step.  An ion's free time is the later of its
+own end and the whole-chain end, so a whole-chain step reads and sets one
+time, not one per ion: every step lists an ion and no ion's free time
+goes down, so the latest free time of any ion is the latest end of any
+step.  The engine's steps list distinct ions, so a step lists every ion
+exactly when it lists as many as the chain holds.  The steps hold, with
+their lanes under pipelining:
 
     step                                           lane       ions
     INIT or MEASURE batch                          prep       its qubits
@@ -218,7 +224,10 @@ class _Engine:
         # lanes share one list, so every kind maps to one lane
         self.lane_free = ({lane: [0.0] for lane in _LANES} if pipelining
                           else dict.fromkeys(_LANES, [0.0]))
-        self.ion_free = [0.0] * c.width
+        self.width = c.width
+        self.ion_free = [0.0] * c.width   # each ion's own latest end
+        self.chain_free = 0.0             # the end of the last whole-chain step
+        self.latest = 0.0                 # the latest end of any step
         self.measured: set[int] = set()   # qubits of explicit MEASURE gates
         self.batch_of = _batch_table(self.t)
         # what a circulation adds to its exchanges' transports
@@ -229,13 +238,27 @@ class _Engine:
     def _step(self, kind: EventKind, duration: float, ions: tuple[int, ...],
               payload: dict | None = None, zones: int = 0, cool: float | None = None) -> None:
         """Place one step (see the module docstring), the only place a start
-        time is computed, and emit its event and any COOL event after it."""
+        time is computed, and emit its event and any COOL event after it.
+
+        A step starts once its lane and each of its ions is free, an ion
+        being free at the later of its own end and the whole-chain end.  A
+        whole-chain step waits for the latest end of any step, which is
+        the latest of those times over every ion, and sets the whole-chain
+        end instead of each ion's own: it runs no loop over the ions.
+        """
         lane = self.lane_free[kind.lane]
         start = lane[0]
-        free = self.ion_free
-        for q in ions:
-            if free[q] > start:
-                start = free[q]
+        whole = len(ions) == self.width
+        if whole:
+            if self.latest > start:
+                start = self.latest
+        else:
+            if self.chain_free > start:
+                start = self.chain_free
+            free = self.ion_free
+            for q in ions:
+                if free[q] > start:
+                    start = free[q]
         end = start + duration
         # tuple.__new__ takes TraceEvent's fields in order and skips its
         # Python-level constructor
@@ -245,8 +268,13 @@ class _Engine:
             events.append(tuple.__new__(TraceEvent, (end, cool, _COOL, zones, (), {})))
             end += cool
         lane[0] = end
-        for q in ions:
-            free[q] = end
+        if whole:
+            self.chain_free = end
+        else:
+            for q in ions:
+                free[q] = end
+        if end > self.latest:
+            self.latest = end
 
     def transit(self, plan: ReorderPlan, lap: int | None) -> None:
         """The one event of a transition: a circulation along the plan's

@@ -12,8 +12,8 @@ transport too.
 An event is a `NamedTuple`: a ring schedule builds ~10^5 of them, and the
 scheduler builds each with `tuple.__new__` for a fraction of what a frozen
 dataclass costs.  It compares as the tuple of its six fields, payload
-included.  The trace readers here and in `metrics` unpack events instead
-of reading their fields by name.
+included.  The trace readers here and in `metrics` unpack or index events
+instead of reading their fields by name, so a plain 6-tuple reads as one.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .circuit import Circuit
+from .gates import is_qubit
 from .machine import _check_type
 
 
@@ -77,6 +78,13 @@ class Trace:
     gate_zones: int
     events: list[TraceEvent] = field(default_factory=list)
 
+    def __post_init__(self):
+        # counts, as a circuit's width is: ints, not bools, and >= 0
+        for name in ("width", "gate_zones"):
+            value = getattr(self, name)
+            if not is_qubit(value) or value < 0:
+                raise ValueError(f"trace {name} must be an int >= 0, got {value!r}")
+
     def add(self, event: TraceEvent) -> TraceEvent:
         self.events.append(event)
         return event
@@ -109,20 +117,32 @@ class Trace:
 
         Reads the trace once, checking times and collecting the zone-lane
         events and the events that touch qubits; then it checks the gates
-        those events run, and each of those lists in start order.
+        those events run, and each of those lists in start order.  Rule 4
+        keeps the events still active at each start, in start order, and
+        the latest end among them: when that end is no later than the
+        start (with eps slack), every earlier event has ended, and the new
+        event replaces them without a walk over them.
+
+        An event whose kind is no `EventKind`, or whose payload has no
+        `get` (None, say) when the gates are checked, is named in a
+        `ValueError`; the walks catch the error they meet, so a valid trace
+        pays no test for it.
         """
         eps = 1e-6
         zone_events: list[TraceEvent] = []
         touching: list[TraceEvent] = []
-        for e in self.events:
-            start, duration, kind, _, qubits, _ = e
-            # the comparisons are false for NaN, and `< inf` rejects inf
-            if not (-eps <= start < math.inf and 0.0 <= duration < math.inf):
-                raise ValueError(f"bad event time: {e}")
-            if kind.lane == "zones":
-                zone_events.append(e)
-            if qubits:
-                touching.append(e)
+        try:
+            for e in self.events:
+                start, duration, kind, _, qubits, _ = e
+                # the comparisons are false for NaN, and `< inf` rejects inf
+                if not (-eps <= start < math.inf and 0.0 <= duration < math.inf):
+                    raise ValueError(f"bad event time: {e}")
+                if kind.lane == "zones":
+                    zone_events.append(e)
+                if qubits:
+                    touching.append(e)
+        except AttributeError:   # only `kind.lane` can raise it
+            raise ValueError(f"bad event kind: {e}") from None
         if circuit is not None:
             _check_type("circuit", circuit, Circuit)
             _check_gates(circuit, touching, eps)
@@ -134,17 +154,25 @@ class Trace:
                 raise ValueError(f"zone events overlap: {prev} / {e}")
             prev, prev_end = e, start + duration
         touching.sort(key=_start)
-        active: list[tuple[float, TraceEvent]] = []   # (end, event), in start order
+        active: list[TraceEvent] = []   # in start order
+        latest = -math.inf              # the latest end among them
         for e in touching:
             start, duration, _, _, qubits, _ = e
+            end = start + duration
             after = start + eps
-            active = [x for x in active if x[0] > after]
-            if active:
-                qubits = set(qubits)
-                for _, x in active:
-                    if not qubits.isdisjoint(x[4]):
-                        raise ValueError(f"qubit overlap between {x} and {e}")
-            active.append((start + duration, e))
+            if latest <= after:
+                active.clear()
+                active.append(e)
+                latest = end
+                continue
+            active = [x for x in active if x[0] + x[1] > after]
+            qubits = set(qubits)
+            for x in active:
+                if not qubits.isdisjoint(x[4]):
+                    raise ValueError(f"qubit overlap between {x} and {e}")
+            active.append(e)
+            if end > latest:
+                latest = end
 
 
 def _check_gates(circuit, touching: list[TraceEvent], eps: float) -> None:
@@ -153,15 +181,19 @@ def _check_gates(circuit, touching: list[TraceEvent], eps: float) -> None:
     start: dict[int, float] = {}
     end: dict[int, float] = {}
     repeated: list[int] = []
-    for t0, duration, _, _, _, payload in touching:
-        ids = payload.get("gate_ids")
-        if ids:
-            t1 = t0 + duration
-            for gid in ids:
-                if gid in start:
-                    repeated.append(gid)
-                start[gid] = t0
-                end[gid] = t1
+    try:
+        for e in touching:
+            t0, duration, _, _, _, payload = e
+            ids = payload.get("gate_ids")
+            if ids:
+                t1 = t0 + duration
+                for gid in ids:
+                    if gid in start:
+                        repeated.append(gid)
+                    start[gid] = t0
+                    end[gid] = t1
+    except AttributeError:   # only `payload.get` can raise it
+        raise ValueError(f"bad event payload: {e}") from None
     ids = {g.id for g in circuit.gates}
     if repeated or start.keys() != ids:
         faults = [f"{what} {sorted(set(gids))}" for what, gids in (

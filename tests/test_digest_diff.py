@@ -2,6 +2,7 @@
 run on small hand-made `perfbench/run.py --out` files and source trees."""
 import json
 import math
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -303,3 +304,36 @@ def test_host_ab_rejects_an_unknown_workload():
     root = SCRIPT.parent.parent
     out = run("host-ab", root, root, "nowhere")
     assert out.returncode == 2 and "unknown workload(s) ['nowhere']" in out.stderr
+
+
+def mutant_tree(path, old, new):
+    """A copy of this checkout's src/racetrack and perfbench, with `old`
+    replaced by `new` in metrics.py."""
+    root = SCRIPT.parent.parent
+    for d in ("src/racetrack", "perfbench"):
+        shutil.copytree(root / d, path / d, ignore=shutil.ignore_patterns("__pycache__"))
+    metrics = path / "src" / "racetrack" / "metrics.py"
+    text = metrics.read_text()
+    assert text.count(old) == 1
+    metrics.write_text(text.replace(old, new))
+    return path
+
+
+def test_metrics_list_each_case_and_field_that_differs(tmp_path):
+    # the mutant moves the idle time of the 56-ion cases at k=4 alone: three
+    # grid circuits and the ring circuit, while deep runs at k8sc only
+    change = mutant_tree(tmp_path / "change", "idle=span - busy,",
+                         "idle=span - busy + (tr.width == 56 and tr.gate_zones == 4),")
+    out = run("metrics", SCRIPT.parent.parent, change)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    configs = ("plutarch", "plutarch-noblocks", "plutarch-nopipe", "rolodex", "tilt")
+    # every benchmark schedule covers its span without a gap, so idle is 0.0
+    moved = [f"{w}/{circuit}/k4/{config}: runtime_breakdown.idle 0.0 -> 1.0"
+             for w, circuits in (("grid", ("ghz_logical8", "msd7to1", "steane8")), ("ring", ("vqe_su2_56",)))
+             for circuit in circuits for config in configs]
+    assert lines[:2] == ["### trace metrics (runtime_breakdown, zone_utilization, fidelity_report), by repr",
+                         "```"]
+    assert sorted(lines[2:17]) == sorted(moved[:15]) and sorted(lines[19:24]) == sorted(moved[15:])
+    assert lines[17:19] == ["grid: 15 of 150 cases differ", "deep: 0 of 10 cases differ"]
+    assert lines[24:] == ["ring: 5 of 10 cases differ", "```"]

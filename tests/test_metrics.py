@@ -34,6 +34,12 @@ from test_blocks import native_circuits
 interval = st.tuples(st.integers(0, 20), st.integers(-2, 8)).map(lambda p: (p[0], p[0] + p[1]))
 
 
+def as_events(intervals):
+    """Each (start, end) as the event that starts at `start` and lasts
+    `end - start`, the form `_union_length` takes."""
+    return [TraceEvent(a, b - a, EventKind.GATE_1Q, 1, (), {}) for a, b in intervals]
+
+
 def brute_union(intervals):
     """Unit cells that some interval covers (integer endpoints)."""
     return sum(1 for x in range(0, 28) if any(s <= x and x + 1 <= e for s, e in intervals))
@@ -48,7 +54,7 @@ def brute_union(intervals):
 @example([(1, 3), (4, 2), (6, 5)])                   # ending before the start
 def test_union_length_matches_brute_force(intervals):
     floats = [(float(s), float(e)) for s, e in intervals]
-    assert _union_length(floats) == brute_union(intervals)
+    assert _union_length(as_events(floats)) == brute_union(intervals)
     assert ref.union_length(floats) == brute_union(intervals)
 
 
@@ -62,8 +68,12 @@ END = st.sampled_from([0.0, 1.0, 2.0, 2.5, 4.0, -math.inf, math.inf, math.nan])
 @example([(5.0, 6.0), (math.nan, 1.0), (0.0, 10.0)])            # a NaN that would misorder the sort
 @example([(1.0, 2.0), (1.0, 2.0), (2.0, 4.0), (2.0, 2.0)])      # equal, touching and empty
 def test_union_length_matches_the_reference_with_nan_and_shared_ends(intervals):
-    """An interval with a NaN covers nothing, as in the reference."""
-    assert repr(_union_length(intervals)) == repr(float(ref.union_length(intervals)))
+    """An interval with a NaN covers nothing, as in the reference, over
+    the ends the events give: `start + (end - start)`, which is NaN for an
+    infinite start and end of one sign."""
+    events = as_events(intervals)
+    ends = [(e.t_start, e.t_start + e.duration) for e in events]
+    assert repr(_union_length(events)) == repr(float(ref.union_length(ends)))
 
 
 def hand_trace():
@@ -247,6 +257,95 @@ def test_validate_rejects_a_qubit_in_two_overlapping_events():
     tr.add(TraceEvent(5.0, 10.0, EventKind.MEASURE, 0, (1,), {}))
     with pytest.raises(ValueError, match="qubit overlap"):
         tr.validate()
+
+
+def test_rule_4_sees_an_older_longer_event_after_a_newer_short_one():
+    """The newer event has ended, the older one has not: the latest end
+    among the active events, not the last one's, decides the walk."""
+    older = TraceEvent(0.0, 100.0, EventKind.SHUTTLE, 0, (0,), {})
+    newer = TraceEvent(10.0, 5.0, EventKind.INIT, 0, (1,), {})
+    late = TraceEvent(50.0, 10.0, EventKind.MEASURE, 0, (0,), {})
+    tr = Trace(width=2, gate_zones=1, events=[older, newer, late])
+    with pytest.raises(ValueError) as err:
+        tr.validate()
+    assert str(err.value) == f"qubit overlap between {older} and {late}"
+    assert _raised(ref.validate, tr) == str(err.value)
+
+
+@pytest.mark.parametrize("offset, overlaps", [
+    (-2e-6, True), (-5e-7, False), (0.0, False), (5e-7, False), (2e-6, False)])
+def test_rule_4_lets_events_touch_within_the_slack(offset, overlaps):
+    first = TraceEvent(0.0, 10.0, EventKind.SHUTTLE, 0, (0, 1), {})
+    second = TraceEvent(10.0 + offset, 10.0, EventKind.REORDER, 0, (1,), {})
+    tr = Trace(width=2, gate_zones=1, events=[first, second])
+    message = f"qubit overlap between {first} and {second}"
+    assert _raised(Trace.validate, tr) == (message if overlaps else None)
+    assert _raised(ref.validate, tr) == _raised(Trace.validate, tr)
+
+
+def test_rule_4_names_both_events_of_the_first_overlap_in_start_order():
+    # the second event ends before the third starts; the first is still
+    # active when the third and the fourth start
+    events = [TraceEvent(0.0, 30.0, EventKind.SHUTTLE, 0, (0, 1), {}),
+              TraceEvent(5.0, 5.0, EventKind.INIT, 0, (2,), {}),
+              TraceEvent(20.0, 5.0, EventKind.MEASURE, 0, (2,), {}),
+              TraceEvent(25.0, 5.0, EventKind.MEASURE, 0, (1, 2), {})]
+    tr = Trace(width=3, gate_zones=1, events=events[::-1])
+    assert _raised(Trace.validate, tr) == f"qubit overlap between {events[0]} and {events[3]}"
+    assert _raised(ref.validate, tr) == _raised(Trace.validate, tr)
+
+
+# -- malformed input is named, not met deep in the code
+
+
+def test_breakdown_names_an_event_of_unknown_kind():
+    e = TraceEvent(0.0, 1.0, "Gate1Q", 1, (0,), {})
+    with pytest.raises(ValueError) as err:
+        runtime_breakdown(Trace(2, 4, [e]))
+    assert str(err.value) == f"event of unknown kind: {e}"
+
+
+def test_metrics_read_plain_rows_as_events():
+    events = [TraceEvent(0.0, 5.0, EventKind.INIT, 0, (0,), {}),
+              TraceEvent(5.0, 2.0, EventKind.GATE_1Q, 1, (0,), {"gate_ids": [0]}),
+              TraceEvent(7.0, 3.0, EventKind.COOL, 1, (), {})]
+    rows = Trace(1, 1, [tuple(e) for e in events])
+    tr = Trace(1, 1, events)
+    assert runtime_breakdown(rows) == runtime_breakdown(tr)
+    assert zone_utilization(rows) == zone_utilization(tr)
+    assert fidelity_report(rows) == fidelity_report(tr)
+
+
+def test_validate_names_an_event_of_unknown_kind():
+    e = TraceEvent(0.0, 1.0, "Gate1Q", 1, (0,), {})
+    with pytest.raises(ValueError) as err:
+        Trace(2, 4, [e]).validate()
+    assert str(err.value) == f"bad event kind: {e}"
+
+
+def test_validate_names_an_event_whose_payload_is_no_dict():
+    e = TraceEvent(0.0, 10.0, EventKind.GATE_1Q, 1, (0,), None)
+    tr = Trace(1, 1, [e])
+    tr.validate()   # only the gate check reads payloads
+    with pytest.raises(ValueError) as err:
+        tr.validate(TWO_GATES)
+    assert str(err.value) == f"bad event payload: {e}"
+
+
+@pytest.mark.parametrize("width, gate_zones, name", [
+    (2, "4", "gate_zones"), (2, 4.0, "gate_zones"), (2, True, "gate_zones"), (2, -1, "gate_zones"),
+    ("2", 4, "width"), (False, 4, "width"), (-1, 4, "width"), (None, 4, "width")])
+def test_trace_rejects_a_width_or_zone_count_that_is_no_count(width, gate_zones, name):
+    with pytest.raises(ValueError) as err:
+        Trace(width, gate_zones)
+    value = width if name == "width" else gate_zones
+    assert str(err.value) == f"trace {name} must be an int >= 0, got {value!r}"
+
+
+def test_trace_takes_zero_counts_and_zone_utilization_keeps_its_error():
+    tr = Trace(0, 0)
+    with pytest.raises(ValueError, match="need at least one gate zone"):
+        zone_utilization(tr)
 
 
 def _gate_trace(*runs):

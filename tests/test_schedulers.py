@@ -431,6 +431,72 @@ def test_every_start_of_the_ring_cases_is_the_replayed_start(machine, config):
     check_starts_replay(RING, m, config)
 
 
+# -- whole-chain steps: a step that lists every ion reads and sets one time
+
+def whole_chain_steps(tr):
+    """The events that list every ion of the trace's chain."""
+    chain = tuple(range(tr.width))
+    return [e for e in tr.events if e.qubits == chain]
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_one_ion_chain_replays_its_starts(config, k):
+    """On one ion every step holds the whole chain."""
+    c = build_dag([Gate(0, GateType.RZ, (0,), (0.1,)), Gate(1, GateType.U1Q, (0,), (0.2, 0.3)),
+                   Gate(2, GateType.RZ, (0,), (0.4,))], 1)
+    tr = schedule(c, make_machine(k, shortcuts=(0.5,)), *CONFIGS[config])
+    assert whole_chain_steps(tr) == [e for e in tr.events if e.kind is not EventKind.COOL]
+    check_starts_replay(c, make_machine(k, shortcuts=(0.5,)), config)
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_2q_batch_that_holds_both_ions_replays_its_starts(config, k):
+    c = build_dag([Gate(0, GateType.RZ, (0,), (0.1,)), Gate(1, GateType.ZZ, (0, 1)),
+                   Gate(2, GateType.RZ, (1,), (0.2,)), Gate(3, GateType.ZZ, (0, 1))], 2)
+    m = make_machine(k, shortcuts=(0.5,))
+    tr = schedule(c, m, *CONFIGS[config])
+    batches = [e for e in tr.events if e.kind is EventKind.GATE_2Q]
+    assert len(batches) == 2 and all(e in whole_chain_steps(tr) for e in batches)
+    check_starts_replay(c, m, config)
+
+
+@pytest.mark.parametrize("config, k", [("plutarch-noblocks", 1), ("plutarch", 2)])
+def test_a_whole_chain_step_waits_for_a_later_partial_step(config, k):
+    """Pipelined, a partial step (a gate batch and its cooling) ends after
+    the last whole-chain step, and the next whole-chain step starts where
+    that partial step ends, after its own lane is free: the latest end of
+    any step, not the whole-chain end, sets its start."""
+    gates = [Gate(q, GateType.RZ, (q,), (0.1,)) for q in range(4)]
+    gates += [Gate(4, GateType.ZZ, (0, 1)), Gate(5, GateType.ZZ, (2, 3))]
+    gates += [Gate(6 + q, GateType.RZ, (q,), (0.2,)) for q in range(4)]
+    c = build_dag(gates, 4)
+    m = make_machine(k, shortcuts=(0.5,))
+    tr = schedule(c, m, *CONFIGS[config])
+    assert schedulers._policy(*CONFIGS[config])[1]
+    chain = tuple(range(4))
+    # each step's first event and its end, a gate batch's cooling included
+    steps = []
+    for e in tr.events:
+        if e.kind is EventKind.COOL:
+            steps[-1][1] = e.t_end
+        else:
+            steps.append([e, e.t_end])
+    waited = 0
+    whole_end, partial_end = None, -math.inf   # partial: since the last whole-chain step
+    for e, end in steps:
+        if e.qubits != chain:
+            partial_end = max(partial_end, end)
+            continue
+        if whole_end is not None and partial_end > whole_end:
+            assert e.t_start == partial_end
+            waited += 1
+        whole_end, partial_end = end, -math.inf
+    assert waited
+    check_starts_replay(c, m, config)
+
+
 RULE_2 = "rule 2 (no gate starts before a DAG predecessor ends) broken by "
 
 
