@@ -5,6 +5,7 @@
     python3 ci/digest_diff.py digests WORKLOAD BASE.json CHANGE.json
     python3 ci/digest_diff.py translations BASE CHANGE
     python3 ci/digest_diff.py plan-calls BASE CHANGE
+    python3 ci/digest_diff.py layer-calls BASE CHANGE
     python3 ci/digest_diff.py metrics BASE CHANGE
     python3 ci/digest_diff.py public-api BASE CHANGE
     python3 ci/digest_diff.py host-ab BASE CHANGE [--rounds N] [WORKLOAD ...]
@@ -34,6 +35,14 @@ command prints one Markdown section for the job summary:
   `path_id`, `time_1d`, `regroup_time`, `exchange_time` and `op_counts`.
   Trace digests see a transition's op counts only, so a reordered op
   sequence shows here alone.
+* layer-calls: per workload, how often each tree calls
+  `translate.list_layers` over one pass (seed 1), counted through the
+  module attribute that the schedulers and `extract_2q_layers` call it
+  by; the gates it is passed; the calls whose gates share a key (the
+  others return one-gate layers in list order); and whether one sha256
+  over the gate ids of every layer list it returns, in order, changed.
+  So it shows the traffic of each kind of call, and that the zone batches
+  and 2Q layers did not move.
 * metrics: per workload, each case where a field of
   `runtime_breakdown`, `zone_utilization` or `fidelity_report` (F_total
   included) differs by `repr` between the trees, with the fields that
@@ -71,8 +80,8 @@ command prints one Markdown section for the job summary:
   scaled by a reference loop: both trees run on the same host, case by
   case, so the ratio is what the run measures.
 
-Translations and plan calls are computed in one process per tree, as each
-imports its own tree's racetrack.
+Translations, plan calls and layer calls are computed in one process per
+tree, as each imports its own tree's racetrack.
 """
 from __future__ import annotations
 
@@ -200,6 +209,13 @@ def plan_fields(plan) -> tuple:
             plan.op_counts)
 
 
+def _one_pass(pipeline, rt, workload: str) -> None:
+    """Schedule every seed-1 case of `workload` once."""
+    for case in pipeline.build_cases(rt, workload, 1):
+        native = rt.translate.translate_to_native(case.circuit)
+        rt.schedulers.schedule(native, case.machine, case.policy, case.flags)
+
+
 def plan_call_counts(root: str) -> None:
     """One line per workload: the calls, the total ops and the plan hash."""
     pipeline, rt = _import_tree(root)
@@ -219,10 +235,33 @@ def plan_call_counts(root: str) -> None:
     for w in pipeline.WORKLOADS:
         calls = ops = 0
         digest = hashlib.sha256()
-        for case in pipeline.build_cases(rt, w, 1):
-            native = rt.translate.translate_to_native(case.circuit)
-            rt.schedulers.schedule(native, case.machine, case.policy, case.flags)
+        _one_pass(pipeline, rt, w)
         print(w, calls, ops, digest.hexdigest())
+
+
+def layer_call_counts(root: str) -> None:
+    """One line per workload: the calls, the gates, the calls whose gates
+    share a key and the layer hash."""
+    pipeline, rt = _import_tree(root)
+    list_layers = rt.translate.list_layers
+    calls = gates = shared = 0
+    digest = hashlib.sha256()
+
+    def counted(gate_list, key, *args, **kwargs):
+        nonlocal calls, gates, shared
+        layers = list_layers(gate_list, key, *args, **kwargs)
+        calls += 1
+        gates += len(gate_list)
+        shared += len({key(g) for g in gate_list}) < len(gate_list)
+        digest.update(repr([[g.id for g in layer] for layer in layers]).encode())
+        return layers
+
+    rt.translate.list_layers = counted
+    for w in pipeline.WORKLOADS:
+        calls = gates = shared = 0
+        digest = hashlib.sha256()
+        _one_pass(pipeline, rt, w)
+        print(w, calls, gates, shared, digest.hexdigest())
 
 
 def _per_tree(command: str, root: str) -> list[str]:
@@ -256,6 +295,23 @@ def plan_calls(base: str, change: str) -> None:
         (c0, o0, h0), (c1, o1, h1) = old[w], new[w]
         plans = "same" if h0 == h1 else f"changed: {h0[:12]} -> {h1[:12]}"
         print(f"{w:10} {c0:7} {c1:7} {c1 - c0:+7} {o0:8} {o1:8} {o1 - o0:+8}  {plans}")
+    print(FENCE)
+
+
+def layer_calls(base: str, change: str) -> None:
+    old, new = ({w: (*map(int, counts), digest)
+                 for w, *counts, digest in (line.split() for line in _per_tree("layer-call-counts", root))}
+                for root in (base, change))
+    print("### list_layers calls per pass")
+    print(FENCE)
+    print(f"{'':10} {'calls':>23} {'gates':>26} {'shared-key calls':>23}")
+    print(f"{'workload':10} {'base':>7} {'change':>7} {'delta':>7} {'base':>8} {'change':>8} {'delta':>8}"
+          f" {'base':>7} {'change':>7} {'delta':>7}  layers")
+    for w in old:
+        (c0, g0, s0, h0), (c1, g1, s1, h1) = old[w], new[w]
+        layers = "same" if h0 == h1 else f"changed: {h0[:12]} -> {h1[:12]}"
+        print(f"{w:10} {c0:7} {c1:7} {c1 - c0:+7} {g0:8} {g1:8} {g1 - g0:+8}"
+              f" {s0:7} {s1:7} {s1 - s0:+7}  {layers}")
     print(FENCE)
 
 
@@ -503,13 +559,15 @@ COMMANDS = {
     "digests": (digests, 3),
     "translations": (translations, 2),
     "plan-calls": (plan_calls, 2),
+    "layer-calls": (layer_calls, 2),
     "metrics": (metrics, 2),
     "public-api": (public_api, 2),
     "host-ab": (host_ab, None),   # parses its own arguments
     "host-ab-round": (host_ab_round, None),   # one round of host-ab, run by host_ab
-    # one tree each, run by translations and plan-calls
+    # one tree each, run by translations, plan-calls and layer-calls
     "translation-hashes": (translation_hashes, 1),
     "plan-call-counts": (plan_call_counts, 1),
+    "layer-call-counts": (layer_call_counts, 1),
 }
 
 

@@ -98,7 +98,10 @@ batches formed by the one list scheduler, `translate.list_layers`: a gate
 is ready once every earlier gate of the pass on its qubits has run, and a
 batch takes at most k ready gates of the earliest ready gate's (source
 layer, kind), lowest qubit first, one per crystal.  Precedence thus holds
-by construction, and `schedule` checks the trace against the DAG.
+by construction, and `schedule` checks the trace against the DAG.  On a
+serial chain, such as the CX entangler of `ring`'s circular ansatz, the
+gates of a list seldom share a key; when none do, every batch is one gate
+and gets no heap.
 
 A transition to a 2Q pass or block layer is planned for its target set,
 the qubit pairs of its gates or blocks in order, and one to a pass-mode 1Q

@@ -94,7 +94,9 @@ class Trace:
         return max((e.t_end for e in self.events), default=0.0)
 
     def transport_events(self) -> int:
-        return sum(int(e.payload.get("transports", 0)) for e in self.events)
+        """The transports the events' payloads count; an empty or None
+        payload counts none, as in `metrics.fidelity_report`."""
+        return sum(int(e.payload.get("transports", 0)) for e in self.events if e.payload)
 
     def validate(self, circuit=None) -> None:
         """Zone-lane events are mutually exclusive (rule 3); no qubit is
@@ -126,7 +128,9 @@ class Trace:
         An event whose kind is no `EventKind`, or whose payload has no
         `get` (None, say) when the gates are checked, is named in a
         `ValueError`; the walks catch the error they meet, so a valid trace
-        pays no test for it.
+        pays no test for it.  So is an event that lists qubits in neither a
+        tuple nor a list (an int, say), whether or not it overlaps; that
+        costs one type test per event that touches qubits.
         """
         eps = 1e-6
         zone_events: list[TraceEvent] = []
@@ -140,6 +144,8 @@ class Trace:
                 if kind.lane == "zones":
                     zone_events.append(e)
                 if qubits:
+                    if not isinstance(qubits, (tuple, list)):
+                        raise ValueError(f"bad event qubits: {e}")
                     touching.append(e)
         except AttributeError:   # only `kind.lane` can raise it
             raise ValueError(f"bad event kind: {e}") from None

@@ -72,7 +72,7 @@ def translate_to_native(c: Circuit, expand_rzz: bool = False) -> Circuit:
 
 
 def list_layers(gates, key, cap: int | None = None, slot_of=None) -> list[list[Gate]]:
-    """List-schedule `gates`, in program order, into layers.
+    """List-schedule `gates`, a sequence in program order, into layers.
 
     A gate is ready once every earlier gate of the list on its qubits is in
     an earlier layer.  Each layer takes the key of the earliest ready gate
@@ -82,16 +82,27 @@ def list_layers(gates, key, cap: int | None = None, slot_of=None) -> list[list[G
     share no qubit, so neither does a layer.  A cap is None or an integer
     >= 1: a float would never equal a layer's size, and True would cap at 1.
 
-    The earliest unplaced gate is always ready, so it names the key.  Each
-    key keeps a heap of its ready gates as (lowest qubit, position); a gate
-    joins it when its last predecessor on the list is placed.
+    When no two gates share a key, every layer is one gate, in list order:
+    each layer takes the key of the earliest unplaced gate, which is always
+    ready; no other gate has that key, so the layer is that gate alone; and
+    a one-gate layer keeps any cap >= 1 and the one-per-slot rule.  So such
+    a call (an empty or one-gate list among them) returns at once.
+
+    Otherwise each key keeps a heap of its ready gates as (lowest qubit,
+    position); a gate joins it when its last predecessor on the list is
+    placed.  A `gates` with no `len` (an iterator, say), or a `slot_of`
+    without the lowest qubit of a gate it is asked for, is named in a
+    `ValueError`.
     """
     if cap is not None:
         _check_count("cap", cap)
-    n = len(gates)
-    if n < 2:
-        return [list(gates)] if n else []
+    try:
+        n = len(gates)
+    except TypeError:
+        raise ValueError(f"gates must be a sequence, got {gates!r}") from None
     keys = list(map(key, gates))
+    if len(set(keys)) == n:
+        return [[g] for g in gates]
     waiting = [0] * n            # unplaced predecessors; -1 once placed
     succs = [()] * n
     last_on: dict[int, int] = {}
@@ -114,16 +125,19 @@ def list_layers(gates, key, cap: int | None = None, slot_of=None) -> list[list[G
         taken = [i]
         if heap and cap != 1:
             skipped = []
-            used = {slot_of[q]} if slot_of is not None else None
-            while heap and len(taken) != cap:
-                entry = heappop(heap)
-                if used is not None:
-                    slot = slot_of[entry[0]]
-                    if slot in used:
-                        skipped.append(entry)
-                        continue
-                    used.add(slot)
-                taken.append(entry[1])
+            try:
+                used = {slot_of[q]} if slot_of is not None else None
+                while heap and len(taken) != cap:
+                    entry = heappop(heap)
+                    if used is not None:
+                        slot = slot_of[entry[0]]
+                        if slot in used:
+                            skipped.append(entry)
+                            continue
+                        used.add(slot)
+                    taken.append(entry[1])
+            except KeyError as missing:
+                raise ValueError(f"slot_of has no slot for qubit {missing.args[0]!r}") from None
             for entry in skipped:
                 heappush(heap, entry)
         for i in taken:

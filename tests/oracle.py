@@ -26,8 +26,10 @@ layering by predecessor edges, and `translate_reference` the translation
 that took each gate's `source` from those layers.
 `extract_2q_layers_reference` is the dict-keyed ready-set layering that
 `translate.extract_2q_layers` replaced with a call to the one list
-scheduler, `translate.list_layers`.  `early_edges` is rule 2 of
-`Trace.validate` as it was checked over every edge of the reduced DAG.
+scheduler, `translate.list_layers`.  `list_layers_reference` is that
+scheduler's rule rescanned for every layer, with no heap and no successor
+lists.  `early_edges` is rule 2 of `Trace.validate` as it was checked over
+every edge of the reduced DAG.
 
 A start-time replay: `replay_starts` recomputes every event's start from
 the schedulers' timing rule alone, keeping each ion's end per ion with no
@@ -509,6 +511,35 @@ def extract_2q_layers_reference(c: Circuit, cap: int | None = None) -> list[list
                     ready.append(s)
         ready.sort(key=order.get)
         layers.append(layer)
+    return layers
+
+
+def list_layers_reference(gates, key, cap: int | None = None, slot_of=None) -> list[list[Gate]]:
+    """The layers of `translate.list_layers` by rescanning: each layer
+    recomputes the ready gates from scratch (a gate is ready once no
+    earlier unplaced gate of the list shares a qubit), takes the key of
+    the earliest, and walks the ready gates with that key lowest qubit
+    first, taking a gate unless its slot is taken, until `cap` are taken.
+    Positions, not gates, are compared, so equal gates stay apart."""
+    remaining = list(range(len(gates)))
+    layers: list[list[Gate]] = []
+    while remaining:
+        ready = [i for n, i in enumerate(remaining)
+                 if all(set(gates[i].qubits).isdisjoint(gates[j].qubits) for j in remaining[:n])]
+        want = key(gates[ready[0]])
+        taken: list[int] = []
+        used = set()
+        for i in sorted((i for i in ready if key(gates[i]) == want), key=lambda i: min(gates[i].qubits)):
+            if len(taken) == cap:
+                break
+            if slot_of is not None:
+                slot = slot_of[min(gates[i].qubits)]
+                if slot in used:
+                    continue
+                used.add(slot)
+            taken.append(i)
+        layers.append([gates[i] for i in taken])
+        remaining = [i for i in remaining if i not in taken]
     return layers
 
 

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import math
 import pickle
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,14 +14,16 @@ from oracle import (
     build_dag_reference,
     circuit_unitary,
     extract_2q_layers_reference,
+    list_layers_reference,
     phase_aligned_distance,
     topological_layers,
     translate_reference,
     validate_topology,
 )
+from racetrack import translate
 from racetrack.circuit import Circuit, build_dag
 from racetrack.gates import Gate, GateType, canonical_angle
-from racetrack.translate import extract_2q_layers, one_qubit_phases, translate_to_native
+from racetrack.translate import extract_2q_layers, list_layers, one_qubit_phases, translate_to_native
 
 PI = math.pi
 
@@ -581,3 +584,76 @@ def test_topological_layers_match_program_order():
     ]
     layers = topological_layers(build_dag(gates, 3))
     assert [[x.id for x in l] for l in layers] == [[0], [1], [2], [3]]
+
+
+@st.composite
+def keyed_gates(draw):
+    """Up to 10 gates on qubits 0-5, each with a key from an alphabet of 1 to
+    4 letters, so that lists whose keys are all distinct come up beside
+    lists whose gates share a key; returns the gates and the key function."""
+    letters = "abcd"[:draw(st.integers(1, 4))]
+    gates, labels = [], []
+    for i in range(draw(st.integers(0, 10))):
+        if draw(st.booleans()):
+            qubits = draw(st.lists(st.integers(0, 5), min_size=2, max_size=2, unique=True))
+            gates.append(g(i, GateType.ZZ, *qubits))
+        else:
+            gates.append(g(i, GateType.RZ, draw(st.integers(0, 5)), params=(0.5,)))
+        labels.append(draw(st.sampled_from(letters)))
+    return gates, lambda x: labels[x.id]
+
+
+def ids(layers):
+    return [[x.id for x in layer] for layer in layers]
+
+
+class TestListLayers:
+    @settings(max_examples=400, deadline=None)
+    @given(keyed_gates(), st.sampled_from([None, 1, 2, 3, 4]),
+           st.none() | st.lists(st.integers(0, 2), min_size=6, max_size=6))
+    def test_layers_match_a_rescan(self, drawn, cap, slots):
+        gates, key = drawn
+        slot_of = None if slots is None else dict(enumerate(slots))
+        assert ids(list_layers(gates, key, cap, slot_of)) == ids(
+            list_layers_reference(gates, key, cap, slot_of))
+
+    def test_distinct_keys_on_a_chain_give_one_gate_layers_in_list_order_and_no_heap(self):
+        # a CX ladder on shared qubits, then gates that a heap would
+        # reorder by lowest qubit: each has a key of its own
+        gates = [g(0, GateType.ZZ, 3, 4), g(1, GateType.ZZ, 2, 3), g(2, GateType.RZ, 5, params=(0.5,)),
+                 g(3, GateType.RZ, 0, params=(0.5,)), g(4, GateType.ZZ, 1, 2)]
+        with patch.object(translate, "heappush", side_effect=AssertionError("a heap was built")):
+            layers = list_layers(gates, lambda x: x.id)
+        assert ids(layers) == [[0], [1], [2], [3], [4]]
+        assert ids(layers) == ids(list_layers_reference(gates, lambda x: x.id))
+
+    def test_no_gate_and_one_gate(self):
+        one = g(0, GateType.RZ, 0, params=(0.5,))
+        assert list_layers([], lambda x: x.kind) == []
+        assert list_layers((), lambda x: x.kind, 1, {}) == []
+        assert list_layers([one], lambda x: x.kind) == [[one]]
+        assert list_layers((one,), lambda x: x.kind, 3, {}) == [[one]]
+
+    def test_a_cap_of_one_or_binding_slots_keep_a_distinct_key_answer(self):
+        # four ready gates, one crystal for all: with a shared key the slots
+        # and the cap would bind, with distinct keys neither does
+        gates = [g(i, GateType.RZ, q, params=(0.5,)) for i, q in enumerate((3, 1, 2, 0))]
+        one_crystal = dict.fromkeys(range(4), 0)
+        want = [[0], [1], [2], [3]]
+        for cap, slot_of in ((None, None), (1, None), (None, one_crystal), (1, one_crystal), (4, one_crystal)):
+            assert ids(list_layers(gates, lambda x: x.id, cap, slot_of)) == want
+        assert ids(list_layers(gates, lambda x: x.kind, None, one_crystal)) == [[3], [1], [2], [0]]
+        assert ids(list_layers(gates, lambda x: x.kind)) == [[3, 1, 2, 0]]
+
+    def test_gates_without_a_length_are_named(self):
+        # an iterator of distinct-key gates would be used up by the keys
+        gates = iter([g(0, GateType.RZ, 0, params=(0.5,)), g(1, GateType.RZ, 1, params=(0.5,))])
+        with pytest.raises(ValueError, match="gates must be a sequence, got <list_iterator"):
+            list_layers(gates, lambda x: x.id)
+
+    @pytest.mark.parametrize("slot_of, qubit", [({1: 0}, 0), ({0: 0}, 1)])
+    def test_a_missing_slot_is_named(self, slot_of, qubit):
+        # two ready gates that share a key, so the slots are read
+        gates = [g(0, GateType.RZ, 0, params=(0.5,)), g(1, GateType.RZ, 1, params=(0.5,))]
+        with pytest.raises(ValueError, match=f"slot_of has no slot for qubit {qubit}$"):
+            list_layers(gates, lambda x: x.kind, None, slot_of)

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -271,6 +272,52 @@ def test_plan_calls_see_a_reordered_op_sequence(tmp_path):
     change_hash = run("plan-call-counts", change).stdout.split()[3]
     assert base_hash != change_hash
     assert row[7:] == ["changed:", base_hash[:12], "->", change_hash[:12]]
+
+
+def test_layer_call_counts_give_calls_gates_shared_key_calls_and_a_layer_hash(tmp_path):
+    from racetrack import machine, schedulers, translate, workloads
+
+    calls = gates = shared = 0
+    list_layers = translate.list_layers
+
+    def counted(gate_list, key, *args):
+        nonlocal calls, gates, shared
+        calls += 1
+        gates += len(gate_list)
+        shared += len({key(g) for g in gate_list}) < len(gate_list)
+        return list_layers(gate_list, key, *args)
+
+    circuit = translate.translate_to_native(workloads.gen_qaoa(workloads.GraphSpec(workloads.GraphKind.SK, 8), 1))
+    with patch.object(translate, "list_layers", counted):
+        for policy in ("rolodex", "tilt", "plutarch"):
+            schedulers.schedule(circuit, machine.make_machine(4), policy)
+    tree = fake_tree(tmp_path / "tree")
+    out = run("layer-call-counts", tree)
+    assert out.returncode == 0, out.stderr
+    name, n, n_gates, n_shared, digest = out.stdout.split()
+    assert (name, int(n), int(n_gates), int(n_shared)) == ("tiny", calls, gates, shared)
+    assert 0 < shared < calls and len(digest) == 64
+    assert run("layer-call-counts", tree).stdout == out.stdout
+
+
+def test_layer_calls_see_moved_layers(tmp_path):
+    base = fake_tree(tmp_path / "base")
+    same = run("layer-calls", base, base)
+    assert same.returncode == 0, same.stderr
+    lines = same.stdout.splitlines()
+    assert lines[:2] == ["### list_layers calls per pass", "```"] and lines[-1] == "```"
+    assert lines[3].split() == ["workload", *3 * ["base", "change", "delta"], "layers"]
+    row = lines[4].split()
+    assert row[0] == "tiny" and row[3] == row[6] == row[9] == "+0" and row[10:] == ["same"]
+    # reordered plans move no batch
+    reordered = run("layer-calls", base, fake_tree(tmp_path / "reversed", reversed_ops=True))
+    assert reordered.stdout == same.stdout
+    deeper = fake_tree(tmp_path / "deeper", layers=2)
+    changed = run("layer-calls", base, deeper).stdout.splitlines()[4].split()
+    base_hash = run("layer-call-counts", base).stdout.split()[4]
+    deeper_hash = run("layer-call-counts", deeper).stdout.split()[4]
+    assert int(changed[2]) > int(changed[1]) and base_hash != deeper_hash
+    assert changed[10:] == ["changed:", base_hash[:12], "->", deeper_hash[:12]]
 
 
 def test_host_ab_runs_this_checkout_against_itself():

@@ -332,6 +332,24 @@ def test_validate_names_an_event_whose_payload_is_no_dict():
     assert str(err.value) == f"bad event payload: {e}"
 
 
+@pytest.mark.parametrize("overlaps", [False, True])
+def test_validate_names_an_event_whose_qubits_are_no_sequence(overlaps):
+    # an overlap sent the int down rule 4's slow path, into set(5)
+    bad = TraceEvent(0.0, 10.0, EventKind.SHUTTLE, 0, 5, {})
+    other = TraceEvent(5.0 if overlaps else 20.0, 10.0, EventKind.INIT, 0, (0,), {})
+    with pytest.raises(ValueError) as err:
+        Trace(6, 1, [other, bad]).validate()
+    assert str(err.value) == f"bad event qubits: {bad}"
+
+
+def test_transport_events_count_a_none_payload_as_none():
+    events = [TraceEvent(0.0, 1.0, EventKind.CIRCULATE, 0, (0,), {"transports": 4}),
+              TraceEvent(1.0, 1.0, EventKind.SHUTTLE, 0, (0,), None),
+              TraceEvent(2.0, 1.0, EventKind.REORDER, 0, (0,), {})]
+    tr = Trace(1, 1, events)
+    assert tr.transport_events() == 4 == fidelity_report(tr).n_transport
+
+
 @pytest.mark.parametrize("width, gate_zones, name", [
     (2, "4", "gate_zones"), (2, 4.0, "gate_zones"), (2, True, "gate_zones"), (2, -1, "gate_zones"),
     ("2", 4, "width"), (False, 4, "width"), (-1, 4, "width"), (None, 4, "width")])
