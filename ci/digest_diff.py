@@ -3,10 +3,7 @@
     python3 ci/digest_diff.py size BASE CHANGE
     python3 ci/digest_diff.py correct < RUN_OUTPUT
     python3 ci/digest_diff.py digests WORKLOAD BASE.json CHANGE.json
-    python3 ci/digest_diff.py translations BASE CHANGE
-    python3 ci/digest_diff.py plan-calls BASE CHANGE
-    python3 ci/digest_diff.py layer-calls BASE CHANGE
-    python3 ci/digest_diff.py metrics BASE CHANGE
+    python3 ci/digest_diff.py stages BASE CHANGE
     python3 ci/digest_diff.py public-api BASE CHANGE
     python3 ci/digest_diff.py host-ab BASE CHANGE [--rounds N] [WORKLOAD ...]
 
@@ -14,7 +11,7 @@ BASE and CHANGE are the roots of two checkouts of this repository, and the
 .json files come from `perfbench/run.py --out`.  `correct` reads the output
 of a `perfbench/run.py` run, prints its "correct", "attempted" and "failed"
 fields, and exits 1 unless "correct" is true and "failed" is 0.  Each other
-command prints one Markdown section for the job summary:
+command prints Markdown sections for the job summary:
 
 * size: the lines of each src/racetrack module in both trees, and its
   code lines: those that are not blank, not only a comment and not inside
@@ -23,42 +20,42 @@ command prints one Markdown section for the job summary:
 * digests: the cases whose trace digest changed (perfbench/compare.py),
   and the cases whose digest held while a reported metric moved (a metric
   of an unchanged trace should not move unless its definition changed).
-* translations: each benchmark circuit whose native translation changed,
-  by a sha256 over each native gate's (id, kind, qubits, repr(params),
-  source) and the sorted edge set, per expand_rzz mode, with the circuits
-  built by that tree's perfbench/pipeline.build_cases (seed 1).
-* plan-calls: per workload, how often each tree's `schedule` calls
-  `schedulers.plan_reorder` over one pass (seed 1), counted through the
-  module attribute the schedulers call it by; the ops of the plans it
-  returns; and whether one sha256 over every plan, in order, changed.  The
-  hash covers each op's (tag, operands, index), the final crystals,
-  `path_id`, `time_1d`, `regroup_time`, `exchange_time` and `op_counts`.
-  Trace digests see a transition's op counts only, so a reordered op
-  sequence shows here alone.
-* layer-calls: per workload, how often each tree calls
-  `translate.list_layers` over one pass (seed 1), counted through the
-  module attribute that the schedulers and `extract_2q_layers` call it
-  by; the gates it is passed; the calls whose gates share a key (the
-  others return one-gate layers in list order); and whether one sha256
-  over the gate ids of every layer list it returns, in order, changed.
-  So it shows the traffic of each kind of call, and that the zone batches
-  and 2Q layers did not move.
-* metrics: per workload, each case where a field of
-  `runtime_breakdown`, `zone_utilization` or `fidelity_report` (F_total
-  included) differs by `repr` between the trees, with the fields that
-  differ.  Trace digests do not cover the metrics, and perfbench records
-  only a few of their fields.  Both trees are loaded into one process, as
-  host-ab loads them, and each builds the cases with the change tree's
-  perfbench/pipeline.build_cases (seed 1).
+* stages: what the trace digests do not cover, stage by stage.  Both
+  trees are loaded into one process, as host-ab loads them, each workload's
+  cases are built for each tree with the change tree's
+  perfbench/pipeline.build_cases (seed 1), and each tree makes one pass
+  over them, with `schedulers.plan_reorder` and `translate.list_layers`
+  counted through the module attributes the program calls them by.  It
+  prints four sections, each per workload:
+  - translations: each circuit whose native translation changed, by a
+    sha256 over each native gate's (id, kind, qubits, repr(params), source)
+    and the sorted edge set, per expand_rzz mode;
+  - reorder plans: the plan_reorder calls, the ops of the plans they
+    return, and whether one sha256 over every plan, in order, changed.  The
+    hash covers each op's (tag, operands, index), the final crystals,
+    `path_id`, `time_1d`, `regroup_time`, `exchange_time` and `op_counts`.
+    Trace digests see a transition's op counts only, so a reordered op
+    sequence shows here alone;
+  - list_layers calls: the calls, the gates they are passed, the calls
+    whose gates share a key (the others return one-gate layers in list
+    order), and whether one sha256 over the gate ids of every layer list
+    they return, in order, changed, so that the zone batches and 2Q layers
+    show where no trace digest moves;
+  - trace metrics: each case where a field of `runtime_breakdown`,
+    `zone_utilization` or `fidelity_report` (F_total included) differs by
+    `repr`, with the fields that differ.  Perfbench records only a few of
+    them.
 * public-api: the public names that only one tree has, per src/racetrack
   module: top-level functions, classes and assigned names, and the
   methods, class attributes and `__init__`'s `self` attributes of public
   classes.  A class only one tree has is listed alone.  A second section
   lists each public name of the change tree that nothing calls: one whose
-  last component appears as a whole word in no .py file under
-  src/racetrack, perfbench or ci, other than where the name is defined.
-  The members of an `Enum` subclass are values, not API, and are skipped.
-  The names are read with `ast`; nothing is imported.
+  last component the code of no .py file under src/racetrack, perfbench or
+  ci uses, other than where the name is defined.  Code is read with `ast`:
+  a name, an attribute, a keyword, an imported name or its alias, or a
+  string that is an identifier counts, and a docstring or a comment does
+  not.  The members of an `Enum` subclass are values, not API, and are
+  skipped.  Nothing is imported.
 * host-ab: an interleaved A/B of host time.  A round has two slots, base
   and change, and runs in two processes, one per assignment of trees to
   slots: forward, each slot holding its own tree, and reversed, the trees
@@ -79,9 +76,6 @@ command prints one Markdown section for the job summary:
   both processes.  Every workload by default, and 5 rounds.  No time is
   scaled by a reference loop: both trees run on the same host, case by
   case, so the ratio is what the run measures.
-
-Translations, plan calls and layer calls are computed in one process per
-tree, as each imports its own tree's racetrack.
 """
 from __future__ import annotations
 
@@ -92,7 +86,6 @@ import hashlib
 import importlib
 import json
 import math
-import re
 import shutil
 import statistics
 import subprocess
@@ -178,27 +171,16 @@ def digests(workload: str, old_path: str, new_path: str) -> None:
     print(FENCE)
 
 
-def _import_tree(root: str):
-    sys.path.insert(0, str(Path(root, "perfbench")))
-    import pipeline
-
-    return pipeline, pipeline.import_racetrack()
+def sha(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
-def translation_hashes(root: str) -> None:
-    pipeline, rt = _import_tree(root)
-    for w in pipeline.WORKLOADS:
-        circuits = {}
-        for case in pipeline.build_cases(rt, w, 1):
-            circuits.setdefault(case.circuit_name, case.circuit)
-        for name in sorted(circuits):
-            for expand in (False, True):
-                native = rt.translate.translate_to_native(circuits[name], expand_rzz=expand)
-                h = hashlib.sha256()
-                for g in native.gates:
-                    h.update(repr((g.id, g.kind.value, g.qubits, repr(g.params), g.source)).encode())
-                h.update(repr(sorted(native.edges)).encode())
-                print(f"{w}/{name} expand_rzz={expand} {h.hexdigest()}")
+def translation_hash(rt, circuit, expand_rzz: bool) -> str:
+    """A sha256 over each native gate's (id, kind, qubits, repr(params),
+    source) and the sorted edge set of `circuit`'s translation."""
+    native = rt.translate.translate_to_native(circuit, expand_rzz=expand_rzz)
+    return sha(([(g.id, g.kind.value, g.qubits, repr(g.params), g.source) for g in native.gates],
+                sorted(native.edges)))
 
 
 def plan_fields(plan) -> tuple:
@@ -207,112 +189,6 @@ def plan_fields(plan) -> tuple:
             tuple((c.qubits, c.facing_right) for c in plan.final.crystals),
             plan.path_id, plan.time_1d, plan.regroup_time, plan.exchange_time,
             plan.op_counts)
-
-
-def _one_pass(pipeline, rt, workload: str) -> None:
-    """Schedule every seed-1 case of `workload` once."""
-    for case in pipeline.build_cases(rt, workload, 1):
-        native = rt.translate.translate_to_native(case.circuit)
-        rt.schedulers.schedule(native, case.machine, case.policy, case.flags)
-
-
-def plan_call_counts(root: str) -> None:
-    """One line per workload: the calls, the total ops and the plan hash."""
-    pipeline, rt = _import_tree(root)
-    plan_reorder = rt.schedulers.plan_reorder
-    calls = ops = 0
-    digest = hashlib.sha256()
-
-    def counted(*args, **kwargs):
-        nonlocal calls, ops
-        plan = plan_reorder(*args, **kwargs)
-        calls += 1
-        ops += len(plan.ops)
-        digest.update(repr(plan_fields(plan)).encode())
-        return plan
-
-    rt.schedulers.plan_reorder = counted
-    for w in pipeline.WORKLOADS:
-        calls = ops = 0
-        digest = hashlib.sha256()
-        _one_pass(pipeline, rt, w)
-        print(w, calls, ops, digest.hexdigest())
-
-
-def layer_call_counts(root: str) -> None:
-    """One line per workload: the calls, the gates, the calls whose gates
-    share a key and the layer hash."""
-    pipeline, rt = _import_tree(root)
-    list_layers = rt.translate.list_layers
-    calls = gates = shared = 0
-    digest = hashlib.sha256()
-
-    def counted(gate_list, key, *args, **kwargs):
-        nonlocal calls, gates, shared
-        layers = list_layers(gate_list, key, *args, **kwargs)
-        calls += 1
-        gates += len(gate_list)
-        shared += len({key(g) for g in gate_list}) < len(gate_list)
-        digest.update(repr([[g.id for g in layer] for layer in layers]).encode())
-        return layers
-
-    rt.translate.list_layers = counted
-    for w in pipeline.WORKLOADS:
-        calls = gates = shared = 0
-        digest = hashlib.sha256()
-        _one_pass(pipeline, rt, w)
-        print(w, calls, gates, shared, digest.hexdigest())
-
-
-def _per_tree(command: str, root: str) -> list[str]:
-    """The lines `command` prints for the tree at `root`, run in a process
-    of its own."""
-    out = subprocess.run([sys.executable, __file__, command, root], check=True,
-                         stdout=subprocess.PIPE, text=True).stdout
-    return out.splitlines()
-
-
-def translations(base: str, change: str) -> None:
-    old, new = ({line.rsplit(" ", 1)[0]: line.rsplit(" ", 1)[1] for line in _per_tree("translation-hashes", root)}
-                for root in (base, change))
-    changed = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
-    print("### translations")
-    print(FENCE)
-    print("\n".join(changed) if changed else "no translation changed")
-    print(f"{len(changed)} of {len(new)} circuit translations changed")
-    print(FENCE)
-
-
-def plan_calls(base: str, change: str) -> None:
-    old, new = ({w: (int(calls), int(ops), digest)
-                 for w, calls, ops, digest in (line.split() for line in _per_tree("plan-call-counts", root))}
-                for root in (base, change))
-    print("### reorder plans per pass")
-    print(FENCE)
-    print(f"{'':10} {'calls':>23} {'ops':>26}")
-    print(f"{'workload':10} {'base':>7} {'change':>7} {'delta':>7} {'base':>8} {'change':>8} {'delta':>8}  plans")
-    for w in old:
-        (c0, o0, h0), (c1, o1, h1) = old[w], new[w]
-        plans = "same" if h0 == h1 else f"changed: {h0[:12]} -> {h1[:12]}"
-        print(f"{w:10} {c0:7} {c1:7} {c1 - c0:+7} {o0:8} {o1:8} {o1 - o0:+8}  {plans}")
-    print(FENCE)
-
-
-def layer_calls(base: str, change: str) -> None:
-    old, new = ({w: (*map(int, counts), digest)
-                 for w, *counts, digest in (line.split() for line in _per_tree("layer-call-counts", root))}
-                for root in (base, change))
-    print("### list_layers calls per pass")
-    print(FENCE)
-    print(f"{'':10} {'calls':>23} {'gates':>26} {'shared-key calls':>23}")
-    print(f"{'workload':10} {'base':>7} {'change':>7} {'delta':>7} {'base':>8} {'change':>8} {'delta':>8}"
-          f" {'base':>7} {'change':>7} {'delta':>7}  layers")
-    for w in old:
-        (c0, g0, s0, h0), (c1, g1, s1, h1) = old[w], new[w]
-        layers = "same" if h0 == h1 else f"changed: {h0[:12]} -> {h1[:12]}"
-        print(f"{w:10} {c0:7} {c1:7} {c1 - c0:+7} {g0:8} {g1:8} {g1 - g0:+8}"
-              f" {s0:7} {s1:7} {s1 - s0:+7}  {layers}")
-    print(FENCE)
 
 
 def metric_reprs(rt, case) -> dict[str, str]:
@@ -328,29 +204,79 @@ def metric_reprs(rt, case) -> dict[str, str]:
     return {name: repr(value) for name, value in fields.items()}
 
 
-def metrics(base: str, change: str) -> None:
-    sys.path.insert(0, str(Path(change, "perfbench")))
-    import pipeline
+def stage_facts(rt, workload: str, cases) -> SimpleNamespace:
+    """What one pass over `cases` with the loaded tree `rt` gives: each
+    circuit's translation hash per expand_rzz mode; the plan_reorder calls,
+    their ops and one hash over every plan, in order; the list_layers
+    calls, their gates, the calls whose gates share a key and one hash over
+    every layer list, in order; and each case's `metric_reprs`.  The calls
+    are counted through the module attributes the program calls them by."""
+    translations = {f"{workload}/{c.circuit_name} expand_rzz={expand}": translation_hash(rt, c.circuit, expand)
+                    for c in {c.circuit_name: c for c in cases}.values() for expand in (False, True)}
+    plan_reorder, list_layers = rt.schedulers.plan_reorder, rt.translate.list_layers
+    plans, layers = [], []
 
+    def planned(*args, **kwargs):
+        plan = plan_reorder(*args, **kwargs)
+        plans.append(plan_fields(plan))
+        return plan
+
+    def layered(gates, key, *args, **kwargs):
+        out = list_layers(gates, key, *args, **kwargs)
+        layers.append((len(gates), len({key(g) for g in gates}) < len(gates), [[g.id for g in x] for x in out]))
+        return out
+
+    rt.schedulers.plan_reorder, rt.translate.list_layers = planned, layered
+    try:
+        metrics = {c.name: metric_reprs(rt, c) for c in cases}
+    finally:
+        rt.schedulers.plan_reorder, rt.translate.list_layers = plan_reorder, list_layers
+    return SimpleNamespace(translations=translations, metrics=metrics,
+                           plans=(len(plans), sum(len(p[0]) for p in plans), sha(plans)),
+                           layers=(len(layers), sum(n for n, _, _ in layers), sum(s for _, s, _ in layers),
+                                   sha([ids for *_, ids in layers])))
+
+
+def _count_table(title: str, columns, label: str, rows) -> None:
+    """A section with, per workload, each count of `columns` ((name,
+    width), ...) in both trees and whether the hash that ends each row of
+    `rows` ({workload: (base row, change row)}) changed."""
+    print(f"### {title}")
+    print(FENCE)
+    print(f"{'':10}" + "".join(f" {name:>{3 * n + 2}}" for name, n in columns))
+    print(f"{'workload':10}" + "".join(f" {'base':>{n}} {'change':>{n}} {'delta':>{n}}" for _, n in columns)
+          + f"  {label}")
+    for w, ((*old, h0), (*new, h1)) in rows.items():
+        cells = "".join(f" {a:{n}} {b:{n}} {b - a:+{n}}" for (_, n), a, b in zip(columns, old, new))
+        print(f"{w:10}{cells}  " + ("same" if h0 == h1 else f"changed: {h0[:12]} -> {h1[:12]}"))
+    print(FENCE)
+
+
+def stages(base: str, change: str) -> None:
+    facts = {w: [stage_facts(slots[slot], w, cases[slot]) for slot in SLOTS]
+             for _, slots, w, cases in _two_trees(change, base, change, (), "stages")}
+    print("### translations")
+    print(FENCE)
+    for w, (old, new) in facts.items():
+        keys = old.translations.keys() | new.translations.keys()
+        changed = sorted(k for k in keys if old.translations.get(k) != new.translations.get(k))
+        print("\n".join([*changed, f"{w}: {len(changed)} of {len(keys)} circuit translations changed"]))
+    print(FENCE)
+    _count_table("reorder plans per pass", (("calls", 7), ("ops", 8)), "plans",
+                 {w: (old.plans, new.plans) for w, (old, new) in facts.items()})
+    _count_table("list_layers calls per pass", (("calls", 7), ("gates", 8), ("shared-key calls", 7)), "layers",
+                 {w: (old.layers, new.layers) for w, (old, new) in facts.items()})
     print("### trace metrics (runtime_breakdown, zone_utilization, fidelity_report), by repr")
     print(FENCE)
-    with tempfile.TemporaryDirectory() as tmp:
-        sys.path.insert(0, tmp)
-        slots = {slot: _load_copy(root, f"racetrack_metrics_{slot}", Path(tmp), pipeline.MODULES)
-                 for slot, root in zip(SLOTS, (base, change))}
-        for w in pipeline.WORKLOADS:
-            cases = {slot: pipeline.build_cases(rt, w, 1) for slot, rt in slots.items()}
-            if [c.name for c in cases["base"]] != [c.name for c in cases["change"]]:
-                raise SystemExit(f"metrics: the trees build different {w} cases")
-            differ = 0
-            for old, new in zip(cases["base"], cases["change"]):
-                a, b = metric_reprs(slots["base"], old), metric_reprs(slots["change"], new)
-                fields = [f"{name} {a.get(name)} -> {b.get(name)}"
-                          for name in sorted(a.keys() | b.keys()) if a.get(name) != b.get(name)]
-                if fields:
-                    differ += 1
-                    print(f"{w}/{new.name}: " + ", ".join(fields))
-            print(f"{w}: {differ} of {len(cases['change'])} cases differ")
+    for w, (old, new) in facts.items():
+        differ = 0
+        for name, b in new.metrics.items():
+            a = old.metrics[name]
+            fields = [f"{f} {a.get(f)} -> {b.get(f)}" for f in sorted(a.keys() | b.keys()) if a.get(f) != b.get(f)]
+            if fields:
+                differ += 1
+                print(f"{w}/{name}: " + ", ".join(fields))
+        print(f"{w}: {differ} of {len(new.metrics)} cases differ")
     print(FENCE)
 
 
@@ -399,12 +325,35 @@ def _public_names(path: Path, values: bool = True) -> Counter:
     return names
 
 
+# the field that holds the identifier of each kind of node `code_words`
+# reads; a definition's name counts too, as `uncalled` subtracts each one
+WORD_FIELDS = {ast.Name: "id", ast.Attribute: "attr", ast.keyword: "arg", ast.FunctionDef: "name",
+               ast.AsyncFunctionDef: "name", ast.ClassDef: "name"}
+
+
+def code_words(text: str) -> list[str]:
+    """The identifiers the code of `text` uses, read with `ast`, so that a
+    docstring or comment names nothing: names, attributes, keywords, the
+    names of functions and classes, the parts and aliases of imported
+    names, and strings that are identifiers (patch points given by name,
+    say)."""
+    words = []
+    for node in ast.walk(ast.parse(text)):
+        if type(node) in WORD_FIELDS:
+            words.append(getattr(node, WORD_FIELDS[type(node)]))
+        elif isinstance(node, ast.alias):
+            words += [*node.name.split("."), node.asname]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            words.append(node.value)
+    return words
+
+
 def uncalled(root: str) -> list[str]:
-    """The public names of the tree at `root` whose last component appears
-    as a whole word in no .py file under CALLERS but where it is defined.
+    """The public names of the tree at `root` whose last component is a
+    word of the code of no .py file under CALLERS but where it is defined.
     Members of an `Enum` subclass are values, not API, and are skipped."""
     words = Counter(word for d in CALLERS for path in Path(root, d).rglob("*.py")
-                    for word in re.findall(r"\w+", path.read_text()))
+                    for word in code_words(path.read_text()))
     names = {f"racetrack.{path.stem}.{name}": n for path in sorted(Path(root, "src/racetrack").glob("*.py"))
              for name, n in _public_names(path, values=False).items()}
     for name, n in names.items():
@@ -471,33 +420,42 @@ SLOTS = ("base", "change")
 ASSIGNMENTS = {"forward": SLOTS, "reversed": SLOTS[::-1]}
 
 
+def _two_trees(cases_root: str, base: str, change: str, workloads, command: str):
+    """Per workload of `workloads` (of the pipeline, when empty): yield
+    `cases_root`'s perfbench/pipeline, the trees at `base` and `change` as
+    copies loaded by slot (see `_load_copy`), the workload and each slot's
+    seed-1 cases, built by that pipeline; exit, naming `command`, when the
+    trees build different cases."""
+    sys.path.insert(0, str(Path(cases_root, "perfbench")))
+    import pipeline
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        slots = {slot: _load_copy(root, f"racetrack_{slot}", Path(tmp), pipeline.MODULES)
+                 for slot, root in zip(SLOTS, (base, change))}
+        for w in workloads or pipeline.WORKLOADS:
+            cases = {slot: pipeline.build_cases(rt, w, 1) for slot, rt in slots.items()}
+            if [c.name for c in cases["base"]] != [c.name for c in cases["change"]]:
+                raise SystemExit(f"{command}: the trees build different {w} cases")
+            yield pipeline, slots, w, cases
+
+
 def host_ab_round(cases_root: str, base: str, change: str, r: str, *workloads: str) -> None:
     """One round of host-ab, in a process of its own: the tree at `base` in
     the base slot, the one at `change` in the change slot, and the cases
     built with `cases_root`'s pipeline.  Prints one JSON object: per
     workload, the seconds of each case per slot and the gates of each."""
-    sys.path.insert(0, str(Path(cases_root, "perfbench")))
-    import pipeline
-
     out = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        sys.path.insert(0, tmp)
-        slots = {slot: _load_copy(root, f"racetrack_ab_{slot}", Path(tmp), pipeline.MODULES)
-                 for slot, root in zip(SLOTS, (base, change))}
-        for w in workloads:
-            cases = {slot: pipeline.build_cases(rt, w, 1) for slot, rt in slots.items()}
-            names = [c.name for c in cases["change"]]
-            if [c.name for c in cases["base"]] != names:
-                raise SystemExit(f"host-ab: the trees build different {w} cases")
-            seconds: dict[str, dict[str, float]] = {slot: {} for slot in SLOTS}
-            gates: dict[str, int] = {}
-            gc.collect()
-            for i, name in enumerate(names):
-                for slot in (SLOTS if (int(r) + i) % 2 == 0 else SLOTS[::-1]):
-                    run = pipeline.run_case(slots[slot], cases[slot][i])
-                    seconds[slot][name] = run.seconds
-                    gates[name] = run.native.n_gates
-            out[w] = {"seconds": seconds, "gates": gates}
+    for pipeline, slots, w, cases in _two_trees(cases_root, base, change, workloads, "host-ab"):
+        seconds: dict[str, dict[str, float]] = {slot: {} for slot in SLOTS}
+        gates: dict[str, int] = {}
+        gc.collect()
+        for i, name in enumerate(c.name for c in cases["change"]):
+            for slot in (SLOTS if (int(r) + i) % 2 == 0 else SLOTS[::-1]):
+                run = pipeline.run_case(slots[slot], cases[slot][i])
+                seconds[slot][name] = run.seconds
+                gates[name] = run.native.n_gates
+        out[w] = {"seconds": seconds, "gates": gates}
     print(json.dumps(out))
 
 
@@ -557,17 +515,10 @@ COMMANDS = {
     "size": (size, 2),
     "correct": (correct, 0),
     "digests": (digests, 3),
-    "translations": (translations, 2),
-    "plan-calls": (plan_calls, 2),
-    "layer-calls": (layer_calls, 2),
-    "metrics": (metrics, 2),
+    "stages": (stages, 2),
     "public-api": (public_api, 2),
     "host-ab": (host_ab, None),   # parses its own arguments
     "host-ab-round": (host_ab_round, None),   # one round of host-ab, run by host_ab
-    # one tree each, run by translations, plan-calls and layer-calls
-    "translation-hashes": (translation_hashes, 1),
-    "plan-call-counts": (plan_call_counts, 1),
-    "layer-call-counts": (layer_call_counts, 1),
 }
 
 

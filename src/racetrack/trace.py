@@ -91,12 +91,12 @@ class Trace:
 
     @property
     def span(self) -> float:
-        return max((e.t_end for e in self.events), default=0.0)
+        return max((e[0] + e[1] for e in self.events), default=0.0)
 
     def transport_events(self) -> int:
         """The transports the events' payloads count; an empty or None
         payload counts none, as in `metrics.fidelity_report`."""
-        return sum(int(e.payload.get("transports", 0)) for e in self.events if e.payload)
+        return sum(int(e[5].get("transports", 0)) for e in self.events if e[5])
 
     def validate(self, circuit=None) -> None:
         """Zone-lane events are mutually exclusive (rule 3); no qubit is

@@ -17,6 +17,7 @@ params start with the input's params, constant params).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from heapq import heappop, heappush
 
 from .circuit import Circuit, build_dag
@@ -90,16 +91,17 @@ def list_layers(gates, key, cap: int | None = None, slot_of=None) -> list[list[G
 
     Otherwise each key keeps a heap of its ready gates as (lowest qubit,
     position); a gate joins it when its last predecessor on the list is
-    placed.  A `gates` with no `len` (an iterator, say), or a `slot_of`
-    without the lowest qubit of a gate it is asked for, is named in a
-    `ValueError`.
+    placed.  A `gates` that is not a sequence (an iterator or a set, say:
+    one with no order or no index), or a `slot_of` without the lowest
+    qubit of a gate it is asked for, is named in a `ValueError`.  A list or
+    a tuple is told by its type first, so the common call skips the
+    `Sequence` check.
     """
     if cap is not None:
         _check_count("cap", cap)
-    try:
-        n = len(gates)
-    except TypeError:
-        raise ValueError(f"gates must be a sequence, got {gates!r}") from None
+    if type(gates) not in (list, tuple) and not isinstance(gates, Sequence):
+        raise ValueError(f"gates must be a sequence, got {gates!r}")
+    n = len(gates)
     keys = list(map(key, gates))
     if len(set(keys)) == n:
         return [[g] for g in gates]

@@ -651,6 +651,14 @@ class TestListLayers:
         with pytest.raises(ValueError, match="gates must be a sequence, got <list_iterator"):
             list_layers(gates, lambda x: x.id)
 
+    @pytest.mark.parametrize("key", [lambda x: x.id, lambda x: x.kind], ids=["distinct", "shared"])
+    def test_unordered_gates_are_named(self, key):
+        # a set has a length but no order: distinct keys gave one-gate
+        # layers in set order, a shared key a TypeError from the heap walk
+        gates = {g(0, GateType.RZ, 0, params=(0.5,)), g(1, GateType.RZ, 1, params=(0.5,))}
+        with pytest.raises(ValueError, match=r"gates must be a sequence, got \{"):
+            list_layers(gates, key)
+
     @pytest.mark.parametrize("slot_of, qubit", [({1: 0}, 0), ({0: 0}, 1)])
     def test_a_missing_slot_is_named(self, slot_of, qubit):
         # two ready gates that share a key, so the slots are read

@@ -2,6 +2,7 @@
 run on small hand-made `perfbench/run.py --out` files and source trees."""
 import json
 import math
+import runpy
 import shutil
 import subprocess
 import sys
@@ -155,10 +156,27 @@ def test_public_api_lists_the_names_nothing_calls(tmp_path):
         "racetrack.m.unused",
         "```",
     ]
+    # a name that only a docstring or a comment gives has no caller
     (tmp_path / "tree" / "ci").mkdir()
-    (tmp_path / "tree" / "ci" / "c.py").write_text("# unused and spare are called here\n")
+    caller = tmp_path / "tree" / "ci" / "c.py"
+    caller.write_text('"""Call unused first, then spare."""\n# unused and spare are called here\n')
+    assert run("public-api", tmp_path / "tree", tmp_path / "tree").stdout.splitlines()[6:8] == [
+        "racetrack.m.Kind.spare", "racetrack.m.unused"]
+    caller.write_text('from racetrack.m import unused\nsetattr(unused, "spare", None)\n')
     assert run("public-api", tmp_path / "tree", tmp_path / "tree").stdout.splitlines()[6] == (
         "every public name has a caller")
+
+
+@pytest.mark.parametrize("code, words", [
+    ('m.unused(k=f"{x}")\n', {"m", "unused", "k", "x"}),
+    ("from racetrack.m import spare as u\nimport a.b\n", {"spare", "u", "a", "b"}),
+    # a docstring, a parameter, a comment and a string that is no identifier name nothing
+    ('class C:\n    """unused is named here."""\n    def f(self, unused):  # unused\n'
+     '        return "spare", "not spare"\n', {"C", "f", "spare"}),
+])
+def test_code_words_are_the_identifiers_code_uses(code, words):
+    code_words = runpy.run_path(str(SCRIPT))["code_words"]
+    assert set(code_words(code)) - {None} == words
 
 
 def test_a_wrong_command_prints_the_usage():
@@ -166,158 +184,146 @@ def test_a_wrong_command_prints_the_usage():
     assert out.returncode == 2 and "digest_diff.py size BASE CHANGE" in out.stderr
 
 
-# a tree whose perfbench/pipeline.py schedules one small circuit, SK-QAOA on
-# 8 qubits with LAYERS layers, with this checkout's racetrack; REVERSED plans
-# every transition with its ops in reverse order, which keeps every op count
-FAKE_PIPELINE = '''
-import dataclasses
-import sys
+# a small perfbench/pipeline.py: SK-QAOA on 8 qubits under three policies on
+# four and eight gate zones, built with the racetrack it is given
+FAKE_PIPELINE = """
 from types import SimpleNamespace
 
-sys.path.insert(0, {src!r})
-from racetrack import machine, schedulers, translate, workloads
-
-WORKLOADS = {{"tiny": None}}
-REVERSED = {reversed!r}
-LAYERS = {layers!r}
-
-
-def import_racetrack():
-    if REVERSED:
-        plan_reorder = schedulers.plan_reorder
-
-        def reversed_ops(*args):
-            plan = plan_reorder(*args)
-            return dataclasses.replace(plan, ops=plan.ops[::-1])
-
-        schedulers.plan_reorder = reversed_ops
-    return SimpleNamespace(translate=translate, schedulers=schedulers)
+MODULES = ("machine", "metrics", "schedulers", "translate", "workloads")
+WORKLOADS = {"tiny": None}
+POLICIES = ("rolodex", "tilt", "plutarch")
 
 
 def build_cases(rt, workload, seed):
-    circuit = workloads.gen_qaoa(workloads.GraphSpec(workloads.GraphKind.SK, 8), LAYERS)
-    return [SimpleNamespace(circuit_name="sk8", circuit=circuit, machine=machine.make_machine(4),
-                            policy=policy, flags=None)
-            for policy in ("rolodex", "tilt", "plutarch")]
-'''
+    w = rt.workloads
+    circuit = w.gen_qaoa(w.GraphSpec(w.GraphKind.SK, 8), 1)
+    return [SimpleNamespace(name=f"sk8/k{k}/{policy}", circuit_name="sk8", circuit=circuit,
+                            machine=rt.machine.make_machine(k), policy=policy, flags=None)
+            for k in (4, 8) for policy in POLICIES]
+"""
+POLICIES = ("rolodex", "tilt", "plutarch")
 
 
-def fake_tree(path, reversed_ops=False, layers=1):
-    (path / "perfbench").mkdir(parents=True)
-    src = str(SCRIPT.parent.parent / "src")
-    (path / "perfbench" / "pipeline.py").write_text(
-        FAKE_PIPELINE.format(src=src, reversed=reversed_ops, layers=layers))
+def fake_tree(path, module=None, old=None, new=None):
+    """A tree with FAKE_PIPELINE and a copy of this checkout's
+    src/racetrack, with `old` replaced by `new` in `module` when given."""
+    shutil.copytree(SCRIPT.parent.parent / "src" / "racetrack", path / "src" / "racetrack",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (path / "perfbench").mkdir()
+    (path / "perfbench" / "pipeline.py").write_text(FAKE_PIPELINE)
+    if module:
+        source = path / "src" / "racetrack" / module
+        text = source.read_text()
+        assert text.count(old) == 1
+        source.write_text(text.replace(old, new))
     return path
 
 
-def test_translations_list_each_changed_circuit_once_per_expand_mode(tmp_path):
-    base = fake_tree(tmp_path / "base")
-    same = run("translations", base, base)
-    assert same.returncode == 0, same.stderr
-    assert same.stdout.splitlines() == [
-        "### translations", "```", "no translation changed",
-        "0 of 2 circuit translations changed", "```"]
-    # reordered plans leave the translations as they are
-    reordered = run("translations", base, fake_tree(tmp_path / "reversed", reversed_ops=True))
-    assert reordered.stdout == same.stdout
-    deeper = run("translations", base, fake_tree(tmp_path / "deeper", layers=2))
-    assert deeper.returncode == 0, deeper.stderr
-    assert deeper.stdout.splitlines() == [
-        "### translations", "```", "tiny/sk8 expand_rzz=False", "tiny/sk8 expand_rzz=True",
-        "2 of 2 circuit translations changed", "```"]
+def sections(out):
+    """The lines of each section that `out` prints, by title, without the
+    fences."""
+    found = {}
+    for block in out.split("### ")[1:]:
+        title, _, body = block.partition("\n")
+        lines = body.splitlines()
+        assert lines[0] == lines[-1] == "```"
+        found[title] = lines[1:-1]
+    return found
 
 
-def test_plan_call_counts_give_calls_ops_and_a_plan_hash(tmp_path):
+PLANS = "reorder plans per pass"
+LAYERS = "list_layers calls per pass"
+METRICS = "trace metrics (runtime_breakdown, zone_utilization, fidelity_report), by repr"
+
+
+def stages(base, change):
+    out = run("stages", base, change)
+    assert out.returncode == 0, out.stderr
+    return sections(out.stdout)
+
+
+def counted_pass():
+    """The plan_reorder calls and ops, and the list_layers calls, gates
+    and shared-key calls, of FAKE_PIPELINE's cases with this checkout's
+    racetrack, counted by wrapping both."""
     from racetrack import machine, schedulers, translate, workloads
 
-    calls = ops = 0
-    plan_reorder = schedulers.plan_reorder
+    plans, layers = [0, 0], [0, 0, 0]
+    plan_reorder, list_layers = schedulers.plan_reorder, translate.list_layers
 
-    def counted(*args):
-        nonlocal calls, ops
+    def planned(*args):
         plan = plan_reorder(*args)
-        calls += 1
-        ops += len(plan.ops)
+        plans[0] += 1
+        plans[1] += len(plan.ops)
         return plan
 
+    def layered(gates, key, *args):
+        layers[0] += 1
+        layers[1] += len(gates)
+        layers[2] += len({key(g) for g in gates}) < len(gates)
+        return list_layers(gates, key, *args)
+
     circuit = translate.translate_to_native(workloads.gen_qaoa(workloads.GraphSpec(workloads.GraphKind.SK, 8), 1))
-    schedulers.plan_reorder = counted
-    try:
-        for policy in ("rolodex", "tilt", "plutarch"):
-            schedulers.schedule(circuit, machine.make_machine(4), policy)
-    finally:
-        schedulers.plan_reorder = plan_reorder
+    with patch.object(schedulers, "plan_reorder", planned), patch.object(translate, "list_layers", layered):
+        for k in (4, 8):
+            for policy in POLICIES:
+                schedulers.schedule(circuit, machine.make_machine(k), policy)
+    return plans, layers
+
+
+def test_stages_of_a_tree_against_itself(tmp_path):
     tree = fake_tree(tmp_path / "tree")
-    out = run("plan-call-counts", tree)
-    assert out.returncode == 0, out.stderr
-    name, n, n_ops, digest = out.stdout.split()
-    assert (name, int(n), int(n_ops)) == ("tiny", calls, ops) and calls and ops
-    assert len(digest) == 64 and run("plan-call-counts", tree).stdout == out.stdout
+    found = stages(tree, tree)
+    assert list(found) == ["translations", PLANS, LAYERS, METRICS]
+    assert found["translations"] == ["tiny: 0 of 2 circuit translations changed"]
+    assert found[METRICS] == ["tiny: 0 of 6 cases differ"]
+    (calls, ops), (layer_calls, gates, shared) = counted_pass()
+    assert calls and ops and 0 < shared < layer_calls
+    assert found[PLANS][1].split() == ["workload", "base", "change", "delta", "base", "change", "delta", "plans"]
+    assert found[PLANS][2].split() == ["tiny", str(calls), str(calls), "+0", str(ops), str(ops), "+0", "same"]
+    assert found[LAYERS][1].split() == ["workload", *3 * ["base", "change", "delta"], "layers"]
+    assert found[LAYERS][2].split() == ["tiny", *(x for n in (layer_calls, gates, shared) for x in (str(n), str(n), "+0")),
+                                        "same"]
+    assert len(found[PLANS]) == len(found[LAYERS]) == 3
 
 
-def test_plan_calls_see_a_reordered_op_sequence(tmp_path):
-    base = fake_tree(tmp_path / "base")
-    change = fake_tree(tmp_path / "change", reversed_ops=True)
-    same = run("plan-calls", base, base)
-    assert same.returncode == 0, same.stderr
-    lines = same.stdout.splitlines()
-    assert lines[:2] == ["### reorder plans per pass", "```"]
-    assert lines[3].split() == ["workload", "base", "change", "delta", "base", "change", "delta", "plans"]
-    assert lines[4].split()[-1] == "same" and lines[4].split()[3] == "+0"
+def test_stages_see_reversed_plan_ops(tmp_path):
     # the same calls and op counts, so the trace digests would not move
-    changed = run("plan-calls", base, change).stdout.splitlines()
-    row = changed[4].split()
-    assert row[:7] == lines[4].split()[:7]
-    base_hash = run("plan-call-counts", base).stdout.split()[3]
-    change_hash = run("plan-call-counts", change).stdout.split()[3]
-    assert base_hash != change_hash
-    assert row[7:] == ["changed:", base_hash[:12], "->", change_hash[:12]]
-
-
-def test_layer_call_counts_give_calls_gates_shared_key_calls_and_a_layer_hash(tmp_path):
-    from racetrack import machine, schedulers, translate, workloads
-
-    calls = gates = shared = 0
-    list_layers = translate.list_layers
-
-    def counted(gate_list, key, *args):
-        nonlocal calls, gates, shared
-        calls += 1
-        gates += len(gate_list)
-        shared += len({key(g) for g in gate_list}) < len(gate_list)
-        return list_layers(gate_list, key, *args)
-
-    circuit = translate.translate_to_native(workloads.gen_qaoa(workloads.GraphSpec(workloads.GraphKind.SK, 8), 1))
-    with patch.object(translate, "list_layers", counted):
-        for policy in ("rolodex", "tilt", "plutarch"):
-            schedulers.schedule(circuit, machine.make_machine(4), policy)
-    tree = fake_tree(tmp_path / "tree")
-    out = run("layer-call-counts", tree)
-    assert out.returncode == 0, out.stderr
-    name, n, n_gates, n_shared, digest = out.stdout.split()
-    assert (name, int(n), int(n_gates), int(n_shared)) == ("tiny", calls, gates, shared)
-    assert 0 < shared < calls and len(digest) == 64
-    assert run("layer-call-counts", tree).stdout == out.stdout
-
-
-def test_layer_calls_see_moved_layers(tmp_path):
     base = fake_tree(tmp_path / "base")
-    same = run("layer-calls", base, base)
-    assert same.returncode == 0, same.stderr
-    lines = same.stdout.splitlines()
-    assert lines[:2] == ["### list_layers calls per pass", "```"] and lines[-1] == "```"
-    assert lines[3].split() == ["workload", *3 * ["base", "change", "delta"], "layers"]
-    row = lines[4].split()
-    assert row[0] == "tiny" and row[3] == row[6] == row[9] == "+0" and row[10:] == ["same"]
-    # reordered plans move no batch
-    reordered = run("layer-calls", base, fake_tree(tmp_path / "reversed", reversed_ops=True))
-    assert reordered.stdout == same.stdout
-    deeper = fake_tree(tmp_path / "deeper", layers=2)
-    changed = run("layer-calls", base, deeper).stdout.splitlines()[4].split()
-    base_hash = run("layer-call-counts", base).stdout.split()[4]
-    deeper_hash = run("layer-call-counts", deeper).stdout.split()[4]
-    assert int(changed[2]) > int(changed[1]) and base_hash != deeper_hash
-    assert changed[10:] == ["changed:", base_hash[:12], "->", deeper_hash[:12]]
+    change = fake_tree(tmp_path / "change", "planner.py", "return plan if path == -1 else replace(plan, path_id=path)",
+                       "return replace(plan if path == -1 else replace(plan, path_id=path), ops=plan.ops[::-1])")
+    same, changed = stages(base, base), stages(base, change)
+    assert {k: v for k, v in changed.items() if k != PLANS} == {k: v for k, v in same.items() if k != PLANS}
+    row = changed[PLANS][2].split()
+    assert row[:7] == same[PLANS][2].split()[:7] and row[7] == "changed:" and row[8] != row[10]
+    assert len(row) == 11 and row[9] == "->"
+
+
+def test_stages_see_a_changed_translation(tmp_path):
+    # an H emits a third row, an Rz(0), in both modes: every later native gate
+    # id moves, so the layers do too; both trees build the same cases
+    base = fake_tree(tmp_path / "base")
+    change = fake_tree(tmp_path / "change", "translate.py",
+                       '"H": ((GateType.U1Q, _ALL, False, (PI / 2, -PI / 2)), (GateType.RZ, _ALL, False, (PI,))),',
+                       '"H": ((GateType.U1Q, _ALL, False, (PI / 2, -PI / 2)), (GateType.RZ, _ALL, False, (PI,)),'
+                       ' (GateType.RZ, _ALL, False, (0.0,))),')
+    found = stages(base, change)
+    assert found["translations"] == ["tiny/sk8 expand_rzz=False", "tiny/sk8 expand_rzz=True",
+                                     "tiny: 2 of 2 circuit translations changed"]
+    row = found[LAYERS][2].split()
+    assert int(row[5]) > int(row[4]) and row[10] == "changed:"
+
+
+def test_stages_list_each_case_and_field_of_changed_metrics(tmp_path):
+    # the mutant moves the idle time of the cases at four zones alone; every
+    # schedule covers its span without a gap, so idle is 0.0
+    base = fake_tree(tmp_path / "base")
+    change = fake_tree(tmp_path / "change", "metrics.py", "idle=span - busy,",
+                       "idle=span - busy + (tr.gate_zones == 4),")
+    same, changed = stages(base, base), stages(base, change)
+    assert changed[METRICS] == [f"tiny/sk8/k4/{policy}: runtime_breakdown.idle 0.0 -> 1.0" for policy in POLICIES] + [
+        "tiny: 3 of 6 cases differ"]
+    assert {k: v for k, v in changed.items() if k != METRICS} == {k: v for k, v in same.items() if k != METRICS}
 
 
 def test_host_ab_runs_this_checkout_against_itself():
@@ -351,36 +357,3 @@ def test_host_ab_rejects_an_unknown_workload():
     root = SCRIPT.parent.parent
     out = run("host-ab", root, root, "nowhere")
     assert out.returncode == 2 and "unknown workload(s) ['nowhere']" in out.stderr
-
-
-def mutant_tree(path, old, new):
-    """A copy of this checkout's src/racetrack and perfbench, with `old`
-    replaced by `new` in metrics.py."""
-    root = SCRIPT.parent.parent
-    for d in ("src/racetrack", "perfbench"):
-        shutil.copytree(root / d, path / d, ignore=shutil.ignore_patterns("__pycache__"))
-    metrics = path / "src" / "racetrack" / "metrics.py"
-    text = metrics.read_text()
-    assert text.count(old) == 1
-    metrics.write_text(text.replace(old, new))
-    return path
-
-
-def test_metrics_list_each_case_and_field_that_differs(tmp_path):
-    # the mutant moves the idle time of the 56-ion cases at k=4 alone: three
-    # grid circuits and the ring circuit, while deep runs at k8sc only
-    change = mutant_tree(tmp_path / "change", "idle=span - busy,",
-                         "idle=span - busy + (tr.width == 56 and tr.gate_zones == 4),")
-    out = run("metrics", SCRIPT.parent.parent, change)
-    assert out.returncode == 0, out.stderr
-    lines = out.stdout.splitlines()
-    configs = ("plutarch", "plutarch-noblocks", "plutarch-nopipe", "rolodex", "tilt")
-    # every benchmark schedule covers its span without a gap, so idle is 0.0
-    moved = [f"{w}/{circuit}/k4/{config}: runtime_breakdown.idle 0.0 -> 1.0"
-             for w, circuits in (("grid", ("ghz_logical8", "msd7to1", "steane8")), ("ring", ("vqe_su2_56",)))
-             for circuit in circuits for config in configs]
-    assert lines[:2] == ["### trace metrics (runtime_breakdown, zone_utilization, fidelity_report), by repr",
-                         "```"]
-    assert sorted(lines[2:17]) == sorted(moved[:15]) and sorted(lines[19:24]) == sorted(moved[15:])
-    assert lines[17:19] == ["grid: 15 of 150 cases differ", "deep: 0 of 10 cases differ"]
-    assert lines[24:] == ["ring: 5 of 10 cases differ", "```"]

@@ -28,7 +28,7 @@ from racetrack.metrics import (
 from racetrack.schedulers import PolicyFlags, schedule
 from racetrack.trace import EventKind, Trace, TraceEvent
 from racetrack.translate import translate_to_native
-from racetrack.workloads import VqeAnsatz, gen_vqe
+from racetrack.workloads import GraphKind, GraphSpec, VqeAnsatz, gen_qaoa, gen_vqe
 from test_blocks import native_circuits
 
 interval = st.tuples(st.integers(0, 20), st.integers(-2, 8)).map(lambda p: (p[0], p[0] + p[1]))
@@ -348,6 +348,25 @@ def test_transport_events_count_a_none_payload_as_none():
               TraceEvent(2.0, 1.0, EventKind.REORDER, 0, (0,), {})]
     tr = Trace(1, 1, events)
     assert tr.transport_events() == 4 == fidelity_report(tr).n_transport
+
+
+def test_span_and_transports_read_plain_tuples():
+    # both read an event by index, as the metrics do, so a 6-tuple reads as one
+    events = [TraceEvent(0.0, 3.0, EventKind.CIRCULATE, 0, (0,), {"transports": 4}),
+              TraceEvent(1.0, 5.0, EventKind.SHUTTLE, 0, (1,), None),
+              TraceEvent(2.0, 1.0, EventKind.REORDER, 0, (0,), {"transports": 2})]
+    named, plain = Trace(2, 1, events), Trace(2, 1, [tuple(e) for e in events])
+    assert (plain.span, plain.transport_events()) == (named.span, named.transport_events()) == (6.0, 6)
+    assert runtime_breakdown(plain).total_span == 6.0 and fidelity_report(plain).n_transport == 6
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_span_and_transports_agree_with_the_metrics(config):
+    m = make_machine(4, shortcuts=(0.5,))
+    circuit = translate_to_native(gen_qaoa(GraphSpec(GraphKind.SK, 8)))
+    tr = schedule(circuit, m, *config)
+    assert tr.span == runtime_breakdown(tr).total_span > 0
+    assert tr.transport_events() == fidelity_report(tr, m.fidelity).n_transport > 0
 
 
 @pytest.mark.parametrize("width, gate_zones, name", [
