@@ -32,7 +32,8 @@ command prints Markdown sections for the job summary:
     and the sorted edge set, per expand_rzz mode;
   - reorder plans: the plan_reorder calls, the ops of the plans they
     return, and whether one sha256 over every plan, in order, changed.  The
-    hash covers each op's (tag, operands, index), the final crystals,
+    hash covers each op's (tag, operands, index), the final crystals, the
+    final state's qubit index as sorted (qubit, crystal index) items,
     `path_id`, `time_1d`, `regroup_time`, `exchange_time` and `op_counts`.
     Trace digests see a transition's op counts only, so a reordered op
     sequence shows here alone;
@@ -187,6 +188,7 @@ def plan_fields(plan) -> tuple:
     """What the plan hash covers of one plan, with plain values only."""
     return (tuple((op.tag.value, op.operands, op.index) for op in plan.ops),
             tuple((c.qubits, c.facing_right) for c in plan.final.crystals),
+            tuple(sorted(plan.final.crystal_index.items())),
             plan.path_id, plan.time_1d, plan.regroup_time, plan.exchange_time,
             plan.op_counts)
 

@@ -7,10 +7,15 @@ each gate the 1Q runs next to it on its two qubits.  Each qubit's 1Q gates
 are cut into runs at its 2Q gates, so every 1Q gate on a qubit that some
 2Q gate touches lands in exactly one block; the 1Q gates of the other
 qubits form the residual set.
+
+A `Block` is a named tuple, built with `tuple.__new__` as crystals, ops
+and trace events are: a deep circuit makes thousands of them per
+schedule.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .circuit import Circuit
 from .gates import Gate
@@ -18,8 +23,11 @@ from .machine import _check_count, _check_type
 from .translate import extract_2q_layers
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
+    """One in-place block, backed by the tuple `(pre_1q, core_2q,
+    post_1q)`: it compares and hashes as that tuple, and its repr names
+    the class and each field."""
+
     pre_1q: tuple[Gate, ...]
     core_2q: Gate
     post_1q: tuple[Gate, ...]
@@ -69,6 +77,7 @@ def extract_inplace_blocks(c: Circuit, zone_count: int) -> BlockSchedule:
             a, b = g.qubits
             pre[g.id] = (*lead.pop(a, ()), *lead.pop(b, ()))
             tail[a], tail[b] = post[g.id] = [], []
-    layers = [[Block(pre[g.id], g, (*post[g.id][0], *post[g.id][1])) for g in cores]
+    new = tuple.__new__
+    layers = [[new(Block, (pre[g.id], g, (*post[g.id][0], *post[g.id][1]))) for g in cores]
               for cores in extract_2q_layers(c, zone_count)]
     return BlockSchedule(layers, [g for g in c.gates if g.is_1q and g.qubits[0] in lead])

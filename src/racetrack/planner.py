@@ -12,9 +12,11 @@ whichever candidate is cheapest.
 
 Both strategies edit one mutable working arrangement (`_Arrangement`),
 whose qubit index is exact at all times: a rewrite of the crystals from
-index `i` reindexes from `i` to the end, and an exchange reindexes its two
-crystals.  The final `IonState` is frozen from that index, and the ops are
-not replayed.  Replaying them one at a time through `ions.apply_reorder`
+index `i` that changes the crystal count reindexes from `i` to the end,
+one that keeps the count reindexes only the crystals it wrote (see
+`_fallback_plan` for why that is enough), and an exchange reindexes its
+two crystals.  The final `IonState` is frozen from that index, and the
+ops are not replayed.  Replaying them one at a time through `ions.apply_reorder`
 gives the same final state, and the tests hold the planner to that and to
 the index of a freshly built state.
 
@@ -38,8 +40,9 @@ nothing to check again:
 
 This module is the only place a plan is costed, and `_costed` is the
 staging rule.  Each cost is computed once per plan, in one walk over its
-ops, and carried on the `ReorderPlan`; the schedulers read those fields
-instead of staging the ops again.
+ops, and carried on the `ReorderPlan`, which is built once, already
+holding the path it rides; the schedulers read those fields instead of
+staging the ops again.
 
 `plan_reorder` must stay a pure function of (arrangement, targets,
 machine, mode): it keeps no state between calls and returns an immutable
@@ -49,7 +52,7 @@ recurs from an equal arrangement within one schedule.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -82,7 +85,7 @@ class ReorderPlan:
         """The time of these ops riding a circulation that takes `lap`: the
         reorder zones regroup and exchange ions while the chain circulates,
         so whichever of the three takes longest sets the time."""
-        return max(lap, self.regroup_time, self.exchange_time)
+        return _charge(lap, self.regroup_time, self.exchange_time)
 
     @cached_property
     def operands(self) -> tuple[int, ...]:
@@ -91,26 +94,39 @@ class ReorderPlan:
         return tuple(sorted({q for op in self.ops for q in op.operands}))
 
 
+def _charge(lap: float, regroup_time: float, exchange_time: float) -> float:
+    """`ReorderPlan.charge` of a plan with these times, for `_costed`,
+    which picks the path before the plan is built."""
+    return max(lap, regroup_time, exchange_time)
+
+
 class _Arrangement:
     """Mutable working copy of an arrangement's crystals for one plan.
 
     `index` maps each qubit to its crystal index and is exact at all times.
     A split or combine shifts every crystal to its right, so whoever rewrites
-    the crystals from `i` on reindexes from `i` to the end; a boundary
-    exchange keeps crystal positions and reindexes its two crystals.
+    the crystals from `i` on and changes their count reindexes from `i` to
+    the end.  A rewrite that keeps the count and moves no qubit of a
+    crystal it does not write reindexes the crystals it wrote, `i` to
+    `j - 1`, alone (`_fallback_plan` proves that its rewrites move none).
+    A boundary exchange keeps crystal positions and reindexes its two
+    crystals.
     """
 
     __slots__ = ("crystals", "index")
 
     def __init__(self, s: IonState):
         self.crystals: list[Crystal] = list(s.crystals)
-        self.index: dict[int, int] = dict(s.crystal_index)
+        # the index is a mapping proxy: its copy() copies the dict behind
+        # it, where dict() would insert every item one at a time
+        self.index: dict[int, int] = s.crystal_index.copy()
 
-    def reindex(self, start: int) -> None:
-        """Index every crystal from `start` to the end again."""
+    def reindex(self, start: int, stop: int | None = None) -> None:
+        """Index every crystal from `start` up to `stop` (the end when
+        None) again."""
         cs = self.crystals
         index = self.index
-        for i in range(start, len(cs)):
+        for i in range(start, len(cs) if stop is None else stop):
             for q in cs[i][0]:
                 index[q] = i
 
@@ -130,14 +146,17 @@ class _Arrangement:
         return IonState._indexed(tuple(self.crystals), self.index)
 
 
-def _costed(ops: list[ReorderOp], final: IonState, m: Machine) -> ReorderPlan:
-    """The one-dimensional plan of `ops`, with every cost a plan carries.
+def _costed(ops: list[ReorderOp], final: IonState, m: Machine, paths=()) -> ReorderPlan:
+    """The plan of `ops`, with every cost a plan carries, riding the
+    cheapest of the one-dimensional candidate and the circulation paths
+    `paths` ((path id, fraction), ...; see `plan_reorder`).
 
     This is the staging rule.  Ops are taken in order into stages; an op
     at index i occupies crystal slots i and i + 1 (bits of a busy mask),
     and it closes the open stage when it shares a slot with it or the
-    stage already holds one op per zone.  A sequence's staged time is the
-    sum over its stages of each stage's longest op.
+    stage already holds one op per zone; the op it closes a stage with
+    opens the next one.  A sequence's staged time is the sum over its
+    stages of each stage's longest op.
 
     One walk counts the ops and stages three sequences: all ops over the
     gate zones, the non-exchange ops over the reorder zones, and the
@@ -160,32 +179,38 @@ def _costed(ops: list[ReorderOp], final: IonState, m: Machine) -> ReorderPlan:
         slots = 3 << index
         if all_n >= gate_cap or all_busy & slots:
             all_total += all_max
-            all_busy, all_max, all_n = 0, 0.0, 0
-        all_busy |= slots
-        if d > all_max:
-            all_max = d
-        all_n += 1
+            all_busy, all_max, all_n = slots, d, 1
+        else:
+            all_busy |= slots
+            if d > all_max:
+                all_max = d
+            all_n += 1
         if tag is PAIR_EXCHANGE:
             if ex_n >= reorder_cap or ex_busy & slots:
                 ex_total += ex_max
-                ex_busy, ex_max, ex_n = 0, 0.0, 0
-            ex_busy |= slots
-            if d > ex_max:
-                ex_max = d
-            ex_n += 1
+                ex_busy, ex_max, ex_n = slots, d, 1
+            else:
+                ex_busy |= slots
+                if d > ex_max:
+                    ex_max = d
+                ex_n += 1
         else:
             if reg_n >= reorder_cap or reg_busy & slots:
                 reg_total += reg_max
-                reg_busy, reg_max, reg_n = 0, 0.0, 0
-            reg_busy |= slots
-            if d > reg_max:
-                reg_max = d
-            reg_n += 1
+                reg_busy, reg_max, reg_n = slots, d, 1
+            else:
+                reg_busy |= slots
+                if d > reg_max:
+                    reg_max = d
+                reg_n += 1
     time_1d = all_total + all_max
+    regroup_time, exchange_time = reg_total + reg_max, ex_total + ex_max
+    # the cheapest candidate, ties going to the one-dimensional plan, then
+    # to the lower path
+    _, path = min([(time_1d, -1), *((_charge(m.lap(pid), regroup_time, exchange_time), pid) for pid, _ in paths)])
     return ReorderPlan(
-        ops=tuple(ops), path_id=None, final=final, time_1d=time_1d,
-        regroup_time=reg_total + reg_max, exchange_time=ex_total + ex_max,
-        op_counts=tuple(counts.items()),
+        ops=tuple(ops), path_id=None if path == -1 else path, final=final, time_1d=time_1d,
+        regroup_time=regroup_time, exchange_time=exchange_time, op_counts=tuple(counts.items()),
     )
 
 
@@ -226,7 +251,26 @@ def _fallback_plan(work: _Arrangement, targets: list[tuple[int, int]]) -> list[R
     arithmetic from there: a split at `p` moves every crystal above `p` up
     by one.  A split member that was a pair's right qubit moves up too,
     while the qubit it leaves behind stays put; so no qubit below the
-    combine's index has moved, and the index is rebuilt from there.
+    combine's index has moved, and the index is rebuilt from there: to
+    the end when the target's edit changed the crystal count, and over
+    the rewritten segment alone when it did not.
+
+    Why the segment is enough.  Say the left member sat in crystal `lo`
+    and the mover in crystal `hi` before the target's edit, and the edit
+    keeps the crystal count.  The edit writes no crystal below `lo` or
+    past `hi`.  If the left member was its pair's right ion, its partner
+    stays at `lo`, its index before the edit; if it was the left ion, its
+    partner lies between the members and ends in the segment.  The
+    mover's partner ends in the segment too when the mover was its pair's
+    right ion.  When the mover was the left ion, its partner is split off
+    to the right of the mover, so it is the one crystal between the
+    segment and those past `hi`.  The list is now: the crystals below
+    `lo`, the left member's partner or nothing, the segment, the mover's
+    partner or nothing, and the crystals past `hi`.  Its length is that
+    before the edit, so the crystals past `hi` keep their positions and
+    contents, and the mover's partner, just before them, sits at `hi`,
+    where its pair sat.  So every qubit outside the segment keeps its
+    index.
 
     The bubble, the orientation and the combine are one rewrite of the
     segment from the partner to the mover: a single in the way costs one
@@ -245,6 +289,7 @@ def _fallback_plan(work: _Arrangement, targets: list[tuple[int, int]]) -> list[R
         ia, ib = index[a], index[b]
         if ia == ib:  # the crystal holding both members is their pair
             continue
+        count = len(cs)
         # split each member out of its pair; no such pair is another
         # target's, because targets are disjoint
         qs, _, is_pair = cs[ia]
@@ -290,7 +335,7 @@ def _fallback_plan(work: _Arrangement, targets: list[tuple[int, int]]) -> list[R
         segment.append(new(Crystal, (lq + mq, True, True)))
         segment.reverse()
         cs[left : mover + 1] = segment
-        work.reindex(left)
+        work.reindex(left, left + len(segment) if len(cs) == count else None)
     if broken:
         _restore(work, targets, broken, ops)
     return ops
@@ -374,10 +419,7 @@ def plan_reorder(
         if ops:   # the attempt applied an exchange: start again from `s`
             work = _Arrangement(s)
         ops = _fallback_plan(work, targets)
-    plan = _costed(ops, work.frozen(), m)
-    paths = m.circulation_paths if mode is PlanMode.CIRCULATION_ALLOWED else ()
-    _, path = min([(plan.time_1d, -1), *((plan.charge(m.lap(pid)), pid) for pid, _ in paths)])
-    return plan if path == -1 else replace(plan, path_id=path)
+    return _costed(ops, work.frozen(), m, m.circulation_paths if mode is PlanMode.CIRCULATION_ALLOWED else ())
 
 
 def split_all_plan(s: IonState, m: Machine) -> ReorderPlan:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .circuit import Circuit, build_dag
 from .gates import Gate, GateType
@@ -89,13 +89,18 @@ def list_layers(gates, key, cap: int | None = None, slot_of=None) -> list[list[G
     a one-gate layer keeps any cap >= 1 and the one-per-slot rule.  So such
     a call (an empty or one-gate list among them) returns at once.
 
-    Otherwise each key keeps a heap of its ready gates as (lowest qubit,
-    position); a gate joins it when its last predecessor on the list is
-    placed.  A `gates` that is not a sequence (an iterator or a set, say:
-    one with no order or no index), or a `slot_of` without the lowest
-    qubit of a gate it is asked for, is named in a `ValueError`.  A list or
-    a tuple is told by its type first, so the common call skips the
-    `Sequence` check.
+    Otherwise each gate links to the next gate on its first qubit and the
+    next on its second, two lists of positions, and each key keeps a heap
+    of its ready gates as (lowest qubit, position).  A gate joins its key's
+    heap when its last predecessor is placed; the gates ready from the
+    start are collected and each heap is built with `heapify`.  No two
+    entries are equal, so a heap pops in one order however it was built.
+
+    A `gates` that is not a sequence (an iterator or a set, say: one with
+    no order or no index), or a `slot_of` without the lowest qubit of a
+    gate it is asked for, is named in a `ValueError`.  A list or a tuple
+    is told by its type first, so the common call skips the `Sequence`
+    check.
     """
     if cap is not None:
         _check_count("cap", cap)
@@ -106,19 +111,46 @@ def list_layers(gates, key, cap: int | None = None, slot_of=None) -> list[list[G
     if len(set(keys)) == n:
         return [[g] for g in gates]
     waiting = [0] * n            # unplaced predecessors; -1 once placed
-    succs = [()] * n
+    succ1 = [-1] * n             # the next gate on each gate's first qubit, or -1
+    succ2 = [-1] * n             # the next gate on its second qubit, or -1
+    low = [0] * n                # each gate's lowest qubit
+    # qubit -> the latest gate on it: i when it is gate i's first qubit, ~i
+    # when it is its second.  Each link below is written out per qubit, as
+    # a loop over the two costs a tuple per gate.
     last_on: dict[int, int] = {}
     ready: dict = {}             # key -> heap of (lowest qubit, position)
+    get = last_on.get
     for i, g in enumerate(gates):
         qs = g.qubits
-        for q in qs:
-            j = last_on.get(q)
+        q = qs[0]
+        j = get(q)
+        last_on[q] = i
+        w = 0
+        if j is not None:
+            if j >= 0:
+                succ1[j] = i
+            else:
+                succ2[~j] = i
+            w = 1
+        if len(qs) == 2:
+            r = qs[1]
+            j = get(r)
+            last_on[r] = ~i
             if j is not None:
-                succs[j] += (i,)
-                waiting[i] += 1
-            last_on[q] = i
-        if not waiting[i]:
-            heappush(ready.setdefault(keys[i], []), (min(qs), i))
+                if j >= 0:
+                    succ1[j] = i
+                else:
+                    succ2[~j] = i
+                w += 1
+            if r < q:
+                q = r
+        low[i] = q
+        if w:
+            waiting[i] = w
+        else:
+            ready.setdefault(keys[i], []).append((q, i))
+    for heap in ready.values():
+        heapify(heap)
     first = 0
     layers: list[list[Gate]] = []
     while first < n:
@@ -144,10 +176,16 @@ def list_layers(gates, key, cap: int | None = None, slot_of=None) -> list[list[G
                 heappush(heap, entry)
         for i in taken:
             waiting[i] = -1
-            for j in succs[i]:
+            j = succ1[i]
+            if j >= 0:
                 waiting[j] -= 1
                 if not waiting[j]:
-                    heappush(ready.setdefault(keys[j], []), (min(gates[j].qubits), j))
+                    heappush(ready.setdefault(keys[j], []), (low[j], j))
+            j = succ2[i]
+            if j >= 0:
+                waiting[j] -= 1
+                if not waiting[j]:
+                    heappush(ready.setdefault(keys[j], []), (low[j], j))
         layers.append([gates[i] for i in taken])
         while first < n and waiting[first] < 0:
             first += 1
@@ -167,13 +205,22 @@ def one_qubit_phases(c: Circuit, layers: list[list[Gate]]) -> list[list[Gate]]:
 
     Returns len(layers)+1 lists: phase[j] holds the 1Q gates executed just
     before 2Q layer j (as late as their next 2Q gate allows); gates with no
-    2Q successor on their qubit trail in phase[len(layers)].
+    2Q successor on their qubit trail in phase[len(layers)].  Layers are
+    matched to `c` by gate id.  A `layers` that is not a sequence of gate
+    lists, or that leaves a 2Q gate of `c` in no layer (the first such
+    gate is named), raises `ValueError`.
     """
     _check_type("c", c, Circuit)
-    layer_of = {g.id: j for j, layer in enumerate(layers) for g in layer}
+    try:
+        layer_of = {g.id: j for j, layer in enumerate(layers) for g in layer}
+        phases: list[list[Gate]] = [[] for _ in range(len(layers) + 1)]
+    except (TypeError, AttributeError):
+        raise ValueError(f"layers must be a sequence of gate lists, got {layers!r}") from None
+    missing = next((g for g in c.gates if g.is_2q and g.id not in layer_of), None)
+    if missing is not None:
+        raise ValueError(f"2Q gate {missing!r} of the circuit is in no layer")
     # next 2Q layer per qubit, scanning program order backwards
     next_2q_layer: dict[int, int] = {}
-    phases: list[list[Gate]] = [[] for _ in range(len(layers) + 1)]
     for g in reversed(c.gates):
         if g.is_2q:
             for q in g.qubits:

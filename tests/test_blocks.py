@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racetrack.blocks import extract_inplace_blocks
+from racetrack.blocks import Block, extract_inplace_blocks
 from racetrack.circuit import build_dag
 from racetrack.gates import Gate, GateType
 from racetrack.translate import extract_2q_layers, list_layers, translate_to_native
@@ -90,6 +90,19 @@ def test_chains_attach_to_neighbouring_cores():
     assert second.pre_1q == ()
     assert [g.id for g in second.post_1q] == [5]
     assert [g.id for g in schedule.residual] == [6]
+
+
+def test_a_block_is_the_tuple_of_its_fields():
+    pre, core, post = (Gate(0, GateType.RZ, (0,), (0.1,)),), Gate(1, GateType.ZZ, (0, 1)), (
+        Gate(2, GateType.RZ, (0,), (0.2,)), Gate(3, GateType.RZ, (1,), (0.3,)))
+    block = Block(pre, core, post)
+    assert block == (pre, core, post) and hash(block) == hash((pre, core, post))
+    assert block != Block(pre, core, post[:1]) and block != Block((), core, post)
+    assert repr(block) == f"Block(pre_1q={pre!r}, core_2q={core!r}, post_1q={post!r})"
+    assert (block.pre_1q, block.core_2q, block.post_1q) == (pre, core, post)
+    assert block.qubits == (0, 1) and block.gates == (*pre, core, *post)
+    built, = extract_inplace_blocks(build_dag([*pre, core, *post], 2), 1).layers[0]
+    assert type(built) is Block and built == block and hash(built) == hash(block)
 
 
 def test_zone_count_must_be_positive():

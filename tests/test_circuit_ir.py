@@ -24,6 +24,7 @@ from racetrack import translate
 from racetrack.circuit import Circuit, build_dag
 from racetrack.gates import Gate, GateType, canonical_angle
 from racetrack.translate import extract_2q_layers, list_layers, one_qubit_phases, translate_to_native
+from racetrack.workloads import GraphKind, GraphSpec, gen_qaoa
 
 PI = math.pi
 
@@ -576,6 +577,24 @@ class TestLayers:
         assert [x.id for x in phases[0]] == [0, 1]
         assert [x.id for x in phases[1]] == [3]
 
+    def test_phases_name_a_2q_gate_in_no_layer(self):
+        # layers that miss the first layer, or hold a gate of another
+        # circuit in place of one of this one's, gave a bare KeyError, and
+        # no layers at all a TypeError
+        c = translate_to_native(gen_qaoa(GraphSpec(GraphKind.SK, 4), 1))
+        layers = extract_2q_layers(c)
+        first = next(x for x in c.gates if x.is_2q)
+        assert layers[0][0] == first
+        foreign = g(c.n_gates, GateType.ZZ, *first.qubits)
+        missing = f"2Q gate {first!r} of the circuit is in no layer"
+        for bad in (layers[1:], [[foreign, *layers[0][1:]], *layers[1:]]):
+            with pytest.raises(ValueError) as err:
+                one_qubit_phases(c, bad)
+            assert str(err.value) == missing
+        with pytest.raises(ValueError) as err:
+            one_qubit_phases(c, None)
+        assert str(err.value) == "layers must be a sequence of gate lists, got None"
+
 
 def test_topological_layers_match_program_order():
     gates = [
@@ -626,6 +645,24 @@ class TestListLayers:
             layers = list_layers(gates, lambda x: x.id)
         assert ids(layers) == [[0], [1], [2], [3], [4]]
         assert ids(layers) == ids(list_layers_reference(gates, lambda x: x.id))
+
+    def test_a_gate_after_one_gate_on_both_qubits_in_swapped_order(self):
+        # ZZ(1, 0) is the next gate on both qubits of ZZ(0, 1), through its
+        # first qubit's link and its second's, and so waits for both
+        gates = [g(0, GateType.ZZ, 0, 1), g(1, GateType.ZZ, 1, 0), g(2, GateType.ZZ, 3, 2), g(3, GateType.ZZ, 2, 3)]
+        for cap in (None, 1, 2):
+            assert ids(list_layers(gates, lambda x: x.kind, cap)) == ids(
+                list_layers_reference(gates, lambda x: x.kind, cap))
+        assert ids(list_layers(gates, lambda x: x.kind)) == [[0, 2], [1, 3]]
+
+    def test_one_qubit_chains(self):
+        # three chains whose first ready gates come in falling lowest qubit,
+        # so the first heap is in order only once it is heapified
+        gates = [g(i, GateType.RZ, q, params=(0.5,)) for i, q in enumerate((2, 1, 0, 2, 1, 0, 2))]
+        for cap in (None, 1, 2):
+            assert ids(list_layers(gates, lambda x: x.kind, cap)) == ids(
+                list_layers_reference(gates, lambda x: x.kind, cap))
+        assert ids(list_layers(gates, lambda x: x.kind)) == [[2, 1, 0], [5, 4, 3], [6]]
 
     def test_no_gate_and_one_gate(self):
         one = g(0, GateType.RZ, 0, params=(0.5,))

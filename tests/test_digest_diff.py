@@ -204,17 +204,18 @@ def build_cases(rt, workload, seed):
 POLICIES = ("rolodex", "tilt", "plutarch")
 
 
-def fake_tree(path, module=None, old=None, new=None):
-    """A tree with FAKE_PIPELINE and a copy of this checkout's
-    src/racetrack, with `old` replaced by `new` in `module` when given."""
+def fake_tree(path, module=None, old=None, new=None, pipeline=FAKE_PIPELINE):
+    """A tree with `pipeline` as perfbench/pipeline.py and a copy of this
+    checkout's src/racetrack, with `old` replaced by `new` in `module` when
+    given."""
     shutil.copytree(SCRIPT.parent.parent / "src" / "racetrack", path / "src" / "racetrack",
                     ignore=shutil.ignore_patterns("__pycache__"))
     (path / "perfbench").mkdir()
-    (path / "perfbench" / "pipeline.py").write_text(FAKE_PIPELINE)
+    (path / "perfbench" / "pipeline.py").write_text(pipeline)
     if module:
         source = path / "src" / "racetrack" / module
         text = source.read_text()
-        assert text.count(old) == 1
+        assert text.count(old) == 1, f"{module} holds {text.count(old)} copies of {old!r}, not one"
         source.write_text(text.replace(old, new))
     return path
 
@@ -287,16 +288,42 @@ def test_stages_of_a_tree_against_itself(tmp_path):
     assert len(found[PLANS]) == len(found[LAYERS]) == 3
 
 
+# the line that returns plan_reorder's plan
+PLAN_RETURN = "return _costed(ops, work.frozen(), m, m.circulation_paths if mode is PlanMode.CIRCULATION_ALLOWED else ())"
+
+
 def test_stages_see_reversed_plan_ops(tmp_path):
     # the same calls and op counts, so the trace digests would not move
     base = fake_tree(tmp_path / "base")
-    change = fake_tree(tmp_path / "change", "planner.py", "return plan if path == -1 else replace(plan, path_id=path)",
-                       "return replace(plan if path == -1 else replace(plan, path_id=path), ops=plan.ops[::-1])")
+    change = fake_tree(tmp_path / "change", "planner.py", PLAN_RETURN,
+                       f"plan = {PLAN_RETURN.removeprefix('return ')}\n    return __import__('dataclasses').replace(plan, ops=plan.ops[::-1])")
     same, changed = stages(base, base), stages(base, change)
     assert {k: v for k, v in changed.items() if k != PLANS} == {k: v for k, v in same.items() if k != PLANS}
     row = changed[PLANS][2].split()
     assert row[:7] == same[PLANS][2].split()[:7] and row[7] == "changed:" and row[8] != row[10]
     assert len(row) == 11 and row[9] == "->"
+
+
+def test_stages_see_a_stale_index_entry(tmp_path):
+    # the fallback reindexes a rewrite that keeps the crystal count one
+    # crystal short, so the last crystal it rewrote keeps its qubits' old
+    # indices.  On QAOA over a 20-qubit path that leaves stale the final
+    # index of Plutarch's plans at four zones from the third of its 19 on,
+    # each with later plans after it.  No plan's ops, final crystals or
+    # costs move, so the plan row sees it by the final index alone; the zone
+    # batches that read the stale index as their slots move, and so may the
+    # traces
+    pipeline = FAKE_PIPELINE.replace("w.GraphSpec(w.GraphKind.SK, 8), 1)", "w.GraphSpec(w.GraphKind.PATH, 20), 1)")
+    base = fake_tree(tmp_path / "base", pipeline=pipeline)
+    change = fake_tree(tmp_path / "change", "planner.py",
+                       "work.reindex(left, left + len(segment) if len(cs) == count else None)",
+                       "work.reindex(left, left + len(segment) - 1 if len(cs) == count else None)",
+                       pipeline=pipeline)
+    same, changed = stages(base, base), stages(base, change)
+    assert changed["translations"] == same["translations"]
+    row = changed[PLANS][2].split()
+    assert same[PLANS][2].split()[7] == "same"
+    assert row[:7] == same[PLANS][2].split()[:7] and row[7] == "changed:"
 
 
 def test_stages_see_a_changed_translation(tmp_path):

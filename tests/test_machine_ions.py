@@ -797,6 +797,28 @@ class TestPlanner:
         charged, path = min(candidates)
         assert (_charged(plan, m), plan.path_id) == (charged, None if path == -1 else path)
 
+    @pytest.mark.parametrize("left", ["single", "left ion", "right ion"])
+    @pytest.mark.parametrize("right", ["single", "left ion", "right ion"])
+    @pytest.mark.parametrize("between", ["single", "pair"])
+    def test_each_member_split_geometry_leaves_an_exact_index(self, left, right, between):
+        # the target (0, 3): each member alone or as its pair's left or
+        # right ion, a single or a pair between them, and pairs before and
+        # after.  One member split or the pair between alone keeps the
+        # crystal count, and only the rewritten crystals are reindexed;
+        # the right member as its pair's left ion leaves its partner just
+        # past them
+        members = {"single": (Crystal((0,)), Crystal((3,), False)),
+                   "left ion": (Crystal((0, 1)), Crystal((3, 5))),
+                   "right ion": (Crystal((1, 0)), Crystal((5, 3)))}
+        middle = Crystal((4,)) if between == "single" else Crystal((4, 6))
+        s = IonState((Crystal((10, 11)), members[left][0], middle, members[right][1], Crystal((8, 9))))
+        plan = plan_reorder(s, [(0, 3)], make_machine(4), PlanMode.ONE_DIMENSIONAL)
+        ops, final = plan_reorder_reference(s, [(0, 3)])
+        assert list(plan.ops) == ops and plan.final == final
+        assert plan.final.crystal_index == final.crystal_index == IonState(plan.final.crystals).crystal_index
+        splits = (left != "single") + (right != "single") + (between == "pair")
+        assert (len(plan.final.crystals) == len(s.crystals)) == (splits == 1)
+
     def test_a_crossed_target_pair_is_combined_again(self):
         # the bubble of 5 to 2 splits the target pair (0, 1), which was
         # already combined, and the restore pass combines it again
